@@ -2,11 +2,8 @@
 
 The paper's justification for extending OP-TEE with executable pages:
 "The AOT execution speed is on average 28x faster than with
-interpretation" (§III). This ablation runs a PolyBench subset four ways
-— the interpreter, and the AOT engine at opt levels 0, 2 and 3 (the
-last driven by a profile recorded on the same kernel) — so the
-optimisation tiers' contributions show separately from
-lowering-to-Python itself.
+interpretation" (§III). This ablation runs a PolyBench subset on the two
+engines the paper compares — the interpreter and the AOT engine.
 """
 
 from __future__ import annotations
@@ -15,7 +12,7 @@ import time
 
 from repro.bench import format_table, geometric_mean, save_report
 from repro.walc import compile_source
-from repro.wasm import AotCompiler, Interpreter, profile_module
+from repro.wasm import AotCompiler, Interpreter
 from repro.workloads.polybench import get_kernel
 
 _KERNELS = ["gemm", "atax", "jacobi-1d", "floyd-warshall", "durbin",
@@ -35,56 +32,35 @@ def _measure():
         kernel = get_kernel(name)
         size = max(6, kernel.default_size // _SCALE_DIVISOR)
         binary = compile_source(kernel.walc_source(size))
-        profile = profile_module(binary, [("run", ())])
-        aot_o0 = AotCompiler(opt_level=0).instantiate(binary)
-        aot_o2 = AotCompiler(opt_level=2).instantiate(binary)
-        aot_o3 = AotCompiler(opt_level=3,
-                             profile=profile).instantiate(binary)
+        aot = AotCompiler().instantiate(binary)
         interp = Interpreter().instantiate(binary)
-        assert aot_o0.invoke("run") == aot_o2.invoke("run") \
-            == aot_o3.invoke("run") == interp.invoke("run")
+        assert aot.invoke("run") == interp.invoke("run")
 
-        _, o0_s = _timed(aot_o0)
-        _, o2_s = _timed(aot_o2)
-        _, o3_s = _timed(aot_o3)
+        _, aot_s = _timed(aot)
         _, interp_s = _timed(interp)
-        results.append((name, size, o0_s, o2_s, o3_s, interp_s))
+        results.append((name, size, aot_s, interp_s))
     return results
 
 
 def test_ablation_aot_vs_interpreter(benchmark):
     results = benchmark.pedantic(_measure, rounds=1, iterations=1)
     rows = []
-    o0_factors, o2_factors, o3_factors = [], [], []
-    for name, size, o0_s, o2_s, o3_s, interp_s in results:
-        o0_factor = interp_s / o0_s
-        o2_factor = interp_s / o2_s
-        o3_factor = interp_s / o3_s
-        o0_factors.append(o0_factor)
-        o2_factors.append(o2_factor)
-        o3_factors.append(o3_factor)
+    factors = []
+    for name, size, aot_s, interp_s in results:
+        factor = interp_s / aot_s
+        factors.append(factor)
         rows.append((name, size, f"{interp_s * 1000:.1f} ms",
-                     f"{o0_s * 1000:.1f} ms", f"{o2_s * 1000:.1f} ms",
-                     f"{o3_s * 1000:.1f} ms",
-                     f"{o0_factor:.1f}x", f"{o2_factor:.1f}x",
-                     f"{o3_factor:.1f}x"))
-    o0_overall = geometric_mean(o0_factors)
-    o2_overall = geometric_mean(o2_factors)
-    o3_overall = geometric_mean(o3_factors)
-    rows.append(("geo-mean (paper: ~28x)", "-", "-", "-", "-", "-",
-                 f"{o0_overall:.1f}x", f"{o2_overall:.1f}x",
-                 f"{o3_overall:.1f}x"))
+                     f"{aot_s * 1000:.1f} ms", f"{factor:.1f}x"))
+    overall = geometric_mean(factors)
+    rows.append(("geo-mean (paper: ~28x)", "-", "-", "-",
+                 f"{overall:.1f}x"))
     save_report("ablation_aot", format_table(
-        "A1 — interpreter vs AOT opt tiers (o3 profile-guided)",
-        ["kernel", "size", "interpreter", "AOT o0", "AOT o2", "AOT o3",
-         "o0 speed-up", "o2 speed-up", "o3 speed-up"], rows,
+        "A1 — interpreter vs AOT",
+        ["kernel", "size", "interpreter", "AOT", "speed-up"], rows,
     ))
     # The paper's motivation must hold decisively: AOT is an order of
     # magnitude faster, justifying the executable-pages kernel extension.
-    assert o0_overall > 10, o0_overall
-    # And the optimisation tiers must not give any of it back.
-    assert o2_overall >= o0_overall, (o0_overall, o2_overall)
-    assert o3_overall >= o0_overall, (o0_overall, o3_overall)
+    assert overall > 10, overall
 
 
 def test_stock_optee_cannot_run_aot(testbed):

@@ -13,24 +13,18 @@ The second finding is the architectural one and must reproduce exactly in
 shape; the first reproduces in direction (the magnitude depends on the
 substituted toolchains — see EXPERIMENTS.md).
 
-A fourth configuration, AOT at ``opt_level=0`` (the reference codegen,
-byte-identical to the pre-optimisation tier), measures what the optimiser
-buys, and a fifth — AOT at ``opt_level=3``, driven by a profile recorded
-on the same kernel — measures what profile guidance buys on top: the
-``BENCH_polybench.json`` artifact records per-kernel ratios at every opt
-level so future PRs can diff the compute-speed trajectory.
+The ``BENCH_polybench.json`` artifact records the per-kernel ratios so
+future changes can diff the compute-speed trajectory.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 from repro.bench import format_table, geometric_mean, save_json, save_report
 from repro.core.runtime import NormalWorldRuntime
 from repro.walc import compile_source
-from repro.wasm.pgo import profile_module
-from repro.workloads.polybench import all_kernels
+from repro.workloads.polybench import all_kernels, get_kernel
 
 _RUNS = 3
 
@@ -48,7 +42,6 @@ def _median_seconds(operation, runs=_RUNS):
 def _measure_all(device):
     session = device.open_watz(heap_size=12 * 1024 * 1024)
     normal_world = NormalWorldRuntime()
-    reference_world = NormalWorldRuntime(opt_level=0)
     results = []
     for kernel in all_kernels():
         size = kernel.default_size
@@ -56,30 +49,18 @@ def _measure_all(device):
 
         native_s = _median_seconds(lambda: kernel.native(size))
 
-        baseline_app = reference_world.load(binary)
-        baseline_s = _median_seconds(
-            lambda: reference_world.invoke(baseline_app, "run"))
-
         wamr_app = normal_world.load(binary)
         wamr_s = _median_seconds(
             lambda: normal_world.invoke(wamr_app, "run"))
-
-        profile = profile_module(binary, [("run", ())])
-        pgo_world = NormalWorldRuntime(opt_level=3, profile=profile)
-        pgo_app = pgo_world.load(binary)
-        pgo_s = _median_seconds(lambda: pgo_world.invoke(pgo_app, "run"))
 
         loaded = device.load_wasm(session, binary)
         app = session.ta._apps[loaded["app"]]
         watz_s = _median_seconds(lambda: app.instance.invoke("run"))
 
-        # Cross-check: all five computed the same checksum.
+        # Cross-check: all three computed the same checksum.
         assert normal_world.invoke(wamr_app, "run") == kernel.native(size) \
-            == app.instance.invoke("run") \
-            == reference_world.invoke(baseline_app, "run") \
-            == pgo_world.invoke(pgo_app, "run")
-        results.append((kernel.name, native_s, baseline_s, wamr_s, pgo_s,
-                        watz_s))
+            == app.instance.invoke("run")
+        results.append((kernel.name, native_s, wamr_s, watz_s))
     session.close()
     return results
 
@@ -89,65 +70,37 @@ def test_fig5_polybench(benchmark, device):
                                  rounds=1, iterations=1)
     rows = []
     wamr_ratios, watz_ratios, pair_deltas = [], [], []
-    opt_speedups, pgo_ratios, pgo_speedups = [], [], []
     kernels_json = {}
-    for name, native_s, baseline_s, wamr_s, pgo_s, watz_s in results:
-        baseline_ratio = baseline_s / native_s
+    for name, native_s, wamr_s, watz_s in results:
         wamr_ratio = wamr_s / native_s
-        pgo_ratio = pgo_s / native_s
         watz_ratio = watz_s / native_s
-        opt_speedup = baseline_s / wamr_s
-        pgo_speedup = wamr_s / pgo_s
         wamr_ratios.append(wamr_ratio)
         watz_ratios.append(watz_ratio)
-        opt_speedups.append(opt_speedup)
-        pgo_ratios.append(pgo_ratio)
-        pgo_speedups.append(pgo_speedup)
         pair_deltas.append(abs(watz_s - wamr_s) / wamr_s)
         kernels_json[name] = {
             "native_s": native_s,
-            "aot_o0_s": baseline_s,
-            "aot_o2_s": wamr_s,
-            "aot_o3_s": pgo_s,
+            "wamr_s": wamr_s,
             "watz_s": watz_s,
-            "o0_vs_native": baseline_ratio,
-            "o2_vs_native": wamr_ratio,
-            "o3_vs_native": pgo_ratio,
-            "opt_speedup": opt_speedup,
-            "pgo_speedup": pgo_speedup,
+            "wamr_vs_native": wamr_ratio,
+            "watz_vs_native": watz_ratio,
         }
         rows.append((name, f"{native_s * 1000:.1f} ms",
-                     f"{baseline_ratio:.2f}x",
-                     f"{wamr_ratio:.2f}x", f"{pgo_ratio:.2f}x",
-                     f"{watz_ratio:.2f}x",
-                     f"{opt_speedup:.2f}x"))
-    opt_geo = geometric_mean(opt_speedups)
-    pgo_geo = geometric_mean(pgo_ratios)
-    baseline_geo = geometric_mean(
-        [k["o0_vs_native"] for k in kernels_json.values()])
+                     f"{wamr_ratio:.2f}x", f"{watz_ratio:.2f}x"))
     rows.append(("geo-mean (paper: 1.34x / 1.34x)", "-",
-                 f"{baseline_geo:.2f}x",
                  f"{geometric_mean(wamr_ratios):.2f}x",
-                 f"{pgo_geo:.2f}x",
-                 f"{geometric_mean(watz_ratios):.2f}x",
-                 f"{opt_geo:.2f}x"))
+                 f"{geometric_mean(watz_ratios):.2f}x"))
     save_report("fig5_polybench", format_table(
         "Fig. 5 — PolyBench/C normalised to native "
         f"(median of {_RUNS} runs)",
-        ["kernel", "native", "AOT o0", "WAMR (normal world)",
-         "AOT o3 (profiled)", "WaTZ (secure world)", "o2 vs o0"],
+        ["kernel", "native", "WAMR (normal world)", "WaTZ (secure world)"],
         rows,
     ))
     save_json("BENCH_polybench", {
         "runs": _RUNS,
         "kernels": kernels_json,
         "geomean": {
-            "o0_vs_native": baseline_geo,
-            "o2_vs_native": geometric_mean(wamr_ratios),
-            "o3_vs_native": pgo_geo,
+            "wamr_vs_native": geometric_mean(wamr_ratios),
             "watz_vs_native": geometric_mean(watz_ratios),
-            "opt_speedup": opt_geo,
-            "pgo_speedup": geometric_mean(pgo_speedups),
         },
     })
 
@@ -157,106 +110,57 @@ def test_fig5_polybench(benchmark, device):
     # no computational slowdown (paper: <0.02%; we allow scheduler noise).
     median_delta = sorted(pair_deltas)[len(pair_deltas) // 2]
     assert median_delta < 0.10, median_delta
-    # Acceptance floor for the optimisation tier: opt_level=2 improves the
-    # geo-mean by >= 1.3x over the reference codegen.
-    assert opt_geo >= 1.3, opt_geo
 
 
-# -- CI perf smoke: a 3-kernel subset across the opt tiers --------------------
+# -- CI perf smoke: AOT vs the interpreter on a 3-kernel subset ---------------
 
 _SMOKE_KERNELS = ["gemm", "atax", "jacobi-1d"]
+#: A1's interpreter-friendly sizes (``bench_ablation_aot.py``).
+_SMOKE_SCALE_DIVISOR = 3
+#: Geo-mean floor of the AOT speed-up over the interpreter. A1 measures
+#: 68-104x per kernel on these three; 10x is the paper's "order of
+#: magnitude" with room for noisy runners.
+_SMOKE_FLOOR = 10.0
 
 
-def _smoke_profiles():
-    """Record (via a tracer, the trace-fed path) and persist a profile
-    per smoke kernel. The saved files are CI artifacts: the exact inputs
-    the o3 numbers in ``BENCH_polybench_smoke.json`` were produced from."""
-    from repro.obs import Tracer, extract_profile
+def test_polybench_opt_smoke():
+    """CI gate: AOT must stay an order of magnitude faster than the
+    interpreter on a representative subset (dense matmul, sparse-ish
+    vector kernel, stencil), with both engines' checksums matching the
+    native build. Writes ``BENCH_polybench_smoke.json``.
 
-    directory = os.environ.get("REPRO_BENCH_RESULTS", "bench_results")
-    os.makedirs(directory, exist_ok=True)
-    profiles = {}
-    for name in _SMOKE_KERNELS:
-        from repro.workloads.polybench import get_kernel
-
-        kernel = get_kernel(name)
-        binary = compile_source(kernel.walc_source(kernel.default_size))
-        tracer = Tracer()
-        profile_module(binary, [("run", ())], tracer=tracer)
-        profile = extract_profile(tracer.spans())
-        profile.save(os.path.join(directory, f"profile_{name}.json"))
-        profiles[name] = (binary, profile)
-    return profiles
-
-
-def _smoke_measure(profiles):
-    from repro.wasm import AotCompiler
-    from repro.workloads.polybench import get_kernel
+    Both engines run in this one process on the same core, so the ratio
+    means the same on any CPU count and the gate is always asserted."""
+    from repro.wasm import AotCompiler, Interpreter
 
     kernels_json = {}
     for name in _SMOKE_KERNELS:
         kernel = get_kernel(name)
-        binary, profile = profiles[name]
-        engines = {
-            0: AotCompiler(opt_level=0),
-            2: AotCompiler(opt_level=2),
-            3: AotCompiler(opt_level=3, profile=profile),
-        }
+        size = max(6, kernel.default_size // _SMOKE_SCALE_DIVISOR)
+        binary = compile_source(kernel.walc_source(size))
         seconds = {}
-        results = {}
-        for level, engine in engines.items():
-            engine.instantiate(binary).invoke("run")  # warm cache+allocator
-            fresh = engine.instantiate(binary)
+        for engine in (Interpreter(), AotCompiler()):
+            instance = engine.instantiate(binary)
             started = time.perf_counter()
-            results[level] = fresh.invoke("run")
-            seconds[level] = time.perf_counter() - started
-        assert results[0] == results[2] == results[3] \
-            == kernel.native(kernel.default_size)
+            checksum = instance.invoke("run")
+            seconds[engine.name] = time.perf_counter() - started
+            assert checksum == kernel.native(size), (name, engine.name)
         kernels_json[name] = {
-            "aot_o0_s": seconds[0],
-            "aot_o2_s": seconds[2],
-            "aot_o3_s": seconds[3],
-            "opt_speedup": seconds[0] / seconds[2],
-            "pgo_speedup": seconds[2] / seconds[3],
+            "size": size,
+            "interpreter_s": seconds["interpreter"],
+            "aot_s": seconds["aot"],
+            "aot_speedup": seconds["interpreter"] / seconds["aot"],
         }
-    return kernels_json
-
-
-def test_polybench_opt_smoke():
-    """CI gate: the optimising tier must never be slower than the
-    reference codegen — and the profile-guided tier never slower than
-    o2 — on a representative subset (dense matmul, sparse-ish vector
-    kernel, stencil). Writes ``BENCH_polybench_smoke.json`` and a
-    ``profile_<kernel>.json`` artifact per smoke kernel.
-
-    Perf gates flake on loaded runners, so the o3-vs-o2 comparison is
-    re-measured once before it may fail, and is only enforced on hosts
-    with at least two CPUs (a single shared core serialises the pools
-    and measures the scheduler, not the codegen)."""
-    profiles = _smoke_profiles()
-    kernels_json = _smoke_measure(profiles)
-    geo = geometric_mean(
-        [k["opt_speedup"] for k in kernels_json.values()])
-    pgo_geo = geometric_mean(
-        [k["pgo_speedup"] for k in kernels_json.values()])
-    host_cpus = os.cpu_count() or 1
-    if pgo_geo < 1.0 and host_cpus >= 2:
-        # One re-measure against noise before the gate may fail.
-        kernels_json = _smoke_measure(profiles)
-        geo = geometric_mean(
-            [k["opt_speedup"] for k in kernels_json.values()])
-        pgo_geo = geometric_mean(
-            [k["pgo_speedup"] for k in kernels_json.values()])
+    geo = geometric_mean([k["aot_speedup"] for k in kernels_json.values()])
     save_json("BENCH_polybench_smoke", {
         "kernels": kernels_json,
-        "geomean_opt_speedup": geo,
-        "geomean_pgo_speedup": pgo_geo,
+        "geomean_aot_speedup": geo,
+        "gate": {
+            "metric": "geomean_aot_speedup",
+            "threshold": _SMOKE_FLOOR,
+            "asserted": True,
+            "reason": "both engines run in one process, so the ratio "
+                      "does not depend on the host's CPU count",
+        },
     })
-    # The gates: opt_level=2 may never lose to opt_level=0, and the
-    # profiled tier may never lose to o2 (small head-room for scheduler
-    # noise on shared CI runners).
-    assert geo >= 0.95, kernels_json
-    assert all(k["opt_speedup"] >= 0.85 for k in kernels_json.values()), \
-        kernels_json
-    if host_cpus >= 2:
-        assert pgo_geo >= 0.95, kernels_json
+    assert geo >= _SMOKE_FLOOR, kernels_json

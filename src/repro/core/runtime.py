@@ -48,20 +48,11 @@ _ENGINES = {
 }
 
 
-def _make_engine(engine_name: str, opt_level=None, tracer=None,
-                 profile=None):
-    """Construct an execution engine, forwarding AOT-only options.
-
-    ``opt_level`` selects the AOT optimisation tier (``None`` keeps the
-    process default, see :func:`repro.wasm.default_opt_level`);
-    ``profile`` feeds tier 3 (anything
-    :meth:`repro.wasm.pgo.Profile.coerce` accepts — a Profile, a dict, or
-    canonical JSON text); the interpreter has no tiers and ignores all
-    three knobs.
-    """
+def _make_engine(engine_name: str, tracer=None):
+    """Construct an execution engine; only the AOT engine takes a tracer."""
     factory = _ENGINES[engine_name]
     if factory is AotCompiler:
-        return factory(opt_level=opt_level, tracer=tracer, profile=profile)
+        return factory(tracer=tracer)
     return factory()
 
 
@@ -175,9 +166,7 @@ class WatzRuntime(TrustedApplication):
         # Phase 2: runtime initialisation — engine construction and native
         # symbol registration (the WASI and WASI-RA bindings).
         started = time.perf_counter()
-        engine = _make_engine(engine_name, opt_level=params.get("opt_level"),
-                              tracer=api.tracer,
-                              profile=params.get("profile"))
+        engine = _make_engine(engine_name, tracer=api.tracer)
         filesystem = None
         if params.get("filesystem"):
             # The WASI-FS extension (paper future work): files live in the
@@ -328,12 +317,9 @@ def watz_manifest(heap_size: int, stack_size: int = 3 * 1024,
 class NormalWorldRuntime:
     """WAMR running in the normal world (the unshielded baseline)."""
 
-    def __init__(self, soc=None, engine_name: str = "aot",
-                 opt_level: Optional[int] = None, profile=None) -> None:
+    def __init__(self, soc=None, engine_name: str = "aot") -> None:
         self._soc = soc
         self.engine_name = engine_name
-        self.opt_level = opt_level
-        self.profile = profile
 
     def load(self, bytecode: bytes,
              args: Optional[List[str]] = None,
@@ -349,8 +335,7 @@ class NormalWorldRuntime:
                                    random_bytes=os.urandom,
                                    filesystem=filesystem)
         imports = build_wasi_imports(wasi_env)
-        engine = _make_engine(self.engine_name, opt_level=self.opt_level,
-                              profile=self.profile)
+        engine = _make_engine(self.engine_name)
         started = time.perf_counter()
         instance = engine.instantiate(bytecode, imports,
                                       code_cache=code_cache)

@@ -24,22 +24,14 @@ from repro.obs.record import (
     replay_imports,
     replay_run,
 )
-from repro.obs.profile import (
-    PROFILE_SPAN,
-    extract_profile,
-    profiles_from_spans,
-)
 from repro.obs.tracer import Span, Tracer, TracingRecorder
 
 __all__ = [
     "HostCall",
     "HostCallLog",
-    "PROFILE_SPAN",
     "PhaseRow",
     "ReplayMismatch",
     "Span",
-    "extract_profile",
-    "profiles_from_spans",
     "TraceAnalyzer",
     "Tracer",
     "TracingRecorder",

@@ -5,26 +5,12 @@ encoder (builder), the spec validation algorithm, an interpreting engine
 and an ahead-of-time engine that lowers Wasm to Python closures.
 """
 
-from repro.wasm.aot import (
-    AotCompiler,
-    default_opt_level,
-    reference_codegen,
-    set_default_opt_level,
-)
+from repro.wasm.aot import AotCompiler
 from repro.wasm.builder import FunctionBuilder, ModuleBuilder
 from repro.wasm.codecache import DEFAULT_CACHE, CodeCache
-from repro.wasm.compilesvc import artifact_fingerprint, precompile
 from repro.wasm.decoder import decode_module
 from repro.wasm.interpreter import Interpreter
 from repro.wasm.module import Module
-from repro.wasm.pgo import (
-    Profile,
-    ProfileCollector,
-    ProfileError,
-    ProfileWarning,
-    merge_profiles,
-    profile_module,
-)
 from repro.wasm.runtime import (
     Engine,
     HostFunction,
@@ -37,17 +23,6 @@ from repro.wasm.validation import validate_module
 
 __all__ = [
     "AotCompiler",
-    "default_opt_level",
-    "set_default_opt_level",
-    "reference_codegen",
-    "Profile",
-    "ProfileCollector",
-    "ProfileError",
-    "ProfileWarning",
-    "profile_module",
-    "merge_profiles",
-    "precompile",
-    "artifact_fingerprint",
     "Interpreter",
     "Engine",
     "CodeCache",

@@ -28,25 +28,27 @@ Compilation strategy:
   either consumes the branch or keeps unwinding;
 * branches to the function frame compile to direct ``return`` statements;
 * dead code after an unconditional transfer is skipped entirely.
+
+On top of that lowering sit the optimisation passes, fed by the loop
+analysis in :mod:`repro.wasm.aotopt`: value ranges (mask elimination,
+signed-compare elision), loop-invariant code motion, typed-memory-plane
+accesses where an access is provably aligned, and loop versioning with
+the bounds checks hoisted into one preflight test. The interpreter is the
+semantic oracle: results and trap type, ordering and messages are
+identical.
 """
 
 from __future__ import annotations
 
 import math
-import re
-import warnings
-from contextlib import contextmanager
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional
 
 from repro.errors import TrapError, WasmError
 from repro.wasm import aotopt
-from repro.wasm import codecache
 from repro.wasm import numerics as num
 from repro.wasm import opcodes as op
-from repro.wasm import pgo
 from repro.wasm.interpreter import _fdiv
 from repro.wasm.module import Function, Module
-from repro.wasm.pgo import Profile, ProfileError, ProfileWarning
 from repro.wasm.runtime import (Engine, Instance, Memory, S_F32, S_F64, S_I16,
                                 S_I32, S_I64)
 from repro.wasm.types import ValType
@@ -57,53 +59,6 @@ _MASK64 = "0xFFFFFFFFFFFFFFFF"
 #: Expressions larger than this many fused operations are spilled to a
 #: variable; keeps generated lines (and CPython's expression stack) sane.
 _MAX_FUSED_OPS = 16
-
-# ---------------------------------------------------------------------------
-# Optimisation-level knob (mirrors repro.crypto.ec.use_fast_paths).
-#
-# Level 0 is the original lowering, kept byte-identical as the reference
-# codegen; level 1 adds the value-range / purity passes (mask elimination,
-# signed-compare elision, loop-invariant code motion); level 2 — the default
-# — additionally emits typed-memory-plane accesses and loop versioning with
-# hoisted bounds checks. The interpreter remains the semantic oracle at
-# every level: results and trap type/ordering/messages are identical.
-# ---------------------------------------------------------------------------
-
-#: The opt level used when an :class:`AotCompiler` is built without one.
-#: Level 3 is the profile-guided tier: it additionally needs a
-#: :class:`repro.wasm.pgo.Profile` and degrades to 2 without one.
-DEFAULT_OPT_LEVEL = 2
-
-_OPT_LEVELS = (0, 1, 2, 3)
-
-
-def default_opt_level() -> int:
-    """The process-wide default AOT optimisation level."""
-    return DEFAULT_OPT_LEVEL
-
-
-def set_default_opt_level(level: int) -> int:
-    """Set the default opt level; returns the previous one."""
-    global DEFAULT_OPT_LEVEL
-    if level not in _OPT_LEVELS:
-        raise WasmError(f"unknown aot opt level: {level!r}")
-    previous = DEFAULT_OPT_LEVEL
-    DEFAULT_OPT_LEVEL = level
-    return previous
-
-
-@contextmanager
-def reference_codegen() -> Iterator[None]:
-    """Force the reference (opt level 0) lowering within the block.
-
-    The differential tests run every program through this and through the
-    default level and require identical results and traps.
-    """
-    previous = set_default_opt_level(0)
-    try:
-        yield
-    finally:
-        set_default_opt_level(previous)
 
 
 def _trap(message: str):
@@ -340,41 +295,6 @@ _PLANE_STORES: Dict[int, str] = {
 #: The plane names the instance namespace must provide, by format code.
 _PLANE_NAMES = {"H": "_pH", "I": "_pI", "Q": "_pQ", "f": "_pF", "d": "_pD"}
 
-# Scalar-promotion templates (opt level 3, hot versioned loops): a
-# loop-invariant plane cell every access in the loop provably either hits
-# or misses is carried in a Python local for the loop's duration. The
-# float32 plane is excluded: an f32 value round-trips through the plane
-# with payload canonicalisation a Python local would skip, so promoting
-# it could change NaN bit patterns; the other planes are bit-exact.
-# Loads map to a wrapper over ``{x}`` (the promoted variable); stores map
-# to the value-side of the plane store template over ``{v}``.
-_PROMO_LOADS: Dict[int, tuple] = {
-    op.I32_LOAD: ("_pI", "{x}"),
-    op.I64_LOAD: ("_pQ", "{x}"),
-    op.F64_LOAD: ("_pD", "{x}"),
-    op.I32_LOAD16_U: ("_pH", "{x}"),
-    op.I64_LOAD16_U: ("_pH", "{x}"),
-    op.I32_LOAD16_S: ("_pH", "_ext({x}, 16, 32)"),
-    op.I64_LOAD16_S: ("_pH", "_ext({x}, 16, 64)"),
-    op.I64_LOAD32_U: ("_pI", "{x}"),
-    op.I64_LOAD32_S: ("_pI", "_ext({x}, 32, 64)"),
-}
-
-_PROMO_STORES: Dict[int, tuple] = {
-    op.I32_STORE: ("_pI", "{v}"),
-    op.I64_STORE: ("_pQ", "{v}"),
-    op.F64_STORE: ("_pD", "{v}"),
-    op.I32_STORE16: ("_pH", "({v}) & 0xFFFF"),
-    op.I64_STORE16: ("_pH", "({v}) & 0xFFFF"),
-    op.I64_STORE32: ("_pI", "({v}) & " + _MASK32),
-}
-
-#: Opcodes that may trap (or re-enter the runtime) mid-loop; a loop
-#: containing one is excluded from scalar promotion, so a promoted cell
-#: can never be stale at a trap point.
-_PROMO_BARRIERS = frozenset((op.CALL, op.CALL_INDIRECT, op.UNREACHABLE,
-                             op.MEMORY_GROW, op.INLINE_ENTER))
-
 #: Proven result ranges of zero-extending loads.
 _LOAD_RANGES: Dict[int, tuple] = {
     op.I32_LOAD8_U: (0, 0xFF),
@@ -577,235 +497,11 @@ class _FastCtx:
 _MAX_PREFLIGHT = 8
 
 
-class _PromoScope:
-    """One loop's active scalar promotions (opt level 3, fast copies).
-
-    ``mapping`` binds ``(plane_name, element_index_expr)`` keys to the
-    Python locals carrying the cells; preloads are inserted into the
-    loop's preheader when the scope closes, and writebacks are emitted on
-    every exit path (loop end, branches out, returns).
-    """
-
-    __slots__ = ("frame", "ctx", "mapping")
-
-    def __init__(self, frame: _Frame, ctx: _LoopCtx,
-                 mapping: Dict[tuple, str]) -> None:
-        self.frame = frame
-        self.ctx = ctx
-        self.mapping = mapping
-
-    def items_sorted(self) -> List[tuple]:
-        return sorted(self.mapping.items())
-
-
-class _AccessRecord:
-    """One memory access observed while probing a hot versioned loop."""
-
-    __slots__ = ("open_loops", "pkey", "lo", "hi", "invariant_in",
-                 "is_store", "code")
-
-    def __init__(self, open_loops: tuple, pkey: Optional[tuple],
-                 lo: int, hi: Optional[int], invariant_in: frozenset,
-                 is_store: bool, code: int) -> None:
-        self.open_loops = open_loops
-        self.pkey = pkey
-        self.lo = lo
-        self.hi = hi
-        self.invariant_in = invariant_in
-        self.is_store = is_store
-        self.code = code
-
-
-def _const_source(value) -> str:
-    """Python source for a profiled constant (int or finite/inf float)."""
-    if isinstance(value, float):
-        if math.isinf(value):
-            sign = "-" if value < 0 else ""
-            return f"float('{sign}inf')"
-        return repr(value)
-    return str(value)
-
-
-# -- counted-loop shape conversion (opt level 3) -----------------------------
-#
-# A profile-compiled body rewrites counted-loop capsules
-#
-#     while True:  # loop L{n}          _fr{k} = range(l{v}, STOP[, STEP])
-#      while True:                      for l{v} in _fr{k}:
-#       pass                               BODY          (dedented once)
-#       if not (l{v} < STOP):     ==>   else:
-#        GUARD-EXIT                        if _fr{k}:
-#       BODY                                l{v} = l{v} + STEP
-#       l{v} = l{v} + STEP                 GUARD-EXIT    (sans `break`)
-#       continue
-#       break
-#      <exact epilogue>
-#
-# into Python `for` loops over a `range`, eliminating the explicit guard
-# test and increment per iteration. The rewrite is Python-to-Python and
-# semantics-exact: `range(start, stop, step)` iterates precisely while
-# `v < stop` with `v += step` on unbounded ints, a `break` inside BODY
-# (every `_br = K; break` exit, which skips the `else`) leaves `l{v}` at
-# its current value exactly as breaking the capsule did, and the `else`
-# clause reconstructs the first-failing induction value (`last + step`
-# when the range was non-empty, the untouched entry value otherwise)
-# before running the guard's original branch transfer. Conversion bails
-# — leaving the capsule untouched — whenever the shape is not exact: a
-# masked increment, a non-plain comparison (sign wrappers), any second
-# write to the induction local or to a local bound, or any `continue`
-# owned by the capsule other than the final backedge (a conditional
-# `br_if 0` re-entry must keep capsule form, since `continue` in a `for`
-# would run the increment the branch is required to skip).
-
-_FOR_HEAD = re.compile(r"while True:  # loop L(\d+)$")
-_FOR_GUARD = re.compile(r"if not \((l\d+) (<|<=) (l\d+|h\d+|-?\d+)\):$")
-_FOR_STEP = re.compile(r"(l\d+) = (l\d+) \+ (\d+)$")
-
-
-def _indent_of(line: str) -> int:
-    return len(line) - len(line.lstrip(" "))
-
-
-def _capsule_owns_a_continue(body: List[str], base_indent: int) -> bool:
-    """Does any `continue` in ``body`` belong to the enclosing capsule
-    (rather than to a loop construct opened inside ``body``)?"""
-    loop_stack: List[int] = []
-    for line in body:
-        stripped = line.strip()
-        indent = _indent_of(line)
-        while loop_stack and indent <= loop_stack[-1]:
-            loop_stack.pop()
-        if stripped == "continue" and not loop_stack:
-            return True
-        if stripped.startswith("while ") or stripped.startswith("for "):
-            loop_stack.append(indent)
-    return False
-
-
-def _try_forify_at(lines: List[str], i: int, counter: List[int]
-                   ) -> Optional[List[str]]:
-    """Attempt the counted-loop rewrite on the capsule headed at ``i``."""
-    head = lines[i]
-    ind = _indent_of(head)
-    if not _FOR_HEAD.match(head[ind:]):
-        return None
-    n = len(lines)
-    if i + 4 >= n or lines[i + 1] != " " * (ind + 1) + "while True:" \
-            or lines[i + 2] != " " * (ind + 2) + "pass":
-        return None
-    guard_line = lines[i + 3]
-    if _indent_of(guard_line) != ind + 2:
-        return None
-    guard = _FOR_GUARD.match(guard_line[ind + 2:])
-    if guard is None:
-        return None
-    var, relop, bound = guard.group(1), guard.group(2), guard.group(3)
-    label = _FOR_HEAD.match(head[ind:]).group(1)
-
-    # Guard suite: the branch transfer out of the loop, one level deep.
-    j = i + 4
-    while j < n and _indent_of(lines[j]) >= ind + 3:
-        if _indent_of(lines[j]) != ind + 3:
-            return None
-        j += 1
-    guard_suite = [line[ind + 3:] for line in lines[i + 4:j]]
-    if not guard_suite or not (guard_suite[-1] == "break"
-                               or guard_suite[-1].startswith("return")):
-        return None
-
-    # Capsule body runs to the epilogue (first dedent to ind+1).
-    k = j
-    while k < n and _indent_of(lines[k]) >= ind + 2:
-        k += 1
-    if k - j < 3 or lines[k - 1] != " " * (ind + 2) + "break" \
-            or lines[k - 2] != " " * (ind + 2) + "continue" \
-            or _indent_of(lines[k - 3]) != ind + 2:
-        return None
-    step_match = _FOR_STEP.match(lines[k - 3][ind + 2:])
-    if step_match is None or step_match.group(1) != var \
-            or step_match.group(2) != var:
-        return None
-    step = int(step_match.group(3))
-    if step <= 0:
-        return None
-
-    epilogue = [
-        " " * (ind + 1) + "if _br >= 0:",
-        " " * (ind + 2) + f"if _br == {label}:",
-        " " * (ind + 3) + "_br = -1",
-        " " * (ind + 3) + "continue",
-        " " * (ind + 2) + "break",
-        " " * (ind + 1) + "break",
-    ]
-    if lines[k:k + 6] != epilogue:
-        return None
-
-    body = lines[j:k - 3]
-    for line in body:
-        stripped = line.strip()
-        if stripped == f"_br = {label}":
-            return None  # a nested frame branches back to this loop
-        if stripped.startswith(f"{var} = ") \
-                or stripped.startswith(f"for {var} "):
-            return None  # second write to the induction local
-        if bound.startswith("l") and (
-                stripped.startswith(f"{bound} = ")
-                or stripped.startswith(f"for {bound} ")):
-            return None  # the bound is not loop-invariant
-    if _capsule_owns_a_continue(body, ind + 2):
-        return None  # conditional backedge: must keep capsule form
-
-    if relop == "<":
-        stop = bound
-    elif bound.lstrip("-").isdigit():
-        stop = str(int(bound) + 1)
-    else:
-        stop = f"{bound} + 1"
-    name = f"_fr{counter[0]}"
-    counter[0] += 1
-    step_suffix = f", {step}" if step != 1 else ""
-    pad = " " * ind
-    replacement = [
-        f"{pad}{name} = range({var}, {stop}{step_suffix})",
-        f"{pad}for {var} in {name}:",
-    ]
-    if body:
-        replacement.extend(line[1:] for line in body)  # dedent one level
-    else:
-        replacement.append(f"{pad} pass")
-    replacement.append(f"{pad}else:")
-    replacement.append(f"{pad} if {name}:")
-    replacement.append(f"{pad}  {var} = {var} + {step}")
-    exit_lines = guard_suite[:-1] if guard_suite[-1] == "break" \
-        else guard_suite
-    replacement.extend(f"{pad} {line}" for line in exit_lines)
-    return lines[:i] + replacement + lines[k + 6:]
-
-
-def _forify(lines: List[str], counter: List[int]) -> List[str]:
-    """Rewrite every convertible counted-loop capsule in ``lines``."""
-    i = 0
-    while i < len(lines):
-        rewritten = _try_forify_at(lines, i, counter)
-        if rewritten is not None:
-            lines = rewritten
-            # Re-scan from the same spot: the loop's own body may hold
-            # further (now dedented) capsules.
-            continue
-        i += 1
-    return lines
-
-
 class _FunctionCompiler:
     """Compiles one decoded function body into Python source."""
 
     def __init__(self, module: Module, func: Function, func_index: int,
-                 opt_level: int = 0, use_planes: bool = False,
-                 profile: Optional[Profile] = None,
-                 sites: Optional[List[Optional[str]]] = None,
-                 spec_globals: Optional[Dict[int, float]] = None,
-                 const_globals: Optional[Dict[int, float]] = None,
-                 collector: bool = False) -> None:
+                 use_planes: bool) -> None:
         self.module = module
         self.func = func
         self.func_index = func_index
@@ -816,49 +512,16 @@ class _FunctionCompiler:
         self.next_temp = 0
         self.next_hoist = 0
         self.stack: List[_Value] = []
-        self.opt = opt_level
-        self._planes_flag = use_planes
-        self.use_planes = use_planes and opt_level >= 2
+        self.use_planes = use_planes
         self.local_types: List[ValType] = \
             list(self.func_type.params) + list(func.locals)
-        self.analysis: Dict[int, aotopt.LoopInfo] = \
-            aotopt.analyze(func, allow_symbolic_init=profile is not None) \
-            if opt_level >= 1 else {}
+        self.analysis: Dict[int, aotopt.LoopInfo] = aotopt.analyze(func)
         self.loop_ctxs: List[_LoopCtx] = []
         self.fast: Optional[_FastCtx] = None
         #: Depth of versioned-region recompilation (no nested versioning).
         self.version_depth = 0
         #: Loops whose version probe failed; compiled plainly thereafter.
         self.no_version: set = set()
-        # -- opt level 3 (profile-guided) state ------------------------------
-        #: The driving profile; None in every tier below 3 and in the
-        #: guarded deopt body (which must be the exact o2 lowering).
-        self.profile = profile
-        #: Per-instruction profile site keys (post-inlining); None falls
-        #: back to ``f<index>:<i>`` over the compiled body.
-        self.sites = sites
-        #: Observed-constant globals to specialise on (plan level: emits
-        #: the entry guard plus specialised and deopt bodies).
-        self.spec_globals = spec_globals or {}
-        #: Active constant-global substitutions inside the specialised
-        #: body clone.
-        self.const_globals = const_globals
-        #: True when compiling the instrumented (profiling) build.
-        self.collector = collector
-        #: True while compiling the fast copy of a profile-hot versioned
-        #: region: in-bounds-proven loads defer like pure expressions.
-        self.hot_fast = False
-        self._recording = False
-        self._access_log: List[_AccessRecord] = []
-        self._last_meta: Optional[tuple] = None
-        #: loop body index -> {promo key: None} while recompiling a fast
-        #: copy with scalar promotion.
-        self.promotions_plan: Optional[Dict[int, Dict[tuple, str]]] = None
-        self.promo_scopes: List[_PromoScope] = []
-        self.next_promo = 0
-        self._promotable_loops: Dict[int, bool] = {}
-        #: Unique `_fr{n}` range names for the counted-loop rewrite.
-        self._for_counter = [0]
 
     # -- stack management ---------------------------------------------------------
     #
@@ -882,7 +545,7 @@ class _FunctionCompiler:
         self._push_value(value)
 
     def _push_value(self, value: _Value) -> None:
-        if self.opt >= 1 and self._try_hoist(value):
+        if self._try_hoist(value):
             return
         self.stack.append(value)
         if value.ops > _MAX_FUSED_OPS:
@@ -991,7 +654,6 @@ class _FunctionCompiler:
 
     def _emit_branch(self, depth: int) -> None:
         """Emit the transfer for ``br depth``; stack entries are vars."""
-        self._emit_promo_writebacks(depth)
         height = len(self.stack)
         if depth >= len(self.frames):
             # Branch to the function frame: a return.
@@ -1065,14 +727,7 @@ class _FunctionCompiler:
             zero = "0" if valtype.is_integer else "0.0"
             self.out.emit(f"l{index} = {zero}")
         self.out.emit("_br = -1")
-        if self.collector:
-            self.out.emit(f"_pf[{self.func_index}] += 1")
-        if self.spec_globals:
-            self._compile_specialized()
-        else:
-            self._compile_range(0, len(self.func.body))
-            if self.profile is not None:
-                self.out.lines = _forify(self.out.lines, self._for_counter)
+        self._compile_range(0, len(self.func.body))
         self.out.indent -= 1
         self.out.emit("finally:")
         self.out.indent += 1
@@ -1080,69 +735,6 @@ class _FunctionCompiler:
         self.out.indent -= 1
         self.out.indent -= 1
         return self.out.source()
-
-    def _compile_specialized(self) -> None:
-        """Guarded global specialisation: one entry test selects between
-        the body specialised on the profiled global values and a deopt
-        body that is the exact o2 lowering.
-
-        The guard re-reads the globals on every call, so a profile that
-        mispredicts (the global changed since profiling) only costs the
-        specialised path — never correctness.
-        """
-        guard = " and ".join(
-            f"_g[{index}].value == {_const_source(value)}"
-            for index, value in sorted(self.spec_globals.items()))
-        self.out.emit(f"if {guard}:")
-        for const_globals in (dict(self.spec_globals), None):
-            clone = _FunctionCompiler(
-                self.module, self.func, self.func_index,
-                opt_level=self.opt, use_planes=self._planes_flag,
-                profile=self.profile if const_globals is not None else None,
-                sites=self.sites if const_globals is not None else None,
-                const_globals=const_globals)
-            clone.out.indent = self.out.indent + 1
-            clone.out.emit("pass")
-            clone._compile_range(0, len(clone.func.body))
-            if const_globals is not None:
-                # The specialised arm gets the loop-shape rewrite; the
-                # deopt arm below stays the exact o2 lowering.
-                clone.out.lines = _forify(clone.out.lines,
-                                          self._for_counter)
-            self.out.lines.extend(clone.out.lines)
-            if const_globals is not None:
-                self.out.emit("else:")
-
-    # -- profile plumbing --------------------------------------------------------
-
-    def _site_key(self, index: int) -> Optional[str]:
-        """Profile key of the instruction at ``index`` of the compiled
-        body (None for instructions synthesised by inlining)."""
-        if self.sites is not None:
-            return self.sites[index]
-        return f"f{self.func_index}:{index}"
-
-    def _region_hot(self, start: int, stop: int) -> bool:
-        """Does the profile mark any loop in ``[start, stop)`` hot?"""
-        if self.profile is None:
-            return False
-        body = self.func.body
-        backedges = self.profile.loop_backedges
-        for index in range(start, stop):
-            if body[index].opcode == op.LOOP:
-                key = self._site_key(index)
-                if key is not None \
-                        and backedges.get(key, 0) >= pgo.HOT_LOOP_MIN:
-                    return True
-        return False
-
-    def _site_aligned(self, index: int) -> bool:
-        """Did the profile observe this access site as always aligned?"""
-        if self.profile is None:
-            return False
-        key = self._site_key(index)
-        return key is not None \
-            and self.profile.access_masks.get(key) == 0
 
     def _pop_loop_ctx(self, frame: _Frame) -> None:
         if self.loop_ctxs and self.loop_ctxs[-1].frame is frame:
@@ -1187,10 +779,6 @@ class _FunctionCompiler:
                         dead = False
                     else:
                         frame = self.frames.pop()
-                        # The fall-through exit is dead, but the loop can
-                        # still run (branch exits wrote back already):
-                        # preloads must land in the preheader regardless.
-                        self._close_promo_scope(frame, live=False)
                         self._pop_loop_ctx(frame)
                         if frame.kind == op.IF:
                             out.indent -= 1  # close if/else suite
@@ -1226,31 +814,16 @@ class _FunctionCompiler:
                                instr.arg.arity, not self.frames)
                 self.next_label += 1
                 self.frames.append(frame)
-                if self.opt >= 1:
-                    info = self.analysis.get(index)
-                    if info is not None:
-                        ctx = _LoopCtx(index, info, frame, out,
-                                       len(out.lines), out.indent)
-                        induction = info.induction
-                        if (ctx.ind_hi is None and induction is not None
-                                and induction.symbolic_init
-                                and self.profile is not None
-                                and self.fast is not None
-                                and self.fast.root.start == index):
-                            # Versioned root with a computed entry value:
-                            # the preflight just established the entry
-                            # cap, so the fast copy may claim the
-                            # region-wide bound (see versioned_hi).
-                            ctx.ind_hi = induction.versioned_hi
-                        self.loop_ctxs.append(ctx)
-                self._open_promo_scope(index, frame)
+                info = self.analysis.get(index)
+                if info is not None:
+                    self.loop_ctxs.append(_LoopCtx(index, info, frame, out,
+                                                   len(out.lines),
+                                                   out.indent))
                 out.emit(f"while True:  # loop L{frame.label}")
                 out.indent += 1
                 out.emit("while True:")
                 out.indent += 1
                 out.emit("pass")
-                if self.collector:
-                    out.emit(f"_pl[{self._site_key(index)!r}] += 1")
             elif code == op.IF:
                 condition = self._pop()
                 self._spill_all()
@@ -1277,7 +850,6 @@ class _FunctionCompiler:
                     out.emit(f"return {self._result_expr()}")
                     continue
                 frame = self.frames.pop()
-                self._close_promo_scope(frame, live=True)
                 self._pop_loop_ctx(frame)
                 if frame.kind == op.IF:
                     out.indent -= 1  # close if (or else) suite
@@ -1320,28 +892,11 @@ class _FunctionCompiler:
                     self._emit_branch(default)
                 dead = True
             elif code == op.RETURN:
-                self._emit_promo_writebacks(None)
                 out.emit(f"return {self._result_expr()}")
                 dead = True
             elif code == op.UNREACHABLE:
                 out.emit('_trap("unreachable executed")')
                 dead = True
-            elif code == op.INLINE_ENTER:
-                # Inline splice entry: mirror the real call path exactly —
-                # depth accounting *outside* the try, so an exhausted-
-                # stack trap does not run the matching exit.
-                self._spill_all()
-                out.emit("_inst.enter_call()")
-                out.emit("try:")
-                out.indent += 1
-                out.emit("pass")
-            elif code == op.INLINE_EXIT:
-                self._spill_all()
-                out.indent -= 1
-                out.emit("finally:")
-                out.indent += 1
-                out.emit("_inst.exit_call()")
-                out.indent -= 1
             elif code == op.CALL:
                 signature = module.func_type(instr.arg)
                 nparams = len(signature.params)
@@ -1396,28 +951,11 @@ class _FunctionCompiler:
                 out.emit(f"l{instr.arg} = {value.expr}")
                 self._push_local(instr.arg)
             elif code == op.GLOBAL_GET:
-                spec = self.const_globals
-                if spec is not None and instr.arg in spec:
-                    # Specialised body: the entry guard proved the global
-                    # still holds the profiled value — fold it in as a
-                    # literal (ranges/affine included for i32).
-                    value = spec[instr.arg]
-                    if isinstance(value, int) and value >= 0:
-                        is32 = self.module.globals[instr.arg].type.valtype \
-                            == ValType.I32
-                        self._push(str(value), ops=0, lo=value, hi=value,
-                                   affine={-1: value} if is32 else None)
-                    else:
-                        self._push(_const_source(value), ops=0)
-                else:
-                    self._push(f"_g[{instr.arg}].value", reads_global=True,
-                               ops=1)
+                self._push(f"_g[{instr.arg}].value", reads_global=True, ops=1)
             elif code == op.GLOBAL_SET:
                 value = self._pop()
                 self._spill_global_readers()
                 out.emit(f"_g[{instr.arg}].value = {value.expr}")
-                if self.collector:
-                    out.emit(f"_pg[{instr.arg}] += 1")
             elif code in (op.I32_CONST, op.I64_CONST):
                 literal = instr.arg
                 if literal >= 0:
@@ -1444,57 +982,21 @@ class _FunctionCompiler:
                     access = self._fast_access(address, offset, width)
                     if access is not None:
                         addr, plane = access
-                        if self._recording:
-                            self._record_access(code, address, plane, False)
-                        if plane is not None and code in _PROMO_LOADS:
-                            promo = self._promo_lookup(
-                                (_PROMO_LOADS[code][0], plane))
-                            if promo is not None:
-                                self._push(
-                                    _PROMO_LOADS[code][1].format(x=promo),
-                                    reads_memory=True, ops=2, lo=lo, hi=hi,
-                                    temps=frozenset((promo,)))
-                                continue
                         if plane is not None and code in _PLANE_LOADS:
                             expr = _PLANE_LOADS[code].format(i=plane)
                         else:
                             expr = template.format(m="_m", a=addr)
-                        if self.hot_fast:
-                            # Hot fast copy: the load provably cannot trap,
-                            # so it defers and fuses like a pure expression
-                            # (spilled on any store/grow as usual).
-                            self._push(expr, locals_read=address.locals_read,
-                                       reads_memory=True,
-                                       ops=address.ops + 2, lo=lo, hi=hi,
-                                       temps=address.temps)
-                        else:
-                            self._push_var(expr, lo=lo, hi=hi)
+                        self._push_var(expr, lo=lo, hi=hi)
                         continue
                 offset_text = f" + {instr.arg}" if instr.arg else ""
                 out.emit(f"_a = {address.paren}{offset_text}")
                 out.emit(f"if _a + {width} > len(_m): "
                          "_trap('out-of-bounds memory access')")
-                if self.collector and width in (2, 4, 8) \
-                        and code in _PLANE_LOADS:
-                    out.emit(f"_pa[{self._site_key(index)!r}] |= "
-                             f"_a & {width - 1}")
                 shift = self._plane_shift(code, _PLANE_LOADS, address,
                                           offset, width)
                 if shift is not None:
                     self._push_var(
                         _PLANE_LOADS[code].format(i=f"_a >> {shift}"),
-                        lo=lo, hi=hi)
-                elif self.use_planes and width in (2, 4, 8) \
-                        and code in _PLANE_LOADS and self._site_aligned(index):
-                    # Profile-guided plane specialisation: the site was
-                    # always aligned when profiled; guard per access and
-                    # deopt to the struct path on a misprediction.
-                    plane_shift = width.bit_length() - 1
-                    fast_expr = _PLANE_LOADS[code].format(
-                        i=f"_a >> {plane_shift}")
-                    self._push_var(
-                        f"({fast_expr}) if not _a & {width - 1} "
-                        f"else ({template.format(m='_m', a='_a')})",
                         lo=lo, hi=hi)
                 else:
                     self._push_var(template.format(m="_m", a="_a"),
@@ -1509,15 +1011,6 @@ class _FunctionCompiler:
                     access = self._fast_access(address, offset, width)
                     if access is not None:
                         addr, plane = access
-                        if self._recording:
-                            self._record_access(code, address, plane, True)
-                        if plane is not None and code in _PROMO_STORES:
-                            promo = self._promo_lookup(
-                                (_PROMO_STORES[code][0], plane))
-                            if promo is not None:
-                                out.emit(f"{promo} = " + _PROMO_STORES[code][1]
-                                         .format(v=value.expr))
-                                continue
                         if plane is not None and code in _PLANE_STORES:
                             out.emit(_PLANE_STORES[code].format(
                                 i=plane, v=value.expr))
@@ -1529,28 +1022,11 @@ class _FunctionCompiler:
                 out.emit(f"_a = {address.paren}{offset_text}")
                 out.emit(f"if _a + {width} > len(_m): "
                          "_trap('out-of-bounds memory access')")
-                if self.collector and width in (2, 4, 8) \
-                        and code in _PLANE_STORES:
-                    out.emit(f"_pa[{self._site_key(index)!r}] |= "
-                             f"_a & {width - 1}")
                 shift = self._plane_shift(code, _PLANE_STORES, address,
                                           offset, width)
                 if shift is not None:
                     out.emit(_PLANE_STORES[code].format(i=f"_a >> {shift}",
                                                         v=value.expr))
-                elif self.use_planes and width in (2, 4, 8) \
-                        and code in _PLANE_STORES \
-                        and self._site_aligned(index):
-                    plane_shift = width.bit_length() - 1
-                    out.emit(f"if not _a & {width - 1}:")
-                    out.indent += 1
-                    out.emit(_PLANE_STORES[code].format(
-                        i=f"_a >> {plane_shift}", v=value.expr))
-                    out.indent -= 1
-                    out.emit("else:")
-                    out.indent += 1
-                    out.emit(template.format(m="_m", a="_a", v=value.expr))
-                    out.indent -= 1
                 else:
                     out.emit(template.format(m="_m", a="_a", v=value.expr))
             elif code == op.MEMORY_SIZE:
@@ -1558,8 +1034,6 @@ class _FunctionCompiler:
             elif code == op.MEMORY_GROW:
                 value = self._pop()
                 self._spill_memory_readers()
-                if self.collector:
-                    out.emit("_pn[0] += 1")
                 self._push_var(f"_mem.grow({value.expr}) & {_MASK32}")
             elif code in (op.I32_EQZ, op.I64_EQZ):
                 operand = self._pop()
@@ -1587,7 +1061,7 @@ class _FunctionCompiler:
                         _BINOPS[code].format(a=lhs.expr, b=rhs.expr),
                         dict(_FOLD_NAMESPACE),
                     )
-                    if self.opt >= 1 and folded >= 0:
+                    if folded >= 0:
                         self._push(str(folded), ops=0, lo=folded, hi=folded,
                                    affine={-1: folded}
                                    if _RANGE_BINOPS.get(code, ("", 0))[1] == 32
@@ -1595,7 +1069,7 @@ class _FunctionCompiler:
                     else:
                         self._push(str(folded), ops=0)
                     continue
-                if self.opt >= 1 and code in _RANGE_BINOPS:
+                if code in _RANGE_BINOPS:
                     self._push_value(self._range_binop(code, lhs, rhs))
                     continue
                 self._push(
@@ -1637,8 +1111,7 @@ class _FunctionCompiler:
                                 else num.s64(literal)
                             raw = raw.replace(
                                 f"_s{bits}({operand.paren})", str(signed), 1)
-                        elif (self.opt >= 1 and operand.hi is not None
-                                and operand.hi < sign_bit):
+                        elif operand.hi is not None and operand.hi < sign_bit:
                             raw = raw.replace(
                                 f"_s{bits}({operand.paren})",
                                 operand.paren, 1)
@@ -1659,7 +1132,7 @@ class _FunctionCompiler:
                 if template == "{a}":
                     self.stack.append(operand)
                     continue
-                if self.opt >= 1 and operand.hi is not None:
+                if operand.hi is not None:
                     # Conversions that are identities on proven-in-range
                     # values: the wrap/sign-extension cannot fire.
                     if (code == op.I32_WRAP_I64
@@ -1688,7 +1161,7 @@ class _FunctionCompiler:
         """local.get / the re-read half of local.tee, with metadata."""
         lo = hi = None
         affine = None
-        if self.opt >= 1 and self.local_types[local] == ValType.I32:
+        if self.local_types[local] == ValType.I32:
             affine = {local: 1}
             for ctx in reversed(self.loop_ctxs):
                 if ctx.ind_local == local and ctx.ind_hi is not None:
@@ -1799,175 +1272,10 @@ class _FunctionCompiler:
                 return None
         return width.bit_length() - 1
 
-    # -- scalar promotion (opt level 3, hot versioned loops) ---------------------
-
-    def _promo_lookup(self, key: tuple) -> Optional[str]:
-        for scope in reversed(self.promo_scopes):
-            var = scope.mapping.get(key)
-            if var is not None:
-                return var
-        return None
-
-    def _loop_promotable(self, index: int) -> bool:
-        """A loop qualifies for promotion only when nothing in its body
-        can trap or re-enter the runtime: every iteration that starts
-        also finishes (or leaves through a branch, where writebacks are
-        emitted), so the carried cell is never stale at an observable
-        point."""
-        cached = self._promotable_loops.get(index)
-        if cached is not None:
-            return cached
-        info = self.analysis.get(index)
-        ok = info is not None
-        if ok:
-            body = self.func.body
-            for i in range(index, info.end + 1):
-                code = body[i].opcode
-                if code in _TRAPPING_BINOPS or code in _TRAPPING_UNOPS \
-                        or code in _PROMO_BARRIERS:
-                    ok = False
-                    break
-        self._promotable_loops[index] = ok
-        return ok
-
-    def _record_access(self, code: int, address: _Value,
-                       plane: Optional[str], is_store: bool) -> None:
-        """Log one probed access for the promotion planner."""
-        lo, hi, effective = self._last_meta
-        root_start = self.fast.root.start
-        open_loops = tuple(ctx.index for ctx in self.loop_ctxs
-                           if ctx.index >= root_start)
-        invariant: set = set()
-        if address.is_var:
-            # A materialised address is loop-invariant exactly where it
-            # was hoisted: from its defining preheader inward.
-            position = None
-            for p, ctx in enumerate(self.loop_ctxs):
-                if address.expr in ctx.hoisted.values():
-                    position = p
-                    break
-            if position is not None:
-                invariant = {self.loop_ctxs[q].index
-                             for q in range(position, len(self.loop_ctxs))
-                             if self.loop_ctxs[q].index >= root_start}
-        else:
-            read_locals = {key for key, coeff in effective.items()
-                           if key >= 0 and coeff}
-            for ctx in self.loop_ctxs:
-                if ctx.index >= root_start \
-                        and not (read_locals & ctx.info.writes):
-                    invariant.add(ctx.index)
-        table = _PROMO_STORES if is_store else _PROMO_LOADS
-        pkey = (table[code][0], plane) \
-            if plane is not None and code in table else None
-        self._access_log.append(_AccessRecord(
-            open_loops, pkey, lo, hi, frozenset(invariant), is_store, code))
-
-    def _plan_promotions(self) -> Dict[int, Dict[tuple, str]]:
-        """Pick the promotable cells per loop from the probe's log.
-
-        A key (plane, element-index expression) is promotable in loop L
-        when: its index is loop-invariant in L; every access under the
-        key is rewritable (in the promo tables); every byte range is
-        statically bounded; and every *other* access in L is provably
-        disjoint from the key's byte span. Textually identical accesses
-        are the same cell and get rewritten instead.
-        """
-        records = self._access_log
-        promo: Dict[int, Dict[tuple, str]] = {}
-        loops = sorted({loop for record in records
-                        for loop in record.open_loops})
-        for loop in loops:
-            if not self._loop_promotable(loop):
-                continue
-            in_loop = [r for r in records if loop in r.open_loops]
-            by_key: Dict[tuple, List[_AccessRecord]] = {}
-            for record in in_loop:
-                if record.pkey is not None:
-                    by_key.setdefault(record.pkey, []).append(record)
-            for key, group in sorted(by_key.items()):
-                if not any(r.is_store for r in group):
-                    continue  # no store: nothing to carry
-                if not all(loop in r.invariant_in for r in group):
-                    continue
-                if any(r.hi is None for r in group):
-                    continue
-                key_lo = min(r.lo for r in group)
-                key_hi = max(r.hi for r in group)
-                disjoint = True
-                for other in in_loop:
-                    if other.pkey == key:
-                        continue
-                    if other.hi is None or not (other.hi < key_lo
-                                                or other.lo > key_hi):
-                        disjoint = False
-                        break
-                if disjoint:
-                    promo.setdefault(loop, {})[key] = ""
-        return promo
-
-    def _open_promo_scope(self, index: int, frame: _Frame) -> None:
-        """Activate the planned promotions for the loop at ``index``."""
-        if not self.promotions_plan:
-            return
-        plan = self.promotions_plan.get(index)
-        if not plan or not self.loop_ctxs \
-                or self.loop_ctxs[-1].index != index:
-            return
-        mapping: Dict[tuple, str] = {}
-        for key in sorted(plan):
-            if self._promo_lookup(key) is not None:
-                continue  # an enclosing loop already carries this cell
-            name = f"pv{self.next_promo}"
-            self.next_promo += 1
-            mapping[key] = name
-        if mapping:
-            self.promo_scopes.append(
-                _PromoScope(frame, self.loop_ctxs[-1], mapping))
-
-    def _close_promo_scope(self, frame: _Frame, live: bool) -> None:
-        """On loop end: insert preloads into the preheader (after every
-        hoist) and, on the live fall-through path, write the cells back."""
-        if not self.promo_scopes or self.promo_scopes[-1].frame is not frame:
-            return
-        scope = self.promo_scopes.pop()
-        ctx = scope.ctx
-        for (plane, index_expr), name in scope.items_sorted():
-            line = " " * ctx.indent + f"{name} = {plane}[{index_expr}]"
-            ctx.emitter.lines.insert(ctx.insert_at, line)
-            ctx.insert_at += 1
-        if live:
-            for (plane, index_expr), name in scope.items_sorted():
-                self.out.emit(f"{plane}[{index_expr}] = {name}")
-
-    def _emit_promo_writebacks(self, depth: Optional[int]) -> None:
-        """Write back every promoted cell whose loop a branch leaves.
-
-        ``depth`` is the branch depth (None: return / function frame). A
-        back edge (branch *to* a loop frame) stays inside that loop, so
-        its scope survives; everything strictly inside the target is
-        written back.
-        """
-        if not self.promo_scopes:
-            return
-        if depth is None or depth >= len(self.frames):
-            exited = set(self.frames)
-        else:
-            target = len(self.frames) - 1 - depth
-            if self.frames[target].kind == op.LOOP:
-                exited = set(self.frames[target + 1:])
-            else:
-                exited = set(self.frames[target:])
-        for scope in reversed(self.promo_scopes):
-            if scope.frame in exited:
-                for (plane, index_expr), name in scope.items_sorted():
-                    self.out.emit(f"{plane}[{index_expr}] = {name}")
-
     # -- loop versioning ----------------------------------------------------------
 
     def _can_version(self, index: int) -> bool:
-        if self.opt < 2 or self.version_depth > 0 \
-                or index in self.no_version:
+        if self.version_depth > 0 or index in self.no_version:
             return False
         info = self.analysis.get(index)
         return (info is not None and info.versionable
@@ -1993,12 +1301,6 @@ class _FunctionCompiler:
                 continue
             ok, conjunct = induction.fast_path_sound()
             if not ok:
-                return None
-            if induction.symbolic_init and induction.signed \
-                    and ctx.index != fast.root.start:
-                # The entry-cap conjunct only means anything at the
-                # loop's own entry; this region's preflight runs before
-                # the nested loop's entry value is even computed.
                 return None
             if conjunct:
                 fast.require(conjunct)
@@ -2044,13 +1346,6 @@ class _FunctionCompiler:
             fast.require(" + ".join(symbolic + [str(numeric)]) + " <= _ml")
         else:
             fast.require_numeric(numeric)
-        if self._recording:
-            # Byte span for the promotion planner: the constant term is
-            # the minimum (coefficients and locals are non-negative); the
-            # preflight bound is the maximum when fully numeric.
-            self._last_meta = (effective.get(-1, 0),
-                               None if symbolic else numeric - 1,
-                               effective)
         # The emitted address: a materialised variable is its own (proven
         # unwrapped) value; a deferred expression is rebuilt mask-free
         # from the affine form.
@@ -2091,21 +1386,15 @@ class _FunctionCompiler:
         outer = self.out
 
         self.version_depth += 1
-        hot = self._region_hot(index, stop)
         fast = _FastCtx(info)
         _ok, conjunct = info.induction.fast_path_sound()
         if conjunct:
             fast.require(conjunct)
         self.fast = fast
-        self.hot_fast = hot
-        if hot:
-            self._recording = True
-            self._access_log = []
         fast_out = _Emitter()
         fast_out.indent = outer.indent + 1
         self.out = fast_out
         self._compile_range(index, stop)
-        self._recording = False
         self.fast = None
         fast_counters = (self.next_label, self.next_temp, self.next_hoist)
 
@@ -2119,38 +1408,10 @@ class _FunctionCompiler:
             # but let its inner loops try their own versions.
             self.no_version.add(index)
             self.version_depth -= 1
-            self.hot_fast = False
             self.out = outer
             self._compile_range(index, stop)
             return stop
 
-        if hot:
-            promotions = self._plan_promotions()
-            if promotions:
-                # Recompile the fast copy with scalar promotion active.
-                # State evolution is identical to the probe (promoted
-                # accesses still register their preflight requirements
-                # and hoists; only the access statements change), so the
-                # emitted preheaders and conditions line up.
-                fast = _FastCtx(info)
-                if conjunct:
-                    fast.require(conjunct)
-                self.fast = fast
-                self.promotions_plan = promotions
-                fast_out = _Emitter()
-                fast_out.indent = outer.indent + 1
-                self.out = fast_out
-                self._compile_range(index, stop)
-                self.fast = None
-                self.promotions_plan = None
-                self.promo_scopes = []
-                fast_counters = (self.next_label, self.next_temp,
-                                 self.next_hoist)
-                del self.frames[frames_len:]
-                self._reset_stack(height)
-                self.next_label, self.next_temp, self.next_hoist = snapshot
-                conditions = fast.conditions()
-        self.hot_fast = False
 
         safe_out = _Emitter()
         safe_out.indent = outer.indent + 1
@@ -2201,115 +1462,24 @@ class AotCompiler(Engine):
     #: per-instance namespace is instance-specific.
     supports_code_artifacts = True
 
-    def __init__(self, opt_level: Optional[int] = None,
-                 tracer: Optional[object] = None,
-                 profile: Optional[object] = None,
-                 profile_collector: Optional[object] = None) -> None:
-        level = DEFAULT_OPT_LEVEL if opt_level is None else opt_level
-        if level not in _OPT_LEVELS:
-            raise WasmError(f"unknown aot opt level: {level!r}")
+    def __init__(self, tracer: Optional[object] = None) -> None:
         self.tracer = tracer
-        self.collector = profile_collector
-        self.profile: Optional[Profile] = None
-        if profile_collector is not None:
-            # Instrumented (profiling) build: the reference lowering plus
-            # counter updates. Its artifacts depend on external mutable
-            # state, so they are never shared through the codecache.
-            self.opt_level = 0
-            self.supports_code_artifacts = False
-            return
-        if level >= 3:
-            parsed: Optional[Profile] = None
-            if profile is not None:
-                try:
-                    parsed = Profile.coerce(profile)
-                except ProfileError as exc:
-                    warnings.warn(ProfileWarning(
-                        f"invalid profile ({exc}); "
-                        "degrading aot opt level 3 -> 2"))
-            else:
-                warnings.warn(ProfileWarning(
-                    "aot opt level 3 requires a profile; degrading to 2"))
-            if parsed is not None and parsed.is_empty:
-                warnings.warn(ProfileWarning(
-                    "empty profile; degrading aot opt level 3 -> 2"))
-                parsed = None
-            if parsed is None:
-                level = 2
-            else:
-                self.profile = parsed
-        self.opt_level = level
-
-    @property
-    def cache_identity(self) -> str:
-        """Cache key component: the opt level changes the artifact — and
-        at level 3 so does the profile, so its content hash is part of
-        the identity (two profiles never share artifacts)."""
-        if self.collector is not None:
-            return f"{self.name}@profile"
-        if self.profile is not None:
-            return f"{self.name}@o3+{self.profile.profile_hash[:16]}"
-        return f"{self.name}@o{self.opt_level}"
-
-    def instantiate(self, module_or_binary, imports=None,
-                    memory_cap_bytes=None, code_cache=codecache.DEFAULT,
-                    cache_key=None):
-        """At level 3, refuse to apply a profile recorded on a different
-        module: degrade (with a typed warning) to a plain o2 engine, which
-        shares o2's cache identity and is behaviourally exact."""
-        if self.profile is not None and self.profile.module_key \
-                and isinstance(module_or_binary, (bytes, bytearray)):
-            key = cache_key \
-                or codecache.CodeCache.module_key(bytes(module_or_binary))
-            if key != self.profile.module_key:
-                warnings.warn(ProfileWarning(
-                    "profile was recorded on a different module; "
-                    "degrading this load to opt level 2"))
-                fallback = AotCompiler(opt_level=2, tracer=self.tracer)
-                return fallback.instantiate(
-                    module_or_binary, imports,
-                    memory_cap_bytes=memory_cap_bytes,
-                    code_cache=code_cache, cache_key=cache_key)
-        return super().instantiate(
-            module_or_binary, imports, memory_cap_bytes=memory_cap_bytes,
-            code_cache=code_cache, cache_key=cache_key)
-
-    def _plan(self, module: Module) -> Optional[pgo.ModulePlan]:
-        if self.profile is None:
-            return None
-        return pgo.module_plan(module, self.profile)
 
     def _make_compiler(self, module: Module,
                        func_index: int) -> _FunctionCompiler:
-        plan = self._plan(module)
-        if plan is not None:
-            fplan = plan.hot[func_index]
-            func, sites = fplan.func, fplan.sites
-            spec = fplan.spec_globals or None
-        else:
-            func = module.functions[func_index - len(module.imported_funcs)]
-            sites, spec = None, None
-        return _FunctionCompiler(
-            module, func, func_index, opt_level=self.opt_level,
-            use_planes=Memory.planes_supported, profile=self.profile,
-            sites=sites, spec_globals=spec,
-            collector=self.collector is not None)
+        func = module.functions[func_index - len(module.imported_funcs)]
+        return _FunctionCompiler(module, func, func_index,
+                                 Memory.planes_supported)
 
     def compile_artifact(self, module: Module, func_index: int) -> tuple:
-        """Lower one function to a (code object, source) artifact — or,
-        at level 3, a ("cold", fused_body) artifact for functions the
-        profile never saw called."""
-        plan = self._plan(module)
-        if plan is not None and func_index in plan.cold:
-            return ("cold", plan.fused[func_index])
+        """Lower one function to a (code object, source) artifact."""
         tracer = self.tracer
         if tracer is None:
             compiler = self._make_compiler(module, func_index)
             source = compiler.compile()
             code = compile(source, f"<wasm-aot f{func_index}>", "exec")
             return (code, source)
-        with tracer.span("aot.compile", func=func_index,
-                         opt=self.opt_level):
+        with tracer.span("aot.compile", func=func_index):
             with tracer.span("aot.analyze"):
                 compiler = self._make_compiler(module, func_index)
             with tracer.span("aot.codegen"):
@@ -2321,15 +1491,6 @@ class AotCompiler(Engine):
     def link_artifact(self, module: Module, instance: Instance,
                       func_index: int, artifact: object) -> Callable:
         """Bind a compiled artifact to an instance's fresh namespace."""
-        if artifact[0] == "cold":
-            # Cold function: an interpreter closure over the fused body.
-            # A mispredicting profile (the function does get called) only
-            # costs dispatch speed, never correctness.
-            namespace = self._namespace(module, instance)
-            entry = pgo.make_cold_entry(module, instance, func_index,
-                                        artifact[1])
-            namespace["_f"].append(entry)
-            return entry
         code, source = artifact
         namespace = self._namespace(module, instance)
         exec(code, namespace)
@@ -2418,15 +1579,6 @@ class AotCompiler(Engine):
             memory.add_plane_listener(_refresh_planes)
         for type_index, func_type in enumerate(module.types):
             namespace[f"_sig{type_index}"] = func_type
-        if self.collector is not None:
-            # Instrumented build: counter names alias the collector's
-            # mutable dicts, so every profiled instance accumulates into
-            # the same profile.
-            namespace["_pf"] = self.collector.func_calls
-            namespace["_pl"] = self.collector.loop_backedges
-            namespace["_pa"] = self.collector.access_masks
-            namespace["_pg"] = self.collector.global_sets
-            namespace["_pn"] = self.collector.mem_grows
         instance._aot_namespace = namespace  # type: ignore[attr-defined]
         return namespace
 

@@ -92,7 +92,7 @@ class Induction:
     """The counted-loop pattern: ``for i = C; i < N; i += S``."""
 
     __slots__ = ("local", "init", "step", "bound_const", "bound_local",
-                 "signed", "inclusive", "symbolic_init")
+                 "signed", "inclusive")
 
     def __init__(self, local: int, init: Optional[int], step: int,
                  bound_const: Optional[int], bound_local: Optional[int],
@@ -104,9 +104,6 @@ class Induction:
         self.bound_local = bound_local
         self.signed = signed
         self.inclusive = inclusive
-        #: True when no compile-time init was recognised: the entry value
-        #: is whatever the preceding code computed (``i = j + 1`` style).
-        self.symbolic_init = init is None
 
     @property
     def max_numeric(self) -> Optional[int]:
@@ -147,41 +144,15 @@ class Induction:
             return None
         return max(self.init, maximum + self.step)
 
-    @property
-    def versioned_hi(self) -> Optional[int]:
-        """Upper bound on the raw local value, valid only inside a
-        versioned fast copy of *this loop's own* dispatch (the preflight
-        then includes the ``fast_path_sound`` conjunct, so a signed entry
-        value is below 2^31). Unlike :attr:`loop_hi` it tolerates a
-        symbolic init: body and step points are bounded by ``max + step``
-        because the guard just passed, and the one point the entry value
-        can exceed the claim — the first guard evaluation — computes no
-        addresses and its sign-fold needs only the entry cap."""
-        maximum = self.max_numeric
-        if maximum is None or maximum < 0:
-            return None
-        hi = maximum + self.step
-        return max(self.init, hi) if self.init is not None else hi
-
     def fast_path_sound(self) -> Tuple[bool, Optional[str]]:
         """Whether the induction claim may back an *unchecked* fast path.
 
         Returns ``(ok, conjunct)``: ``conjunct`` is an extra preflight
-        condition string to emit (signed loops with a local bound, or a
-        signed symbolic init capped at this loop's own entry), or None
-        when the claim holds unconditionally / by compile-time check.
+        condition string to emit (signed loops with a local bound), or
+        None when the claim holds unconditionally / by compile-time check.
         """
         if not self.signed:
             return True, None
-        if self.init is None:
-            # Symbolic init (profile-gated match): sound only for a
-            # constant bound, with the entry value capped below 2^31 by
-            # a conjunct evaluated at this loop's own entry — a region
-            # preflight further out cannot see the entry value.
-            if self.bound_const is None:
-                return False, None
-            return (self.max_numeric + self.step < _SIGN_BIT32,
-                    f"l{self.local} <= {_SIGN_BIT32 - 1}")
         if not 0 <= self.init < _SIGN_BIT32:
             return False, None
         if self.bound_const is not None:
@@ -209,27 +180,17 @@ class LoopInfo:
         self.versionable = False
 
 
-def analyze(func: Function,
-            allow_symbolic_init: bool = False) -> Dict[int, LoopInfo]:
-    """Analyse every loop in ``func``; keyed by LOOP instruction index.
-
-    ``allow_symbolic_init`` admits signed counted loops whose entry value
-    is computed (``i = j + 1``) rather than a literal constant; their
-    fast paths need an extra entry-cap conjunct, so only the
-    profile-guided tier (which versions such loops at their own entry)
-    turns this on.
-    """
+def analyze(func: Function) -> Dict[int, LoopInfo]:
+    """Analyse every loop in ``func``; keyed by LOOP instruction index."""
     body = func.body
     loops: Dict[int, LoopInfo] = {}
     for index, instr in enumerate(body):
         if instr.opcode == op.LOOP:
-            loops[index] = _analyze_loop(body, index, instr.target,
-                                         allow_symbolic_init)
+            loops[index] = _analyze_loop(body, index, instr.target)
     return loops
 
 
-def _analyze_loop(body: List[Instr], start: int, end: int,
-                  allow_symbolic_init: bool = False) -> LoopInfo:
+def _analyze_loop(body: List[Instr], start: int, end: int) -> LoopInfo:
     info = LoopInfo(start, end)
     for index in range(start + 1, end):
         code = body[index].opcode
@@ -241,8 +202,7 @@ def _analyze_loop(body: List[Instr], start: int, end: int,
             info.has_grow = True
         elif code in ACCESS_OPS:
             info.has_access = True
-    info.induction = _match_induction(body, start, end, info,
-                                      allow_symbolic_init)
+    info.induction = _match_induction(body, start, end, info)
     info.versionable = (
         info.induction is not None
         and not info.has_call
@@ -254,9 +214,7 @@ def _analyze_loop(body: List[Instr], start: int, end: int,
 
 
 def _match_induction(body: List[Instr], start: int, end: int,
-                     info: LoopInfo,
-                     allow_symbolic_init: bool = False
-                     ) -> Optional[Induction]:
+                     info: LoopInfo) -> Optional[Induction]:
     # The loop must sit directly inside a dedicated exit block whose end
     # immediately follows ours — the shape `block { loop { .. } }` that
     # both walc and the test builder produce for counted loops.
@@ -306,10 +264,7 @@ def _match_induction(body: List[Instr], start: int, end: int,
             and body[start - 2].arg == local
             and body[start - 3].opcode == op.I32_CONST):
         init = body[start - 3].arg
-    if signed and init is not None and not 0 <= init < _SIGN_BIT32:
-        return None
-    if signed and init is None \
-            and not (allow_symbolic_init and bound_const is not None):
+    if signed and (init is None or not 0 <= init < _SIGN_BIT32):
         return None
 
     # Every write to the induction local must be the canonical step

@@ -5,10 +5,9 @@ parsing, validation and AOT processing of the module. In the fleet steady
 state (and in every benchmark repeat) the *same* module binary is
 instantiated over and over, so that work is pure waste after the first
 load. This cache keys it by content: ``sha256(module binary)`` plus the
-engine's *cache identity* — :attr:`~repro.wasm.runtime.Engine.cache_identity`,
-which folds in any option that changes generated code (the AOT engine
-reports ``aot@o<opt_level>``, so an opt-level-2 artifact is never served
-to an ``opt_level=0`` load) — addresses
+engine's *cache identity* (:attr:`~repro.wasm.runtime.Engine.cache_identity`,
+the engine name, so an interpreter load never sees AOT artifacts)
+addresses
 
 * the decoded, validated :class:`~repro.wasm.module.Module` (both
   engines), and

@@ -62,6 +62,16 @@ class _Reader:
         self.offset += 1
         return value
 
+    def nested(self, size: int) -> "_Reader":
+        """Split off the next ``size`` bytes (a section or a function
+        body) as a reader of their own."""
+        end = self.offset + size
+        if end > self.end:
+            raise DecodeError("declared size overruns the enclosing span")
+        nested = _Reader(self.data, self.offset, end)
+        self.offset = end
+        return nested
+
     def raw(self, size: int) -> bytes:
         if self.offset + size > self.end:
             raise DecodeError("unexpected end of binary")
@@ -130,10 +140,7 @@ def decode_module(binary: bytes) -> Module:
     while not reader.exhausted:
         section_id = reader.byte()
         size = reader.u32()
-        section = _Reader(binary, reader.offset, reader.offset + size)
-        reader.offset += size
-        if reader.offset > len(binary):
-            raise DecodeError("section size overruns the binary")
+        section = reader.nested(size)
         if section_id != 0:
             if section_id <= last_section:
                 raise DecodeError(f"out-of-order section id {section_id}")
@@ -303,8 +310,7 @@ def _decode_code(reader: _Reader, module: Module, type_indices: List[int]) -> No
         raise DecodeError("function and code section lengths disagree")
     for index in range(count):
         body_size = reader.u32()
-        body = _Reader(reader.data, reader.offset, reader.offset + body_size)
-        reader.offset += body_size
+        body = reader.nested(body_size)
         locals_list: List[ValType] = []
         for _ in range(body.u32()):
             repeat = body.u32()

@@ -602,22 +602,6 @@ def _run(module: Module, instance: Instance, body, locals_list,
             stack[-1] = num.extend_signed(stack[-1], 16, 64)
         elif code == op.I64_EXTEND32_S:
             stack[-1] = num.extend_signed(stack[-1], 32, 64)
-
-        # --- superinstructions (cold profile-guided bodies only; real
-        # modules never decode to these, so a plain body pays nothing
-        # for this tail position) ---
-        elif code >= op.FUSED_BASE:
-            a, b = instr.arg
-            if code == op.FUSED_GET_GET:
-                stack.append(locals_list[a])
-                stack.append(locals_list[b])
-            elif code == op.FUSED_GET_CONST:
-                stack.append(locals_list[a])
-                stack.append(b)
-            elif code == op.FUSED_CONST_SET:
-                locals_list[b] = a
-            else:  # FUSED_GET_SET
-                locals_list[b] = locals_list[a]
         else:
             raise TrapError(f"unimplemented opcode {op.name(code)}")
 

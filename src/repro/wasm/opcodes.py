@@ -209,24 +209,6 @@ I64_EXTEND8_S = 0xC2
 I64_EXTEND16_S = 0xC3
 I64_EXTEND32_S = 0xC4
 
-# Synthetic opcodes (>= 0x100) never appear in encoded modules; they are
-# produced only by the profile-guided transforms in :mod:`repro.wasm.pgo`
-# on *copies* of decoded bodies.  Keeping them out of the single-byte
-# space means a real module can never smuggle one past the decoder.
-EXTENDED_BASE = 0x100
-# Inline-splice markers: the region between them is an inlined callee
-# body.  ``arg`` is the inlined function's index (for diagnostics).
-INLINE_ENTER = 0x100
-INLINE_EXIT = 0x101
-
-# Superinstructions fused from adjacent pairs for cold interpreter-
-# dispatched code.  ``arg`` is a 2-tuple of the two original immediates.
-FUSED_BASE = 0x200
-FUSED_GET_GET = 0x200  # local.get a; local.get b
-FUSED_GET_CONST = 0x201  # local.get a; const c
-FUSED_CONST_SET = 0x202  # const c; local.set a
-FUSED_GET_SET = 0x203  # local.get a; local.set b
-
 
 def _build_names() -> dict:
     names = {}

@@ -180,7 +180,9 @@ class Instance:
     def enter_call(self) -> None:
         self.call_depth += 1
         if self.call_depth > MAX_CALL_DEPTH:
-            self.call_depth = 0
+            # Undo only this frame's increment: every frame that did enter
+            # runs exit_call while the trap unwinds it.
+            self.call_depth -= 1
             raise TrapError("call stack exhausted")
 
     def exit_call(self) -> None:
@@ -217,14 +219,7 @@ class Engine:
 
     @property
     def cache_identity(self) -> str:
-        """The code-cache key component for this engine configuration.
-
-        Must distinguish every engine option that changes the *compiled
-        artifact* (not just runtime state): an AOT compiler at
-        ``opt_level=2`` produces different code objects than at 0, so the
-        two must never share cache entries. Engines without such options
-        just use their name.
-        """
+        """The code-cache key component for this engine: its name."""
         return self.name
 
     def compile_function(self, module: Module, instance: Instance,

@@ -1,27 +1,18 @@
-"""The AOT optimisation tier: knob, generated-code shape, plane coherence.
+"""The AOT optimisation passes: generated-code shape, plane coherence.
 
 The differential suite (test_opt_differential.py) pins *behaviour*; this
 file pins the *mechanism* — that the optimiser actually emits what it
 promises (plane indexing, a hoisted preflight, mask-free induction
-arithmetic, loop-invariant hoists) and that the knob and plane machinery
-behave: ``opt_level=0`` keeps the reference codegen, planes track
-``memory.grow``, and traps fall back to the byte-identical safe path.
+arithmetic, loop-invariant hoists), that planes track ``memory.grow``,
+and that traps fall back to the byte-identical safe path.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import TrapError, WasmError
-from repro.wasm import (
-    AotCompiler,
-    Interpreter,
-    Memory,
-    ModuleBuilder,
-    default_opt_level,
-    reference_codegen,
-    set_default_opt_level,
-)
+from repro.errors import TrapError
+from repro.wasm import AotCompiler, Interpreter, Memory, ModuleBuilder
 from repro.wasm import opcodes as op
 from repro.wasm.decoder import decode_module
 from repro.wasm.types import F64, I32
@@ -56,10 +47,9 @@ def _f64_stream_kernel() -> bytes:
     return builder.build()
 
 
-def _source(binary: bytes, opt_level: int) -> str:
+def _source(binary: bytes) -> str:
     module = decode_module(binary)
-    compiler = AotCompiler(opt_level=opt_level)
-    _, source = compiler.compile_artifact(module, 0)
+    _, source = AotCompiler().compile_artifact(module, 0)
     return source
 
 
@@ -72,50 +62,13 @@ def _loop_body(source: str) -> str:
     raise AssertionError(f"no preflight found in:\n{source}")
 
 
-# -- the opt_level knob -------------------------------------------------------
-
-
-def test_default_opt_level_is_two():
-    assert default_opt_level() == 2
-    assert AotCompiler().opt_level == 2
-
-
-def test_set_default_opt_level_round_trips():
-    previous = set_default_opt_level(0)
-    try:
-        assert AotCompiler().opt_level == 0
-    finally:
-        set_default_opt_level(previous)
-    assert AotCompiler().opt_level == previous
-
-
-def test_reference_codegen_context_manager():
-    with reference_codegen():
-        assert default_opt_level() == 0
-        assert AotCompiler().cache_identity == "aot@o0"
-    assert default_opt_level() == 2
-
-
-def test_invalid_opt_level_rejected():
-    with pytest.raises(WasmError):
-        AotCompiler(opt_level=7)
-    with pytest.raises(WasmError):
-        set_default_opt_level("fast")
-
-
-def test_cache_identity_includes_opt_level():
-    assert AotCompiler(opt_level=0).cache_identity == "aot@o0"
-    assert AotCompiler(opt_level=2).cache_identity == "aot@o2"
-    assert Interpreter().cache_identity == Interpreter.name
-
-
 # -- generated-code shape -----------------------------------------------------
 
 
 @pytest.mark.skipif(not Memory.planes_supported,
                     reason="typed planes need a little-endian host")
 def test_opt2_emits_planes_preflight_and_no_masks():
-    source = _source(_f64_stream_kernel(), 2)
+    source = _source(_f64_stream_kernel())
     # One hoisted bounds check per loop entry...
     assert "_ml = len(_m)" in source
     fast = _loop_body(source)
@@ -125,14 +78,14 @@ def test_opt2_emits_planes_preflight_and_no_masks():
     assert "_pD[" in fast_region
     assert "out-of-bounds" not in fast_region
     assert "& 0xFFFFFFFF" not in fast_region
-    # ...while the safe copy keeps the reference per-access checks
+    # ...while the safe copy keeps the per-access bounds checks
     # (planes and range-proven mask drops may appear there too — those
     # passes are sound without the preflight).
     assert "out-of-bounds" in safe_region
 
 
 def test_opt2_hoists_loop_invariant_expression():
-    source = _source(_f64_stream_kernel(), 2)
+    source = _source(_f64_stream_kernel())
     # p0 * 3.0 is pure and loop-invariant: computed once in a preheader
     # (once per loop version — fast and safe copies each hoist it).
     assert "h0 = " in source
@@ -141,19 +94,10 @@ def test_opt2_hoists_loop_invariant_expression():
             assert line.strip().startswith("h"), line
 
 
-def test_opt0_is_reference_codegen():
-    source = _source(_f64_stream_kernel(), 0)
-    assert "_ml" not in source
-    assert "_pD[" not in source
-    assert "h0" not in source
-    assert "& 0xFFFFFFFF" in source
-
-
-def test_opt_levels_produce_distinct_sources():
+def test_codegen_is_deterministic():
+    # The artifact is cacheable only if a recompile reproduces it.
     binary = _f64_stream_kernel()
-    assert _source(binary, 0) != _source(binary, 2)
-    # Determinism at each level (the artifact is cacheable).
-    assert _source(binary, 2) == _source(binary, 2)
+    assert _source(binary) == _source(binary)
 
 
 # -- typed memory planes ------------------------------------------------------
@@ -216,8 +160,7 @@ def test_grow_inside_loop_stays_coherent_with_interpreter():
     binary = builder.build()
 
     expected = Interpreter().instantiate(binary).invoke("f")
-    assert AotCompiler(opt_level=0).instantiate(binary).invoke("f") == expected
-    assert AotCompiler(opt_level=2).instantiate(binary).invoke("f") == expected
+    assert AotCompiler().instantiate(binary).invoke("f") == expected
 
 
 # -- trap fallback ------------------------------------------------------------
@@ -225,7 +168,7 @@ def test_grow_inside_loop_stays_coherent_with_interpreter():
 
 def test_preflight_failure_takes_safe_path_and_traps_identically():
     """An OOB loop fails the preflight, runs the safe copy, and traps with
-    the reference message at the reference iteration."""
+    the interpreter's message at the interpreter's iteration."""
     builder = ModuleBuilder()
     builder.add_memory(1, 1)
     f = builder.add_function(builder.add_type([], [I32]))
@@ -246,11 +189,10 @@ def test_preflight_failure_takes_safe_path_and_traps_identically():
     binary = builder.build()
 
     memories = []
-    for engine in (Interpreter(), AotCompiler(opt_level=0),
-                   AotCompiler(opt_level=2)):
+    for engine in (Interpreter(), AotCompiler()):
         instance = engine.instantiate(binary)
         with pytest.raises(TrapError) as info:
             instance.invoke("f")
         assert str(info.value) == "out-of-bounds memory access"
         memories.append(bytes(instance.memory.data))
-    assert memories[0] == memories[1] == memories[2]
+    assert memories[0] == memories[1]

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import LinkError, TrapError
 from repro.wasm import HostFunction, ModuleBuilder
 from repro.wasm import opcodes as op
+from repro.wasm.runtime import MAX_CALL_DEPTH
 from repro.wasm.types import F64, FuncType, I32
 
 
@@ -209,3 +210,49 @@ def test_export_lookup_errors(engine):
     instance = engine.instantiate(builder.build())
     with pytest.raises(KeyError):
         instance.invoke("missing")
+
+
+def _recursion_module():
+    """``depth(n)`` nests ``n + 1`` frames and returns ``n``; ``runaway()``
+    calls itself forever."""
+    builder = ModuleBuilder()
+    depth = builder.add_function(builder.add_type([I32], [I32]))
+    depth.local_get(0)
+    depth.emit(op.I32_EQZ)
+    depth.if_(I32)
+    depth.i32_const(0)
+    depth.else_()
+    depth.local_get(0)
+    depth.i32_const(1)
+    depth.emit(op.I32_SUB)
+    depth.call(depth.index)
+    depth.i32_const(1)
+    depth.emit(op.I32_ADD)
+    depth.end()
+    runaway = builder.add_function(builder.add_type([], []))
+    runaway.call(runaway.index)
+    builder.export_function("depth", depth.index)
+    builder.export_function("runaway", runaway.index)
+    return builder.build()
+
+
+def test_call_depth_limit_is_exact(engine):
+    instance = engine.instantiate(_recursion_module())
+    # MAX_CALL_DEPTH nested frames return ...
+    assert instance.invoke("depth", MAX_CALL_DEPTH - 1) == MAX_CALL_DEPTH - 1
+    assert instance.call_depth == 0
+    # ... and one more traps.
+    with pytest.raises(TrapError, match="call stack exhausted"):
+        instance.invoke("depth", MAX_CALL_DEPTH)
+    assert instance.call_depth == 0
+
+
+def test_repeated_runaway_recursion_traps_typed(engine):
+    """The depth counter must not drift across traps: every runaway call
+    on the same instance traps typed, never as a host RecursionError."""
+    instance = engine.instantiate(_recursion_module())
+    for _ in range(5):
+        with pytest.raises(TrapError, match="call stack exhausted"):
+            instance.invoke("runaway")
+        assert instance.call_depth == 0
+    assert instance.invoke("depth", MAX_CALL_DEPTH - 1) == MAX_CALL_DEPTH - 1

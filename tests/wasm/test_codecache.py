@@ -213,6 +213,17 @@ def test_entries_are_partitioned_by_engine():
     assert len(cache) == 2
 
 
+def test_separate_aot_engines_share_artifacts():
+    cache = CodeCache()
+    binary = _counter_module()
+    first = AotCompiler()
+    first.instantiate(binary, code_cache=cache)
+    second = AotCompiler()
+    calls = _count_compiles(second)
+    second.instantiate(binary, code_cache=cache)
+    assert not calls, "same identity must reuse the cached artifact"
+
+
 def test_decoded_module_with_key_uses_cache():
     engine = AotCompiler()
     cache = CodeCache()
@@ -276,192 +287,3 @@ def test_cmd_load_simclock_charges_identical_cached_vs_uncached(testbed):
     bypass = charge(code_cache=False)
     assert cold == warm == bypass
 
-
-# -- opt-level keying: an artifact is bound to the level that built it --------
-
-
-def test_opt_levels_never_share_cache_entries():
-    """A cached opt_level=2 artifact must not be served to an opt_level=0
-    instantiation (and vice versa): the cache keys on the engine's
-    cache_identity, which folds in the opt level."""
-    cache = CodeCache()
-    binary = _counter_module()
-
-    optimised = AotCompiler(opt_level=2)
-    reference = AotCompiler(opt_level=0)
-    assert optimised.cache_identity != reference.cache_identity
-
-    optimised.instantiate(binary, code_cache=cache)
-    # The second engine sees a cold cache under its own identity and
-    # compiles from scratch...
-    calls = _count_compiles(reference)
-    instance = reference.instantiate(binary, code_cache=cache)
-    assert calls, "opt_level=0 must not reuse the opt_level=2 artifact"
-    assert instance.invoke("f") == 1
-    # ...and both levels now hold distinct entries with distinct sources.
-    key = CodeCache.module_key(binary)
-    entry_o2 = cache.peek(key, optimised.cache_identity)
-    entry_o0 = cache.peek(key, reference.cache_identity)
-    assert entry_o2 is not None and entry_o0 is not None
-    assert entry_o2 is not entry_o0
-
-
-def test_same_opt_level_still_shares_artifacts():
-    cache = CodeCache()
-    binary = _counter_module()
-    first = AotCompiler(opt_level=2)
-    first.instantiate(binary, code_cache=cache)
-    second = AotCompiler(opt_level=2)
-    calls = _count_compiles(second)
-    second.instantiate(binary, code_cache=cache)
-    assert not calls, "same identity must reuse the cached artifact"
-
-
-def test_cmd_load_opt_level_param_selects_tier(device):
-    """CMD_LOAD threads opt_level through to the engine, and warm loads
-    at a different level never alias the cached module entry."""
-    from repro.wasm.codecache import DEFAULT_CACHE
-
-    session = device.open_watz(heap_size=1 << 20)
-    loaded_o2 = _load_counter(device, session)
-    loaded_o0 = _load_counter(device, session, opt_level=0)
-    assert device.run_wasm(session, loaded_o2["app"], "f") == 1
-    assert device.run_wasm(session, loaded_o0["app"], "f") == 1
-    key = CodeCache.module_key(_counter_module())
-    assert DEFAULT_CACHE.peek(key, "aot@o2") is not None
-    assert DEFAULT_CACHE.peek(key, "aot@o0") is not None
-
-
-# -- profile-hash keying: o3 artifacts are bound to their profile -------------
-
-
-def _profiled_engines(binary):
-    """Two o3 engines over the same binary, driven by *distinct* profiles
-    (the call counts differ, so the content hashes differ)."""
-    from repro.wasm.pgo import Profile
-
-    key = CodeCache.module_key(binary)
-    profile_a = Profile(module_key=key, func_calls={0: 1})
-    profile_b = Profile(module_key=key, func_calls={0: 1000})
-    assert profile_a.profile_hash != profile_b.profile_hash
-    return (AotCompiler(opt_level=3, profile=profile_a),
-            AotCompiler(opt_level=3, profile=profile_b))
-
-
-def test_o3_identity_embeds_profile_hash():
-    binary = _counter_module()
-    engine_a, engine_b = _profiled_engines(binary)
-    hash_a = engine_a.profile.profile_hash[:16]
-    assert engine_a.cache_identity == f"aot@o3+{hash_a}"
-    # A different profile of the same binary gets a different identity —
-    # and neither collides with the profile-less tiers.
-    identities = {engine_a.cache_identity, engine_b.cache_identity,
-                  AotCompiler(opt_level=2).cache_identity,
-                  AotCompiler(opt_level=0).cache_identity}
-    assert len(identities) == 4
-
-
-def test_o3_entries_never_collide_across_tiers_or_profiles():
-    """One binary, four engines (o0, o2, and o3 under two profiles):
-    four distinct cache entries, each compiled under its own identity."""
-    cache = CodeCache()
-    binary = _counter_module()
-    key = CodeCache.module_key(binary)
-    engine_a, engine_b = _profiled_engines(binary)
-    engines = [AotCompiler(opt_level=0), AotCompiler(opt_level=2),
-               engine_a, engine_b]
-    for engine in engines:
-        calls = _count_compiles(engine)
-        instance = engine.instantiate(binary, code_cache=cache)
-        assert calls, f"{engine.cache_identity} must compile cold"
-        assert instance.invoke("f") == 1
-    entries = [cache.peek(key, engine.cache_identity)
-               for engine in engines]
-    assert all(entry is not None for entry in entries)
-    assert len({id(entry) for entry in entries}) == 4
-    assert len(cache) == 4
-
-
-def test_same_profile_hash_shares_o3_artifacts():
-    """Two engines built from *equal* profiles (same content, distinct
-    objects) share one identity and therefore one set of artifacts."""
-    from repro.wasm.pgo import Profile
-
-    cache = CodeCache()
-    binary = _counter_module()
-    key = CodeCache.module_key(binary)
-    first = AotCompiler(opt_level=3,
-                        profile=Profile(module_key=key, func_calls={0: 7}))
-    second = AotCompiler(opt_level=3,
-                         profile=Profile(module_key=key, func_calls={0: 7}))
-    assert first.cache_identity == second.cache_identity
-    first.instantiate(binary, code_cache=cache)
-    calls = _count_compiles(second)
-    instance = second.instantiate(binary, code_cache=cache)
-    assert not calls, "equal profile hash must reuse the cached artifact"
-    assert instance.invoke("f") == 1
-
-
-def test_racing_cold_loads_of_two_profiles_stay_isolated():
-    """Two profiles of the same binary race their cold loads from eight
-    threads: the cache ends up with exactly two entries (one per profile
-    hash), no thread observes the other profile's artifacts, and every
-    instance still gets private state."""
-    import threading
-
-    cache = CodeCache()
-    binary = _counter_module()
-    key = CodeCache.module_key(binary)
-    engine_a, engine_b = _profiled_engines(binary)
-    engines = [engine_a, engine_b] * 4
-    instances = [None] * len(engines)
-    barrier = threading.Barrier(len(engines))
-    failures = []
-
-    def load(index):
-        barrier.wait()  # maximise overlap: all loads enter together
-        try:
-            instances[index] = engines[index].instantiate(
-                binary, code_cache=cache)
-        except BaseException as exc:  # pragma: no cover - surfaced below
-            failures.append(exc)
-
-    threads = [threading.Thread(target=load, args=(index,))
-               for index in range(len(engines))]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert not failures, failures
-    assert len(cache) == 2
-    entry_a = cache.peek(key, engine_a.cache_identity)
-    entry_b = cache.peek(key, engine_b.cache_identity)
-    assert entry_a is not None and entry_b is not None
-    assert entry_a is not entry_b
-    assert entry_a.artifacts and entry_b.artifacts
-    # Shared code within a profile, fresh state everywhere.
-    assert all(instance.invoke("f") == 1 for instance in instances)
-    assert all(instance.invoke("f") == 2 for instance in instances)
-
-
-def test_cmd_load_profile_param_selects_o3_tier(device):
-    """CMD_LOAD threads opt_level=3 plus a serialized profile through to
-    the engine; the cached entry is keyed by the profile hash and never
-    aliases the o2 entry for the same binary."""
-    from repro.wasm.codecache import DEFAULT_CACHE
-    from repro.wasm.pgo import profile_module
-
-    binary = _counter_module()
-    profile = profile_module(binary, [("f", ())])
-    session = device.open_watz(heap_size=1 << 20)
-    loaded_o3 = _load_counter(device, session, opt_level=3,
-                              profile=profile.canonical_json())
-    loaded_o2 = _load_counter(device, session)
-    assert device.run_wasm(session, loaded_o3["app"], "f") == 1
-    assert device.run_wasm(session, loaded_o2["app"], "f") == 1
-    key = CodeCache.module_key(binary)
-    identity = f"aot@o3+{profile.profile_hash[:16]}"
-    entry_o3 = DEFAULT_CACHE.peek(key, identity)
-    entry_o2 = DEFAULT_CACHE.peek(key, "aot@o2")
-    assert entry_o3 is not None and entry_o2 is not None
-    assert entry_o3 is not entry_o2

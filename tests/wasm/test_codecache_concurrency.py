@@ -151,7 +151,7 @@ def test_parallel_cmd_load_on_devices_shares_the_default_cache(testbed):
 
     _run_threads(4, load)
     aot_entries = [key for key in DEFAULT_CACHE._entries
-                   if key[1].startswith("aot@")]
+                   if key[1] == "aot"]
     assert len(aot_entries) == 1
     counts = [devices[index].run_wasm(sessions[index],
                                       loaded[index]["app"], "f")

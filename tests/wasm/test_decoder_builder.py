@@ -1,8 +1,10 @@
 """Binary format: builder/decoder round trips and malformed binaries."""
 
+import random
+
 import pytest
 
-from repro.errors import DecodeError
+from repro.errors import DecodeError, ReproError
 from repro.wasm import ModuleBuilder, decode_module
 from repro.wasm import opcodes as op
 from repro.wasm.types import F64, I32, I64
@@ -125,6 +127,43 @@ def test_truncated_binary_rejected():
     binary = _sample_binary()
     with pytest.raises(DecodeError):
         decode_module(binary[: len(binary) - 4])
+
+
+def _tiny_binary():
+    """34 bytes: one exported ``f`` whose body is ``i32.const 1; drop``."""
+    builder = ModuleBuilder()
+    f = builder.add_function(builder.add_type([], []))
+    f.i32_const(1)
+    f.emit(op.DROP)
+    builder.export_function("f", f.index)
+    return builder.build()
+
+
+def test_body_overrunning_its_code_section_rejected():
+    # Two bytes of the tiny module mutated: the body declares 0x43 bytes
+    # (its section holds 5) and its final `end` became `i64.eq`, so the
+    # body reader ran off the end of the binary.
+    binary = bytes.fromhex("0061736d0100000001040160000003020100070501016600"
+                           "000a0701430041011a51")
+    with pytest.raises(DecodeError, match="overruns"):
+        decode_module(binary)
+
+
+def test_byte_mutations_fail_typed():
+    """Seeded fuzz over the tiny module: every mutant decodes or raises a
+    typed ReproError, never a bare Python exception."""
+    seed = _tiny_binary()
+    rng = random.Random(1)
+    for _ in range(2000):
+        mutant = bytearray(seed)
+        for _ in range(2):
+            mutant[rng.randrange(len(mutant))] = rng.randrange(256)
+        try:
+            decode_module(bytes(mutant))
+        except ReproError:
+            pass
+        except Exception as exc:
+            pytest.fail(f"{bytes(mutant).hex()}: {type(exc).__name__}: {exc}")
 
 
 def test_unknown_opcode_rejected():

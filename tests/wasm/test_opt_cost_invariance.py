@@ -1,14 +1,12 @@
-"""The AOT optimisation tier must be invisible to the cost model.
+"""The execution engine must be invisible to the cost model.
 
-Mirror of tests/crypto/test_cost_invariance.py for the Wasm engine: the
-typed planes / hoisted bounds checks / mask elimination change *wall
-clock* only. A full on-device attestation — Wasm module measured, loaded,
-executed, evidence exchanged over the simulated network — must produce
-byte-identical RA transcripts and identical SimClock totals whether the
-AOT tier runs the optimising codegen (``opt_level=2``, the default), the
-reference codegen (``opt_level=0``), or the profile-guided tier
-(``opt_level=3`` — including when the profile leaves most of the module
-cold and execution goes through the interpreter-fed cold entries).
+Mirror of tests/crypto/test_cost_invariance.py for the Wasm engine: AOT
+compilation and its optimisations (typed planes, hoisted bounds checks,
+mask elimination) change *wall clock* only. A full on-device attestation
+— Wasm module measured, loaded, executed, evidence exchanged over the
+simulated network — must produce byte-identical RA transcripts and
+identical SimClock totals whether the module runs on the AOT engine (the
+default) or on the interpreter.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from __future__ import annotations
 from repro.core import VerifierPolicy, measure_bytes, start_verifier
 from repro.crypto import ecdsa
 from repro.testbed import Testbed
-from repro.wasm import reference_codegen
 from repro.wasm.codecache import DEFAULT_CACHE
 from repro.workloads.attested import build_attested_app
 
@@ -66,43 +63,15 @@ def _attested_run(**load_params):
     return device.soc.clock.now_ns(), transcript
 
 
-def test_simclock_and_ra_transcript_identical_at_both_opt_levels():
-    optimised_ns, optimised_transcript = _attested_run()
-    with reference_codegen():
-        reference_ns, reference_transcript = _attested_run()
+def test_simclock_and_ra_transcript_identical_on_both_engines():
+    aot_ns, aot_transcript = _attested_run()
+    interp_ns, interp_transcript = _attested_run(engine="interpreter")
 
-    # The wire bytes of msg0..msg3 must not depend on which codegen
-    # produced the Wasm closures that drove the exchange.
-    assert optimised_transcript == reference_transcript
-    assert optimised_transcript, "the attestation must actually exchange data"
+    # The wire bytes of msg0..msg3 must not depend on which engine ran
+    # the Wasm that drove the exchange.
+    assert aot_transcript == interp_transcript
+    assert aot_transcript, "the attestation must actually exchange data"
     # Every simulated charge (world transitions, shared-memory copies,
-    # crypto phases, WASI dispatches) is identical: the optimiser changed
-    # no observable cost.
-    assert optimised_ns == reference_ns
-
-
-def test_simclock_and_ra_transcript_identical_at_profile_guided_tier():
-    """opt_level=3 joins the invariance contract: an all-hot profile
-    (inlining + specialisation everywhere) and a sparse profile (one hot
-    function, the rest compiled as cold interpreter-fed entries) both
-    produce the exact o2 transcript and SimClock total."""
-    from repro.wasm.codecache import CodeCache
-    from repro.wasm.decoder import decode_module
-    from repro.wasm.pgo import Profile
-
-    identity = ecdsa.keypair_from_private(_VERIFIER_PRIVATE)
-    app = build_attested_app(identity.public_bytes(), _HOST, _PORT,
-                             secret_capacity=1 << 12)
-    module = decode_module(app)
-    imported = len(module.imported_funcs)
-    key = CodeCache.module_key(app)
-    all_hot = Profile(module_key=key, func_calls={
-        imported + i: 10 for i in range(len(module.functions))})
-    sparse = Profile(module_key=key, func_calls={imported: 10})
-
-    baseline_ns, baseline_transcript = _attested_run()
-    for profile in (all_hot, sparse):
-        pgo_ns, pgo_transcript = _attested_run(
-            opt_level=3, profile=profile.canonical_json())
-        assert pgo_transcript == baseline_transcript
-        assert pgo_ns == baseline_ns
+    # crypto phases, WASI dispatches) is identical: the engine changed no
+    # observable cost.
+    assert aot_ns == interp_ns

@@ -1,4 +1,4 @@
-"""Differential testing of the AOT optimisation tier.
+"""Differential testing of the AOT optimisation passes.
 
 Hypothesis generates random counted-loop programs with linear-memory
 traffic directly through :mod:`repro.wasm.builder` — the exact shapes the
@@ -6,15 +6,8 @@ optimiser rewrites (affine addresses in an induction local, masked
 arithmetic, loop-invariant subexpressions, aligned and misaligned
 accesses) plus the shapes that must defeat it (out-of-bounds addresses,
 division by zero). Every program runs on the interpreter (the reference
-oracle), on AOT at ``opt_level=0`` (the reference codegen) and at
-``opt_level=2`` (the optimising tier); all three must agree on the result
-value *and* on trap type and message.
-
-The profile-guided tier joins the same oracle twice over: once under an
-honestly collected profile, and once under a *lying* profile (inflated
-hotness, every access site claimed aligned) that forces the guarded
-specialisations down their deopt arms — a mispredicting profile may only
-cost speed, never correctness.
+oracle) and on AOT; both must agree on the result value, on trap type
+and message, and on the final linear memory.
 """
 
 from __future__ import annotations
@@ -107,38 +100,6 @@ def loop_programs(draw):
     return builder.build()
 
 
-def _profiled_engine(binary, args=(1,), lie=False):
-    """An ``opt_level=3`` engine for ``binary``.
-
-    The honest variant profiles a real (possibly trapping) run under the
-    instrumented build. The lying variant then inflates every counter
-    and claims every access site was always aligned, so the specialised
-    paths are emitted aggressively and their runtime guards must save
-    correctness on their own.
-    """
-    from repro.wasm.codecache import CodeCache
-    from repro.wasm.pgo import Profile, ProfileCollector
-
-    collector = ProfileCollector()
-    probe = AotCompiler(profile_collector=collector)
-    instance = probe.instantiate(binary, code_cache=None)
-    try:
-        instance.invoke("f", *args)
-    except TrapError:
-        pass  # a partial profile is still a valid profile
-    profile = collector.finish(CodeCache.module_key(binary), instance)
-    if lie:
-        profile = Profile(
-            module_key=profile.module_key,
-            func_calls={k: 1000 for k in profile.func_calls} or {0: 1000},
-            loop_backedges={k: 1_000_000
-                            for k in profile.loop_backedges},
-            access_masks={k: 0 for k in profile.access_masks},
-            const_globals=dict(profile.const_globals),
-        )
-    return AotCompiler(opt_level=3, profile=profile)
-
-
 def _outcome(instance, argument):
     try:
         return ("value", instance.invoke("f", argument))
@@ -159,47 +120,25 @@ _ARGUMENTS = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(binary=loop_programs(), argument=_ARGUMENTS)
-def test_opt_levels_and_interpreter_agree(binary, argument):
+def test_aot_and_interpreter_agree(binary, argument):
     interp = Interpreter().instantiate(binary)
-    reference = AotCompiler(opt_level=0).instantiate(binary)
-    optimised = AotCompiler(opt_level=2).instantiate(binary)
-    expected = _outcome(interp, argument)
-    assert _outcome(reference, argument) == expected
-    assert _outcome(optimised, argument) == expected
+    optimised = AotCompiler().instantiate(binary)
+    assert _outcome(optimised, argument) == _outcome(interp, argument)
 
 
 @settings(max_examples=60, deadline=None)
 @given(binary=loop_programs(), argument=_ARGUMENTS)
-def test_opt_levels_agree_on_final_memory(binary, argument):
+def test_aot_and_interpreter_agree_on_final_memory(binary, argument):
     """Beyond the return value: the stores must have landed identically."""
-    reference = AotCompiler(opt_level=0).instantiate(binary)
-    optimised = AotCompiler(opt_level=2).instantiate(binary)
+    reference = Interpreter().instantiate(binary)
+    optimised = AotCompiler().instantiate(binary)
     if _outcome(reference, argument) != _outcome(optimised, argument):
         raise AssertionError("outcome divergence (covered elsewhere)")
     assert reference.memory.data == optimised.memory.data
 
 
-@settings(max_examples=80, deadline=None)
-@given(binary=loop_programs(), argument=_ARGUMENTS)
-def test_profile_guided_tier_agrees_with_interpreter(binary, argument):
-    """opt_level=3 under an honest profile and under a lying (forced
-    deopt) profile: result, trap identity and final memory all pinned
-    against the interpreter and the reference codegen."""
-    interp = Interpreter().instantiate(binary)
-    expected = _outcome(interp, argument)
-    reference = AotCompiler(opt_level=0).instantiate(binary)
-    honest = _profiled_engine(binary).instantiate(binary)
-    lying = _profiled_engine(binary, lie=True).instantiate(binary)
-    assert _outcome(reference, argument) == expected
-    assert _outcome(honest, argument) == expected
-    assert _outcome(lying, argument) == expected
-    assert honest.memory.data == reference.memory.data
-    assert lying.memory.data == reference.memory.data
-
-
 def _engines():
-    return (Interpreter(), AotCompiler(opt_level=0),
-            AotCompiler(opt_level=2))
+    return (Interpreter(), AotCompiler())
 
 
 def test_oob_trap_message_identical_across_engines():
@@ -210,9 +149,7 @@ def test_oob_trap_message_identical_across_engines():
     builder.export_function("f", f.index)
     binary = builder.build()
     outcomes = set()
-    engines = _engines() + (_profiled_engine(binary, args=(0,)),
-                            _profiled_engine(binary, args=(0,), lie=True))
-    for engine in engines:
+    for engine in _engines():
         instance = engine.instantiate(binary)
         with pytest.raises(TrapError) as info:
             instance.invoke("f", 65_536)
@@ -227,9 +164,7 @@ def test_div_by_zero_trap_message_identical_across_engines():
     builder.export_function("f", f.index)
     binary = builder.build()
     outcomes = set()
-    engines = _engines() + (_profiled_engine(binary, args=(7, 1)),
-                            _profiled_engine(binary, args=(7, 1), lie=True))
-    for engine in engines:
+    for engine in _engines():
         instance = engine.instantiate(binary)
         with pytest.raises(TrapError) as info:
             instance.invoke("f", 7, 0)
@@ -239,7 +174,7 @@ def test_div_by_zero_trap_message_identical_across_engines():
 
 def test_partial_loop_trap_leaves_identical_memory():
     """A loop that traps mid-flight must keep every pre-trap store (the
-    optimised tier must not have entered an unchecked fast path)."""
+    AOT engine must not have entered an unchecked fast path)."""
     builder = ModuleBuilder()
     builder.add_memory(1, 1)
     f = builder.add_function(builder.add_type([I32], [I32]))
@@ -261,9 +196,7 @@ def test_partial_loop_trap_leaves_identical_memory():
     binary = builder.build()
 
     snapshots = []
-    engines = _engines() + (_profiled_engine(binary, args=(0,)),
-                            _profiled_engine(binary, args=(0,), lie=True))
-    for engine in engines:
+    for engine in _engines():
         instance = engine.instantiate(binary)
         with pytest.raises(TrapError) as info:
             instance.invoke("f", 0)
