@@ -9,13 +9,15 @@ decryption (attester) costs. Two measurements here:
 * the raw AES-GCM seal/open throughput of both execution paths
   (vectorised streaming pipeline vs scalar reference), exported as
   ``BENCH_msg3.json`` with per-size MB/s so the speedup trajectory is
-  diffable across PRs.
+  diffable across PRs — once with a warm key, and once with a fresh key
+  at each end, as every session's verifier and attester pay it.
 
-``test_msg3_throughput_smoke`` is the CI gate: the fast path must hold
->= 5x over the reference on a 512 kB seal+open, re-measured once against
-runner noise and only enforced on hosts with at least two CPUs (the
-pipeline splits bulk keystream/GHASH work across threads; a single
-shared core measures the scheduler instead).
+Two gates, armed on every host and re-measured once against noise before
+they may fail: with a warm key the fast path holds >= 5x over the
+reference on a 512 kB seal+open, and with a fresh key per end it is no
+slower than the reference at 4 KiB (the fleet secret) and 256 KiB (an
+attested-ml dataset). Both paths run in one process on one core, so
+neither ratio depends on the host's CPU count.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from repro.core.attester import Attester
 from repro.core.measurement import measure_bytes
 from repro.core.verifier import Verifier, VerifierPolicy
 from repro.crypto import ecdsa, gcm
-from repro.crypto.gcm import STRIPE_WIDTH, AesGcm
+from repro.crypto.gcm import STRIPE_WIDTH, AesGcm, _STRIPE_BUILD_MIN_BLOCKS
 
 _DEVICE = ecdsa.keypair_from_private(555111)
 _IDENTITY = ecdsa.keypair_from_private(555222)
@@ -38,6 +40,26 @@ SIZES = [512 * 1024, 1024 * 1024, 2 * 1024 * 1024, 3 * 1024 * 1024]
 _SMOKE_SIZES = [512 * 1024, 1024 * 1024]
 _GATE_SIZE = 512 * 1024
 _GATE_SPEEDUP = 5.0
+#: Fresh-key sizes: the fleet-attest secret, then attested-ml's range.
+_FRESH_SIZES = [4 * 1024, 64 * 1024, 256 * 1024]
+_FRESH_GATE_SIZES = [4 * 1024, 256 * 1024]
+_GATE_REASON = ("both paths run in one process on one core, so the ratio "
+                "does not depend on the host's CPU count")
+
+#: Warm seal+open ms before and after the bulk thread pool (<= 4 workers
+#: for >= 256 KiB folds and keystreams) was removed: medians of five
+#: interleaved best-of-5 runs on a 2-vCPU x86-64 VM, with their ranges.
+#: The larger Fig. 7 blobs give up the second core; the ledger's
+#: <= 288 KiB datasets did not move.
+_POOL_REMOVAL = {
+    "host_cpus": 2,
+    "seal_open_ms": {
+        "1048576": {"with_pool": 86.2, "with_pool_range": [62.7, 91.9],
+                    "without": 93.8, "without_range": [85.0, 95.6]},
+        "3145728": {"with_pool": 223.0, "with_pool_range": [182.0, 295.7],
+                    "without": 271.2, "without_range": [243.9, 306.9]},
+    },
+}
 
 # Paper Fig. 7: ~3 ms at 0.5 MB up to ~17 ms at 3 MB (per direction).
 _PAPER_MS = {512 * 1024: 3.0, 1024 * 1024: 5.8,
@@ -108,54 +130,129 @@ def _path_entry(size: int, seal_s: float, open_s: float) -> dict:
     }
 
 
+def _measure_fresh_seal_open(blob: bytes, rounds: int):
+    """Best-of-``rounds`` seal and open seconds, each end keying its own
+    ``AesGcm`` from a new session key — table builds included."""
+    best_seal = best_open = float("inf")
+    for _ in range(rounds):
+        key = os.urandom(16)
+        started = time.perf_counter()
+        sealed = AesGcm(key).seal(_IV, blob)
+        best_seal = min(best_seal, time.perf_counter() - started)
+        started = time.perf_counter()
+        opened = AesGcm(key).open(_IV, sealed)
+        best_open = min(best_open, time.perf_counter() - started)
+        assert opened == blob
+    return best_seal, best_open
+
+
+def _size_entry(size, fast, reference) -> dict:
+    (fast_seal, fast_open), (ref_seal, ref_open) = fast, reference
+    return {
+        "bytes": size,
+        "fast": _path_entry(size, fast_seal, fast_open),
+        "reference": _path_entry(size, ref_seal, ref_open),
+        "speedup_seal": ref_seal / fast_seal,
+        "speedup_open": ref_open / fast_open,
+        "speedup_seal_open": (ref_seal + ref_open) / (fast_seal + fast_open),
+    }
+
+
 def _gcm_series(sizes, fast_rounds: int = 3, reference_rounds: int = 1):
     """Per-size seal/open timings for the fast and reference GCM paths."""
     cipher = AesGcm(_KEY)
-    # Warm the per-subkey stripe tables and the thread pool once so the
-    # measurements see the steady state fleet lanes run in.
-    cipher.seal(_IV, b"\x00" * (STRIPE_WIDTH * 16 * 4))
+    # Build this key's stripe tables once so the measurements see the
+    # steady state of a long-lived key.
+    cipher.seal(_IV, bytes(_STRIPE_BUILD_MIN_BLOCKS * 16))
     entries = []
     for size in sizes:
         blob = os.urandom(size)
-        fast_seal, fast_open = _measure_seal_open(cipher, blob, fast_rounds)
+        fast = _measure_seal_open(cipher, blob, fast_rounds)
         with gcm.reference_paths():
-            ref_seal, ref_open = _measure_seal_open(cipher, blob,
-                                                    reference_rounds)
-        entries.append({
-            "bytes": size,
-            "fast": _path_entry(size, fast_seal, fast_open),
-            "reference": _path_entry(size, ref_seal, ref_open),
-            "speedup_seal": ref_seal / fast_seal,
-            "speedup_open": ref_open / fast_open,
-            "speedup_seal_open": (ref_seal + ref_open)
-                                 / (fast_seal + fast_open),
-        })
+            reference = _measure_seal_open(cipher, blob, reference_rounds)
+        entries.append(_size_entry(size, fast, reference))
     return entries
 
 
-def _save_msg3_json(entries) -> None:
+def _fresh_key_series(fast_rounds: int = 5, reference_rounds: int = 3):
+    """Per-size seal/open timings with a fresh key at each end."""
+    entries = []
+    for size in _FRESH_SIZES:
+        blob = os.urandom(size)
+        fast = _measure_fresh_seal_open(blob, fast_rounds)
+        with gcm.reference_paths():
+            reference = _measure_fresh_seal_open(blob, reference_rounds)
+        entries.append(_size_entry(size, fast, reference))
+    return entries
+
+
+def _gates(entries, fresh) -> dict:
+    warm = next(e for e in entries if e["bytes"] == _GATE_SIZE)
+    return {
+        "warm_key_speedup": {
+            "metric": "speedup_seal_open",
+            "bytes": _GATE_SIZE,
+            "threshold": _GATE_SPEEDUP,
+            "values": [warm["speedup_seal_open"]],
+        },
+        "fresh_key_not_slower": {
+            "metric": "speedup_seal_open",
+            "bytes": _FRESH_GATE_SIZES,
+            "threshold": 1.0,
+            "values": [e["speedup_seal_open"] for e in fresh
+                       if e["bytes"] in _FRESH_GATE_SIZES],
+        },
+    }
+
+
+def _gates_hold(gates) -> bool:
+    return all(value >= gate["threshold"]
+               for gate in gates.values() for value in gate["values"])
+
+
+def _gated_series(sizes):
+    """Measure both series, re-measure once if a gate misses, and save
+    ``BENCH_msg3.json`` with each gate's record before it is asserted."""
+    entries, fresh = _gcm_series(sizes), _fresh_key_series()
+    gates = _gates(entries, fresh)
+    retried = not _gates_hold(gates)
+    if retried:
+        entries, fresh = _gcm_series(sizes), _fresh_key_series()
+        gates = _gates(entries, fresh)
+    for gate in gates.values():
+        gate.update(asserted=True, retried=retried, reason=_GATE_REASON)
     save_json("BENCH_msg3", {
         "series": "fig7_msg3",
         "stripe_width": STRIPE_WIDTH,
+        "stripe_build_min_blocks": _STRIPE_BUILD_MIN_BLOCKS,
         "sizes": entries,
+        "fresh_key_sizes": fresh,
+        "gates": gates,
+        "thread_pool_removed": _POOL_REMOVAL,
     })
+    return entries, fresh, gates
 
 
-def _entries_table(entries) -> str:
-    rows = []
-    for entry in entries:
-        rows.append((
-            f"{entry['bytes'] // 1024} kB",
-            f"{entry['fast']['seal_mb_s']:.1f} / "
-            f"{entry['fast']['open_mb_s']:.1f}",
-            f"{entry['reference']['seal_mb_s']:.1f} / "
-            f"{entry['reference']['open_mb_s']:.1f}",
-            f"{entry['speedup_seal_open']:.1f}x",
-        ))
-    return format_table(
-        "msg3 AES-GCM throughput — fast vs reference path",
-        ["blob size", "fast MB/s (seal/open)", "reference MB/s (seal/open)",
-         "speedup"], rows)
+def _entries_table(entries, fresh) -> str:
+    def rows(series):
+        for entry in series:
+            yield (
+                f"{entry['bytes'] // 1024} kB",
+                f"{entry['fast']['seal_mb_s']:.1f} / "
+                f"{entry['fast']['open_mb_s']:.1f}",
+                f"{entry['reference']['seal_mb_s']:.1f} / "
+                f"{entry['reference']['open_mb_s']:.1f}",
+                f"{entry['speedup_seal_open']:.1f}x",
+            )
+
+    headers = ["blob size", "fast MB/s (seal/open)",
+               "reference MB/s (seal/open)", "speedup"]
+    return "\n\n".join([
+        format_table("msg3 AES-GCM throughput — fast vs reference path, "
+                     "warm key", headers, rows(entries)),
+        format_table("msg3 AES-GCM throughput — fast vs reference path, "
+                     "fresh key at each end", headers, rows(fresh)),
+    ])
 
 
 def test_fig7_msg3_scaling(benchmark):
@@ -174,9 +271,8 @@ def test_fig7_msg3_scaling(benchmark):
         "(paper vs measured)",
         ["blob size", "paper", "measured", "note"], rows,
     ))
-    entries = _gcm_series(SIZES)
-    _save_msg3_json(entries)
-    save_report("fig7_msg3_paths", _entries_table(entries))
+    entries, fresh, gates = _gated_series(SIZES)
+    save_report("fig7_msg3_paths", _entries_table(entries, fresh))
     # Shape: linear scaling — 3 MB costs roughly 6x the 0.5 MB time
     # (wide band: the constant ECDSA cost of handle_msg2 flattens the
     # ratio once the symmetric path is fast).
@@ -190,25 +286,18 @@ def test_fig7_msg3_scaling(benchmark):
     for entry in entries:
         for side in ("fast", "reference"):
             assert 0.4 <= entry[side]["seal_s"] / entry[side]["open_s"] <= 2.5
+    assert _gates_hold(gates), gates
 
 
 def test_msg3_throughput_smoke():
-    """CI gate: fast path >= 5x reference on a 512 kB seal+open.
+    """CI gates: with a warm key, fast >= 5x reference on a 512 kB
+    seal+open; with a fresh key at each end, fast no slower than the
+    reference at 4 KiB and 256 KiB.
 
-    Mirrors the DESIGN.md §14 gate pattern: one re-measure against
-    runner noise before the gate may fail, and the threshold is only
-    enforced on hosts with at least two CPUs — the measurement and the
-    ``BENCH_msg3.json`` artifact are recorded either way.
+    Mirrors the DESIGN.md §14 gate pattern: one re-measure against runner
+    noise before a gate may fail, and ``BENCH_msg3.json`` records each
+    gate's values, whether it was retried, and why it is asserted.
     """
-    entries = _gcm_series(_SMOKE_SIZES)
-    gate = next(e for e in entries if e["bytes"] == _GATE_SIZE)
-    host_cpus = os.cpu_count() or 1
-    if gate["speedup_seal_open"] < _GATE_SPEEDUP and host_cpus >= 2:
-        # One re-measure against noise before the gate may fail.
-        entries = _gcm_series(_SMOKE_SIZES)
-        gate = next(e for e in entries if e["bytes"] == _GATE_SIZE)
-    _save_msg3_json(entries)
-    save_report("msg3_throughput_smoke", _entries_table(entries))
-    if host_cpus < 2:
-        return  # informational only on single-CPU hosts
-    assert gate["speedup_seal_open"] >= _GATE_SPEEDUP, entries
+    entries, fresh, gates = _gated_series(_SMOKE_SIZES)
+    save_report("msg3_throughput_smoke", _entries_table(entries, fresh))
+    assert _gates_hold(gates), gates

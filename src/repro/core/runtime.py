@@ -22,6 +22,7 @@ from repro.core.attester import Attester
 from repro.core.measurement import Measurement, MeasuringCopier
 from repro.core.wasi_ra import WasiRa, build_wasi_ra_imports
 from repro.errors import TeeBadParameters
+from repro.optee.sharedmem import SharedBuffer
 from repro.optee.ta import TaManifest, TrustedApplication
 from repro.wasi import ProcExit, WasiEnvironment, build_wasi_imports
 from repro.wasm import AotCompiler, Interpreter
@@ -117,6 +118,8 @@ class WatzRuntime(TrustedApplication):
     # -- TA command dispatch ----------------------------------------------------
 
     def invoke(self, command: int, params: dict) -> dict:
+        if not isinstance(params, dict):
+            raise TeeBadParameters("TA parameters must be a dict")
         if command == CMD_LOAD:
             return self._cmd_load(params)
         if command == CMD_INVOKE:
@@ -136,7 +139,8 @@ class WatzRuntime(TrustedApplication):
         raise TeeBadParameters(f"unknown runtime command {command}")
 
     def _app(self, params: dict) -> LoadedApp:
-        app = self._apps.get(params.get("app"))
+        handle = params.get("app")
+        app = self._apps.get(handle) if isinstance(handle, int) else None
         if app is None:
             raise TeeBadParameters("unknown application handle")
         return app
@@ -144,11 +148,21 @@ class WatzRuntime(TrustedApplication):
     # -- loading -------------------------------------------------------------------
 
     def _cmd_load(self, params: dict) -> dict:
-        shared_buffer = params["bytecode"]
-        size = params.get("size", len(shared_buffer.data))
+        shared_buffer = params.get("bytecode")
+        if not isinstance(shared_buffer, SharedBuffer):
+            raise TeeBadParameters("bytecode must be a shared-memory buffer")
+        size = params.get("size", shared_buffer.size)
+        if not isinstance(size, int) or not 0 <= size <= shared_buffer.size:
+            raise TeeBadParameters("bytecode size outside its shared buffer")
         engine_name = params.get("engine", self.engine_name)
+        if not isinstance(engine_name, str) or engine_name not in _ENGINES:
+            raise TeeBadParameters(f"unknown engine {engine_name!r}")
         args = params.get("args")
+        if args is not None and not _is_str_sequence(args):
+            raise TeeBadParameters("args must be a list of strings")
         entry = params.get("entry")
+        if entry is not None:
+            _check_call(entry, params.get("entry_args", ()))
 
         api = self.api
         breakdown = StartupBreakdown(
@@ -294,16 +308,33 @@ class WatzRuntime(TrustedApplication):
 
     def _cmd_invoke(self, params: dict) -> dict:
         app = self._app(params)
-        result = self._run(app, params["function"], params.get("args", ()))
-        return {"result": result}
+        function, args = params.get("function"), params.get("args", ())
+        _check_call(function, args)
+        return {"result": self._run(app, function, args)}
 
     def _cmd_unload(self, params: dict) -> dict:
         handle = params.get("app")
+        if not isinstance(handle, int):
+            raise TeeBadParameters("application handle must be an integer")
         app = self._apps.pop(handle, None)
         if app is not None:
             self.api.tee_free(app.allocated_bytes)
             self.api.free_executable(app.executable_region)
         return {}
+
+
+def _is_str_sequence(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(item, str) for item in value)
+
+
+def _check_call(function, args) -> None:
+    """A Wasm call from the normal world: an export name and numbers."""
+    if not isinstance(function, str):
+        raise TeeBadParameters("function must be an export name")
+    if not isinstance(args, (list, tuple)) or not all(
+            isinstance(arg, (int, float)) for arg in args):
+        raise TeeBadParameters("args must be a list of numbers")
 
 
 #: The canonical WaTZ TA manifest; heap size is workload-dependent and

@@ -26,10 +26,6 @@ open stream never releases plaintext before the tag verifies.
 
 from __future__ import annotations
 
-import os
-import threading
-from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Iterator, List
 
@@ -48,15 +44,15 @@ TAG_SIZE = 16
 #: vectorised gathers (see DESIGN.md §16 for the width trade-off).
 STRIPE_WIDTH = 64
 
-#: Minimum whole blocks in a single fold before the striped path engages
-#: (below one stripe the scalar loop is cheaper than the numpy dispatch,
-#: and small messages never pay the stripe-table build).
-_VECTOR_MIN_BLOCKS = STRIPE_WIDTH
-
-#: Whole blocks in one fold/keystream call before work is split across
-#: threads (numpy releases the GIL inside gathers). 16384 blocks = 256 KiB.
-_PARALLEL_MIN_BLOCKS = 16384
-_MAX_POOL_WORKERS = 4
+#: Whole blocks a single fold needs before it pays for *building* stripe
+#: tables: the cold build divided by what striping saves per block over the
+#: unrolled scalar fold. Measured on a 2-vCPU x86-64 VM (CPython 3.11,
+#: NumPy 2.4; three runs): build 1.7–2.8 ms, scalar 2.1–2.7 µs/block,
+#: striped 0.22–0.28 µs/block, a break-even of 760–1,680 blocks. So a 4 KiB
+#: handshake secret (256 blocks) never builds them and a 192–288 KiB dataset
+#: builds them once per key. An instance that already holds stripe tables
+#: uses them for every fold of at least one stripe.
+_STRIPE_BUILD_MIN_BLOCKS = 1024
 
 _R = 0xE1 << 120
 _MASK64 = (1 << 64) - 1
@@ -92,24 +88,18 @@ def reference_paths() -> Iterator[None]:
         use_fast_paths(previous)
 
 
-# --- field arithmetic and reference tables -------------------------------------
-
-
-def _mult_by_x(value: int) -> int:
-    """Multiply a field element by x in GCM's bit-reflected representation."""
-    if value & 1:
-        return (value >> 1) ^ _R
-    return value >> 1
+# --- field arithmetic and scalar tables ----------------------------------------
 
 
 def _gf_mult(x: int, y: int) -> int:
-    """Reference GF(2^128) multiplication (slow path, used to build tables)."""
+    """Bit-serial GF(2^128) multiplication (SP 800-38D, Algorithm 1): the
+    oracle the table constructions are tested against."""
     z = 0
     v = x
     for i in range(128):
         if (y >> (127 - i)) & 1:
             z ^= v
-        v = _mult_by_x(v)
+        v = (v >> 1) ^ _R if v & 1 else v >> 1
     return z
 
 
@@ -118,19 +108,22 @@ def _build_ghash_tables(h: int) -> List[List[int]]:
 
     ``tables[i][b]`` equals ``(b placed at byte position i) * h``, so a full
     product is 16 table lookups XORed together. Position 0 is the most
-    significant byte; moving one byte toward the least significant end
-    multiplies by x^8 in the field.
+    significant byte. Built by subset-XOR doubling from the 128 single-bit
+    products ``h * x^k``: byte bit ``2^t`` at position ``i`` is the field
+    element ``x^(8i + 7 - t)``, and each bit doubles the row with itself
+    XOR that bit's product.
     """
-    first = [_gf_mult(b << 120, h) for b in range(256)]
-    tables = [first]
-    for _ in range(15):
-        previous = tables[-1]
-        shifted = []
-        for value in previous:
-            for _ in range(8):
-                value = _mult_by_x(value)
-            shifted.append(value)
-        tables.append(shifted)
+    products = []
+    v = h
+    for _ in range(128):
+        products.append(v)
+        v = (v >> 1) ^ _R if v & 1 else v >> 1
+    tables = []
+    for pos in range(16):
+        row = [0]
+        for bit in reversed(products[8 * pos : 8 * pos + 8]):
+            row += [v ^ bit for v in row]
+        tables.append(row)
     return tables
 
 
@@ -152,10 +145,11 @@ class _StripeTables:
     ``Y' = Y * H^W  ^  sum_j X_j * H^(W-j)`` — every block's product uses a
     *different* subkey power, so all W products are data-independent and
     vectorise. ``gather[pos]`` holds, for byte position ``pos``, the product
-    of every (power, byte value) pair packed as one complex128 (hi||lo
-    uint64 halves), so a single ``np.take`` fetches a full 128-bit product.
-    ``horner[pos][b]`` is the scalar per-byte table of H^W that carries the
-    accumulated state across stripes.
+    of every (byte value, block slot j) pair at index ``byte * W + j``,
+    packed as one complex128 (hi||lo uint64 halves) against ``H^(W-j)``, so
+    a single ``np.take`` fetches a full 128-bit product. ``horner[pos][b]``
+    is the scalar per-byte table of H^W that carries the accumulated state
+    across stripes.
     """
 
     def __init__(self, h: int, scalar_tables: List[List[int]]) -> None:
@@ -163,110 +157,48 @@ class _StripeTables:
         powers = [h]
         for _ in range(width - 1):
             powers.append(_mult_tables(powers[-1], scalar_tables))
+        powers.reverse()  # slot j multiplies H^(W-j)
         hi = np.array([p >> 64 for p in powers], dtype=np.uint64)
         lo = np.array([p & _MASK64 for p in powers], dtype=np.uint64)
-        # Walk x^bit * H^(k+1) for all powers k simultaneously; each byte
-        # value's product is the XOR of its set bits' single-bit products.
-        table = np.zeros((16, width, 256, 2), dtype=np.uint64)
-        byte_values = np.arange(256)
+        # Single-bit products H^(W-j) * x^k for every slot at once.
+        bits = np.empty((128, width, 2), dtype=np.uint64)
         r_hi = np.uint64(0xE1 << 56)
         one = np.uint64(1)
         shift63 = np.uint64(63)
-        for bit in range(128):
-            pos, lane = divmod(bit, 8)
-            matching = np.nonzero(byte_values & (1 << (7 - lane)))[0]
-            table[pos, :, matching, 0] ^= hi[None, :]
-            table[pos, :, matching, 1] ^= lo[None, :]
+        for k in range(128):
+            bits[k, :, 0] = hi
+            bits[k, :, 1] = lo
             lsb = lo & one
             lo = (lo >> one) | ((hi & one) << shift63)
             hi = (hi >> one) ^ (lsb * r_hi)
-        self.gather = [
-            np.ascontiguousarray(table[pos].reshape(width * 256, 2))
-            .view(np.complex128).reshape(width * 256)
-            for pos in range(16)
-        ]
-        self.horner = [
-            [(int(row[b, 0]) << 64) | int(row[b, 1]) for b in range(256)]
-            for row in table[:, width - 1]
-        ]
+        bits = bits.reshape(16, 8, 2 * width)
+        # Subset-XOR doubling over (position, byte, slot): every step XORs
+        # the contiguous rows built so far with one bit's products.
+        table = np.empty((16, 256, 2 * width), dtype=np.uint64)
+        table[:, 0] = 0
+        for t in range(8):
+            n = 1 << t
+            np.bitwise_xor(table[:, :n], bits[:, 7 - t, None, :],
+                           out=table[:, n : 2 * n])
+        self.gather = list(table.reshape(16, 256 * 2 * width)
+                           .view(np.complex128))
+        self.horner = _build_ghash_tables(powers[0])
 
 
 class _SubkeyTables:
-    """All per-subkey state: scalar tables eagerly, stripe tables lazily.
+    """One subkey's tables: scalar eagerly, stripe tables on first need.
 
-    Stripe tables cost ~4 MiB and tens of milliseconds, so they are only
-    built the first time a bulk (>= one stripe) fold actually runs — fresh
-    session keys sealing small payloads never pay for them.
+    Owned by a single :class:`AesGcm`, so tables derived from a session
+    key are dropped with that session. Two threads racing to build the
+    stripe tables both build identical ones; either may win.
     """
 
-    __slots__ = ("h", "scalar", "_stripes", "_lock")
+    __slots__ = ("h", "scalar", "stripes", "__weakref__")
 
     def __init__(self, h: int) -> None:
         self.h = h
         self.scalar = _build_ghash_tables(h)
-        self._stripes = None
-        self._lock = threading.Lock()
-
-    def stripes(self) -> _StripeTables:
-        tables = self._stripes
-        if tables is None:
-            with self._lock:
-                tables = self._stripes
-                if tables is None:
-                    tables = _StripeTables(self.h, self.scalar)
-                    self._stripes = tables
-        return tables
-
-
-#: Bounded LRU of per-subkey tables (same idiom as
-#: ``ec.precompute_public_key``): fleet lanes re-keying per session reuse
-#: tables instead of rebuilding all 16x256 entries per ``AesGcm`` instance.
-_TABLE_CACHE_CAPACITY = 16
-_table_cache: "OrderedDict[int, _SubkeyTables]" = OrderedDict()
-_table_cache_lock = threading.Lock()
-
-
-def _tables_for_subkey(h: int) -> _SubkeyTables:
-    with _table_cache_lock:
-        entry = _table_cache.get(h)
-        if entry is not None:
-            _table_cache.move_to_end(h)
-            return entry
-    entry = _SubkeyTables(h)  # built outside the lock; ties pick one winner
-    with _table_cache_lock:
-        winner = _table_cache.setdefault(h, entry)
-        _table_cache.move_to_end(h)
-        while len(_table_cache) > _TABLE_CACHE_CAPACITY:
-            _table_cache.popitem(last=False)
-    return winner
-
-
-# --- worker pool (bulk folds and keystreams on multi-core hosts) ---------------
-
-_pool = None
-_pool_pid = 0
-_pool_lock = threading.Lock()
-
-
-def _bulk_workers(nblocks: int) -> int:
-    if nblocks < _PARALLEL_MIN_BLOCKS:
-        return 1
-    cpus = os.cpu_count() or 1
-    if cpus <= 1:
-        return 1
-    return min(_MAX_POOL_WORKERS, cpus)
-
-
-def _executor() -> ThreadPoolExecutor:
-    global _pool, _pool_pid
-    pid = os.getpid()
-    if _pool is None or _pool_pid != pid:  # forked children get a fresh pool
-        with _pool_lock:
-            if _pool is None or _pool_pid != pid:
-                _pool = ThreadPoolExecutor(max_workers=_MAX_POOL_WORKERS,
-                                           thread_name_prefix="gcm-bulk")
-                _pool_pid = pid
-    return _pool
+        self.stripes = None
 
 
 # --- GHASH ---------------------------------------------------------------------
@@ -305,67 +237,35 @@ class _Ghash:
         return self._state
 
 
-_POWER_BASE = np.empty(0, dtype=np.intp)
-
-
-def _power_base(n: int) -> np.ndarray:
-    """Index bases ``(power_index << 8)`` tiled per stripe, cached and grown.
-
-    Block ``j`` of a stripe multiplies ``H^(W-j)`` = ``powers[W-1-j]``; the
-    gather index is ``(W-1-j) << 8 | byte``. The pattern repeats every
-    stripe, so one cached tile serves every fold.
-    """
-    global _POWER_BASE
-    if _POWER_BASE.size < n:
-        reps = -(-n // STRIPE_WIDTH)
-        pattern = (STRIPE_WIDTH - 1 - np.arange(STRIPE_WIDTH, dtype=np.intp)) << 8
-        _POWER_BASE = np.tile(pattern, reps)
-    return _POWER_BASE[:n]
-
-
-def _column_products(gather: List[np.ndarray], mat: np.ndarray,
-                     base: np.ndarray, out: np.ndarray) -> None:
-    """XOR together all 16 byte-position products of each block into ``out``.
-
-    One batched gather per byte position; products travel as complex128 so
-    hi and lo 64-bit halves move in a single take.
-    """
-    idx = np.empty(len(mat), dtype=np.intp)
-    np.add(base, mat[:, 0], out=idx)
-    np.take(gather[0], idx, out=out)
-    scratch = np.empty_like(out)
-    acc = out.view(np.uint64)
-    for pos in range(1, 16):
-        np.add(base, mat[:, pos], out=idx)
-        np.take(gather[pos], idx, out=scratch)
-        acc ^= scratch.view(np.uint64)
+#: Stripe slot of each block within its stripe; block ``j`` gathers index
+#: ``byte * W + j``.
+_SLOTS = np.arange(STRIPE_WIDTH, dtype=np.intp)
 
 
 def _fold_striped(state: int, tables: _StripeTables, mat: np.ndarray,
                   nstripes: int) -> int:
-    """Fold ``nstripes`` full stripes of blocks (``mat``: (n, 16) uint8)."""
+    """Fold ``nstripes`` full stripes of blocks (``mat``: (n, 16) uint8).
+
+    One batched gather per byte position XORs all 16 products of each
+    block together; products travel as complex128 so hi and lo 64-bit
+    halves move in a single take.
+    """
     width = STRIPE_WIDTH
     n = nstripes * width
-    base = _power_base(n)
+    idx = np.empty(n, dtype=np.intp)
+    slots = idx.reshape(nstripes, width)
     acc = np.empty(n, dtype=np.complex128)
-    workers = _bulk_workers(n)
-    if workers > 1:
-        # Stripe-aligned slices: the power pattern restarts identically at
-        # every stripe boundary, so each worker reuses the same base tile.
-        pool = _executor()
-        step = -(-nstripes // workers) * width
-        futures = [
-            pool.submit(_column_products, tables.gather,
-                        mat[begin:begin + step], base[:min(step, n - begin)],
-                        acc[begin:begin + step])
-            for begin in range(0, n, step)
-        ]
-        for future in futures:
-            future.result()
-    else:
-        _column_products(tables.gather, mat, base, acc)
-    folded = np.bitwise_xor.reduce(
-        acc.view(np.uint64).reshape(nstripes, width, 2), axis=1)
+    scratch = np.empty_like(acc)
+    words = acc.view(np.uint64)
+    for pos, gather in enumerate(tables.gather):
+        np.multiply(mat[:, pos], width, out=idx, dtype=np.intp)
+        slots += _SLOTS
+        if pos:
+            np.take(gather, idx, out=scratch)
+            words ^= scratch.view(np.uint64)
+        else:
+            np.take(gather, idx, out=acc)
+    folded = np.bitwise_xor.reduce(words.reshape(nstripes, width, 2), axis=1)
     highs = folded[:, 0].tolist()
     lows = folded[:, 1].tolist()
     t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15 = \
@@ -374,7 +274,7 @@ def _fold_striped(state: int, tables: _StripeTables, mat: np.ndarray,
         stripe = (highs[s] << 64) | lows[s]
         if state:
             stripe ^= (
-                t0[(state >> 120) & 0xFF] ^ t1[(state >> 112) & 0xFF]
+                t0[state >> 120] ^ t1[(state >> 112) & 0xFF]
                 ^ t2[(state >> 104) & 0xFF] ^ t3[(state >> 96) & 0xFF]
                 ^ t4[(state >> 88) & 0xFF] ^ t5[(state >> 80) & 0xFF]
                 ^ t6[(state >> 72) & 0xFF] ^ t7[(state >> 64) & 0xFF]
@@ -389,15 +289,23 @@ def _fold_striped(state: int, tables: _StripeTables, mat: np.ndarray,
 
 def _fold_scalar(state: int, tables: List[List[int]], view,
                  start_block: int, end_block: int) -> int:
-    """Reference per-block fold over full blocks of a memoryview."""
-    for index in range(start_block, end_block):
-        offset = index * BLOCK_SIZE
-        block = int.from_bytes(view[offset : offset + BLOCK_SIZE], "big")
-        x = state ^ block
-        acc = 0
-        for i in range(16):
-            acc ^= tables[i][(x >> (8 * (15 - i))) & 0xFF]
-        state = acc
+    """Per-block fold over full blocks of a memoryview (16 unrolled lookups)."""
+    t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15 = \
+        tables
+    from_bytes = int.from_bytes
+    for offset in range(start_block * BLOCK_SIZE, end_block * BLOCK_SIZE,
+                        BLOCK_SIZE):
+        x = state ^ from_bytes(view[offset : offset + BLOCK_SIZE], "big")
+        state = (
+            t0[x >> 120] ^ t1[(x >> 112) & 0xFF]
+            ^ t2[(x >> 104) & 0xFF] ^ t3[(x >> 96) & 0xFF]
+            ^ t4[(x >> 88) & 0xFF] ^ t5[(x >> 80) & 0xFF]
+            ^ t6[(x >> 72) & 0xFF] ^ t7[(x >> 64) & 0xFF]
+            ^ t8[(x >> 56) & 0xFF] ^ t9[(x >> 48) & 0xFF]
+            ^ t10[(x >> 40) & 0xFF] ^ t11[(x >> 32) & 0xFF]
+            ^ t12[(x >> 24) & 0xFF] ^ t13[(x >> 16) & 0xFF]
+            ^ t14[(x >> 8) & 0xFF] ^ t15[x & 0xFF]
+        )
     return state
 
 
@@ -441,19 +349,20 @@ class _GhashState:
             self._partial.extend(view)
 
     def _fold_blocks(self, view, nblocks: int) -> int:
-        state = self._state
-        if self._fast and nblocks >= _VECTOR_MIN_BLOCKS:
-            stripes = self._tables.stripes()
-            nstripes = nblocks // STRIPE_WIDTH
+        tables = self._tables
+        stripes = tables.stripes
+        nstripes = nblocks // STRIPE_WIDTH
+        if self._fast and nstripes and (
+                stripes is not None or nblocks >= _STRIPE_BUILD_MIN_BLOCKS):
+            if stripes is None:
+                stripes = tables.stripes = _StripeTables(tables.h,
+                                                         tables.scalar)
             full = nstripes * STRIPE_WIDTH
             mat = np.frombuffer(view, dtype=np.uint8,
                                 count=full * BLOCK_SIZE).reshape(full, 16)
-            state = _fold_striped(state, stripes, mat, nstripes)
-            if full != nblocks:
-                state = _fold_scalar(state, self._tables.scalar, view,
-                                     full, nblocks)
-            return state
-        return _fold_scalar(state, self._tables.scalar, view, 0, nblocks)
+            state = _fold_striped(self._state, stripes, mat, nstripes)
+            return _fold_scalar(state, tables.scalar, view, full, nblocks)
+        return _fold_scalar(self._state, tables.scalar, view, 0, nblocks)
 
     def close_segment(self) -> None:
         if self._partial:
@@ -467,25 +376,6 @@ class _GhashState:
 
 
 # --- CTR keystream streams -----------------------------------------------------
-
-
-def _ctr_fill(cipher: Aes128, iv: bytes, start_block: int,
-              out: np.ndarray) -> None:
-    """Fill ``out`` with fast-path keystream, split across threads when big."""
-    nblocks = len(out) // BLOCK_SIZE
-    workers = _bulk_workers(nblocks)
-    if workers <= 1:
-        cipher.ctr_keystream_into(iv, start_block, out)
-        return
-    pool = _executor()
-    step = -(-nblocks // workers)
-    futures = [
-        pool.submit(cipher.ctr_keystream_into, iv, start_block + begin,
-                    out[begin * BLOCK_SIZE : (begin + step) * BLOCK_SIZE])
-        for begin in range(0, nblocks, step)
-    ]
-    for future in futures:
-        future.result()
 
 
 class _CtrFast:
@@ -515,7 +405,8 @@ class _CtrFast:
             return
         nblocks = (remaining + BLOCK_SIZE - 1) // BLOCK_SIZE
         keystream = np.empty(nblocks * BLOCK_SIZE, dtype=np.uint8)
-        _ctr_fill(self._cipher, self._iv, self._next_block, keystream)
+        self._cipher.ctr_keystream_into(self._iv, self._next_block,
+                                        keystream)
         self._next_block += nblocks
         np.bitwise_xor(src_arr[pos:], keystream[:remaining], out=out_arr[pos:])
         self._leftover = keystream[remaining:].tobytes()
@@ -706,7 +597,7 @@ class AesGcm:
     def __init__(self, key: bytes) -> None:
         self._cipher = Aes128(key)
         h = int.from_bytes(self._cipher.encrypt_block(b"\x00" * BLOCK_SIZE), "big")
-        self._tables = _tables_for_subkey(h)
+        self._tables = _SubkeyTables(h)
 
     def _process(self, iv: bytes, data: bytes) -> bytes:
         """CTR-transform ``data``; encryption and decryption share this body."""

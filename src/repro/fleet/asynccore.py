@@ -38,6 +38,8 @@ import struct
 import threading
 from typing import Callable, Iterator, List, Optional, Tuple
 
+from repro.errors import FleetError
+
 #: Name of the event-loop backend, recorded in ``BENCH_fleet.json`` so a
 #: benchmark artifact says what core produced it.
 LOOP_BACKEND = "selectors"
@@ -52,7 +54,7 @@ _PREFIX = struct.Struct(">BQ")
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 
-class FrameError(Exception):
+class FrameError(FleetError):
     """Corrupt framing: oversized or impossible length prefix."""
 
 

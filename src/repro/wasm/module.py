@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
+from repro.errors import LinkError
 from repro.wasm.types import BlockType, FuncType, GlobalType, Limits, ValType
 
 
@@ -127,4 +128,4 @@ class Module:
         for export in self.exports:
             if export.name == name:
                 return export
-        raise KeyError(f"no export named {name!r}")
+        raise LinkError(f"no export named {name!r}")

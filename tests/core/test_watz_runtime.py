@@ -12,7 +12,12 @@ from repro.core.runtime import (
     RELOCATION_OVERHEAD_FACTOR,
 )
 from repro.core.measurement import measure_bytes
-from repro.errors import TeeAccessDenied, TeeBadParameters, TeeOutOfMemory
+from repro.errors import (
+    LinkError,
+    TeeAccessDenied,
+    TeeBadParameters,
+    TeeOutOfMemory,
+)
 from repro.walc import compile_source
 
 _APP = """
@@ -179,6 +184,69 @@ def test_unknown_command_rejected(watz):
     _, session, _, _ = watz
     with pytest.raises(TeeBadParameters):
         session.invoke(77, {})
+
+
+#: Normal-world parameters the TA must refuse with a typed error: (case,
+#: command, params from (app handle, binary, staged shared buffer), error).
+_HOSTILE_PARAMS = [
+    ("unknown export", CMD_INVOKE,
+     lambda app, binary, buf: {"app": app, "function": "missing"}, LinkError),
+    ("no function", CMD_INVOKE,
+     lambda app, binary, buf: {"app": app}, TeeBadParameters),
+    ("function not a name", CMD_INVOKE,
+     lambda app, binary, buf: {"app": app, "function": 7}, TeeBadParameters),
+    ("list as app", CMD_INVOKE,
+     lambda app, binary, buf: {"app": [app], "function": "add"},
+     TeeBadParameters),
+    ("args not a list", CMD_INVOKE,
+     lambda app, binary, buf: {"app": app, "function": "add", "args": 5},
+     TeeBadParameters),
+    ("string args", CMD_INVOKE,
+     lambda app, binary, buf: {"app": app, "function": "add",
+                               "args": ("20", "22")}, TeeBadParameters),
+    ("list as params", CMD_INVOKE,
+     lambda app, binary, buf: [app, "add"], TeeBadParameters),
+    ("no bytecode", CMD_LOAD, lambda app, binary, buf: {}, TeeBadParameters),
+    ("bytes as bytecode", CMD_LOAD,
+     lambda app, binary, buf: {"bytecode": binary}, TeeBadParameters),
+    ("size past the buffer", CMD_LOAD,
+     lambda app, binary, buf: {"bytecode": buf, "size": buf.size + 1},
+     TeeBadParameters),
+    ("unknown engine", CMD_LOAD,
+     lambda app, binary, buf: {"bytecode": buf, "engine": "jit"},
+     TeeBadParameters),
+    ("list as engine", CMD_LOAD,
+     lambda app, binary, buf: {"bytecode": buf, "engine": ["aot"]},
+     TeeBadParameters),
+    ("list as unload handle", CMD_UNLOAD,
+     lambda app, binary, buf: {"app": [app]}, TeeBadParameters),
+]
+
+
+@pytest.mark.parametrize("engine_name", ["interpreter", "aot"])
+def test_malformed_params_fail_typed(device, engine_name):
+    """Nothing the normal world passes escapes the TA untyped, and the
+    TA neither charges secure memory for nor dies on a refused command."""
+    session = device.open_watz(heap_size=4 * 1024 * 1024, engine=engine_name)
+    binary = compile_source(_APP)
+    app = device.load_wasm(session, binary)["app"]
+    buf = device.client.allocate_shared_memory(len(binary))
+    buf.write(0, binary)
+    heap_used = session.api.heap_used
+    escaped = []
+    for case, command, make_params, expected in _HOSTILE_PARAMS:
+        try:
+            session.invoke(command, make_params(app, binary, buf))
+        except expected:
+            continue
+        except Exception as exc:  # noqa: BLE001 - the escape under test
+            escaped.append((case, type(exc).__name__))
+        else:
+            escaped.append((case, "accepted"))
+    buf.free()
+    assert escaped == []
+    assert session.api.heap_used == heap_used
+    assert device.run_wasm(session, app, "add", 20, 22) == 42
 
 
 def test_entry_point_runs_at_load(device):

@@ -22,7 +22,7 @@ from repro.workloads.attested import build_attested_app
 
 _SECRET = b"the attested payload" * 10
 #: Big enough that the striped GHASH and chunked pipeline actually engage
-#: (>= gcm._VECTOR_MIN_BLOCKS blocks) while the reference stays quick.
+#: (>= gcm._STRIPE_BUILD_MIN_BLOCKS blocks) while the reference stays quick.
 _BULK_SECRET = bytes(range(256)) * 16 * 75  # 300 KiB
 _ATTESTATION_PRIVATE = 0xA77E57 + 99
 _VERIFIER_PRIVATE = 0x5EC2E7 + 7

@@ -1,11 +1,27 @@
-"""AES-GCM: McGrew–Viega vectors, tamper detection, property tests."""
+"""AES-GCM: McGrew–Viega vectors, tamper detection, property tests, and
+the GHASH tables checked entry by entry against bit-serial multiplication."""
 
 import binascii
+import gc
+import random
+import sys
+import threading
+import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.gcm import AesGcm
+from repro.crypto import gcm
+from repro.crypto.gcm import (
+    STRIPE_WIDTH,
+    AesGcm,
+    _STRIPE_BUILD_MIN_BLOCKS,
+    _StripeTables,
+    _SubkeyTables,
+    _build_ghash_tables,
+    _gf_mult,
+)
 from repro.errors import AuthenticationError, CryptoError
 
 h = binascii.unhexlify
@@ -100,3 +116,127 @@ def test_roundtrip_property(plaintext, aad):
     sealed = gcm.seal(b"v" * 12, plaintext, aad)
     assert len(sealed) == len(plaintext) + 16
     assert gcm.open(b"v" * 12, sealed, aad) == plaintext
+
+
+# --- table construction against the bit-serial oracle ----------------------------
+
+#: Seeded random subkeys plus edge elements: x^127 (integer 1), the unit
+#: x^0 (integer 2^127), the all-ones element and the reduction constant.
+_SUBKEYS = random.Random(16).getrandbits(256).to_bytes(32, "big")
+_SUBKEYS = [int.from_bytes(_SUBKEYS[:16], "big"),
+            int.from_bytes(_SUBKEYS[16:], "big"),
+            1, 1 << 127, (1 << 128) - 1, 0xE1 << 120]
+
+
+def _bit_serial_powers(h, count):
+    powers = [h]
+    for _ in range(count - 1):
+        powers.append(_gf_mult(powers[-1], h))
+    return powers
+
+
+@pytest.mark.parametrize("h", _SUBKEYS, ids=hex)
+def test_scalar_tables_match_bit_serial_products(h):
+    tables = _build_ghash_tables(h)
+    assert [len(row) for row in tables] == [256] * 16
+    for pos, row in enumerate(tables):
+        for b, entry in enumerate(row):
+            assert entry == _gf_mult(b << 8 * (15 - pos), h), (pos, b)
+
+
+@pytest.mark.parametrize("h", _SUBKEYS[:2] + _SUBKEYS[-1:], ids=hex)
+def test_stripe_tables_match_bit_serial_products(h):
+    stripes = _StripeTables(h, _build_ghash_tables(h))
+    powers = _bit_serial_powers(h, STRIPE_WIDTH)  # powers[k] = H^(k+1)
+    rng = random.Random(h & 0xFFFF)
+    for _ in range(256):
+        pos, b, j = rng.randrange(16), rng.randrange(256), \
+            rng.randrange(STRIPE_WIDTH)
+        hi, lo = stripes.gather[pos][b * STRIPE_WIDTH + j:][:1] \
+            .view(np.uint64).tolist()
+        expected = _gf_mult(b << 8 * (15 - pos), powers[STRIPE_WIDTH - 1 - j])
+        assert (hi << 64) | lo == expected, (pos, b, j)
+    assert stripes.horner == _build_ghash_tables(powers[-1])
+
+
+def _bulk(nblocks):
+    return bytes(range(256)) * (nblocks // 16) + bytes(nblocks % 16 * 16)
+
+
+def test_fresh_key_small_secret_builds_no_stripe_tables():
+    sealer, opener = AesGcm(b"s" * 16), AesGcm(b"s" * 16)
+    secret = _bulk(256)  # the fleet-attest 4 KiB secret
+    assert opener.open(b"i" * 12, sealer.seal(b"i" * 12, secret)) == secret
+    assert sealer._tables.stripes is None
+    assert opener._tables.stripes is None
+
+
+def test_stripe_tables_built_once_per_instance(monkeypatch):
+    builds, striped_folds = [], []
+    real_fold = gcm._fold_striped
+
+    class CountingStripeTables(_StripeTables):
+        def __init__(self, *args):
+            builds.append(args[0])
+            super().__init__(*args)
+
+    def counting_fold(*args):
+        striped_folds.append(len(args[2]))
+        return real_fold(*args)
+
+    monkeypatch.setattr(gcm, "_StripeTables", CountingStripeTables)
+    monkeypatch.setattr(gcm, "_fold_striped", counting_fold)
+    cipher = AesGcm(b"b" * 16)
+    cipher.seal(b"i" * 12, _bulk(_STRIPE_BUILD_MIN_BLOCKS - 1))
+    assert builds == [] and striped_folds == []
+    sealed = cipher.seal(b"i" * 12, _bulk(_STRIPE_BUILD_MIN_BLOCKS))
+    assert len(builds) == 1
+    stripes = cipher._tables.stripes
+    for nblocks in (STRIPE_WIDTH - 1, STRIPE_WIDTH, 4 * STRIPE_WIDTH + 3):
+        cipher.seal(b"i" * 12, _bulk(nblocks))
+    assert cipher.open(b"i" * 12, sealed) == _bulk(_STRIPE_BUILD_MIN_BLOCKS)
+    assert len(builds) == 1
+    assert cipher._tables.stripes is stripes
+    # The 63-block fold stays scalar; 64 and 259 blocks reuse the tables.
+    assert striped_folds == [_STRIPE_BUILD_MIN_BLOCKS, STRIPE_WIDTH,
+                             4 * STRIPE_WIDTH, _STRIPE_BUILD_MIN_BLOCKS]
+    other = AesGcm(b"b" * 16)
+    other.seal(b"i" * 12, _bulk(STRIPE_WIDTH))
+    assert len(builds) == 1  # a second instance does not share or build
+
+
+def test_dropped_cipher_releases_its_tables():
+    cipher = AesGcm(b"w" * 16)
+    cipher.seal(b"i" * 12, _bulk(_STRIPE_BUILD_MIN_BLOCKS))
+    assert isinstance(cipher._tables, _SubkeyTables)
+    tables = weakref.ref(cipher._tables)
+    stripes = weakref.ref(cipher._tables.stripes)
+    del cipher
+    gc.collect()
+    assert tables() is None
+    assert stripes() is None
+
+
+def test_threads_sharing_one_cipher_agree():
+    """Threads folding past the threshold on one instance at once may each
+    build stripe tables; whichever lands, every tag matches the reference."""
+    cipher = AesGcm(b"t" * 16)
+    plaintext = _bulk(_STRIPE_BUILD_MIN_BLOCKS + 5)
+    with gcm.reference_paths():
+        expected = cipher.seal(b"i" * 12, plaintext)
+    results = []
+    threads = [threading.Thread(
+        target=lambda: results.append(cipher.seal(b"i" * 12, plaintext)))
+        for _ in range(4)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * 4
+    assert cipher._tables.stripes is not None

@@ -3,7 +3,8 @@
 The vectorised CTR/GHASH pipeline and the retained per-block reference
 must compute the *same function* for every input: identical ciphertext,
 identical tag, identical accept/reject decision — across sizes spanning
-the scalar/striped threshold and the stripe width, every chunking of the
+the stripe width and the stripe-table build threshold, on fresh instances
+and on instances that already hold stripe tables, every chunking of the
 streaming API, and every tamper position. Hypothesis drives randomised
 cases; boundary sizes are enumerated exhaustively.
 """
@@ -18,7 +19,7 @@ from repro.crypto.gcm import (
     STRIPE_WIDTH,
     TAG_SIZE,
     AesGcm,
-    _VECTOR_MIN_BLOCKS,
+    _STRIPE_BUILD_MIN_BLOCKS,
 )
 from repro.errors import AuthenticationError
 
@@ -27,16 +28,19 @@ _KEY = b"\x9a" * 16
 _IV = b"\x5b" * 12
 
 # Sizes around every algorithmic boundary: empty, sub-block, block edges,
-# the scalar->striped threshold (_VECTOR_MIN_BLOCKS blocks), one and two
-# stripe widths, the threading threshold, and megabyte scale (3 MB is the
-# largest point of Fig. 7).
+# one stripe (the least a striped fold takes), two stripe widths, one block
+# either side of the stripe-table build threshold, and megabyte scale
+# (3 MB is the largest point of Fig. 7).
 _EDGE_SIZES = [
     0, 1, 15, 16, 17,
-    _VECTOR_MIN_BLOCKS * _BLOCK - 1,
-    _VECTOR_MIN_BLOCKS * _BLOCK,
-    _VECTOR_MIN_BLOCKS * _BLOCK + 1,
+    STRIPE_WIDTH * _BLOCK - 1,
+    STRIPE_WIDTH * _BLOCK,
+    STRIPE_WIDTH * _BLOCK + 1,
     STRIPE_WIDTH * _BLOCK * 2 + 7,
     4096,
+    (_STRIPE_BUILD_MIN_BLOCKS - 1) * _BLOCK,
+    _STRIPE_BUILD_MIN_BLOCKS * _BLOCK,
+    (_STRIPE_BUILD_MIN_BLOCKS + 1) * _BLOCK,
 ]
 _BULK_SIZES = [1 << 20, 3 << 20]
 
@@ -61,6 +65,23 @@ def _both_paths(fn):
 @pytest.mark.parametrize("size", _EDGE_SIZES)
 def test_seal_matches_reference_at_boundaries(size):
     cipher = AesGcm(_KEY)
+    plaintext = _material(size)
+    aad = _material(29, b"aad")
+    fast, reference = _both_paths(lambda: cipher.seal(_IV, plaintext, aad))
+    assert fast == reference
+    opened, opened_ref = _both_paths(lambda: cipher.open(_IV, fast, aad))
+    assert opened == plaintext
+    assert opened_ref == plaintext
+
+
+@pytest.mark.parametrize("size", _EDGE_SIZES)
+def test_warm_instance_matches_reference_at_boundaries(size):
+    """Once a fold past the build threshold has built stripe tables, every
+    fold of at least one stripe takes the striped branch: 63, 64 and 65
+    blocks now run scalar, striped, and striped plus a scalar tail."""
+    cipher = AesGcm(_KEY)
+    cipher.seal(_IV, _material((_STRIPE_BUILD_MIN_BLOCKS + 1) * _BLOCK, b"w"))
+    assert cipher._tables.stripes is not None
     plaintext = _material(size)
     aad = _material(29, b"aad")
     fast, reference = _both_paths(lambda: cipher.seal(_IV, plaintext, aad))

@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+from repro.errors import FleetError, ReproError
 from repro.fleet.asynccore import (
     MAX_FRAME_BYTES,
     FrameError,
@@ -117,6 +118,14 @@ def test_oversized_length_rejected_at_header_time():
     reader.feed((2**31).to_bytes(4, "big"))
     with pytest.raises(FrameError):
         _drain(reader)
+
+
+def test_frame_error_is_a_typed_fleet_error():
+    reader = FrameReader()
+    reader.feed((2**31).to_bytes(4, "big"))
+    with pytest.raises(FleetError):
+        _drain(reader)
+    assert issubclass(FrameError, ReproError)
 
 
 def test_oversized_length_never_allocates_body_space():

@@ -208,7 +208,7 @@ def test_export_lookup_errors(engine):
     f = builder.add_function(t)
     builder.export_function("only", f.index)
     instance = engine.instantiate(builder.build())
-    with pytest.raises(KeyError):
+    with pytest.raises(LinkError):
         instance.invoke("missing")
 
 
