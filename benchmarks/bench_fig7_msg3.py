@@ -10,7 +10,9 @@ decryption (attester) costs. Two measurements here:
   (vectorised streaming pipeline vs scalar reference), exported as
   ``BENCH_msg3.json`` with per-size MB/s so the speedup trajectory is
   diffable across PRs — once with a warm key, and once with a fresh key
-  at each end, as every session's verifier and attester pay it.
+  at each end, as every session's verifier and attester pay it. The CI
+  smoke test measures two sizes only and writes its own
+  ``BENCH_msg3_smoke.json``, so it never overwrites the sweep.
 
 Two gates, armed on every host and re-measured once against noise before
 they may fail: with a warm key the fast path holds >= 5x over the
@@ -210,9 +212,9 @@ def _gates_hold(gates) -> bool:
                for gate in gates.values() for value in gate["values"])
 
 
-def _gated_series(sizes):
+def _gated_series(sizes, name):
     """Measure both series, re-measure once if a gate misses, and save
-    ``BENCH_msg3.json`` with each gate's record before it is asserted."""
+    ``<name>.json`` with each gate's record before it is asserted."""
     entries, fresh = _gcm_series(sizes), _fresh_key_series()
     gates = _gates(entries, fresh)
     retried = not _gates_hold(gates)
@@ -221,7 +223,7 @@ def _gated_series(sizes):
         gates = _gates(entries, fresh)
     for gate in gates.values():
         gate.update(asserted=True, retried=retried, reason=_GATE_REASON)
-    save_json("BENCH_msg3", {
+    save_json(name, {
         "series": "fig7_msg3",
         "stripe_width": STRIPE_WIDTH,
         "stripe_build_min_blocks": _STRIPE_BUILD_MIN_BLOCKS,
@@ -271,7 +273,7 @@ def test_fig7_msg3_scaling(benchmark):
         "(paper vs measured)",
         ["blob size", "paper", "measured", "note"], rows,
     ))
-    entries, fresh, gates = _gated_series(SIZES)
+    entries, fresh, gates = _gated_series(SIZES, "BENCH_msg3")
     save_report("fig7_msg3_paths", _entries_table(entries, fresh))
     # Shape: linear scaling — 3 MB costs roughly 6x the 0.5 MB time
     # (wide band: the constant ECDSA cost of handle_msg2 flattens the
@@ -295,9 +297,9 @@ def test_msg3_throughput_smoke():
     reference at 4 KiB and 256 KiB.
 
     Mirrors the DESIGN.md §14 gate pattern: one re-measure against runner
-    noise before a gate may fail, and ``BENCH_msg3.json`` records each
-    gate's values, whether it was retried, and why it is asserted.
+    noise before a gate may fail, and ``BENCH_msg3_smoke.json`` records
+    each gate's values, whether it was retried, and why it is asserted.
     """
-    entries, fresh, gates = _gated_series(_SMOKE_SIZES)
+    entries, fresh, gates = _gated_series(_SMOKE_SIZES, "BENCH_msg3_smoke")
     save_report("msg3_throughput_smoke", _entries_table(entries, fresh))
     assert _gates_hold(gates), gates

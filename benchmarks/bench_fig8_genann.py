@@ -28,6 +28,10 @@ SIZES = [100 * 1024, 400 * 1024, 700 * 1024, 1024 * 1024]
 _EPOCHS = 1
 _RATE = 0.5
 _RUNS = 3  # the optimised AOT tier trains fast enough to need medians
+#: Why both shape gates are asserted on any host.
+_GATE_REASON = ("WAMR and WaTZ train on the same engine in one process, "
+                "one after the other, so the ratios do not depend on the "
+                "host's CPU count")
 
 
 def _median_train_seconds(instance, records):
@@ -111,11 +115,31 @@ def test_fig8_genann_training(benchmark, testbed, device, verifier_identity):
         rows.append((f"{size // 1024} kB", records,
                      format_duration(wamr_s), format_duration(watz_s),
                      f"{delta * +100:+.1f}%"))
+    growth = [results[-1][2] / results[0][2], results[-1][3] / results[0][3]]
+    median_delta = sorted(deltas)[len(deltas) // 2]
+    gates = {
+        "training_grows_with_dataset": {
+            "metric": "largest / smallest dataset training time "
+                      "(WAMR, WaTZ)",
+            "threshold": 3.0,
+            "values": growth,
+            "asserted": True,
+            "reason": _GATE_REASON,
+        },
+        "watz_tracks_wamr": {
+            "metric": "median |WaTZ - WAMR| / WAMR training time",
+            "threshold": 0.10,
+            "value": median_delta,
+            "asserted": True,
+            "reason": _GATE_REASON,
+        },
+    }
     save_json("BENCH_genann", {
         "epochs": _EPOCHS,
         "rate": _RATE,
         "runs": _RUNS,
         "sizes": sizes_json,
+        "gates": gates,
     })
     save_report("fig8_genann", format_table(
         "Fig. 8 — Genann training time (1 epoch, 4-4-3) — paper finds "
@@ -125,7 +149,6 @@ def test_fig8_genann_training(benchmark, testbed, device, verifier_identity):
     ))
 
     # Shape 1: training time grows with the dataset.
-    assert results[-1][2] > results[0][2] * 3
-    assert results[-1][3] > results[0][3] * 3
+    assert all(value > 3.0 for value in growth), gates
     # Shape 2: WaTZ training matches WAMR (same engine, no TEE penalty).
-    assert sorted(deltas)[len(deltas) // 2] < 0.10
+    assert median_delta < 0.10, gates

@@ -174,129 +174,143 @@ class WatzRuntime(TrustedApplication):
         started = time.perf_counter()
         allocated = size * RELOCATION_OVERHEAD_FACTOR
         api.tee_malloc(allocated)
-        executable_region = api.alloc_executable(size)
-        breakdown.alloc_s = time.perf_counter() - started
+        executable_region = None
+        handle = None
+        try:
+            executable_region = api.alloc_executable(size)
+            breakdown.alloc_s = time.perf_counter() - started
 
-        # Phase 2: runtime initialisation — engine construction and native
-        # symbol registration (the WASI and WASI-RA bindings).
-        started = time.perf_counter()
-        engine = _make_engine(engine_name, tracer=api.tracer)
-        filesystem = None
-        if params.get("filesystem"):
-            # The WASI-FS extension (paper future work): files live in the
-            # TA's GP Trusted Storage and persist across sessions.
-            from repro.wasi.filesystem import (
-                TrustedStorageBacking,
-                WasiFilesystem,
-            )
-
-            filesystem = WasiFilesystem(TrustedStorageBacking(api))
-        wasi_env = WasiEnvironment(
-            args=args,
-            clock_ns=api.get_system_time_ns,
-            random_bytes=api.generate_random,
-            wasi_dispatch=lambda: api.charge_ns(api.costs.wasi_dispatch_ns),
-            filesystem=filesystem,
-            tracer=api.tracer,
-        )
-        imports = build_wasi_imports(wasi_env)
-        breakdown.runtime_init_s = time.perf_counter() - started
-
-        # Phase 3: loading — copy from the shared buffer into secure
-        # memory, then parse, validate and AOT-process the module. This is
-        # the paper's dominant phase (73% of startup, Fig. 4): "parses the
-        # bytecode and creates the internal structures required to run",
-        # including the relocation processing our AOT compilation stands
-        # in for. The content-addressed code cache skips the parse/validate
-        # (and, below, the per-function compile) when the same binary was
-        # loaded before; the bytecode copy and its SimClock charge are real
-        # data movement and are always paid.
-        cache = codecache.DEFAULT_CACHE if params.get("code_cache", True) \
-            else None
-        started = time.perf_counter()
-        api.charge_ns(api.costs.shared_copy_ns(size))
-        copier = MeasuringCopier()
-        bytecode = copier.copy(shared_buffer.read(0, size))
-        cache_key = None
-        cache_entry = None
-        if cache is not None:
-            cache_key = codecache.CodeCache.module_key(bytecode)
-            cache_entry = cache.lookup(cache_key, engine.cache_identity)
-        if cache_entry is not None:
-            module = cache_entry.module
-        else:
-            module = decode_module(bytecode)
-            validate_module(module)
-            if cache is not None:
-                cache.store(cache_key, engine.cache_identity, module)
-        breakdown.load_s = time.perf_counter() - started
-
-        # Phase 4: measurement (the hash later embedded in evidence).
-        started = time.perf_counter()
-        measurement = copier.finish()
-        breakdown.hash_s = time.perf_counter() - started
-
-        # WASI-RA needs the finished measurement as its claim.
-        wasi_ra = WasiRa(api, measurement.digest,
-                         Attester(api.generate_random,
-                                  params.get("recorder")))
-        imports.update(build_wasi_ra_imports(wasi_ra))
-
-        # Optional host-call recording (repro.obs): the log replays the
-        # execution as a standalone deterministic benchmark.
-        hostcall_log = None
-        if params.get("record_hostcalls"):
-            from repro.obs.record import record_host_calls
-
-            imports, hostcall_log = record_host_calls(imports)
-
-        # Phase 5: instantiation — memory/table/global setup and linking.
-        # The engine's per-function lowering is charged to the load phase,
-        # where WAMR's relocation work lives.
-        compile_seconds = [0.0]
-        original_compile = engine.compile_function
-
-        def timed_compile(*compile_args):
-            compile_started = time.perf_counter()
-            compiled = original_compile(*compile_args)
-            compile_seconds[0] += time.perf_counter() - compile_started
-            return compiled
-
-        engine.compile_function = timed_compile
-        started = time.perf_counter()
-        instance = engine.instantiate(
-            module, imports, memory_cap_bytes=api.heap_free,
-            code_cache=cache, cache_key=cache_key,
-        )
-        total_elapsed = time.perf_counter() - started
-        breakdown.load_s += compile_seconds[0]
-        breakdown.instantiate_s = max(0.0, total_elapsed - compile_seconds[0])
-
-        handle = self._next_handle
-        self._next_handle += 1
-        app = LoadedApp(
-            instance=instance,
-            measurement=measurement,
-            wasi_env=wasi_env,
-            wasi_ra=wasi_ra,
-            breakdown=breakdown,
-            allocated_bytes=allocated,
-            executable_region=executable_region,
-            hostcall_log=hostcall_log,
-        )
-        self._apps[handle] = app
-
-        # Phase 6: optional immediate execution of the entry point.
-        if entry is not None:
+            # Phase 2: runtime initialisation — engine construction and
+            # native symbol registration (the WASI and WASI-RA bindings).
             started = time.perf_counter()
-            self._run(app, entry, params.get("entry_args", ()))
-            breakdown.execute_s = time.perf_counter() - started
+            engine = _make_engine(engine_name, tracer=api.tracer)
+            filesystem = None
+            if params.get("filesystem"):
+                # The WASI-FS extension (paper future work): files live in the
+                # TA's GP Trusted Storage and persist across sessions.
+                from repro.wasi.filesystem import (
+                    TrustedStorageBacking,
+                    WasiFilesystem,
+                )
 
-        return {
-            "app": handle,
-            "measurement": measurement.hex,
-            "breakdown": breakdown,
-        }
+                filesystem = WasiFilesystem(TrustedStorageBacking(api))
+            wasi_env = WasiEnvironment(
+                args=args,
+                clock_ns=api.get_system_time_ns,
+                random_bytes=api.generate_random,
+                wasi_dispatch=lambda: api.charge_ns(
+                    api.costs.wasi_dispatch_ns),
+                filesystem=filesystem,
+                tracer=api.tracer,
+            )
+            imports = build_wasi_imports(wasi_env)
+            breakdown.runtime_init_s = time.perf_counter() - started
+
+            # Phase 3: loading — copy from the shared buffer into secure
+            # memory, then parse, validate and AOT-process the module. This is
+            # the paper's dominant phase (73% of startup, Fig. 4): "parses the
+            # bytecode and creates the internal structures required to run",
+            # including the relocation processing our AOT compilation stands
+            # in for. The content-addressed code cache skips the parse/validate
+            # (and, below, the per-function compile) when the same binary was
+            # loaded before; the bytecode copy and its SimClock charge are real
+            # data movement and are always paid.
+            cache = codecache.DEFAULT_CACHE if params.get("code_cache", True) \
+                else None
+            started = time.perf_counter()
+            api.charge_ns(api.costs.shared_copy_ns(size))
+            copier = MeasuringCopier()
+            bytecode = copier.copy(shared_buffer.read(0, size))
+            cache_key = None
+            cache_entry = None
+            if cache is not None:
+                cache_key = codecache.CodeCache.module_key(bytecode)
+                cache_entry = cache.lookup(cache_key, engine.cache_identity)
+            if cache_entry is not None:
+                module = cache_entry.module
+            else:
+                module = decode_module(bytecode)
+                validate_module(module)
+                if cache is not None:
+                    cache.store(cache_key, engine.cache_identity, module)
+            breakdown.load_s = time.perf_counter() - started
+
+            # Phase 4: measurement (the hash later embedded in evidence).
+            started = time.perf_counter()
+            measurement = copier.finish()
+            breakdown.hash_s = time.perf_counter() - started
+
+            # WASI-RA needs the finished measurement as its claim.
+            wasi_ra = WasiRa(api, measurement.digest,
+                             Attester(api.generate_random,
+                                      params.get("recorder")))
+            imports.update(build_wasi_ra_imports(wasi_ra))
+
+            # Optional host-call recording (repro.obs): the log replays the
+            # execution as a standalone deterministic benchmark.
+            hostcall_log = None
+            if params.get("record_hostcalls"):
+                from repro.obs.record import record_host_calls
+
+                imports, hostcall_log = record_host_calls(imports)
+
+            # Phase 5: instantiation — memory/table/global setup and linking.
+            # The engine's per-function lowering is charged to the load phase,
+            # where WAMR's relocation work lives.
+            compile_seconds = [0.0]
+            original_compile = engine.compile_function
+
+            def timed_compile(*compile_args):
+                compile_started = time.perf_counter()
+                compiled = original_compile(*compile_args)
+                compile_seconds[0] += time.perf_counter() - compile_started
+                return compiled
+
+            engine.compile_function = timed_compile
+            started = time.perf_counter()
+            instance = engine.instantiate(
+                module, imports, memory_cap_bytes=api.heap_free,
+                code_cache=cache, cache_key=cache_key,
+            )
+            total_elapsed = time.perf_counter() - started
+            breakdown.load_s += compile_seconds[0]
+            breakdown.instantiate_s = max(
+                0.0, total_elapsed - compile_seconds[0])
+
+            handle = self._next_handle
+            self._next_handle += 1
+            app = LoadedApp(
+                instance=instance,
+                measurement=measurement,
+                wasi_env=wasi_env,
+                wasi_ra=wasi_ra,
+                breakdown=breakdown,
+                allocated_bytes=allocated,
+                executable_region=executable_region,
+                hostcall_log=hostcall_log,
+            )
+            self._apps[handle] = app
+
+            # Phase 6: optional immediate execution of the entry point.
+            if entry is not None:
+                started = time.perf_counter()
+                self._run(app, entry, params.get("entry_args", ()))
+                breakdown.execute_s = time.perf_counter() - started
+
+            return {
+                "app": handle,
+                "measurement": measurement.hex,
+                "breakdown": breakdown,
+            }
+        except BaseException:
+            # A load that fails after allocating (a malformed module, a
+            # link error, a trapping entry point) leaves nothing charged
+            # and no half-loaded application behind.
+            self._apps.pop(handle, None)
+            if executable_region is not None:
+                api.free_executable(executable_region)
+            api.tee_free(allocated)
+            raise
 
     # -- execution ------------------------------------------------------------------
 

@@ -23,19 +23,34 @@ Compilation strategy:
   Trapping operations (loads, stores, integer division, float-to-int
   truncation, indirect calls) are never deferred, preserving the spec's
   trap ordering;
-* structured control lowers to ``while True:`` capsules; a branch sets the
-  target label id in ``_br`` and breaks, and every construct's epilogue
-  either consumes the branch or keeps unwinding;
+* structured control lowers to the Python statement it means:
+  :func:`repro.wasm.aotopt.python_loops` marks the constructs some
+  branch targets. An untargeted ``block``/``loop`` is a plain suite and
+  an untargeted ``if`` a plain ``if``/``else``; a targeted ``loop`` is
+  one ``while True:`` whose back edges are ``continue``; a branch to a
+  block whose ``end`` directly follows an inner Python loop's ``end`` is
+  that loop's ``break``; any other targeted block is a ``while True:``
+  capsule left by ``break``. Only a branch that crosses a Python loop it
+  does not target sets ``_br`` and breaks, and only the loops it crosses
+  get the epilogue that keeps unwinding or consumes it;
 * branches to the function frame compile to direct ``return`` statements;
-* dead code after an unconditional transfer is skipped entirely.
+* dead code after an unconditional transfer is skipped entirely;
+* a function with no ``call``/``call_indirect`` (a leaf) checks the call
+  depth inline; every other function enters and leaves its frame through
+  ``Instance.enter_call``/``exit_call`` around a ``try``/``finally``.
 
 On top of that lowering sit the optimisation passes, fed by the loop
 analysis in :mod:`repro.wasm.aotopt`: value ranges (mask elimination,
-signed-compare elision), loop-invariant code motion, typed-memory-plane
+signed compares and conversions without a call, ``/`` for a divisor
+proven nonzero), loop-invariant code motion, typed-memory-plane
 accesses where an access is provably aligned, and loop versioning with
 the bounds checks hoisted into one preflight test. The interpreter is the
 semantic oracle: results and trap type, ordering and messages are
 identical.
+
+CPython's ``compile()`` nests at most 20 loops (``try`` counts as one)
+and about 100 indentation levels; a function past either limit fails to
+load with a :class:`~repro.errors.WasmError` naming it.
 """
 
 from __future__ import annotations
@@ -49,8 +64,8 @@ from repro.wasm import numerics as num
 from repro.wasm import opcodes as op
 from repro.wasm.interpreter import _fdiv
 from repro.wasm.module import Function, Module
-from repro.wasm.runtime import (Engine, Instance, Memory, S_F32, S_F64, S_I16,
-                                S_I32, S_I64)
+from repro.wasm.runtime import (MAX_CALL_DEPTH, Engine, Instance, Memory,
+                                S_F32, S_F64, S_I16, S_I32, S_I64)
 from repro.wasm.types import ValType
 
 _MASK32 = "0xFFFFFFFF"
@@ -105,6 +120,13 @@ _BINOPS: Dict[int, str] = {
     op.F32_COPYSIGN: "_copysign({a}, {b})",
 }
 
+# Float division by a divisor proven nonzero: ``_fdiv`` returns exactly
+# ``lhs / rhs`` whenever ``rhs != 0.0``, so plain ``/`` is the same result.
+_PLAIN_FDIV: Dict[int, str] = {
+    op.F64_DIV: "{a} / {b}",
+    op.F32_DIV: "_f32r({a} / {b})",
+}
+
 # Trapping binary operators (division family): always materialised.
 _TRAPPING_BINOPS: Dict[int, str] = {
     op.I32_DIV_S: "_divs({a}, {b}, 32)",
@@ -121,23 +143,15 @@ _TRAPPING_BINOPS: Dict[int, str] = {
 _RELOPS: Dict[int, str] = {
     op.I32_EQ: "{a} == {b}",
     op.I32_NE: "{a} != {b}",
-    op.I32_LT_S: "_s32({a}) < _s32({b})",
     op.I32_LT_U: "{a} < {b}",
-    op.I32_GT_S: "_s32({a}) > _s32({b})",
     op.I32_GT_U: "{a} > {b}",
-    op.I32_LE_S: "_s32({a}) <= _s32({b})",
     op.I32_LE_U: "{a} <= {b}",
-    op.I32_GE_S: "_s32({a}) >= _s32({b})",
     op.I32_GE_U: "{a} >= {b}",
     op.I64_EQ: "{a} == {b}",
     op.I64_NE: "{a} != {b}",
-    op.I64_LT_S: "_s64({a}) < _s64({b})",
     op.I64_LT_U: "{a} < {b}",
-    op.I64_GT_S: "_s64({a}) > _s64({b})",
     op.I64_GT_U: "{a} > {b}",
-    op.I64_LE_S: "_s64({a}) <= _s64({b})",
     op.I64_LE_U: "{a} <= {b}",
-    op.I64_GE_S: "_s64({a}) >= _s64({b})",
     op.I64_GE_U: "{a} >= {b}",
     op.F32_EQ: "{a} == {b}",
     op.F64_EQ: "{a} == {b}",
@@ -156,12 +170,15 @@ _RELOPS: Dict[int, str] = {
 # NaN-reading comparisons re-evaluate {a}/{b}; those must stay variables.
 _MULTI_USE_RELOPS = {op.F32_NE, op.F64_NE}
 
-# Signed comparisons: operands that are literals fold through _s32/_s64 at
-# compile time (loop bounds are almost always constants).
+# Signed comparisons: (bit width, Python operator); see _signed_condition.
 _SIGNED_RELOPS = {
-    op.I32_LT_S: 32, op.I32_GT_S: 32, op.I32_LE_S: 32, op.I32_GE_S: 32,
-    op.I64_LT_S: 64, op.I64_GT_S: 64, op.I64_LE_S: 64, op.I64_GE_S: 64,
+    op.I32_LT_S: (32, "<"), op.I32_GT_S: (32, ">"),
+    op.I32_LE_S: (32, "<="), op.I32_GE_S: (32, ">="),
+    op.I64_LT_S: (64, "<"), op.I64_GT_S: (64, ">"),
+    op.I64_LE_S: (64, "<="), op.I64_GE_S: (64, ">="),
 }
+
+_MIRRORED = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
 # Integer binops whose literal-literal results fold at compile time.
 _FOLDABLE_BINOPS = {
@@ -173,7 +190,6 @@ _FOLDABLE_BINOPS = {
 
 _FOLD_NAMESPACE = {
     "_shrs": num.shr_s, "_rotl": num.rotl, "_rotr": num.rotr,
-    "_s32": num.s32, "_s64": num.s64,
 }
 
 # Pure unary operators: opcode -> template over {a}.
@@ -200,15 +216,15 @@ _UNOPS: Dict[int, str] = {
     op.F32_SQRT: "_f32r(_fsqrt({a}))",
     op.I32_WRAP_I64: "{a} & " + _MASK32,
     op.I64_EXTEND_I32_U: "{a}",
-    op.I64_EXTEND_I32_S: "_s32({a}) & " + _MASK64,
-    op.F32_CONVERT_I32_S: "_f32r(float(_s32({a})))",
+    op.I64_EXTEND_I32_S: "{a} & " + _MASK64,
+    op.F32_CONVERT_I32_S: "_f32r(float({a}))",
     op.F32_CONVERT_I32_U: "_f32r(float({a}))",
-    op.F32_CONVERT_I64_S: "_f32r(float(_s64({a})))",
+    op.F32_CONVERT_I64_S: "_f32r(float({a}))",
     op.F32_CONVERT_I64_U: "_f32r(float({a}))",
     op.F32_DEMOTE_F64: "_f32r({a})",
-    op.F64_CONVERT_I32_S: "float(_s32({a}))",
+    op.F64_CONVERT_I32_S: "float({a})",
     op.F64_CONVERT_I32_U: "float({a})",
-    op.F64_CONVERT_I64_S: "float(_s64({a}))",
+    op.F64_CONVERT_I64_S: "float({a})",
     op.F64_CONVERT_I64_U: "float({a})",
     op.F64_PROMOTE_F32: "{a}",
     op.I32_REINTERPRET_F32: "_ri32f32({a})",
@@ -220,6 +236,22 @@ _UNOPS: Dict[int, str] = {
     op.I64_EXTEND8_S: "_ext({a}, 8, 64)",
     op.I64_EXTEND16_S: "_ext({a}, 16, 64)",
     op.I64_EXTEND32_S: "_ext({a}, 32, 64)",
+}
+
+# Unary operators that read their operand signed, by bit width: ``{a}``
+# is the operand's signed reading (see ``_signed_reading``).
+_SIGNED_UNOPS = {
+    op.I64_EXTEND_I32_S: 32,
+    op.F32_CONVERT_I32_S: 32, op.F32_CONVERT_I64_S: 64,
+    op.F64_CONVERT_I32_S: 32, op.F64_CONVERT_I64_S: 64,
+}
+
+# Int-to-float conversions: their result is nonzero when the operand's
+# (signed, for the _S forms) reading is proven >= 1.
+_INT_TO_FLOAT = {
+    op.F32_CONVERT_I32_S, op.F32_CONVERT_I32_U, op.F32_CONVERT_I64_S,
+    op.F32_CONVERT_I64_U, op.F64_CONVERT_I32_S, op.F64_CONVERT_I32_U,
+    op.F64_CONVERT_I64_S, op.F64_CONVERT_I64_U,
 }
 
 # Trapping unary operators (float-to-int truncation): materialised.
@@ -329,8 +361,11 @@ class _Value:
 
     * ``lo``/``hi`` — a proven inclusive range of the (canonical,
       non-negative) integer value; ``None`` when unknown. The passes use
-      it to drop ``& MASK``s on values already in range and to elide
-      ``_s32``/``_s64`` on signed compares of values below the sign bit.
+      it to drop ``& MASK``s on values already in range and to compare
+      and convert values below the sign bit without the sign flip.
+    * ``nonzero`` — a float proven nonzero (a nonzero literal, or the
+      conversion of an integer proven >= 1): a divisor that needs no
+      ``_fdiv``.
     * ``affine`` — the *real-arithmetic* (unwrapped) form of the value as
       ``{local_index: coefficient, -1: constant}`` with all coefficients
       non-negative, or ``None``. ``expr`` may wrap (masks); ``affine``
@@ -342,7 +377,8 @@ class _Value:
     """
 
     __slots__ = ("expr", "locals_read", "reads_global", "reads_memory",
-                 "ops", "is_var", "bool_expr", "lo", "hi", "affine", "temps")
+                 "ops", "is_var", "bool_expr", "lo", "hi", "affine", "temps",
+                 "nonzero")
 
     def __init__(self, expr: str, locals_read: FrozenSet[int] = _EMPTY,
                  reads_global: bool = False, reads_memory: bool = False,
@@ -350,7 +386,8 @@ class _Value:
                  bool_expr: Optional[str] = None,
                  lo: Optional[int] = None, hi: Optional[int] = None,
                  affine: Optional[Dict[int, int]] = None,
-                 temps: FrozenSet[str] = _NO_TEMPS) -> None:
+                 temps: FrozenSet[str] = _NO_TEMPS,
+                 nonzero: bool = False) -> None:
         self.expr = expr
         self.locals_read = locals_read
         self.reads_global = reads_global
@@ -364,6 +401,7 @@ class _Value:
         self.hi = hi
         self.affine = affine
         self.temps = temps
+        self.nonzero = nonzero
 
     @classmethod
     def var(cls, name: str) -> "_Value":
@@ -379,7 +417,8 @@ class _Value:
         local's loop-wide maximum, which dominates any captured value.
         """
         return cls(name, ops=0, is_var=True, lo=value.lo, hi=value.hi,
-                   affine=value.affine, temps=frozenset((name,)))
+                   affine=value.affine, temps=frozenset((name,)),
+                   nonzero=value.nonzero)
 
     @property
     def paren(self) -> str:
@@ -405,17 +444,75 @@ def _is_literal(expr: str) -> bool:
     return expr.isdigit() or (expr.startswith("-") and expr[1:].isdigit())
 
 
+def _below_sign(value: _Value, bits: int) -> bool:
+    """Proven below the sign bit: the signed reading is the raw value."""
+    return value.hi is not None and value.hi < 1 << (bits - 1)
+
+
+def _flip_sign(value: _Value, bits: int) -> str:
+    """``value`` with its sign bit flipped, folded for a literal."""
+    sign = 1 << (bits - 1)
+    if value.literal is not None:
+        return str(value.literal ^ sign)
+    return f"({value.paren} ^ {sign})"
+
+
+def _signed_condition(operator: str, lhs: _Value, rhs: _Value,
+                      bits: int) -> str:
+    """A signed comparison, with no call.
+
+    Both operands proven below the sign bit compare directly. With one,
+    ``k``, proven there, and the other, ``x``, a variable: a negative
+    ``x`` (raw value at or above the sign bit) is below every ``k``, so
+    signed ``x < k`` is raw ``x < k or x >= 2^(bits-1)`` and signed
+    ``x > k`` is raw ``k < x < 2^(bits-1)``: one comparison while ``x``
+    is non-negative. Otherwise both sign bits flip, which maps signed
+    order onto unsigned order.
+    """
+    sign = 1 << (bits - 1)
+    lhs_small, rhs_small = _below_sign(lhs, bits), _below_sign(rhs, bits)
+    if lhs_small and rhs_small:
+        return f"{lhs.paren} {operator} {rhs.paren}"
+    x, k = (rhs, lhs) if lhs_small else (lhs, rhs)
+    if (lhs_small or rhs_small) and (x.is_var or x.expr.isidentifier()):
+        if lhs_small:
+            operator = _MIRRORED[operator]
+        if operator in ("<", "<="):
+            return f"{x.expr} {operator} {k.paren} or {x.expr} >= {sign}"
+        return f"{k.paren} {_MIRRORED[operator]} {x.expr} < {sign}"
+    return f"{_flip_sign(lhs, bits)} {operator} {_flip_sign(rhs, bits)}"
+
+
+def _signed_reading(value: _Value, bits: int) -> str:
+    """Source for ``value`` read as a two's-complement integer."""
+    if _below_sign(value, bits):
+        return value.paren
+    if value.literal is not None:
+        signed = num.s32(value.literal) if bits == 32 \
+            else num.s64(value.literal)
+        return f"({signed})"
+    return aotopt.signed_text(value.paren, bits)
+
+
 class _Emitter:
     """Accumulates generated source with explicit indentation control."""
 
     def __init__(self) -> None:
         self.lines: List[str] = []
         self.indent = 0
+        #: Statements emitted so far (preheader inserts do not count), so
+        #: a suite can tell whether it is still empty.
+        self.count = 0
 
     def emit(self, line: str) -> None:
         # Single-space indentation maximises nesting headroom in the
         # tokenizer for deeply nested Wasm control flow.
         self.lines.append(" " * self.indent + line)
+        self.count += 1
+
+    def extend(self, other: "_Emitter") -> None:
+        self.lines.extend(other.lines)
+        self.count += other.count
 
     def source(self) -> str:
         return "\n".join(self.lines) + "\n"
@@ -424,15 +521,25 @@ class _Emitter:
 class _Frame:
     """One open structured construct during compilation."""
 
-    __slots__ = ("kind", "label", "entry_height", "arity", "top_level")
+    __slots__ = ("kind", "label", "entry_height", "arity", "py_loop",
+                 "mark", "unwind")
 
     def __init__(self, kind: int, label: int, entry_height: int,
-                 arity: int, top_level: bool) -> None:
+                 arity: int, py_loop: bool) -> None:
         self.kind = kind
+        #: The opener's instruction index: unique, and stable across the
+        #: two compilations of a versioned loop.
         self.label = label
         self.entry_height = entry_height
         self.arity = arity
-        self.top_level = top_level
+        #: Lowered to a ``while True:`` (see ``aotopt.python_loops``).
+        self.py_loop = py_loop
+        #: ``_Emitter.count`` when the innermost open suite began.
+        self.mark = 0
+        #: For a Python loop that branches cross: target label -> the
+        #: statement that consumes ``_br`` after this loop, or None to
+        #: keep unwinding.
+        self.unwind: Dict[int, Optional[str]] = {}
 
 
 class _LoopCtx:
@@ -508,7 +615,6 @@ class _FunctionCompiler:
         self.func_type = module.types[func.type_index]
         self.out = _Emitter()
         self.frames: List[_Frame] = []
-        self.next_label = 0
         self.next_temp = 0
         self.next_hoist = 0
         self.stack: List[_Value] = []
@@ -516,6 +622,12 @@ class _FunctionCompiler:
         self.local_types: List[ValType] = \
             list(self.func_type.params) + list(func.locals)
         self.analysis: Dict[int, aotopt.LoopInfo] = aotopt.analyze(func)
+        self.py_loops = aotopt.python_loops(func.body)
+        #: A leaf calls nothing, so nothing can observe its call depth.
+        self.leaf = not any(instr.opcode in (op.CALL, op.CALL_INDIRECT)
+                            for instr in func.body)
+        #: Set once some branch unwinds through ``_br``.
+        self.uses_br = False
         self.loop_ctxs: List[_LoopCtx] = []
         self.fast: Optional[_FastCtx] = None
         #: Depth of versioned-region recompilation (no nested versioning).
@@ -538,10 +650,11 @@ class _FunctionCompiler:
               ops: int = 1, bool_expr: Optional[str] = None,
               lo: Optional[int] = None, hi: Optional[int] = None,
               affine: Optional[Dict[int, int]] = None,
-              temps: FrozenSet[str] = _NO_TEMPS) -> None:
+              temps: FrozenSet[str] = _NO_TEMPS,
+              nonzero: bool = False) -> None:
         value = _Value(expr, locals_read, reads_global, reads_memory, ops,
                        bool_expr=bool_expr, lo=lo, hi=hi, affine=affine,
-                       temps=temps)
+                       temps=temps, nonzero=nonzero)
         self._push_value(value)
 
     def _push_value(self, value: _Value) -> None:
@@ -662,83 +775,124 @@ class _FunctionCompiler:
             else:
                 self.out.emit(f"return s{height - 1}")
             return
-        frame = self.frames[-1 - depth]
-        arity = 0 if frame.kind == op.LOOP else frame.arity
-        base = frame.entry_height
+        target = self.frames[-1 - depth]
+        arity = 0 if target.kind == op.LOOP else target.arity
+        base = target.entry_height
         source_base = height - arity
         for position in range(arity):
             if source_base + position != base + position:
                 self.out.emit(f"s{base + position} = s{source_base + position}")
-        if depth == 0 and frame.kind != op.LOOP:
-            self.out.emit("break")
-        elif depth == 0:
-            # Back edge to the innermost loop: at this point the
-            # innermost Python `while` is that loop's body capsule, whose
-            # body *is* the loop body — `continue` restarts it directly,
-            # skipping the _br unwind machinery.
-            self.out.emit("continue")
+        crossed = [frame for frame in self.frames[len(self.frames) - depth:]
+                   if frame.py_loop]
+        if target.py_loop:
+            action = "continue" if target.kind == op.LOOP else "break"
         else:
-            self.out.emit(f"_br = {frame.label}")
-            self.out.emit("break")
+            # python_loops guarantees the outermost crossed loop ends
+            # where the target does: leaving it is the branch.
+            action = "break"
+            del crossed[0]
+        if not crossed:
+            self.out.emit(action)
+            return
+        # Unwind through the crossed loops: the outermost one consumes
+        # ``_br`` with the action, the inner ones keep breaking.
+        self.uses_br = True
+        self.out.emit(f"_br = {target.label}")
+        self.out.emit("break")
+        crossed[0].unwind[target.label] = action
+        for frame in crossed[1:]:
+            frame.unwind[target.label] = None
 
     def _emit_epilogue(self, frame: _Frame) -> None:
-        """Post-capsule branch bookkeeping for a construct."""
-        if frame.kind == op.LOOP:
-            self.out.emit("if _br >= 0:")
-            self.out.indent += 1
-            self.out.emit(f"if _br == {frame.label}:")
-            self.out.indent += 1
-            self.out.emit("_br = -1")
-            self.out.emit("continue")
-            self.out.indent -= 1
-            self.out.emit("break")
-            self.out.indent -= 1
-            self.out.emit("break")
-            self.out.indent -= 1  # close outer while
-            if not frame.top_level:
-                self.out.emit("if _br >= 0:")
-                self.out.indent += 1
-                self.out.emit("break")
-                self.out.indent -= 1
-        else:
-            self.out.indent -= 1  # close capsule while
-            self.out.emit("if _br >= 0:")
-            self.out.indent += 1
-            if frame.top_level:
-                self.out.emit("_br = -1")
-            else:
-                self.out.emit(f"if _br != {frame.label}: break")
-                self.out.emit("_br = -1")
-            self.out.indent -= 1
+        """After a Python loop that branches cross: route ``_br``."""
+        out = self.out
+        for label, action in frame.unwind.items():
+            if action is not None:
+                out.emit(f"if _br == {label}:")
+                out.indent += 1
+                out.emit("_br = -1")
+                out.emit(action)
+                out.indent -= 1
+        if None in frame.unwind.values():
+            out.emit("if _br >= 0: break")
 
     # -- main pass ---------------------------------------------------------------
 
     def compile(self) -> str:
         func_type = self.func_type
+        out = self.out
         params = [f"l{i}" for i in range(len(func_type.params))]
         name = f"_wasm_f{self.func_index}"
-        self.out.emit(f"def {name}({', '.join(params)}):")
-        self.out.indent += 1
-        self.out.emit("_inst.enter_call()")
-        self.out.emit("try:")
-        self.out.indent += 1
+        out.emit(f"def {name}({', '.join(params)}):")
+        out.indent += 1
+        if self.leaf:
+            # Same trap as Instance.enter_call, without the bookkeeping:
+            # no callee can observe this frame's depth.
+            out.emit(f"if _inst.call_depth >= {MAX_CALL_DEPTH}: "
+                     "_trap('call stack exhausted')")
+        else:
+            out.emit("_inst.enter_call()")
+            out.emit("try:")
+            out.indent += 1
         for offset, valtype in enumerate(self.func.locals):
             index = len(params) + offset
             zero = "0" if valtype.is_integer else "0.0"
-            self.out.emit(f"l{index} = {zero}")
-        self.out.emit("_br = -1")
+            out.emit(f"l{index} = {zero}")
+        body_at = len(out.lines)
         self._compile_range(0, len(self.func.body))
-        self.out.indent -= 1
-        self.out.emit("finally:")
-        self.out.indent += 1
-        self.out.emit("_inst.exit_call()")
-        self.out.indent -= 1
-        self.out.indent -= 1
-        return self.out.source()
+        if self.uses_br:
+            out.lines.insert(body_at, " " * out.indent + "_br = -1")
+        if not self.leaf:
+            out.indent -= 1
+            out.emit("finally:")
+            out.indent += 1
+            out.emit("_inst.exit_call()")
+        return out.source()
 
     def _pop_loop_ctx(self, frame: _Frame) -> None:
         if self.loop_ctxs and self.loop_ctxs[-1].frame is frame:
             self.loop_ctxs.pop()
+
+    def _open(self, kind: int, index: int, arity: int,
+              header: Optional[str] = None) -> _Frame:
+        """Open a construct: its ``while True:`` if it is a Python loop,
+        then ``header`` (an ``if`` line) if given."""
+        frame = _Frame(kind, index, len(self.stack), arity,
+                       index in self.py_loops)
+        self.frames.append(frame)
+        out = self.out
+        if frame.py_loop:
+            out.emit(f"while True:  # {op.name(kind)} @{index}")
+            out.indent += 1
+        if header is not None:
+            out.emit(header)
+            out.indent += 1
+        frame.mark = out.count
+        return frame
+
+    def _end_suite(self, frame: _Frame) -> None:
+        """Dedent out of ``frame``'s open suite, which Python requires to
+        hold a statement."""
+        if self.out.count == frame.mark:
+            self.out.emit("pass")
+        self.out.indent -= 1
+
+    def _close(self, live: bool) -> None:
+        """Close the innermost construct at its ``end``; ``live`` when
+        control can fall off its last arm."""
+        frame = self.frames.pop()
+        self._pop_loop_ctx(frame)
+        out = self.out
+        if frame.kind == op.IF:
+            self._end_suite(frame)
+        if frame.py_loop:
+            # Falling off the body leaves the loop. An if's other arm may
+            # fall through even when this one cannot.
+            if live or frame.kind == op.IF:
+                out.emit("break")
+            self._end_suite(frame)
+            self._emit_epilogue(frame)
+        self._reset_stack(frame.entry_height + frame.arity)
 
     def _compile_range(self, start: int, stop: int) -> None:
         """Compile the instruction range ``[start, stop)``.
@@ -749,7 +903,6 @@ class _FunctionCompiler:
         """
         module = self.module
         body = self.func.body
-        out = self.out
         dead = False
         dead_depth = 0
         skip_until = -1
@@ -762,108 +915,74 @@ class _FunctionCompiler:
             out = self.out
 
             if dead:
+                # Skip unreachable code up to the else/end that closes
+                # the construct the transfer left.
                 if code in (op.BLOCK, op.LOOP, op.IF):
                     dead_depth += 1
-                elif code == op.ELSE and dead_depth == 0:
-                    frame = self.frames[-1]
-                    out.indent -= 1
-                    out.emit("else:")
-                    out.indent += 1
-                    out.emit("pass")
-                    self._reset_stack(frame.entry_height)
-                    dead = False
-                elif code == op.END:
-                    if dead_depth:
+                    continue
+                if code not in (op.ELSE, op.END):
+                    continue
+                if dead_depth:
+                    if code == op.END:
                         dead_depth -= 1
-                    elif not self.frames:
-                        dead = False
-                    else:
-                        frame = self.frames.pop()
-                        self._pop_loop_ctx(frame)
-                        if frame.kind == op.IF:
-                            out.indent -= 1  # close if/else suite
-                        self._reset_stack(frame.entry_height + frame.arity)
-                        dead = False
-                        if frame.kind == op.LOOP:
-                            out.emit("break")
-                            out.indent -= 1
-                            self._emit_epilogue(frame)
-                        else:
-                            out.emit("break")
-                            self._emit_epilogue(frame)
-                continue
+                    continue
 
             if code == op.NOP:
                 continue
 
             if code == op.BLOCK:
                 self._spill_all()
-                frame = _Frame(code, self.next_label, len(self.stack),
-                               instr.arg.arity, not self.frames)
-                self.next_label += 1
-                self.frames.append(frame)
-                out.emit(f"while True:  # block L{frame.label}")
-                out.indent += 1
-                out.emit("pass")
+                self._open(code, index, instr.arg.arity)
             elif code == op.LOOP:
                 if self._can_version(index):
                     skip_until = self._compile_versioned_loop(index)
                     continue
                 self._spill_all()
-                frame = _Frame(code, self.next_label, len(self.stack),
-                               instr.arg.arity, not self.frames)
-                self.next_label += 1
-                self.frames.append(frame)
                 info = self.analysis.get(index)
-                if info is not None:
+                insert_at, indent = len(out.lines), out.indent
+                frame = self._open(code, index, instr.arg.arity)
+                if frame.py_loop and info is not None:
                     self.loop_ctxs.append(_LoopCtx(index, info, frame, out,
-                                                   len(out.lines),
-                                                   out.indent))
-                out.emit(f"while True:  # loop L{frame.label}")
-                out.indent += 1
-                out.emit("while True:")
-                out.indent += 1
-                out.emit("pass")
+                                                   insert_at, indent))
             elif code == op.IF:
                 condition = self._pop()
                 self._spill_all()
-                frame = _Frame(code, self.next_label, len(self.stack),
-                               instr.arg.arity, not self.frames)
-                self.next_label += 1
-                self.frames.append(frame)
-                out.emit(f"while True:  # if L{frame.label}")
-                out.indent += 1
-                out.emit(f"if {condition.condition}:")
-                out.indent += 1
-                out.emit("pass")
+                if instr.else_target == -1 and condition.literal:
+                    # An `if` on a nonzero literal without `else` (walc's
+                    # scope around a `for` init) always runs: a block.
+                    self._open(op.BLOCK, index, instr.arg.arity)
+                else:
+                    self._open(code, index, instr.arg.arity,
+                               f"if {condition.condition}:")
             elif code == op.ELSE:
                 frame = self.frames[-1]
-                self._spill_all()
-                out.indent -= 1
-                out.emit("else:")
-                out.indent += 1
-                out.emit("pass")
+                if not dead:
+                    self._spill_all()
+                if body[index + 1].opcode != op.END:
+                    self._end_suite(frame)
+                    out.emit("else:")
+                    out.indent += 1
+                    frame.mark = out.count
                 self._reset_stack(frame.entry_height)
+                dead = False
             elif code == op.END:
-                self._spill_all()
                 if not self.frames:
-                    out.emit(f"return {self._result_expr()}")
+                    if not dead:
+                        out.emit(f"return {self._result_expr()}")
+                    dead = False
                     continue
-                frame = self.frames.pop()
-                self._pop_loop_ctx(frame)
-                if frame.kind == op.IF:
-                    out.indent -= 1  # close if (or else) suite
-                self._reset_stack(frame.entry_height + frame.arity)
-                if frame.kind == op.LOOP:
-                    out.emit("break")
-                    out.indent -= 1
-                    self._emit_epilogue(frame)
-                else:
-                    out.emit("break")
-                    self._emit_epilogue(frame)
+                if not dead:
+                    self._spill_all()
+                self._close(live=not dead)
+                dead = False
             elif code == op.BR:
                 self._spill_all()
-                self._emit_branch(instr.arg)
+                # A back edge that is the loop body's last statement is
+                # the `while` falling off its end: nothing to emit.
+                if not (instr.arg == 0 and self.frames
+                        and self.frames[-1].kind == op.LOOP
+                        and body[index + 1].opcode == op.END):
+                    self._emit_branch(instr.arg)
                 dead = True
             elif code == op.BR_IF:
                 condition = self._pop()
@@ -966,13 +1085,15 @@ class _FunctionCompiler:
                     self._push(str(literal), ops=0)
             elif code in (op.F32_CONST, op.F64_CONST):
                 value = instr.arg
+                # NaN != 0.0 too: any divisor but a zero takes plain `/`.
+                nonzero = value != 0.0
                 if math.isnan(value):
-                    self._push("float('nan')", ops=0)
+                    self._push("float('nan')", ops=0, nonzero=nonzero)
                 elif math.isinf(value):
                     sign = "-" if value < 0 else ""
-                    self._push(f"float('{sign}inf')", ops=0)
+                    self._push(f"float('{sign}inf')", ops=0, nonzero=nonzero)
                 else:
-                    self._push(repr(value), ops=0)
+                    self._push(repr(value), ops=0, nonzero=nonzero)
             elif code in _LOADS:
                 width, template = _LOADS[code]
                 address = self._pop()
@@ -1072,8 +1193,11 @@ class _FunctionCompiler:
                 if code in _RANGE_BINOPS:
                     self._push_value(self._range_binop(code, lhs, rhs))
                     continue
+                template = _BINOPS[code]
+                if code in _PLAIN_FDIV and rhs.nonzero:
+                    template = _PLAIN_FDIV[code]
                 self._push(
-                    _BINOPS[code].format(a=lhs.paren, b=rhs.paren),
+                    template.format(a=lhs.paren, b=rhs.paren),
                     locals_read=lhs.locals_read | rhs.locals_read,
                     reads_global=lhs.reads_global or rhs.reads_global,
                     reads_memory=lhs.reads_memory or rhs.reads_memory,
@@ -1085,7 +1209,7 @@ class _FunctionCompiler:
                 lhs = self._pop()
                 self._push_var(
                     _TRAPPING_BINOPS[code].format(a=lhs.expr, b=rhs.expr))
-            elif code in _RELOPS:
+            elif code in _RELOPS or code in _SIGNED_RELOPS:
                 rhs = self._pop()
                 lhs = self._pop()
                 if code in _MULTI_USE_RELOPS:
@@ -1098,23 +1222,8 @@ class _FunctionCompiler:
                     rhs = self._pop()
                     lhs = self._pop()
                 if code in _SIGNED_RELOPS:
-                    bits = _SIGNED_RELOPS[code]
-                    sign_bit = 1 << (bits - 1)
-                    raw = _RELOPS[code].format(a=lhs.paren, b=rhs.paren)
-                    # Fold _sNN(literal) operands into signed literals, and
-                    # elide _sNN entirely on values proven below the sign
-                    # bit (their signed and raw readings coincide).
-                    for operand in (lhs, rhs):
-                        literal = operand.literal
-                        if literal is not None:
-                            signed = num.s32(literal) if bits == 32 \
-                                else num.s64(literal)
-                            raw = raw.replace(
-                                f"_s{bits}({operand.paren})", str(signed), 1)
-                        elif operand.hi is not None and operand.hi < sign_bit:
-                            raw = raw.replace(
-                                f"_s{bits}({operand.paren})",
-                                operand.paren, 1)
+                    bits, operator = _SIGNED_RELOPS[code]
+                    raw = _signed_condition(operator, lhs, rhs, bits)
                 else:
                     raw = _RELOPS[code].format(a=lhs.paren, b=rhs.paren)
                 self._push(
@@ -1141,13 +1250,20 @@ class _FunctionCompiler:
                             and operand.hi < (1 << 31)):
                         self.stack.append(operand)
                         continue
+                text = operand.paren
+                bits = _SIGNED_UNOPS.get(code)
+                if bits:
+                    text = _signed_reading(operand, bits)
                 self._push(
-                    template.format(a=operand.paren),
+                    template.format(a=text),
                     locals_read=operand.locals_read,
                     reads_global=operand.reads_global,
                     reads_memory=operand.reads_memory,
                     ops=operand.ops + 1,
                     temps=operand.temps,
+                    nonzero=(code in _INT_TO_FLOAT and operand.lo is not None
+                             and operand.lo >= 1
+                             and (not bits or _below_sign(operand, bits))),
                 )
             elif code in _TRAPPING_UNOPS:
                 operand = self._pop()
@@ -1382,7 +1498,7 @@ class _FunctionCompiler:
         self._spill_all()
         height = len(self.stack)
         frames_len = len(self.frames)
-        snapshot = (self.next_label, self.next_temp, self.next_hoist)
+        snapshot = (self.next_temp, self.next_hoist)
         outer = self.out
 
         self.version_depth += 1
@@ -1396,11 +1512,11 @@ class _FunctionCompiler:
         self.out = fast_out
         self._compile_range(index, stop)
         self.fast = None
-        fast_counters = (self.next_label, self.next_temp, self.next_hoist)
+        fast_counters = (self.next_temp, self.next_hoist)
 
         del self.frames[frames_len:]
         self._reset_stack(height)
-        self.next_label, self.next_temp, self.next_hoist = snapshot
+        self.next_temp, self.next_hoist = snapshot
 
         conditions = fast.conditions()
         if fast.failed or not conditions or len(conditions) > _MAX_PREFLIGHT:
@@ -1420,15 +1536,14 @@ class _FunctionCompiler:
         self.version_depth -= 1
         self.out = outer
 
-        self.next_label = max(fast_counters[0], self.next_label)
-        self.next_temp = max(fast_counters[1], self.next_temp)
-        self.next_hoist = max(fast_counters[2], self.next_hoist)
+        self.next_temp = max(fast_counters[0], self.next_temp)
+        self.next_hoist = max(fast_counters[1], self.next_hoist)
 
         outer.emit("_ml = len(_m)")
         outer.emit(f"if {' and '.join(conditions)}:")
-        outer.lines.extend(fast_out.lines)
+        outer.extend(fast_out)
         outer.emit("else:")
-        outer.lines.extend(safe_out.lines)
+        outer.extend(safe_out)
 
         del self.frames[frames_len:]
         self._reset_stack(height)
@@ -1477,15 +1592,14 @@ class AotCompiler(Engine):
         if tracer is None:
             compiler = self._make_compiler(module, func_index)
             source = compiler.compile()
-            code = compile(source, f"<wasm-aot f{func_index}>", "exec")
-            return (code, source)
+            return (_pycompile(source, func_index), source)
         with tracer.span("aot.compile", func=func_index):
             with tracer.span("aot.analyze"):
                 compiler = self._make_compiler(module, func_index)
             with tracer.span("aot.codegen"):
                 source = compiler.compile()
             with tracer.span("aot.pycompile"):
-                code = compile(source, f"<wasm-aot f{func_index}>", "exec")
+                code = _pycompile(source, func_index)
         return (code, source)
 
     def link_artifact(self, module: Module, instance: Instance,
@@ -1527,8 +1641,6 @@ class AotCompiler(Engine):
             "_m": instance.memory.data if instance.memory else b"",
             "_tbl": instance.table,
             "_trap": _trap,
-            "_s32": num.s32,
-            "_s64": num.s64,
             "_f32r": num.f32_round,
             "_clz": num.clz,
             "_ctz": num.ctz,
@@ -1581,6 +1693,17 @@ class AotCompiler(Engine):
             namespace[f"_sig{type_index}"] = func_type
         instance._aot_namespace = namespace  # type: ignore[attr-defined]
         return namespace
+
+
+def _pycompile(source: str, func_index: int):
+    """CPython-compile one lowered function; its nesting limits (20
+    loops, ~100 indentation levels) surface as a typed error."""
+    try:
+        return compile(source, f"<wasm-aot f{func_index}>", "exec")
+    except (SyntaxError, RecursionError) as exc:
+        reason = exc.msg if isinstance(exc, SyntaxError) else str(exc)
+        raise WasmError(f"AOT: function {func_index} nests too deeply for "
+                        f"the Python lowering ({reason})") from None
 
 
 def _wrap_entry(compiled: Callable, param_types) -> Callable:

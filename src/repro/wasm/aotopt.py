@@ -45,6 +45,10 @@ mask elimination in :mod:`repro.wasm.aot`):
   local bounds) before entering an unchecked fast path, which inductively
   pins the raw value below 2^31 for the whole loop.
 
+A second pre-pass, :func:`python_loops`, decides the control lowering:
+which ``block``/``loop``/``if`` constructs need a Python ``while True:``
+at all (see its docstring).
+
 Everything here is shape matching over the flat instruction list — the
 decoder already resolved each ``block``/``loop``/``if`` to its matching
 ``end`` index (``Instr.target``), so regions are index ranges.
@@ -88,6 +92,17 @@ _BOUND_FOLD_OPS = {
 _SIGN_BIT32 = 1 << 31
 
 
+def signed_text(text: str, bits: int = 32) -> str:
+    """Source for the signed reading of the canonical ``bits``-wide
+    integer that the atomic or parenthesised source ``text`` computes.
+
+    Flipping the sign bit maps signed order onto unsigned order; taking
+    the bias back off gives the two's-complement value, with no call.
+    """
+    sign = 1 << (bits - 1)
+    return f"(({text} ^ {sign}) - {sign})"
+
+
 class Induction:
     """The counted-loop pattern: ``for i = C; i < N; i += S``."""
 
@@ -121,7 +136,7 @@ class Induction:
         if self.bound_local is None:
             return None, set()
         name = f"l{self.bound_local}"
-        bound = f"_s32({name})" if self.signed else name
+        bound = signed_text(name) if self.signed else name
         if self.inclusive:
             return bound, {self.bound_local}
         return f"({bound} - 1)", {self.bound_local}
@@ -160,7 +175,7 @@ class Induction:
             return maximum + self.step < _SIGN_BIT32, None
         # Local bound: require max + step < 2^31 at loop entry.
         ceiling = _SIGN_BIT32 - self.step - (1 if self.inclusive else 0)
-        return True, f"_s32(l{self.bound_local}) <= {ceiling}"
+        return True, f"{signed_text(f'l{self.bound_local}')} <= {ceiling}"
 
 
 class LoopInfo:
@@ -178,6 +193,76 @@ class LoopInfo:
         self.has_access = False
         self.induction: Optional[Induction] = None
         self.versionable = False
+
+
+_OPENERS = (op.BLOCK, op.LOOP, op.IF)
+_BRANCHES = (op.BR, op.BR_IF, op.BR_TABLE)
+
+
+def python_loops(body: List[Instr]) -> Set[int]:
+    """The constructs (by opener index) lowered to a ``while True:``.
+
+    Python can only ``break`` or ``continue`` its innermost loop, so a
+    construct needs one only when some branch targets it:
+
+    * a targeted ``loop`` is a ``while True:`` whose back edges are
+      ``continue``;
+    * a targeted ``block``/``if`` needs none when its ``end`` directly
+      follows the ``end`` of an inner Python loop (possibly through the
+      ends of constructs that need none either) and every branch to it
+      lies inside that loop: leaving the loop with ``break`` lands
+      exactly on the construct's ``end``. Otherwise it becomes a
+      ``while True:`` capsule that a ``break`` leaves.
+
+    Everything else lowers to a plain suite (``block``, ``loop``) or a
+    plain ``if``/``else``. Branches in dead code count as targeting:
+    that only ever keeps a loop the lowering could have dropped.
+    """
+    sources: Dict[int, List[int]] = {}
+    opener_of_end: Dict[int, int] = {}
+    open_stack: List[int] = []
+    for index, instr in enumerate(body):
+        code = instr.opcode
+        if code in _OPENERS:
+            open_stack.append(index)
+        elif code == op.END:
+            if open_stack:
+                opener_of_end[index] = open_stack.pop()
+        elif code in _BRANCHES:
+            if code == op.BR_TABLE:
+                depths = set(instr.arg[0]) | {instr.arg[1]}
+            else:
+                depths = (instr.arg,)
+            for depth in depths:
+                if depth < len(open_stack):
+                    target = open_stack[-1 - depth]
+                    sources.setdefault(target, []).append(index)
+    loops: Set[int] = set()
+    # Ends were recorded in body order, so inner constructs are decided
+    # before the constructs around them.
+    for end, start in opener_of_end.items():
+        if start not in sources:
+            continue
+        if body[start].opcode != op.LOOP:
+            exit_loop = _exit_loop(end, opener_of_end, loops)
+            if exit_loop is not None and all(
+                    exit_loop < source < body[exit_loop].target
+                    for source in sources[start]):
+                continue
+        loops.add(start)
+    return loops
+
+
+def _exit_loop(end: int, opener_of_end: Dict[int, int],
+               loops: Set[int]) -> Optional[int]:
+    """The Python loop whose ``break`` lands on the ``end`` at ``end``."""
+    index = end - 1
+    while index in opener_of_end:
+        inner = opener_of_end[index]
+        if inner in loops:
+            return inner
+        index -= 1
+    return None
 
 
 def analyze(func: Function) -> Dict[int, LoopInfo]:

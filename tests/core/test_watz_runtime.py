@@ -13,12 +13,15 @@ from repro.core.runtime import (
 )
 from repro.core.measurement import measure_bytes
 from repro.errors import (
+    DecodeError,
     LinkError,
     TeeAccessDenied,
     TeeBadParameters,
     TeeOutOfMemory,
+    WasmError,
 )
 from repro.walc import compile_source
+from tests.wasm.helpers import build_loop_nest
 
 _APP = """
 memory 1;
@@ -247,6 +250,38 @@ def test_malformed_params_fail_typed(device, engine_name):
     assert escaped == []
     assert session.api.heap_used == heap_used
     assert device.run_wasm(session, app, "add", 20, 22) == 42
+
+
+@pytest.mark.parametrize("engine_name", ["interpreter", "aot"])
+def test_failed_load_releases_what_it_charged(device, engine_name):
+    """A CMD_LOAD that fails after allocating — a corrupted module, an
+    unknown entry point — frees the secure heap and the executable region
+    and registers no application."""
+    session = device.open_watz(heap_size=4 * 1024 * 1024, engine=engine_name)
+    binary = compile_source(_APP)
+    heap_used = session.api.heap_used
+    corrupted = binary[:-3] + b"\xff\xff\xff"
+    for _ in range(3):
+        with pytest.raises(DecodeError):
+            device.load_wasm(session, corrupted)
+    with pytest.raises(LinkError):
+        device.load_wasm(session, binary, entry="nosuch")
+    assert session.api.heap_used == heap_used
+    assert session.ta._apps == {}
+    # The session still loads and runs the intact module.
+    app = device.load_wasm(session, binary)["app"]
+    assert device.run_wasm(session, app, "add", 20, 22) == 42
+
+
+def test_too_deep_nest_fails_load_typed(device):
+    """A valid module past the AOT lowering's nesting limit is refused
+    with a WasmError, leaving nothing charged."""
+    session = device.open_watz(heap_size=4 * 1024 * 1024)
+    heap_used = session.api.heap_used
+    with pytest.raises(WasmError, match="nests too deeply"):
+        device.load_wasm(session, build_loop_nest(21))
+    assert session.api.heap_used == heap_used
+    assert session.ta._apps == {}
 
 
 def test_entry_point_runs_at_load(device):

@@ -5,7 +5,8 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from repro.wasm import ModuleBuilder
-from repro.wasm.types import ValType
+from repro.wasm import opcodes as op
+from repro.wasm.types import I32, ValType
 
 
 def build_single(params: Sequence[ValType], results: Sequence[ValType],
@@ -30,3 +31,24 @@ def run_single(engine, params, results, emit, args=(), **kwargs):
     binary = build_single(params, results, emit, **kwargs)
     instance = engine.instantiate(binary)
     return instance.invoke("f", *args)
+
+
+def build_loop_nest(depth: int) -> bytes:
+    """``f(n)``: ``depth`` nested loops, every one the target of a branch;
+    the innermost counts ``n`` (>= 1) down, branching back to the
+    outermost loop's header each time, and ``f`` returns the count."""
+    builder = ModuleBuilder()
+    f = builder.add_function(builder.add_type([I32], [I32]))
+    f.add_local(I32)  # the count
+    for _ in range(depth):
+        f.loop()
+    for inner in range(depth - 1):
+        f.i32_const(0).br_if(inner)  # never taken
+    f.local_get(1).i32_const(1).emit(op.I32_ADD).local_set(1)
+    f.local_get(0).i32_const(1).emit(op.I32_SUB).local_tee(0)
+    f.br_if(depth - 1)
+    for _ in range(depth):
+        f.end()
+    f.local_get(1)
+    builder.export_function("f", f.index)
+    return builder.build()

@@ -3,19 +3,28 @@
 The differential suite (test_opt_differential.py) pins *behaviour*; this
 file pins the *mechanism* — that the optimiser actually emits what it
 promises (plane indexing, a hoisted preflight, mask-free induction
-arithmetic, loop-invariant hoists), that planes track ``memory.grow``,
-and that traps fall back to the byte-identical safe path.
+arithmetic, loop-invariant hoists, control flow without unwinding
+scaffolding, helper-free signed arithmetic, leaf frames), that planes
+track ``memory.grow``, and that traps fall back to the byte-identical
+safe path.
 """
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.errors import TrapError
+from repro.walc import compile_source
 from repro.wasm import AotCompiler, Interpreter, Memory, ModuleBuilder
 from repro.wasm import opcodes as op
 from repro.wasm.decoder import decode_module
 from repro.wasm.types import F64, I32
+from repro.workloads.attested import build_attested_app
+from repro.workloads.genann.wasm_impl import build_attested_ann
+from repro.workloads.minidb.wasmcore import compile_dbcore
+from repro.workloads.polybench import all_kernels
 
 
 def _f64_stream_kernel() -> bytes:
@@ -92,6 +101,109 @@ def test_opt2_hoists_loop_invariant_expression():
     for line in source.splitlines():
         if "3.0" in line:
             assert line.strip().startswith("h"), line
+
+
+# -- control lowering and frames on the workload modules ---------------------
+
+_VERIFIER_KEY = bytes([4]) + bytes(range(64))
+_WHILE = re.compile(r"while True:  # (block|loop|if) @(\d+)$")
+
+
+def _workload_modules():
+    """(name, decoded module) for every Wasm build the workloads run."""
+    for kernel in all_kernels():
+        for size in (kernel.default_size, max(1, kernel.default_size // 4)):
+            yield (f"{kernel.name}/{size}",
+                   decode_module(compile_source(kernel.walc_source(size))))
+    yield "dbcore", decode_module(compile_dbcore())
+    yield "wasi-ra", decode_module(
+        build_attested_app(_VERIFIER_KEY, "verifier", 7000))
+    yield "genann", decode_module(
+        build_attested_ann(_VERIFIER_KEY, "verifier", 7000))
+
+
+def _sources(module):
+    """(function, generated source) for each local function."""
+    base = len(module.imported_funcs)
+    for offset, func in enumerate(module.functions):
+        yield func, AotCompiler().compile_artifact(module, base + offset)[1]
+
+
+def _targeted(body) -> set:
+    """Opener indices of the constructs some branch targets."""
+    open_stack, targeted = [], set()
+    for index, instr in enumerate(body):
+        if instr.opcode in (op.BLOCK, op.LOOP, op.IF):
+            open_stack.append(index)
+        elif instr.opcode == op.END and open_stack:
+            open_stack.pop()
+        elif instr.opcode in (op.BR, op.BR_IF, op.BR_TABLE):
+            depths = [instr.arg] if instr.opcode != op.BR_TABLE \
+                else list(instr.arg[0]) + [instr.arg[1]]
+            targeted.update(open_stack[-1 - depth] for depth in depths
+                            if depth < len(open_stack))
+    return targeted
+
+
+def _suite(lines, header: int):
+    """The lines of the indented suite under ``lines[header]``."""
+    indent = len(lines[header]) - len(lines[header].lstrip())
+    suite = []
+    for line in lines[header + 1:]:
+        if len(line) - len(line.lstrip()) <= indent:
+            break
+        suite.append(line)
+    return suite
+
+
+def test_workload_codegen_needs_no_unwinding():
+    """In every function of every workload build: no ``_br`` unwinding,
+    a ``while True`` only for a construct some branch targets, no
+    sign-interpretation helper, and no try/finally frame in a leaf."""
+    for name, module in _workload_modules():
+        for func, source in _sources(module):
+            where = (name, source.split("(")[0])
+            assert "_br" not in source, where
+            assert "_s32(" not in source and "_s64(" not in source, where
+            targeted = _targeted(func.body)
+            for line in source.splitlines():
+                if "while True" in line:
+                    match = _WHILE.search(line)
+                    assert match and int(match.group(2)) in targeted, \
+                        (where, line)
+            if not any(instr.opcode in (op.CALL, op.CALL_INDIRECT)
+                       for instr in func.body):
+                assert "try:" not in source, where
+                assert "_inst.call_depth >= " in source, where
+            else:
+                assert "_inst.enter_call()" in source, where
+
+
+def test_genann_exp_taylor_loop_is_helper_free():
+    """Genann's sigmoid spends its time in ``exp_shared``'s 11-step Taylor
+    loop: ``term * r / (i as f64)`` with ``i`` in [1, 11] divides by a
+    proven-nonzero float, so neither ``_fdiv`` nor a sign helper runs."""
+    module = decode_module(build_attested_ann(_VERIFIER_KEY, "verifier",
+                                              7000))
+    (source,) = [source for _, source in _sources(module)
+                 if "0.6931471805599453" in source]
+    lines = source.splitlines()
+    header = next(index for index, line in enumerate(lines)
+                  if "while True:  # loop" in line)
+    taylor = "\n".join(_suite(lines, header))
+    assert "/ (float(l" in taylor, taylor
+    assert "_fdiv(" not in taylor and "_s32(" not in taylor, taylor
+
+
+def test_polybench_codegen_is_compact():
+    """The 30 quarter-size kernels lower to at least 40% fewer lines than
+    the ``while True``/``_br`` capsule lowering's 17,777."""
+    lines = 0
+    for kernel in all_kernels():
+        module = decode_module(compile_source(
+            kernel.walc_source(max(1, kernel.default_size // 4))))
+        lines += sum(source.count("\n") for _, source in _sources(module))
+    assert lines <= 0.6 * 17_777, lines
 
 
 def test_codegen_is_deterministic():

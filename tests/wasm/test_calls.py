@@ -256,3 +256,35 @@ def test_repeated_runaway_recursion_traps_typed(engine):
             instance.invoke("runaway")
         assert instance.call_depth == 0
     assert instance.invoke("depth", MAX_CALL_DEPTH - 1) == MAX_CALL_DEPTH - 1
+
+
+def test_call_depth_limit_is_exact_at_a_leaf(engine):
+    """The frame at the depth limit is a leaf (a function that calls
+    nothing, which AOT checks inline): MAX_CALL_DEPTH frames return, one
+    more traps, and the depth counter ends at 0 both times."""
+    builder = ModuleBuilder()
+    leaf = builder.add_function(builder.add_type([], [I32]))
+    leaf.i32_const(1)
+    # descend(n) nests n frames of itself, then calls the leaf.
+    descend = builder.add_function(builder.add_type([I32], [I32]))
+    descend.local_get(0)
+    descend.emit(op.I32_EQZ)
+    descend.if_(I32)
+    descend.call(leaf.index)
+    descend.else_()
+    descend.local_get(0)
+    descend.i32_const(1)
+    descend.emit(op.I32_SUB)
+    descend.call(descend.index)
+    descend.i32_const(1)
+    descend.emit(op.I32_ADD)
+    descend.end()
+    builder.export_function("descend", descend.index)
+    instance = engine.instantiate(builder.build())
+    # descend(MAX_CALL_DEPTH - 2): MAX_CALL_DEPTH - 1 descend frames and
+    # the leaf on top, at exactly MAX_CALL_DEPTH.
+    assert instance.invoke("descend", MAX_CALL_DEPTH - 2) == MAX_CALL_DEPTH - 1
+    assert instance.call_depth == 0
+    with pytest.raises(TrapError, match="call stack exhausted"):
+        instance.invoke("descend", MAX_CALL_DEPTH - 1)
+    assert instance.call_depth == 0

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.errors import ExhaustionError, TrapError
-from repro.wasm import ModuleBuilder
+from repro.errors import ExhaustionError, TrapError, WasmError
+from repro.wasm import AotCompiler, Interpreter, ModuleBuilder
 from repro.wasm import opcodes as op
 from repro.wasm.types import F64, I32
-from tests.wasm.helpers import run_single
+from tests.wasm.helpers import build_loop_nest, run_single
 
 
 def test_block_with_result(engine):
@@ -184,6 +184,114 @@ def test_br_table_dense_dispatch(engine):
         assert run_single(engine, [I32], [I32], emit, (selector,)) == expected
 
 
+def test_br_out_of_loop_skips_code_after_the_loop(engine):
+    """A branch out of a loop to a block with code between the loop's
+    end and its own: the exit must skip that code, the loop's fall-
+    through must run it."""
+    def emit(f):
+        f.block()
+        f.loop()
+        f.local_get(0).emit(op.I32_EQZ).br_if(1)       # n == 0: leave
+        f.local_get(1).i32_const(3).emit(op.I32_ADD).local_set(1)
+        f.local_get(0).i32_const(1).emit(op.I32_SUB).local_tee(0)
+        f.i32_const(5).emit(op.I32_NE).br_if(0)        # n != 5: again
+        f.end()
+        f.local_get(1).i32_const(1000).emit(op.I32_ADD).local_set(1)
+        f.end()
+        f.local_get(1)
+
+    assert run_single(engine, [I32], [I32], emit, (3,), locals=[I32]) == 9
+    assert run_single(engine, [I32], [I32], emit, (8,),
+                      locals=[I32]) == 1009
+
+
+def test_br_from_inner_loop_to_outer_loop_header(engine):
+    """``br 1`` from an inner loop restarts the outer loop."""
+    def emit(f):
+        f.loop()
+        f.local_get(0).emit(op.I32_EQZ)
+        f.if_()
+        f.local_get(1).ret()
+        f.end()
+        f.local_get(0).i32_const(1).emit(op.I32_SUB).local_set(0)
+        f.loop()
+        f.local_get(1).i32_const(1).emit(op.I32_ADD).local_set(1)
+        f.local_get(1).i32_const(3).emit(op.I32_REM_U).br_if(1)
+        f.local_get(1).i32_const(10).emit(op.I32_ADD).local_set(1)
+        f.br(0)
+        f.end()
+        f.end()
+        f.i32_const(0)
+
+    def model(n):
+        acc = 0
+        while n:
+            n -= 1
+            while True:
+                acc += 1
+                if acc % 3:
+                    break
+                acc += 10
+        return acc
+
+    for n in (0, 1, 5, 12):
+        assert run_single(engine, [I32], [I32], emit, (n,),
+                          locals=[I32]) == model(n)
+
+
+def test_br_table_targets_both_sides_of_a_loop(engine):
+    """One br_table inside a loop continues the loop, leaves to the block
+    its end directly follows, or leaves to a block past more code."""
+    def emit(f):
+        f.block()
+        f.block()
+        f.loop()
+        f.local_get(1).i32_const(1).emit(op.I32_ADD).local_set(1)
+        f.local_get(0).i32_const(1).emit(op.I32_SUB).local_tee(0)
+        f.i32_const(4).emit(op.I32_REM_U)
+        f.emit(op.BR_TABLE, (0, 1, 2), 0)
+        f.end()
+        f.end()
+        f.local_get(1).i32_const(100).emit(op.I32_ADD).local_set(1)
+        f.end()
+        f.local_get(1)
+
+    def model(n):
+        acc = 0
+        while True:
+            acc += 1
+            n = (n - 1) & 0xFFFFFFFF
+            if n % 4 == 1:
+                return acc + 100
+            if n % 4 == 2:
+                return acc
+
+    for n in range(8):
+        assert run_single(engine, [I32], [I32], emit, (n,),
+                          locals=[I32]) == model(n)
+
+
+@pytest.mark.parametrize("after_loop", [False, True])
+def test_br_carries_value_out_of_loop(engine, after_loop):
+    """A branch out of a loop carrying the block's result, to a block
+    whose end directly follows the loop's, or one with code between."""
+    def emit(f):
+        f.block(I32)
+        f.loop(None if after_loop else I32)
+        f.local_get(1).i32_const(7).emit(op.I32_ADD).local_set(1)
+        f.local_get(1)
+        f.local_get(0).i32_const(1).emit(op.I32_SUB).local_tee(0)
+        f.emit(op.I32_EQZ).br_if(1)
+        f.emit(op.DROP)
+        f.br(0)
+        f.end()
+        if after_loop:
+            f.i32_const(99)
+        f.end()
+
+    assert run_single(engine, [I32], [I32], emit, (4,), locals=[I32]) == 28
+
+
 def test_br_table_empty_targets(engine):
     def emit(f):
         f.block(I32)
@@ -322,3 +430,21 @@ def test_trunc_nan_traps_at_runtime(engine):
 
     with pytest.raises(TrapError):
         run_single(engine, [], [I32], emit)
+
+
+#: The deepest loop nest the AOT lowering accepts in a leaf function:
+#: CPython's compile() nests at most 20 loops.
+MAX_AOT_LOOP_NEST = 20
+
+
+@pytest.mark.parametrize("depth", [MAX_AOT_LOOP_NEST, MAX_AOT_LOOP_NEST + 1])
+def test_loop_nest_limit_is_typed(depth):
+    """N nested loops compile on AOT, N+1 fail with a typed WasmError
+    naming the function; the interpreter runs both."""
+    binary = build_loop_nest(depth)
+    assert Interpreter().instantiate(binary).invoke("f", 3) == 3
+    if depth <= MAX_AOT_LOOP_NEST:
+        assert AotCompiler().instantiate(binary).invoke("f", 3) == 3
+        return
+    with pytest.raises(WasmError, match="function 0 nests too deeply"):
+        AotCompiler().instantiate(binary)
