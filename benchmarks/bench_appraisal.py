@@ -199,11 +199,24 @@ def test_appraisal_latency_and_overhead():
     # overhead, independent of host jitter.
     eval_share = (backends["trustzone"]["policy_eval_us"] / 1e3) \
         / backends["trustzone"]["msg2_ms"]
-    assert eval_share < OVERHEAD_LIMIT, \
-        f"policy eval is {eval_share:.1%} of msg2 (limit {OVERHEAD_LIMIT:.0%})"
-    assert overhead < OVERHEAD_LIMIT, \
-        f"engine-armed legacy msg2 is {overhead:+.1%} vs seed " \
-        f"(limit {OVERHEAD_LIMIT:.0%})"
+    gates = {
+        "eval_share": {
+            "metric": "TrustZone policy eval / envelope msg2 verify time",
+            "threshold": OVERHEAD_LIMIT,
+            "value": round(eval_share, 5),
+            "asserted": True,
+            "reason": "both are medians of pure in-process work timed "
+                      "back to back, so the share is host-independent",
+        },
+        "overhead": {
+            "metric": "engine-armed vs seed legacy msg2 median, relative",
+            "threshold": OVERHEAD_LIMIT,
+            "value": round(overhead, 4),
+            "asserted": True,
+            "reason": "the two verifiers are timed in shuffled interleaved "
+                      "order, so host noise hits both alike",
+        },
+    }
 
     rows = [(name, stats["msg2_ms"], stats["decode_us"],
              stats["policy_eval_us"], stats["envelope_bytes"])
@@ -226,4 +239,7 @@ def test_appraisal_latency_and_overhead():
             "overhead_fraction": round(overhead, 4),
             "limit": OVERHEAD_LIMIT,
         },
+        "gates": gates,
     })
+    assert eval_share < OVERHEAD_LIMIT, gates
+    assert overhead < OVERHEAD_LIMIT, gates

@@ -30,21 +30,18 @@ _RATE = 0.5
 _RUNS = 3  # the optimised AOT tier trains fast enough to need medians
 #: Why both shape gates are asserted on any host.
 _GATE_REASON = ("WAMR and WaTZ train on the same engine in one process, "
-                "one after the other, so the ratios do not depend on the "
-                "host's CPU count")
+                "timed alternately (WAMR, WaTZ, WaTZ, WAMR, ...), so the "
+                "ratios depend neither on the host's CPU count nor on its "
+                "speed drifting between the two sides")
 
 
-def _median_train_seconds(instance, records):
-    samples = []
-    for _ in range(_RUNS):
-        started = time.perf_counter()
-        instance.invoke("ann_train", records, _EPOCHS, _RATE)
-        samples.append(time.perf_counter() - started)
-    samples.sort()
-    return samples[len(samples) // 2]
+def _train_seconds(instance, records):
+    started = time.perf_counter()
+    instance.invoke("ann_train", records, _EPOCHS, _RATE)
+    return time.perf_counter() - started
 
 
-def _train_wamr(size):
+def _setup_wamr(size):
     blob = dataset_of_size(size)
     runtime = NormalWorldRuntime()
     from repro.wasi import WasiFilesystem
@@ -57,11 +54,10 @@ def _train_wamr(size):
     loaded = app.instance.invoke("ann_load_file")  # the "regular file" read
     assert loaded == len(blob), loaded
     app.instance.invoke("ann_init", 1)
-    records = len(blob) // RECORD_SIZE
-    return _median_train_seconds(app.instance, records), records
+    return app.instance, len(blob) // RECORD_SIZE
 
 
-def _train_watz(testbed, device, identity, size, port):
+def _setup_watz(testbed, device, identity, size, port):
     blob = dataset_of_size(size)
     binary = build_attested_ann(identity.public_bytes(), HOST, port,
                                 data_capacity=len(blob) + 4096)
@@ -76,22 +72,35 @@ def _train_watz(testbed, device, identity, size, port):
     received = device.run_wasm(session, handle, "attest")
     assert received == len(blob)
     device.run_wasm(session, handle, "ann_init", 1)
-    records = len(blob) // RECORD_SIZE
-    app = session.ta._apps[handle]
-    with device.soc.enter_secure_world():
-        elapsed = _median_train_seconds(app.instance, records)
-    session.close()
-    testbed.network.shutdown(HOST, port)
-    return elapsed, records
+    return session, session.ta._apps[handle].instance, len(blob) // RECORD_SIZE
+
+
+def _alternating_medians(device, wamr, watz, records):
+    """Median ``ann_train`` seconds of each side, timed WAMR, WaTZ, WaTZ,
+    WAMR, ... (``_RUNS`` each) so host speed swings hit both alike; WaTZ
+    trains inside the secure world."""
+    samples = {"wamr": [], "watz": []}
+    for run in range(2 * _RUNS):
+        if run % 4 in (0, 3):
+            samples["wamr"].append(_train_seconds(wamr, records))
+        else:
+            with device.soc.enter_secure_world():
+                samples["watz"].append(_train_seconds(watz, records))
+    return tuple(sorted(samples[side])[_RUNS // 2]
+                 for side in ("wamr", "watz"))
 
 
 def _sweep(testbed, device, identity):
     results = []
     for index, size in enumerate(SIZES):
-        wamr_s, records = _train_wamr(size)
-        watz_s, records_watz = _train_watz(testbed, device, identity, size,
-                                           PORT_BASE + index)
+        port = PORT_BASE + index
+        wamr, records = _setup_wamr(size)
+        session, watz, records_watz = _setup_watz(testbed, device, identity,
+                                                  size, port)
         assert records == records_watz
+        wamr_s, watz_s = _alternating_medians(device, wamr, watz, records)
+        session.close()
+        testbed.network.shutdown(HOST, port)
         results.append((size, records, wamr_s, watz_s))
     return results
 

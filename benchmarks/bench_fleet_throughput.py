@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import ExitStack
 from statistics import median
 
 from repro.bench import format_table, host_metadata, save_report, save_trace
@@ -73,12 +74,11 @@ def _run_live(testbed, identity, port, concurrency, enable_cache=True,
               traced=False, shards=0):
     """One fresh gateway + fleet of attesters, driven to completion.
 
-    ``traced=True`` attaches a dual-clock tracer to the gateway board
-    (and routes a tracing recorder through the verifier); the default
-    keeps the production fast path, where every hook is one attribute
-    test against ``None``. ``shards=N`` starts the process-sharded
-    gateway instead of the in-process thread pool (tracing stays a
-    threaded-gateway facility — shard boards live in other processes).
+    ``traced=True`` observes the gateway board with a dual-clock tracer
+    (``Tracer.observe``) for the whole run; the program takes the same
+    path either way. ``shards=N`` starts the process-sharded gateway
+    instead of the in-process thread pool (shard boards live in other
+    processes; ``shard_trace`` observes them there).
     """
     secret = bytes(range(256)) * (BLOB_SIZE // 256)
     policy = VerifierPolicy()
@@ -86,29 +86,29 @@ def _run_live(testbed, identity, port, concurrency, enable_cache=True,
                          rate_per_s=rate_per_s, rate_burst=rate_burst,
                          shards=shards)
     tracer = None
-    recorder = None
     client = None
+    observing = ExitStack()
     if not shards:
         gateway_device = testbed.create_device()
         client = gateway_device.client
         if traced:
             tracer = Tracer(sim_now=gateway_device.soc.clock.now_ns)
-            recorder = tracer.recorder()
-    gateway = start_fleet_gateway(
-        testbed.network, HOST, port, client,
-        testbed.vendor_key, identity, policy, lambda: secret, config,
-        recorder=recorder, tracer=tracer)
-    try:
-        stacks = build_attester_stacks(testbed, policy, concurrency)
-        report = run_load(testbed.network, HOST, port,
-                          identity.public_bytes(), stacks,
-                          LoadProfile(concurrency=concurrency,
-                                      handshakes_per_attester=handshakes,
-                                      blob_size=BLOB_SIZE))
-        records = gateway.drain_records()
-        snapshot = gateway.snapshot()
-    finally:
-        gateway.stop()
+            observing.enter_context(tracer.observe(gateway_device.soc))
+    with observing:
+        gateway = start_fleet_gateway(
+            testbed.network, HOST, port, client,
+            testbed.vendor_key, identity, policy, lambda: secret, config)
+        try:
+            stacks = build_attester_stacks(testbed, policy, concurrency)
+            report = run_load(testbed.network, HOST, port,
+                              identity.public_bytes(), stacks,
+                              LoadProfile(concurrency=concurrency,
+                                          handshakes_per_attester=handshakes,
+                                          blob_size=BLOB_SIZE))
+            records = gateway.drain_records()
+            snapshot = gateway.snapshot()
+        finally:
+            gateway.stop()
     return report, records, snapshot, tracer
 
 
@@ -477,8 +477,8 @@ def test_fleet_throughput(testbed, verifier_identity):
     })
 
     # -- trace artifacts: one traced run, exported for Perfetto ---------------
-    # A separate small run with the tracer attached; the sweep above runs
-    # the production fast path (tracer is None at every hook).
+    # A separate small run observed from outside; it takes the same
+    # (batched) path as the untraced sweep above.
     report_tr, _, _, tracer = _run_live(
         testbed, identity, PORT_BASE + 12, 2, traced=True)
     assert len(report_tr.completed) == 2 * HANDSHAKES_EACH

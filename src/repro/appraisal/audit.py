@@ -4,7 +4,7 @@ Every accept and every deny a relying party issues is an event an
 operator may later have to account for — which policy fingerprint was in
 force, what evidence shape arrived, why it was denied. The log is
 append-only by construction: entries are frozen, the buffer only grows
-(up to a bounded ring, mirroring :class:`repro.obs.tracer.Tracer`), and
+(up to a bounded ring, mirroring the :class:`repro.obs.Tracer` ring), and
 each entry carries a hash chained over its predecessor so any tampering
 or truncation in an exported log is detectable.
 

@@ -17,7 +17,6 @@ invalidates on its next message without any eager fan-out call.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Optional
 
 from repro.appraisal.audit import AuditLog
@@ -25,7 +24,6 @@ from repro.appraisal.envelope import (
     CodecRegistry,
     decode_envelope,
     default_registry,
-    tee_name,
 )
 from repro.appraisal.policy import (
     AppraisalPolicy,
@@ -44,15 +42,10 @@ class AppraisalEngine:
 
     def __init__(self, policy: AppraisalPolicy,
                  registry: Optional[CodecRegistry] = None,
-                 audit: Optional[AuditLog] = None,
-                 tracer=None) -> None:
+                 audit: Optional[AuditLog] = None) -> None:
         self.policy = policy
         self.registry = registry or default_registry()
         self.audit = audit or AuditLog()
-        #: Optional :class:`repro.obs.tracer.Tracer`; attached by the
-        #: fleet so codec decodes and policy evaluations show up as
-        #: ``appraisal.*`` spans next to the ``crypto.*`` ones.
-        self.tracer = tracer
         self._evaluator: PolicyEvaluator = policy.compile()
 
     # -- policy lifecycle -------------------------------------------------------
@@ -83,11 +76,6 @@ class AppraisalEngine:
 
     # -- the three verbs --------------------------------------------------------
 
-    def _span(self, name: str, **attrs):
-        if self.tracer is None:
-            return nullcontext()
-        return self.tracer.span(name, world="normal", **attrs)
-
     def decode(self, data: bytes):
         """Envelope bytes -> typed evidence view.
 
@@ -95,24 +83,22 @@ class AppraisalEngine:
         is audited (reason ``envelope-malformed``) before the typed
         :class:`~repro.errors.EnvelopeError` propagates.
         """
-        with self._span("appraisal.decode", size=len(data)):
-            try:
-                tee_type, body = decode_envelope(data)
-            except EnvelopeError as exc:
-                self.record(TEE_UNKNOWN, False, Reason.ENVELOPE_MALFORMED,
-                            str(exc))
-                raise
-            try:
-                return self.registry.get(tee_type).decode(body)
-            except EnvelopeError as exc:
-                self.record(tee_type, False, Reason.ENVELOPE_MALFORMED,
-                            str(exc))
-                raise
+        try:
+            tee_type, body = decode_envelope(data)
+        except EnvelopeError as exc:
+            self.record(TEE_UNKNOWN, False, Reason.ENVELOPE_MALFORMED,
+                        str(exc))
+            raise
+        try:
+            return self.registry.get(tee_type).decode(body)
+        except EnvelopeError as exc:
+            self.record(tee_type, False, Reason.ENVELOPE_MALFORMED,
+                        str(exc))
+            raise
 
     def appraise(self, view, now_ns: Optional[int] = None) -> Verdict:
         """Evaluate the policy over a decoded view; audited either way."""
-        with self._span("appraisal.evaluate", tee=tee_name(view.tee_type)):
-            verdict = self.evaluator().evaluate(view, now_ns=now_ns)
+        verdict = self.evaluator().evaluate(view, now_ns=now_ns)
         self.record(verdict.tee_type, verdict.accepted, verdict.reason,
                     verdict.detail)
         return verdict

@@ -49,14 +49,6 @@ _ENGINES = {
 }
 
 
-def _make_engine(engine_name: str, tracer=None):
-    """Construct an execution engine; only the AOT engine takes a tracer."""
-    factory = _ENGINES[engine_name]
-    if factory is AotCompiler:
-        return factory(tracer=tracer)
-    return factory()
-
-
 @dataclass
 class StartupBreakdown:
     """Fig. 4's phases. Real seconds, except the simulated transition."""
@@ -183,7 +175,7 @@ class WatzRuntime(TrustedApplication):
             # Phase 2: runtime initialisation — engine construction and
             # native symbol registration (the WASI and WASI-RA bindings).
             started = time.perf_counter()
-            engine = _make_engine(engine_name, tracer=api.tracer)
+            engine = _ENGINES[engine_name]()
             filesystem = None
             if params.get("filesystem"):
                 # The WASI-FS extension (paper future work): files live in the
@@ -201,7 +193,6 @@ class WatzRuntime(TrustedApplication):
                 wasi_dispatch=lambda: api.charge_ns(
                     api.costs.wasi_dispatch_ns),
                 filesystem=filesystem,
-                tracer=api.tracer,
             )
             imports = build_wasi_imports(wasi_env)
             breakdown.runtime_init_s = time.perf_counter() - started
@@ -380,7 +371,7 @@ class NormalWorldRuntime:
                                    random_bytes=os.urandom,
                                    filesystem=filesystem)
         imports = build_wasi_imports(wasi_env)
-        engine = _make_engine(self.engine_name)
+        engine = _ENGINES[self.engine_name]()
         started = time.perf_counter()
         instance = engine.instantiate(bytecode, imports,
                                       code_cache=code_cache)

@@ -27,6 +27,14 @@ VERIFIER_UUID = "watz-verifier"
 SecretProvider = Callable[[], bytes]
 
 
+def message_param(params: dict) -> bytes:
+    """The protocol message a verifier TA command carries in ``data``."""
+    data = params.get("data")
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise TeeBadParameters("data must be a bytes-like protocol message")
+    return bytes(data)
+
+
 class VerifierProtocolState:
     """Verifier-side state machine for one attester's message stream.
 
@@ -106,13 +114,7 @@ def make_verifier_ta(identity: ecdsa.KeyPair, policy: VerifierPolicy,
         def invoke(self, command: int, params: dict) -> dict:
             if command != CMD_HANDLE_MESSAGE:
                 raise TeeBadParameters(f"unknown verifier command {command}")
-            data = params["data"]
-            tracer = self.api.tracer
-            if tracer is None:
-                return {"reply": self._state.handle(data)}
-            kind = f"msg{data[0] & 0x0F}" if data else "empty"
-            with tracer.span(f"core.protocol.{kind}", world="secure"):
-                return {"reply": self._state.handle(data)}
+            return {"reply": self._state.handle(message_param(params))}
 
     return VerifierTa
 

@@ -181,27 +181,10 @@ _METHODS = {
 
 
 def build_wasi_ra_imports(wasi_ra: WasiRa):
-    """Build the ``watz`` import namespace for instantiation.
-
-    When the runtime's board has a tracer attached, each WASI-RA entry
-    point is wrapped in a ``wasi.ra.<name>`` span (same discipline as the
-    preview1 namespace in :mod:`repro.wasi.host`).
-    """
-    tracer = getattr(wasi_ra._api, "tracer", None)
-
-    def build(name, method):
-        if tracer is None:
-            return method
-
-        def traced_call(instance, *args):
-            with tracer.span(f"wasi.ra.{name}", world="secure"):
-                return method(instance, *args)
-
-        return traced_call
-
+    """Build the ``watz`` import namespace for instantiation."""
     namespace = {}
     for name, signature in _SIGNATURES.items():
         namespace[name] = HostFunction(
-            signature, build(name, getattr(wasi_ra, _METHODS[name])), name
+            signature, getattr(wasi_ra, _METHODS[name]), name
         )
     return {WATZ_MODULE: namespace}

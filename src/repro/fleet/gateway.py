@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import protocol
-from repro.core.server import SecretProvider, VerifierProtocolState
+from repro.core.server import (SecretProvider, VerifierProtocolState,
+                               message_param)
 from repro.core.transport import Network, Service
 from repro.core.verifier import Verifier, VerifierPolicy
 from repro.crypto import ec, ecdsa
@@ -271,20 +272,19 @@ class FleetConfig:
     #: randomised multi-scalar chain and seed the consume-once memo the
     #: verifier TA then hits. Accept/reject behaviour, transcripts and
     #: SimClock ns are identical either way — the knob exists for A/B
-    #: measurement, and the batch disarms itself automatically wherever
-    #: it could perturb observation (cost recorder or tracer attached).
+    #: measurement. Observation never changes it: ``Tracer.observe``
+    #: traces the batched path as it ships.
     batch_verify: bool = True
-    #: Arm a per-shard :class:`repro.obs.Tracer` inside each worker
-    #: process and export folded flame stacks over the control channel
-    #: (:meth:`ShardedGateway.shard_flame`). In-process tracing stays a
-    #: threaded-gateway facility; this is its cross-process counterpart
-    #: for proving where the async core's time goes.
+    #: Observe each worker process's board with a shard-local
+    #: :class:`repro.obs.Tracer` and export folded flame stacks over the
+    #: control channel (:meth:`ShardedGateway.shard_flame`) — the
+    #: cross-process counterpart of ``Tracer.observe`` on the threaded
+    #: gateway's board, for proving where the async core's time goes.
     shard_trace: bool = False
 
 
 def make_fleet_verifier_ta(identity: ecdsa.KeyPair, policy: VerifierPolicy,
                            secret_provider: SecretProvider,
-                           recorder: Optional[protocol.CostRecorder] = None,
                            appraisal_cache: Optional[AppraisalCache] = None,
                            engine=None) -> type:
     """A verifier TA that serves many connections from one session.
@@ -298,31 +298,22 @@ def make_fleet_verifier_ta(identity: ecdsa.KeyPair, policy: VerifierPolicy,
         def open_session(self, api) -> None:
             super().open_session(api)
             self.verifier = Verifier(
-                identity, policy, api.generate_random, recorder,
+                identity, policy, api.generate_random,
                 appraisal_cache=appraisal_cache, engine=engine,
             )
             self._states: Dict[int, VerifierProtocolState] = {}
 
-        def _handle(self, state: VerifierProtocolState,
-                    data: bytes) -> bytes:
-            tracer = self.api.tracer
-            if tracer is None:
-                return state.handle(data)
-            kind = AttestationGateway._kind(data)
-            with tracer.span(f"core.protocol.{kind}", world="secure"):
-                return state.handle(data)
-
         def invoke(self, command: int, params: dict) -> dict:
             if command == CMD_FLEET_MESSAGE:
-                conn_id = params["conn"]
-                data = params["data"]
+                conn_id = _conn_param(params.get("conn"))
+                data = message_param(params)
                 state = self._states.get(conn_id)
                 if state is None:
                     state = VerifierProtocolState(self.verifier,
                                                   secret_provider)
                     self._states[conn_id] = state
                 try:
-                    reply = self._handle(state, data)
+                    reply = state.handle(data)
                 except Exception:
                     # A protocol violation burns the connection's state;
                     # the attester must reconnect and start over.
@@ -336,13 +327,18 @@ def make_fleet_verifier_ta(identity: ecdsa.KeyPair, policy: VerifierPolicy,
                 # One invoke may carry a whole batch ("conns", the
                 # coalesced fan-out) or a single connection ("conn",
                 # the original form — unchanged on the wire).
+                conns = params.get("conns", ())
+                if isinstance(conns, (str, bytes)) or \
+                        not hasattr(conns, "__iter__"):
+                    raise TeeBadParameters("conns must be an iterable of "
+                                           "connection ids")
+                conns = [_conn_param(conn) for conn in conns]
+                if "conn" in params:
+                    conns.append(_conn_param(params["conn"]))
                 evicted = 0
-                for conn in params.get("conns", ()):
+                for conn in conns:
                     if self._states.pop(conn, None) is not None:
                         evicted += 1
-                if "conn" in params and \
-                        self._states.pop(params["conn"], None) is not None:
-                    evicted += 1
                 return {"evicted": evicted}
             raise TeeBadParameters(f"unknown fleet command {command}")
 
@@ -354,6 +350,12 @@ def make_fleet_verifier_ta(identity: ecdsa.KeyPair, policy: VerifierPolicy,
             return len(self._states)
 
     return FleetVerifierTa
+
+
+def _conn_param(conn) -> int:
+    if not isinstance(conn, int) or isinstance(conn, bool):
+        raise TeeBadParameters("conn must be an integer connection id")
+    return conn
 
 
 @dataclass
@@ -397,9 +399,7 @@ class AttestationGateway:
                  identity: ecdsa.KeyPair, policy: VerifierPolicy,
                  secret_provider: SecretProvider,
                  config: FleetConfig = FleetConfig(),
-                 recorder: Optional[protocol.CostRecorder] = None,
-                 time_source=time.monotonic_ns,
-                 tracer=None, engine=None) -> None:
+                 time_source=time.monotonic_ns, engine=None) -> None:
         if config.workers < 1:
             raise ValueError("fleet gateway needs at least one worker lane")
         self.network = network
@@ -411,19 +411,12 @@ class AttestationGateway:
         self.policy = policy
         self.secret_provider = secret_provider
         self.config = config
-        self.recorder = recorder
-        #: Optional repro.obs.Tracer; request lifecycles, protocol phases
-        #: and the device's world transitions all emit spans into it.
-        self.tracer = tracer
         #: Optional repro.appraisal.AppraisalEngine, shared by every lane
         #: verifier: enables the multi-TEE envelope handshake, audits all
         #: appraisals, and is the handle the revocation killswitch
         #: mutates (the combined policy fingerprint then invalidates the
         #: appraisal cache and every outstanding resumption ticket).
         self.engine = engine
-        if engine is not None and tracer is not None and \
-                engine.tracer is None:
-            engine.tracer = tracer
         self.metrics = FleetMetrics()
         self.cache: Optional[AppraisalCache] = None
         if config.enable_cache:
@@ -459,11 +452,8 @@ class AttestationGateway:
         # the board's single world-transition path.
         self._device_lock = threading.Lock()
         #: Joint msg2 verification across lanes convoyed on that lock.
-        #: Disarmed whenever observation hooks are live: a cost recorder
-        #: pins per-phase costs and a tracer pins span shapes, and the
-        #: memo fast path would shift both.
         self._batcher: Optional[_Msg2Batcher] = None
-        if config.batch_verify and recorder is None and tracer is None:
+        if config.batch_verify:
             self._batcher = _Msg2Batcher(self.metrics)
         self._conn_counter = 0
         self._conn_lock = threading.Lock()
@@ -482,15 +472,11 @@ class AttestationGateway:
                               heap_size=self.config.lane_heap_size)
         ta_class = make_fleet_verifier_ta(
             self.identity, self.policy, self.secret_provider,
-            self.recorder, appraisal_cache=self.cache, engine=self.engine,
+            appraisal_cache=self.cache, engine=self.engine,
         )
         image = sign_ta(manifest, b"watz fleet verifier ta", ta_class,
                         self.vendor_key)
         self.client.kernel.install_ta(image)
-        if self.tracer is not None and self.client.kernel.soc.tracer is None:
-            # One tracer observes the whole gateway board: the device's
-            # world transitions land next to the request lifecycles.
-            self.client.kernel.soc.attach_tracer(self.tracer)
         self._lanes = [
             _Lane(index, self.client.open_session(FLEET_VERIFIER_UUID))
             for index in range(self.config.workers)
@@ -526,14 +512,10 @@ class AttestationGateway:
         lane = conn_id % self.config.workers
         self.sessions.open(conn_id, lane)
         self.metrics.increment("connections")
-        if self.tracer is not None:
-            self.tracer.instant("fleet.conn.open", conn=conn_id, lane=lane)
         return _GatewayConnection(self, conn_id)
 
     def _connection_closed(self, conn_id: int) -> None:
         entry = self.sessions.discard(conn_id)
-        if self.tracer is not None:
-            self.tracer.instant("fleet.conn.close", conn=conn_id)
         if entry is not None:
             self._evict_ta_state(entry)
 
@@ -601,18 +583,7 @@ class AttestationGateway:
                 sim_before = clock.now_ns()
                 started = time.perf_counter()
                 try:
-                    if self.tracer is None:
-                        result = lane.session.invoke(
-                            CMD_FLEET_MESSAGE,
-                            {"conn": conn_id, "data": data})
-                    else:
-                        with self.tracer.span(
-                                "fleet.request", lane=entry.lane,
-                                conn=conn_id, kind=kind) as span:
-                            result = lane.session.invoke(
-                                CMD_FLEET_MESSAGE,
-                                {"conn": conn_id, "data": data})
-                            span.attrs["done"] = bool(result.get("done"))
+                    result = self._request(lane, conn_id, data)
                 finally:
                     service_s = time.perf_counter() - started + batch_share
                     sim_delta = clock.now_ns() - sim_before
@@ -640,6 +611,11 @@ class AttestationGateway:
             ))
         return result.get("reply")
 
+    def _request(self, lane: _Lane, conn_id: int, data: bytes) -> dict:
+        """Forward one message to its lane's TA (under the device lock)."""
+        return lane.session.invoke(CMD_FLEET_MESSAGE,
+                                   {"conn": conn_id, "data": data})
+
     def _prewarm_crypto(self, data: bytes) -> None:
         """Precompute the evidence key's EC tables outside the device lock.
 
@@ -663,8 +639,6 @@ class AttestationGateway:
         if self.fabric.record_mint(0, fingerprint, key,
                                    resumption_key) is not None:
             self.metrics.increment("fabric_mints")
-            if self.tracer is not None:
-                self.tracer.instant("fleet.fabric.mint", member=0)
 
     @staticmethod
     def _kind(data: bytes) -> str:
@@ -728,8 +702,7 @@ def start_fleet_gateway(network: Network, host: str, port: int,
                         identity: ecdsa.KeyPair, policy: VerifierPolicy,
                         secret_provider: SecretProvider,
                         config: FleetConfig = FleetConfig(),
-                        recorder: Optional[protocol.CostRecorder] = None,
-                        tracer=None, engine=None):
+                        engine=None):
     """Convenience mirror of :func:`repro.core.server.start_verifier`.
 
     With ``config.shards >= 1`` this starts the process-sharded gateway
@@ -744,11 +717,9 @@ def start_fleet_gateway(network: Network, host: str, port: int,
 
         sharded = ShardedGateway(network, host, port, vendor_key, identity,
                                  policy, secret_provider, config,
-                                 recorder=recorder, tracer=tracer,
                                  engine=engine)
         return sharded.start()
     gateway = AttestationGateway(network, host, port, client, vendor_key,
                                  identity, policy, secret_provider,
-                                 config, recorder, tracer=tracer,
-                                 engine=engine)
+                                 config, engine=engine)
     return gateway.start()

@@ -31,7 +31,6 @@ import heapq
 import os
 import threading
 import time
-from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 from statistics import median
 from typing import Dict, List, Optional, Sequence
@@ -105,7 +104,6 @@ class MultiTeeStack:
     claim: bytes
     device: object = None   # repro.testbed.Device (TrustZone)
     enclave: object = None  # repro.appraisal.synthetic device (SGX/TDX)
-    tracer: object = None   # enclave stacks have no SoC to carry one
 
     def collect_view(self, anchor: bytes):
         """Produce this backend's evidence view for a session anchor."""
@@ -251,66 +249,43 @@ class LoadReport:
         return median(values) if values else 0.0
 
 
-def run_one_handshake(network, host: str, port: int,
-                      identity_public: bytes, stack: AttesterStack,
-                      attempt: int = 0) -> HandshakeResult:
-    """Drive one full RA handshake + secret delivery over the fabric.
+def _drive_handshake(network, host: str, port: int, identity_public: bytes,
+                     stack, attempt: int, make_msg0, make_msg2
+                     ) -> HandshakeResult:
+    """One handshake + secret delivery, timed segment by segment.
 
-    With a tracer attached to the attester board's SoC, every client
-    segment is mirrored as a ``core.protocol.msg*`` span under one
-    ``fleet.handshake`` root (the attester-side view of the handshake).
+    ``make_msg0(session)`` and ``make_msg2(session)`` build the attester's
+    two messages; everything else is the same for every message variant.
     """
     result = HandshakeResult(attester=stack.index, index=attempt, ok=False)
     segments = result.segments
-    tracer = stack.device.soc.tracer
-
-    def traced(name):
-        return nullcontext() if tracer is None \
-            else tracer.span(name, world="normal")
-
     total_start = time.perf_counter()
     try:
         connection = network.connect(host, port)
     except ReproError as exc:
         result.error = type(exc).__name__
         return result
-    root = ExitStack()
     try:
-        if tracer is not None:
-            root.enter_context(tracer.span(
-                "fleet.handshake", world="normal",
-                attester=stack.index, attempt=attempt))
         started = time.perf_counter()
-        with traced("core.protocol.msg0"):
-            session = stack.attester.start_session(identity_public)
-            connection.send(stack.attester.make_msg0(session))
+        session = stack.attester.start_session(identity_public)
+        connection.send(make_msg0(session))
         segments["client_pre"] = time.perf_counter() - started
 
         started = time.perf_counter()
-        with traced("net.wait_msg1"):
-            msg1 = connection.receive()
+        msg1 = connection.receive()
         segments["wait_msg1"] = time.perf_counter() - started
 
         started = time.perf_counter()
-        with traced("core.protocol.msg2"):
-            stack.attester.handle_msg1(session, msg1)
-            signed = stack.attester.collect_evidence(
-                session.anchor, stack.claim,
-                stack.device.attestation_public_key,
-                stack.sign_evidence,
-                boot_claim=stack.device.kernel.boot_measurement,
-            )
-            connection.send(stack.attester.make_msg2(session, signed))
+        stack.attester.handle_msg1(session, msg1)
+        connection.send(make_msg2(session))
         segments["client_mid"] = time.perf_counter() - started
 
         started = time.perf_counter()
-        with traced("net.wait_msg3"):
-            msg3 = connection.receive()
+        msg3 = connection.receive()
         segments["wait_msg3"] = time.perf_counter() - started
 
         started = time.perf_counter()
-        with traced("core.protocol.msg3"):
-            secret = stack.attester.handle_msg3(session, msg3)
+        secret = stack.attester.handle_msg3(session, msg3)
         segments["client_post"] = time.perf_counter() - started
 
         result.ok = True
@@ -321,13 +296,30 @@ def run_one_handshake(network, host: str, port: int,
     except ReproError as exc:
         result.error = type(exc).__name__
     finally:
-        root.close()  # end the fleet.handshake span, if one was opened
         segments["total"] = time.perf_counter() - total_start
         try:
             connection.close()
         except ReproError:
             pass
     return result
+
+
+def run_one_handshake(network, host: str, port: int,
+                      identity_public: bytes, stack: AttesterStack,
+                      attempt: int = 0) -> HandshakeResult:
+    """Drive one full RA handshake + secret delivery over the fabric."""
+    attester = stack.attester
+
+    def make_msg2(session):
+        signed = attester.collect_evidence(
+            session.anchor, stack.claim,
+            stack.device.attestation_public_key, stack.sign_evidence,
+            boot_claim=stack.device.kernel.boot_measurement,
+        )
+        return attester.make_msg2(session, signed)
+
+    return _drive_handshake(network, host, port, identity_public, stack,
+                            attempt, attester.make_msg0, make_msg2)
 
 
 def run_one_handshake_multi(network, host: str, port: int,
@@ -339,73 +331,12 @@ def run_one_handshake_multi(network, host: str, port: int,
     differs only in the message variants (msg0/1/2 carry the negotiated
     ``tee_type``, the evidence travels in a self-describing envelope).
     """
-    result = HandshakeResult(attester=stack.index, index=attempt, ok=False)
-    segments = result.segments
-    tracer = stack.tracer
-    if tracer is None and stack.device is not None:
-        tracer = stack.device.soc.tracer
-
-    def traced(name):
-        return nullcontext() if tracer is None \
-            else tracer.span(name, world="normal")
-
-    total_start = time.perf_counter()
-    try:
-        connection = network.connect(host, port)
-    except ReproError as exc:
-        result.error = type(exc).__name__
-        return result
-    root = ExitStack()
-    try:
-        if tracer is not None:
-            root.enter_context(tracer.span(
-                "fleet.handshake", world="normal",
-                attester=stack.index, attempt=attempt,
-                tee_type=stack.tee_type))
-        started = time.perf_counter()
-        with traced("core.protocol.msg0"):
-            session = stack.attester.start_session(identity_public)
-            connection.send(stack.attester.make_msg0_multi(
-                session, stack.tee_type))
-        segments["client_pre"] = time.perf_counter() - started
-
-        started = time.perf_counter()
-        with traced("net.wait_msg1"):
-            msg1 = connection.receive()
-        segments["wait_msg1"] = time.perf_counter() - started
-
-        started = time.perf_counter()
-        with traced("core.protocol.msg2"):
-            stack.attester.handle_msg1(session, msg1)
-            view = stack.collect_view(session.anchor)
-            connection.send(stack.attester.make_msg2_multi(session, view))
-        segments["client_mid"] = time.perf_counter() - started
-
-        started = time.perf_counter()
-        with traced("net.wait_msg3"):
-            msg3 = connection.receive()
-        segments["wait_msg3"] = time.perf_counter() - started
-
-        started = time.perf_counter()
-        with traced("core.protocol.msg3"):
-            secret = stack.attester.handle_msg3(session, msg3)
-        segments["client_post"] = time.perf_counter() - started
-
-        result.ok = True
-        result.secret_len = len(secret)
-    except FleetOverloaded:
-        result.rejected = True
-        result.error = "FleetOverloaded"
-    except ReproError as exc:
-        result.error = type(exc).__name__
-    finally:
-        root.close()
-        segments["total"] = time.perf_counter() - total_start
-        try:
-            connection.close()
-        except ReproError:
-            pass
-    return result
+    attester = stack.attester
+    return _drive_handshake(
+        network, host, port, identity_public, stack, attempt,
+        lambda session: attester.make_msg0_multi(session, stack.tee_type),
+        lambda session: attester.make_msg2_multi(
+            session, stack.collect_view(session.anchor)))
 
 
 def run_load(network, host: str, port: int, identity_public: bytes,

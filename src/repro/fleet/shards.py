@@ -65,6 +65,7 @@ import struct
 import threading
 import time
 from collections import deque
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -145,7 +146,7 @@ OP_TICKET_EVICT = 0x08
 OP_TICKET_SYNC = 0x09
 #: Hierarchy opcode (control channel): incremental audit-log export.
 OP_AUDIT = 0x0A
-#: Flame export (control channel): drain the shard-local tracer's spans
+#: Flame export (control channel): drain the shard's spans
 #: as folded stacks + a per-name summary (``FleetConfig.shard_trace``).
 OP_FLAME = 0x0B
 OP_OK = 0x40
@@ -392,8 +393,7 @@ def shard_main(spec: ShardSpec, data_sock: socket.socket,
                           name="watz-fleet-verifier",
                           heap_size=config.lane_heap_size)
     ta_class = make_fleet_verifier_ta(identity, policy, spec.secret_provider,
-                                      None, appraisal_cache=cache,
-                                      engine=engine)
+                                      appraisal_cache=cache, engine=engine)
     image = sign_ta(manifest, b"watz fleet verifier ta", ta_class,
                     testbed.vendor_key)
     device.kernel.install_ta(image)
@@ -407,15 +407,15 @@ def shard_main(spec: ShardSpec, data_sock: socket.socket,
         ec.precompute_public_key(identity.public)
 
     tracer = None
+    observing = ExitStack()
     if config.shard_trace:
         from repro.obs import Tracer
 
-        # Shard-local dual-clock tracer: world transitions from this
-        # shard's board plus the loop's own phases. Spans stay in the
-        # worker and export on demand over OP_FLAME — in-process tracing
-        # (the constructor-rejected kind) remains a threaded facility.
+        # Shard-local dual-clock spans: this shard's board observed from
+        # outside, under the loop's own request and batch spans. Spans
+        # stay in the worker and export on demand over OP_FLAME.
         tracer = Tracer(sim_now=clock.now_ns)
-        device.soc.attach_tracer(tracer)
+        observing.enter_context(tracer.observe(device.soc))
 
     #: Data-loop progress counter, reported in pongs so the supervisor
     #: can tell "busy but alive" from "stuck on one frame".
@@ -711,6 +711,7 @@ def shard_main(spec: ShardSpec, data_sock: socket.socket,
         session.close()
     except Exception:
         pass
+    observing.close()
     selector.close()
     for sock in (data_sock, ctrl_sock):
         try:
@@ -958,14 +959,10 @@ class ShardedGateway:
     def __init__(self, network: Network, host: str, port: int,
                  vendor_key: ecdsa.KeyPair, identity: ecdsa.KeyPair,
                  policy: VerifierPolicy, secret_provider: SecretProvider,
-                 config: FleetConfig, recorder=None, tracer=None,
-                 time_source=time.monotonic_ns, engine=None) -> None:
+                 config: FleetConfig, time_source=time.monotonic_ns,
+                 engine=None) -> None:
         if config.shards < 1:
             raise ValueError("sharded gateway needs at least one shard")
-        if recorder is not None or tracer is not None:
-            raise ValueError(
-                "cost recording and tracing are in-process facilities; "
-                "use the thread-pool gateway (config.shards = 0) to trace")
         try:
             self._context = multiprocessing.get_context("fork")
         except ValueError as exc:  # pragma: no cover - non-POSIX hosts
@@ -1471,7 +1468,7 @@ class ShardedGateway:
                 for item in json.loads(body.decode())]
 
     def shard_flame(self, index: int) -> Optional[dict]:
-        """Drain one shard's tracer (``FleetConfig.shard_trace``).
+        """Drain one shard's spans (``FleetConfig.shard_trace``).
 
         Returns ``{"folded_wall": [...], "folded_sim": [...],
         "summary": str, "spans": int}`` — folded flamegraph lines on

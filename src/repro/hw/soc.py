@@ -33,18 +33,6 @@ class SoC:
         self.monotonic = MonotonicCounters(self)
         self.current_world = World.NORMAL
         self.boot_report: Optional[BootReport] = None
-        # Optional repro.obs.Tracer; every transition hook below is a
-        # no-op (one attribute test) while this stays None.
-        self.tracer = None
-
-    def attach_tracer(self, tracer) -> None:
-        """Attach a :class:`repro.obs.Tracer` to this board's hooks.
-
-        The tracer should read *this* board's virtual clock
-        (``Tracer(sim_now=soc.clock.now_ns)``) or the sim timestamps of
-        its spans are meaningless.
-        """
-        self.tracer = tracer
 
     # -- manufacturing -----------------------------------------------------------
 
@@ -79,52 +67,57 @@ class SoC:
 
     @contextmanager
     def enter_secure_world(self) -> Iterator[None]:
-        """A full normal->secure invocation (GP client API path)."""
+        """A full normal->secure invocation (GP client API path).
+
+        Charges ``world_enter_ns``/``world_return_ns`` step by step, one
+        method per Fig. 3b component, so each step is an entry point that
+        :mod:`repro.obs` can time from outside.
+        """
         self.require_world(World.NORMAL)
         if not self.securely_booted:
             raise SecureBootError("secure world is not booted")
-        tracer = self.tracer
-        if tracer is None:
-            self.clock.advance(self.costs.world_enter_ns)
-        else:
-            # Traced: the same composition, charged step by step so the
-            # Fig. 3b decomposition emerges from the spans. The sums are
-            # identical to the untraced path by construction.
-            with tracer.span("hw.optee_driver", world="normal"):
-                self.clock.advance(self.costs.optee_driver_ns)
-            with tracer.span("hw.smc.enter", world="normal"):
-                self.clock.advance(self.costs.smc_ns)
-            with tracer.span("hw.session_dispatch", world="secure"):
-                self.clock.advance(self.costs.session_dispatch_ns)
+        self._optee_driver()
+        self._smc_enter()
+        self._session_dispatch()
         self.current_world = World.SECURE
         try:
             yield
         finally:
-            tracer = self.tracer
-            if tracer is None:
-                self.clock.advance(self.costs.world_return_ns)
-            else:
-                with tracer.span("hw.smc.exit", world="secure"):
-                    self.clock.advance(self.costs.smc_ns)
-                with tracer.span("hw.return_path", world="normal"):
-                    self.clock.advance(self.costs.return_path_ns)
+            self._smc_exit()
+            self._return_path()
             self.current_world = World.NORMAL
 
     @contextmanager
     def rpc_to_normal_world(self) -> Iterator[None]:
         """A lightweight kernel RPC from the secure world (no session)."""
         self.require_world(World.SECURE)
-        tracer = self.tracer
-        if tracer is None:
-            self.clock.advance(self.costs.kernel_rpc_ns)
-        else:
-            with tracer.span("hw.kernel_rpc", world="secure"):
-                self.clock.advance(self.costs.kernel_rpc_ns)
+        self._kernel_rpc()
         self.current_world = World.NORMAL
         try:
             yield
         finally:
             self.current_world = World.SECURE
+
+    def _optee_driver(self) -> None:
+        self.clock.advance(self.costs.optee_driver_ns)
+
+    def _smc_enter(self) -> None:
+        self.clock.advance(self.costs.smc_ns)
+
+    def _session_dispatch(self) -> None:
+        self.clock.advance(self.costs.session_dispatch_ns)
+
+    def _smc_exit(self) -> None:
+        self.clock.advance(self.costs.smc_ns)
+
+    def _return_path(self) -> None:
+        self.clock.advance(self.costs.return_path_ns)
+
+    def _kernel_rpc(self) -> None:
+        self.clock.advance(self.costs.kernel_rpc_ns)
+
+    def _clock_read(self) -> None:
+        self.clock.advance(self.costs.clock_read_ns)
 
     # -- clock access -----------------------------------------------------------------
 
@@ -134,22 +127,12 @@ class SoC:
         From the normal world this is a cheap syscall; from the secure
         world it pays the kernel-RPC path the paper added to OP-TEE.
         """
-        tracer = self.tracer
         if self.current_world == World.NORMAL:
-            if tracer is None:
-                self.clock.advance(self.costs.clock_read_ns)
-            else:
-                with tracer.span("hw.clock_read", world="normal"):
-                    self.clock.advance(self.costs.clock_read_ns)
+            self._clock_read()
             return self.clock.now_ns()
         with self.rpc_to_normal_world():
-            if tracer is None:
-                self.clock.advance(self.costs.clock_read_ns)
-            else:
-                with tracer.span("hw.clock_read", world="normal"):
-                    self.clock.advance(self.costs.clock_read_ns)
-            now = self.clock.now_ns()
-        return now
+            self._clock_read()
+            return self.clock.now_ns()
 
     # -- root of trust -------------------------------------------------------------------
 

@@ -2,8 +2,8 @@
 
 The observability subsystem: a dual-clock :class:`Tracer` (virtual
 SimClock nanoseconds + wall ``perf_counter`` seconds, never mixed),
-instrumentation hooks threaded through ``hw``/``optee``/``wasi``/
-``core``/``fleet`` (all no-ops until a tracer is attached), Chrome
+``Tracer.observe`` wrapping the entry points of ``hw``/``optee``/``wasi``/
+``core``/``wasm``/``appraisal``/``fleet`` from outside, Chrome
 ``trace_event``/flame exporters, a span-only :class:`TraceAnalyzer`, and
 host-call record/replay for standalone deterministic Wasm benchmarks.
 """
@@ -24,7 +24,7 @@ from repro.obs.record import (
     replay_imports,
     replay_run,
 )
-from repro.obs.tracer import Span, Tracer, TracingRecorder
+from repro.obs.tracer import Span, Tracer
 
 __all__ = [
     "HostCall",
@@ -34,7 +34,6 @@ __all__ = [
     "Span",
     "TraceAnalyzer",
     "Tracer",
-    "TracingRecorder",
     "UNATTRIBUTED",
     "flame_summary",
     "folded_stacks",

@@ -1,7 +1,10 @@
 """Trace smoke run: ``python -m repro.obs.smoke [out_dir]``.
 
-Drives two full attestation handshakes through the fleet gateway with a
-tracer attached, exports the Chrome trace (wall and sim clocks), the
+Drives two concurrent attestation handshakes (two lanes, two clients)
+through the fleet gateway while a tracer observes the gateway board,
+checks that summed span sim self time equals the board clock's movement
+(a span opened outside the device lock would count the other lane's
+SimClock twice), exports the Chrome trace (wall and sim clocks), the
 flame summary and the span-derived per-phase breakdown into
 ``bench_results/``, and validates the JSON against the Perfetto schema
 gate. CI runs this and uploads the artifacts; it doubles as the smallest
@@ -32,25 +35,34 @@ def run_smoke(out_dir: str = "bench_results") -> dict:
     identity = ecdsa.keypair_from_private(0x0B5E7EE)
     policy = VerifierPolicy()
     gateway_device = testbed.create_device()
-    tracer = Tracer(sim_now=gateway_device.soc.clock.now_ns)
+    clock = gateway_device.soc.clock
+    tracer = Tracer(sim_now=clock.now_ns)
     secret = bytes(range(256))
-    gateway = start_fleet_gateway(
-        testbed.network, HOST, PORT, gateway_device.client,
-        testbed.vendor_key, identity, policy, lambda: secret,
-        FleetConfig(workers=2), recorder=tracer.recorder(), tracer=tracer)
-    try:
-        stacks = build_attester_stacks(testbed, policy, 2)
-        report = run_load(testbed.network, HOST, PORT,
-                          identity.public_bytes(), stacks,
-                          LoadProfile(concurrency=2,
-                                      handshakes_per_attester=1))
-    finally:
-        gateway.stop()
+    sim_before = clock.now_ns()
+    with tracer.observe(gateway_device.soc):
+        gateway = start_fleet_gateway(
+            testbed.network, HOST, PORT, gateway_device.client,
+            testbed.vendor_key, identity, policy, lambda: secret,
+            FleetConfig(workers=2))
+        try:
+            stacks = build_attester_stacks(testbed, policy, 2)
+            report = run_load(testbed.network, HOST, PORT,
+                              identity.public_bytes(), stacks,
+                              LoadProfile(concurrency=2,
+                                          handshakes_per_attester=1))
+        finally:
+            gateway.stop()
     if len(report.completed) != 2:
         raise RuntimeError(
             f"smoke handshakes failed: {[r.error for r in report.results]}")
 
     spans = tracer.drain()
+    analyzer = TraceAnalyzer(spans)
+    clock_delta = clock.now_ns() - sim_before
+    if analyzer.total_sim_ns() != clock_delta:
+        raise RuntimeError(
+            f"span sim self time {analyzer.total_sim_ns()} ns != gateway "
+            f"clock delta {clock_delta} ns")
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     for clock in ("wall", "sim"):
@@ -60,7 +72,6 @@ def run_smoke(out_dir: str = "bench_results") -> dict:
         paths[clock] = path
     validate_chrome_trace(to_chrome_trace(spans, clock="wall"))
 
-    analyzer = TraceAnalyzer(spans)
     summary_path = os.path.join(out_dir, "trace_smoke_summary.txt")
     with open(summary_path, "w", encoding="utf-8") as handle:
         handle.write(analyzer.format_breakdown(

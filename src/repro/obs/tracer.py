@@ -11,9 +11,9 @@ them (DESIGN.md, "Clock discipline"):
 
 Spans nest per thread; the tracer keeps a bounded flight-recorder ring
 buffer (oldest spans fall off) and is safe for concurrent emit from the
-gateway's worker threads. Instrumentation sites throughout the stack hold
-an ``Optional[Tracer]`` and skip *all* of this when it is ``None`` — the
-hot path stays one attribute test.
+gateway's worker threads. The program holds no tracer: :meth:`Tracer.observe`
+wraps the stack's entry points from outside for the duration of a ``with``
+block (:mod:`repro.obs.observe`), so an untraced run executes no tracing code.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Iterator, List, Optional
-
-from repro.core.protocol import CostRecorder
 
 #: Worlds a span can be attributed to (mirrors repro.hw.caam.World values,
 #: without importing hardware into the observability layer).
@@ -91,19 +89,17 @@ class Tracer:
             stack = self._stacks.stack = []
         return stack
 
-    @contextmanager
-    def span(self, name: str, world: str = "", lane: Optional[int] = None,
-             **attrs: object) -> Iterator[Span]:
-        """Open a nested span; it is recorded when the block exits."""
+    def _open(self, name: str, world: str, lane: Optional[int],
+              attrs: Dict[str, object]) -> Span:
+        """Start a span on this thread's stack (close it with :meth:`_close`)."""
         with self._lock:
             span_id = self._next_id
             self._next_id += 1
         stack = self._stack()
-        parent_id = stack[-1] if stack else None
         thread = threading.current_thread()
         record = Span(
             span_id=span_id,
-            parent_id=parent_id,
+            parent_id=stack[-1] if stack else None,
             name=name,
             world=world,
             lane=lane,
@@ -113,18 +109,32 @@ class Tracer:
             end_sim_ns=0,
             thread_id=thread.ident or 0,
             thread_name=thread.name,
-            attrs=dict(attrs),
+            attrs=attrs,
         )
         stack.append(span_id)
+        return record
+
+    def _close(self, record: Span) -> None:
+        self._stack().pop()
+        record.end_wall_s = self._wall_now()
+        record.end_sim_ns = self._sim_now()
+        with self._lock:
+            self._buffer.append(record)
+            self._emitted += 1
+
+    def _nested(self) -> bool:
+        """True while this thread has a span of this tracer open."""
+        return bool(getattr(self._stacks, "stack", None))
+
+    @contextmanager
+    def span(self, name: str, world: str = "", lane: Optional[int] = None,
+             **attrs: object) -> Iterator[Span]:
+        """Open a nested span; it is recorded when the block exits."""
+        record = self._open(name, world, lane, dict(attrs))
         try:
             yield record
         finally:
-            stack.pop()
-            record.end_wall_s = self._wall_now()
-            record.end_sim_ns = self._sim_now()
-            with self._lock:
-                self._buffer.append(record)
-                self._emitted += 1
+            self._close(record)
 
     def instant(self, name: str, world: str = "", **attrs: object) -> Span:
         """Emit a zero-duration marker span."""
@@ -158,25 +168,12 @@ class Tracer:
             self._buffer.clear()
             return spans
 
-    def recorder(self) -> "TracingRecorder":
-        """A protocol :class:`CostRecorder` that mirrors phases as spans."""
-        return TracingRecorder(self)
+    def observe(self, soc=None):
+        """Trace the stack's entry points for the duration of a ``with``.
 
+        With a board (``soc``), only that board's calls open spans, plus
+        the board-less calls nested under them; see :mod:`repro.obs.observe`.
+        """
+        from repro.obs.observe import observe
 
-class TracingRecorder(CostRecorder):
-    """A :class:`CostRecorder` that also emits ``crypto.*`` spans.
-
-    Attester/verifier wrap every cryptographic phase through their
-    recorder (Table III); routing one of these through them makes the
-    same phases show up in the trace without touching protocol code.
-    """
-
-    def __init__(self, tracer: Tracer) -> None:
-        super().__init__()
-        self._tracer = tracer
-
-    @contextmanager
-    def phase(self, message: str, category: str) -> Iterator[None]:
-        with self._tracer.span(f"crypto.{category}", message=message):
-            with super().phase(message, category):
-                yield
+        return observe(self, soc)

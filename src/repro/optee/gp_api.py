@@ -117,11 +117,6 @@ class GpInternalApi:
     def costs(self):
         return self._kernel.soc.costs
 
-    @property
-    def tracer(self):
-        """The board's attached tracer, or None (tracing disabled)."""
-        return self._kernel.soc.tracer
-
     # -- time ----------------------------------------------------------------------
 
     def get_system_time_ns(self) -> int:
@@ -177,22 +172,15 @@ class GpInternalApi:
     def _socket_rpc(self, operation, payload_size: int = 0):
         soc = self._kernel.soc
         soc.require_world(World.SECURE)
-        tracer = soc.tracer
-        if tracer is None:
-            soc.clock.advance(soc.costs.shared_copy_ns(payload_size))
-            with soc.rpc_to_normal_world():
-                soc.clock.advance(soc.costs.socket_roundtrip_ns)
-                result = operation()
-            return result
-        with tracer.span("optee.socket_rpc", world="secure",
-                         payload=payload_size):
-            with tracer.span("optee.shared_copy", world="secure"):
-                soc.clock.advance(soc.costs.shared_copy_ns(payload_size))
-            with soc.rpc_to_normal_world():
-                with tracer.span("net.socket_roundtrip", world="normal"):
-                    soc.clock.advance(soc.costs.socket_roundtrip_ns)
-                    result = operation()
-        return result
+        _charge_shared_copy(soc, payload_size)
+        with soc.rpc_to_normal_world():
+            return self._roundtrip(operation)
+
+    def _roundtrip(self, operation):
+        """The supplicant's socket operation, run in the normal world."""
+        soc = self._kernel.soc
+        soc.clock.advance(soc.costs.socket_roundtrip_ns)
+        return operation()
 
     def tcp_connect(self, host: str, port: int) -> int:
         supplicant = self._kernel.require_supplicant()
@@ -211,13 +199,7 @@ class GpInternalApi:
         supplicant = self._kernel.require_supplicant()
         remote = self._socket_handle(handle)
         data = self._socket_rpc(lambda: supplicant.receive(remote))
-        soc = self._kernel.soc
-        if soc.tracer is None:
-            _charge_shared_copy(soc, len(data))
-        else:
-            with soc.tracer.span("optee.shared_copy", world="secure",
-                                 payload=len(data)):
-                _charge_shared_copy(soc, len(data))
+        _charge_shared_copy(self._kernel.soc, len(data))
         return data
 
     def tcp_close(self, handle: int) -> None:
@@ -247,32 +229,15 @@ class TaSession:
         """Invoke a TA command, paying the world-transition costs."""
         if not self._open:
             raise TeeAccessDenied("session is closed")
-        soc = self._client.kernel.soc
-        tracer = soc.tracer
-        if tracer is None:
-            with soc.enter_secure_world():
-                result = self.ta.invoke(command, params or {})
-            return result
-        with tracer.span("optee.ta.invoke", ta=self.api.manifest.name,
-                         command=command):
-            with soc.enter_secure_world():
-                result = self.ta.invoke(command, params or {})
-        return result
+        with self._client.kernel.soc.enter_secure_world():
+            return self.ta.invoke(command, params or {})
 
     def close(self) -> None:
         if not self._open:
             return
-        soc = self._client.kernel.soc
-        tracer = soc.tracer
-        if tracer is None:
-            with soc.enter_secure_world():
-                self.ta.close_session()
-                self.api.release()
-        else:
-            with tracer.span("optee.ta.close", ta=self.api.manifest.name):
-                with soc.enter_secure_world():
-                    self.ta.close_session()
-                    self.api.release()
+        with self._client.kernel.soc.enter_secure_world():
+            self.ta.close_session()
+            self.api.release()
         self._open = False
 
 
@@ -291,19 +256,9 @@ class OpTeeClient:
         """Open a session: loads and verifies the TA, pays transition costs."""
         self.kernel.soc.require_world(World.NORMAL)
         image = self.kernel.ta_image(uuid)
-        soc = self.kernel.soc
-        tracer = soc.tracer
-        if tracer is None:
-            with soc.enter_secure_world():
-                api = GpInternalApi(self.kernel, image.manifest)
-                ta = image.factory()
-                ta.manifest = image.manifest
-                ta.open_session(api)
-            return TaSession(self, ta, api)
-        with tracer.span("optee.ta.open", ta=image.manifest.name):
-            with soc.enter_secure_world():
-                api = GpInternalApi(self.kernel, image.manifest)
-                ta = image.factory()
-                ta.manifest = image.manifest
-                ta.open_session(api)
+        with self.kernel.soc.enter_secure_world():
+            api = GpInternalApi(self.kernel, image.manifest)
+            ta = image.factory()
+            ta.manifest = image.manifest
+            ta.open_session(api)
         return TaSession(self, ta, api)

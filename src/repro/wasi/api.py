@@ -52,8 +52,7 @@ class WasiEnvironment:
                  clock_ns: Optional[Callable[[], int]] = None,
                  random_bytes: Optional[Callable[[int], bytes]] = None,
                  wasi_dispatch: Optional[Callable[[], None]] = None,
-                 filesystem=None,
-                 tracer=None) -> None:
+                 filesystem=None) -> None:
         self.args = list(args or ["app.wasm"])
         self.environ = list(environ or [])
         self.clock_ns = clock_ns or (lambda: 0)
@@ -63,9 +62,6 @@ class WasiEnvironment:
         # Optional WASI-FS extension (paper future work); None keeps the
         # shipped behaviour where file-system calls trap.
         self.filesystem = filesystem
-        # Optional repro.obs.Tracer: when set, every host call built from
-        # this environment is wrapped in a ``wasi.<name>`` span.
-        self.tracer = tracer
         self.stdout = bytearray()
         self.stderr = bytearray()
         self.exit_code: Optional[int] = None

@@ -80,28 +80,8 @@ _FS_FUNCTIONS: Dict[str, FuncType] = {
 }
 
 
-def _traced(tracer, name: str, fn):
-    """Wrap a WASI entry point in a ``wasi.<name>`` span.
-
-    The span covers the dispatch charge *and* the body, so its simulated
-    self time (children excluded) is exactly the WASI indirection cost —
-    what separates the native-TA and Wasm curves of Fig. 3a.
-    """
-
-    def traced_call(instance, *args):
-        with tracer.span(f"wasi.{name}", world="secure"):
-            return fn(instance, *args)
-
-    return traced_call
-
-
 def build_wasi_imports(env: WasiEnvironment) -> Dict[str, Dict[str, HostFunction]]:
-    """Build the ``wasi_snapshot_preview1`` namespace for instantiation.
-
-    With ``env.tracer`` set, every function — implemented, stub, or
-    file-system — is wrapped in a tracing span; with it unset (the
-    default) the namespace is exactly the untraced fast path.
-    """
+    """Build the ``wasi_snapshot_preview1`` namespace for instantiation."""
     api = WasiApi(env)
     namespace: Dict[str, HostFunction] = {}
     for name in IMPLEMENTED:
@@ -116,10 +96,4 @@ def build_wasi_imports(env: WasiEnvironment) -> Dict[str, Dict[str, HostFunction
         for name, signature in _FS_FUNCTIONS.items():
             namespace[name] = HostFunction(signature,
                                            getattr(fs_api, name), name)
-    if env.tracer is not None:
-        namespace = {
-            name: HostFunction(host.func_type,
-                               _traced(env.tracer, name, host.fn), name)
-            for name, host in namespace.items()
-        }
     return {WASI_MODULE: namespace}

@@ -1577,9 +1577,6 @@ class AotCompiler(Engine):
     #: per-instance namespace is instance-specific.
     supports_code_artifacts = True
 
-    def __init__(self, tracer: Optional[object] = None) -> None:
-        self.tracer = tracer
-
     def _make_compiler(self, module: Module,
                        func_index: int) -> _FunctionCompiler:
         func = module.functions[func_index - len(module.imported_funcs)]
@@ -1588,19 +1585,8 @@ class AotCompiler(Engine):
 
     def compile_artifact(self, module: Module, func_index: int) -> tuple:
         """Lower one function to a (code object, source) artifact."""
-        tracer = self.tracer
-        if tracer is None:
-            compiler = self._make_compiler(module, func_index)
-            source = compiler.compile()
-            return (_pycompile(source, func_index), source)
-        with tracer.span("aot.compile", func=func_index):
-            with tracer.span("aot.analyze"):
-                compiler = self._make_compiler(module, func_index)
-            with tracer.span("aot.codegen"):
-                source = compiler.compile()
-            with tracer.span("aot.pycompile"):
-                code = _pycompile(source, func_index)
-        return (code, source)
+        source = self._make_compiler(module, func_index).compile()
+        return (_pycompile(source, func_index), source)
 
     def link_artifact(self, module: Module, instance: Instance,
                       func_index: int, artifact: object) -> Callable:

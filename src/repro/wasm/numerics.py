@@ -35,8 +35,12 @@ def s64(value: int) -> int:
 
 
 def f32_round(value: float) -> float:
-    """Round a Python float to f32 precision."""
-    return _PACK_F32.unpack(_PACK_F32.pack(value))[0]
+    """Round a Python float to f32 precision; values at or beyond the
+    FLT_MAX/2^128 midpoint (where ``struct`` raises) round to +-inf."""
+    try:
+        return _PACK_F32.unpack(_PACK_F32.pack(value))[0]
+    except OverflowError:
+        return math.copysign(math.inf, value)
 
 
 def clz(value: int, bits: int) -> int:

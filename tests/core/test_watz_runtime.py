@@ -1,5 +1,7 @@
 """The WaTZ runtime TA: loading, measuring, executing Wasm on the platform."""
 
+import math
+
 import pytest
 
 from repro.core.runtime import (
@@ -271,6 +273,17 @@ def test_failed_load_releases_what_it_charged(device, engine_name):
     # The session still loads and runs the intact module.
     app = device.load_wasm(session, binary)["app"]
     assert device.run_wasm(session, app, "add", 20, 22) == 42
+
+
+@pytest.mark.parametrize("engine_name", ["interpreter", "aot"])
+def test_f32_argument_past_the_range_rounds_to_infinity(device, engine_name):
+    """An f32 argument beyond the f32 range enters as infinity instead of
+    escaping the TA as a builtin OverflowError."""
+    session = device.open_watz(heap_size=4 * 1024 * 1024, engine=engine_name)
+    binary = compile_source("export fn f(x: f32) -> f32 { return x; }")
+    app = device.load_wasm(session, binary)["app"]
+    assert device.run_wasm(session, app, "f", 1e300) == math.inf
+    assert device.run_wasm(session, app, "f", -1e300) == -math.inf
 
 
 def test_too_deep_nest_fails_load_typed(device):

@@ -2,10 +2,10 @@
 
 The wNAF/comb/Shamir EC fast paths and the vectorised GCM pipeline change
 *wall-clock* time only. Everything the simulation observes — the protocol
-transcript, the CostRecorder phase sequence (Table III), the
-TracingRecorder span stream, and the SimClock totals of a full on-device
-attestation — must be byte-for-byte identical between the fast paths and
-the retained scalar references.
+transcript, the CostRecorder phase sequence (Table III), the ``crypto.*``
+span stream an observing tracer records, and the SimClock totals of a full
+on-device attestation — must be byte-for-byte identical between the fast
+paths and the retained scalar references.
 """
 
 import hashlib
@@ -110,11 +110,12 @@ def test_transcript_and_phase_sequence_identical_on_both_paths():
 
 def test_tracing_recorder_spans_identical_on_both_paths():
     tracer_fast = Tracer()
-    _run_handshake(tracer_fast.recorder(), tracer_fast.recorder())
+    with tracer_fast.observe():
+        _run_handshake(None, None)
 
     tracer_ref = Tracer()
-    with ec.reference_paths():
-        _run_handshake(tracer_ref.recorder(), tracer_ref.recorder())
+    with ec.reference_paths(), tracer_ref.observe():
+        _run_handshake(None, None)
 
     def shape(tracer):
         return [(s.name, s.attrs.get("message")) for s in tracer.spans()]
@@ -176,13 +177,12 @@ def test_msg3_wire_bytes_identical_on_gcm_paths():
 
 def test_tracing_recorder_spans_identical_on_gcm_paths():
     tracer_fast = Tracer()
-    _run_handshake(tracer_fast.recorder(), tracer_fast.recorder(),
-                   secret=_BULK_SECRET)
+    with tracer_fast.observe():
+        _run_handshake(None, None, secret=_BULK_SECRET)
 
     tracer_ref = Tracer()
-    with gcm.reference_paths():
-        _run_handshake(tracer_ref.recorder(), tracer_ref.recorder(),
-                       secret=_BULK_SECRET)
+    with gcm.reference_paths(), tracer_ref.observe():
+        _run_handshake(None, None, secret=_BULK_SECRET)
 
     def shape(tracer):
         return [(s.name, s.attrs.get("message")) for s in tracer.spans()]

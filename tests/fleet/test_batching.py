@@ -14,6 +14,7 @@ import signal
 import threading
 import time
 from collections import deque
+from contextlib import ExitStack
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.fleet import (FleetConfig, LoadProfile, build_attester_stacks,
                          run_load, run_one_handshake, start_fleet_gateway)
 from repro.fleet import gateway as gateway_module
 from repro.fleet.metrics import FleetMetrics
+from repro.obs import Tracer
 from repro.testbed import Testbed
 
 HOST = "fleet.verifier"
@@ -142,7 +144,7 @@ class _FairLock:
         self.release()
 
 
-def _two_concurrent_msg2(batch_on, port):
+def _two_concurrent_msg2(batch_on, port, tracer=None):
     """Two handshakes with their msg2s forced to overlap, in a pinned order.
 
     Both lanes are advanced to post-msg1 sequentially (deterministic
@@ -151,11 +153,15 @@ def _two_concurrent_msg2(batch_on, port):
     at a time — each is observed blocked on the lock before the next
     starts — so msg2s are always *served* lane-0-then-lane-1, with
     batching on or off. With batching on, both stage before either
-    serves, and exactly one batch drain covers both.
+    serves, and exactly one batch drain covers both. With a ``tracer``, the
+    whole run happens while it observes the gateway board.
     """
     testbed = Testbed(deterministic_rng=True)
     device = testbed.create_device()
     policy = VerifierPolicy()
+    observing = ExitStack()
+    if tracer is not None:
+        observing.enter_context(tracer.observe(device.soc))
     gateway = start_fleet_gateway(
         testbed.network, HOST, port, device.client, testbed.vendor_key,
         IDENTITY, policy, lambda: SECRET,
@@ -210,6 +216,7 @@ def _two_concurrent_msg2(batch_on, port):
         return replies, secrets, records, counters
     finally:
         gateway.stop()
+        observing.close()
 
 
 def test_batching_changes_wall_time_only():
@@ -231,6 +238,24 @@ def test_batching_changes_wall_time_only():
     assert counters_off["batch_drains"] == 0
     assert counters_off["batch_verified"] == 0
     assert counters_off["crypto_prewarms"] == 2
+
+
+def test_observing_the_gateway_keeps_the_batched_path():
+    # A trace must show the path that ships: with the gateway board
+    # observed, the batcher stays armed, one drain covers both msg2s, and
+    # replies and per-message SimClock ns match the untraced run.
+    tracer = Tracer()
+    replies_tr, secrets_tr, records_tr, counters_tr = \
+        _two_concurrent_msg2(True, 7817, tracer=tracer)
+    replies_on, secrets_on, records_on, _ = _two_concurrent_msg2(True, 7818)
+    assert secrets_tr == secrets_on == [SECRET, SECRET]
+    assert replies_tr == replies_on
+    assert records_tr == records_on
+    assert counters_tr["batch_drains"] == 1
+    assert counters_tr["batch_verified"] == 2
+    kinds = [span.attrs["kind"] for span in tracer.spans()
+             if span.name == "fleet.request"]
+    assert sorted(kinds) == ["msg0", "msg0", "msg2", "msg2"]
 
 
 def test_batch_share_lands_in_service_time():

@@ -16,8 +16,10 @@ import pytest
 from repro.core.attester import Attester
 from repro.core.verifier import VerifierPolicy
 from repro.crypto import ecdsa
-from repro.errors import FleetOverloaded, ProtocolError, TeeCommunicationError
-from repro.fleet import (AttestationGateway, FleetConfig, LoadProfile,
+from repro.errors import (FleetOverloaded, ProtocolError,
+                          TeeBadParameters, TeeCommunicationError)
+from repro.fleet import (CMD_FLEET_EVICT, CMD_FLEET_MESSAGE,
+                         AttestationGateway, FleetConfig, LoadProfile,
                          build_attester_stacks, run_load, run_one_handshake,
                          start_fleet_gateway)
 
@@ -298,3 +300,55 @@ def test_prewarm_swallows_malformed_msg2(fleet):
     gateway._prewarm_crypto(b"\x02" + b"\xff" * 40)
     gateway._prewarm_crypto(b"")
     assert gateway.metrics.counter("crypto_prewarms") == 0
+
+
+# -- typed params at both verifier TAs ------------------------------------------
+
+#: (case, command, params): each escaped untyped before the TAs checked
+#: their params (KeyError / TypeError out of the secure world).
+_HOSTILE_VERIFIER_PARAMS = [
+    ("no params", CMD_FLEET_MESSAGE, {}),
+    ("no data", CMD_FLEET_MESSAGE, {"conn": 1}),
+    ("int data", CMD_FLEET_MESSAGE, {"conn": 1, "data": 5}),
+    ("list conn", CMD_FLEET_MESSAGE, {"conn": [1], "data": b"\x00"}),
+    ("int conns", CMD_FLEET_EVICT, {"conns": 5}),
+    ("str conns", CMD_FLEET_EVICT, {"conns": "12"}),
+    ("list conn evict", CMD_FLEET_EVICT, {"conn": [1]}),
+]
+
+
+@pytest.mark.parametrize("case,command,params", _HOSTILE_VERIFIER_PARAMS,
+                         ids=[case[0] for case in _HOSTILE_VERIFIER_PARAMS])
+def test_fleet_lane_rejects_malformed_params_typed(testbed, verifier_identity,
+                                                   case, command, params):
+    device = testbed.create_device()
+    gateway = start_fleet_gateway(
+        testbed.network, HOST, 7670, device.client, testbed.vendor_key,
+        verifier_identity, VerifierPolicy(), lambda: b"secret",
+        FleetConfig(workers=1))
+    try:
+        lane = gateway._lanes[0].session
+        with pytest.raises(TeeBadParameters):
+            lane.invoke(command, params)
+        # The lane survives the refusal.
+        assert lane.invoke(CMD_FLEET_EVICT, {"conns": [1, 2]}) == \
+            {"evicted": 0}
+    finally:
+        gateway.stop()
+
+
+@pytest.mark.parametrize("params", [{}, {"data": 5}, {"data": None}])
+def test_verifier_ta_rejects_malformed_params_typed(testbed,
+                                                    verifier_identity,
+                                                    params):
+    from repro.core.server import (CMD_HANDLE_MESSAGE, VERIFIER_UUID,
+                                   start_verifier)
+
+    device = testbed.create_device()
+    start_verifier(testbed.network, HOST, 7671, device.client,
+                   testbed.vendor_key, verifier_identity, VerifierPolicy(),
+                   lambda: b"secret")
+    session = device.client.open_session(VERIFIER_UUID)
+    with pytest.raises(TeeBadParameters):
+        session.invoke(CMD_HANDLE_MESSAGE, params)
+    session.close()

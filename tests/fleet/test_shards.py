@@ -416,7 +416,3 @@ def test_rejects_zero_shards_and_inprocess_observers():
         ShardedGateway(testbed.network, HOST, 7807, testbed.vendor_key,
                        IDENTITY, VerifierPolicy(), lambda: SECRET,
                        FleetConfig(shards=0))
-    with pytest.raises(ValueError, match="thread-pool gateway"):
-        ShardedGateway(testbed.network, HOST, 7807, testbed.vendor_key,
-                       IDENTITY, VerifierPolicy(), lambda: SECRET,
-                       FleetConfig(shards=1), tracer=object())

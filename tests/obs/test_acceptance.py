@@ -26,20 +26,20 @@ def traced_gateway_run(testbed, verifier_identity):
     gateway_device = testbed.create_device()
     clock = gateway_device.soc.clock
     tracer = Tracer(sim_now=clock.now_ns)
-    gateway_device.soc.attach_tracer(tracer)
     sim_before = clock.now_ns()
-    gateway = start_fleet_gateway(
-        testbed.network, HOST, PORT, gateway_device.client,
-        testbed.vendor_key, verifier_identity, policy, lambda: b"\x5e" * 32,
-        FleetConfig(workers=1), recorder=tracer.recorder(), tracer=tracer)
-    try:
-        stacks = build_attester_stacks(testbed, policy, 1)
-        report = run_load(testbed.network, HOST, PORT,
-                          verifier_identity.public_bytes(), stacks,
-                          LoadProfile(concurrency=1,
-                                      handshakes_per_attester=2))
-    finally:
-        gateway.stop()
+    with tracer.observe(gateway_device.soc):
+        gateway = start_fleet_gateway(
+            testbed.network, HOST, PORT, gateway_device.client,
+            testbed.vendor_key, verifier_identity, policy,
+            lambda: b"\x5e" * 32, FleetConfig(workers=1))
+        try:
+            stacks = build_attester_stacks(testbed, policy, 1)
+            report = run_load(testbed.network, HOST, PORT,
+                              verifier_identity.public_bytes(), stacks,
+                              LoadProfile(concurrency=1,
+                                          handshakes_per_attester=2))
+        finally:
+            gateway.stop()
     assert len(report.completed) == 2, [r.error for r in report.results]
     sim_after = clock.now_ns()
     return tracer.drain(), sim_after - sim_before

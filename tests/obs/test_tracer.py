@@ -5,7 +5,8 @@ import threading
 import pytest
 
 from repro.hw import SimClock
-from repro.obs import Span, Tracer, TracingRecorder
+from repro.core.protocol import CostRecorder
+from repro.obs import Span, Tracer
 
 
 def _tracer(capacity=65536):
@@ -119,10 +120,10 @@ def test_exception_still_closes_the_span():
 
 def test_tracing_recorder_mirrors_phases_as_spans():
     _, tracer = _tracer()
-    recorder = tracer.recorder()
-    assert isinstance(recorder, TracingRecorder)
-    with recorder.phase("msg2", "ecdsa-verify"):
-        pass
+    recorder = CostRecorder()
+    with tracer.observe():
+        with recorder.phase("msg2", "ecdsa-verify"):
+            pass
     (span,) = tracer.spans()
     assert span.name == "crypto.ecdsa-verify"
     assert span.attrs["message"] == "msg2"

@@ -80,17 +80,19 @@ def test_registered_wasi_call_charges_dispatch_cost(name):
 def test_dispatch_charge_is_identical_under_tracing(name):
     """The traced namespace charges exactly what the untraced one does."""
     from repro.obs import Tracer
+    from repro.wasi import host as wasi_host
 
     clock, env = _traced_environment()
-    env.tracer = Tracer(sim_now=clock.now_ns)
     instance = _instance(env)
-    host = build_wasi_imports(env)[WASI_MODULE][name]
-    before = clock.now_ns()
-    try:
-        host.fn(instance, *_CALL_ARGS[name])
-    except ProcExit:
-        assert name == "proc_exit"
+    tracer = Tracer(sim_now=clock.now_ns)
+    with tracer.observe():
+        host = wasi_host.build_wasi_imports(env)[WASI_MODULE][name]
+        before = clock.now_ns()
+        try:
+            host.fn(instance, *_CALL_ARGS[name])
+        except ProcExit:
+            assert name == "proc_exit"
     assert clock.now_ns() - before == DEFAULT_COSTS.wasi_dispatch_ns
-    spans = env.tracer.spans()
+    spans = tracer.spans()
     assert [s.name for s in spans] == [f"wasi.{name}"]
     assert spans[0].sim_ns == DEFAULT_COSTS.wasi_dispatch_ns

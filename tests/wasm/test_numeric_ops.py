@@ -220,3 +220,19 @@ def test_conversion(engine, case):
     if dst in (I32, I64) and expected < 0:
         expected &= U32 if dst == I32 else U64
     assert result == expected
+
+
+def test_f32_results_past_the_range_round_to_infinity(engine):
+    # IEEE rounding gives the signed infinity; struct.pack used to raise
+    # OverflowError out of the engine instead.
+    def divide(f):
+        f.emit(op.F32_CONST, 3e38)
+        f.emit(op.F32_CONST, -0.5)
+        f.emit(op.F32_DIV)
+
+    def demote(f):
+        f.emit(op.F64_CONST, 1e300)
+        f.emit(op.F32_DEMOTE_F64)
+
+    assert run_single(engine, [], [F32], divide) == -math.inf
+    assert run_single(engine, [], [F32], demote) == math.inf

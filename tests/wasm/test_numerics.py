@@ -134,6 +134,15 @@ def test_f32_round():
     assert num.f32_round(1.5) == 1.5
 
 
+def test_f32_round_overflows_at_the_flt_max_midpoint():
+    flt_max = num.f32_reinterpret_i32(0x7F7FFFFF)
+    midpoint = 3.4028235677973366e38  # (FLT_MAX + 2^128) / 2
+    assert num.f32_round(math.nextafter(midpoint, 0)) == flt_max
+    assert num.f32_round(midpoint) == math.inf
+    assert num.f32_round(-midpoint) == -math.inf
+    assert num.f32_round(1e300) == math.inf
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 0xFFFFFFFF), st.integers(1, 0xFFFFFFFF))
 def test_divmod_identity_unsigned(a, b):
