@@ -296,9 +296,9 @@ def test_msg3_throughput_smoke():
     seal+open; with a fresh key at each end, fast no slower than the
     reference at 4 KiB and 256 KiB.
 
-    Mirrors the DESIGN.md §14 gate pattern: one re-measure against runner
-    noise before a gate may fail, and ``BENCH_msg3_smoke.json`` records
-    each gate's values, whether it was retried, and why it is asserted.
+    One re-measure against runner noise before a gate may fail (DESIGN.md
+    §16), and ``BENCH_msg3_smoke.json`` records each gate's values,
+    whether it was retried, and why it is asserted.
     """
     entries, fresh, gates = _gated_series(_SMOKE_SIZES, "BENCH_msg3_smoke")
     save_report("msg3_throughput_smoke", _entries_table(entries, fresh))

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """One Wasm module, one fleet, three kinds of TEE (DESIGN.md §12).
 
-A single sharded attestation gateway — armed with one declarative
-appraisal policy — serves TrustZone boards alongside SGX- and
-TDX-shaped devices, all attesting the same Wasm application. The demo
-then fires the revocation killswitch and shows the fleet-wide effect:
+A single attestation gateway — armed with one declarative appraisal
+policy — serves TrustZone boards alongside SGX- and TDX-shaped devices,
+all attesting the same Wasm application. The demo then fires the
+revocation killswitch and shows the fleet-wide effect:
 the outstanding resumption ticket is stranded, fresh handshakes are
 denied with a stable reason code, and every verdict sits in the
 tamper-evident audit chain.
@@ -30,17 +30,18 @@ SECRET = b"mixed-fleet application secret blob"
 
 
 def main() -> None:
-    testbed = Testbed(first_serial=40)
+    testbed = Testbed()
     identity = ecdsa.keypair_from_private(0x5EED + 12)
 
     # One declarative policy for the whole fleet; the engine wraps it
     # with the compiled evaluator, the audit chain and the killswitch.
     appraisal = AppraisalPolicy()
     engine = AppraisalEngine(appraisal)
+    gateway_device = testbed.create_device()
     gateway = start_fleet_gateway(
-        testbed.network, HOST, PORT, None, testbed.vendor_key,
-        identity, VerifierPolicy(), lambda: SECRET,
-        FleetConfig(shards=2, heartbeat_interval_s=0.05), engine=engine)
+        testbed.network, HOST, PORT, gateway_device.client,
+        testbed.vendor_key, identity, VerifierPolicy(), lambda: SECRET,
+        FleetConfig(), engine=engine)
 
     try:
         # Heterogeneous attesters for the *same* Wasm module:
@@ -59,8 +60,7 @@ def main() -> None:
         assert len(report.completed) == len(stacks) * 2
         print(f"handshakes: {len(report.completed)}/{len(report.results)}"
               f" ok, {report.throughput_hz:.1f}/s")
-        print("audit (merged across shards):",
-              gateway.snapshot()["audit"])
+        print("audit:", gateway.snapshot()["audit"])
 
         # --- the killswitch -------------------------------------------------
         sgx = stacks[1]
@@ -85,8 +85,6 @@ def main() -> None:
         snapshot = gateway.snapshot()
         print("audit after the killswitch:", snapshot["audit"])
         assert snapshot["audit"]["measurement-revoked"] == 2
-        print("policy syncs shipped to shards:",
-              snapshot["counters"]["shard_policy_syncs"])
     finally:
         gateway.stop()
     print("\ndone: one policy, three TEE shapes, one audited killswitch.")

@@ -18,7 +18,7 @@ generalises the appraisal side without touching the native wire format:
 * :mod:`~repro.appraisal.audit` — the append-only, hash-chained audit
   log of every accept/deny;
 * :mod:`~repro.appraisal.engine` — the object tying them together for
-  the verifier and the fleet shards;
+  the verifier and the fleet gateway;
 * :mod:`~repro.appraisal.synthetic` — synthetic SGX/TDX attester stacks
   so the load generator and the tests can drive mixed-TEE populations.
 """

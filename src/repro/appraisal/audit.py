@@ -8,9 +8,9 @@ append-only by construction: entries are frozen, the buffer only grows
 each entry carries a hash chained over its predecessor so any tampering
 or truncation in an exported log is detectable.
 
-The log is in-process state, one per verifier (per shard in the fleet);
-exports are plain dicts so :mod:`repro.obs.export` tooling can persist
-them alongside span dumps.
+The log is in-process state, one per verifier (one per gateway in the
+fleet); exports are plain dicts so :mod:`repro.obs.export` tooling can
+persist them alongside span dumps.
 """
 
 from __future__ import annotations
@@ -121,18 +121,6 @@ class AuditLog:
         with self._lock:
             return list(self._entries)[-count:]
 
-    def entries_since(self, sequence: int) -> List[AuditEntry]:
-        """Retained entries with ``sequence >= sequence``, oldest first.
-
-        The incremental-export surface the verifier hierarchy drains:
-        an edge relay remembers the last sequence it forwarded and asks
-        only for what is new. Entries that already fell off the bounded
-        ring are gone — the root detects the resulting chain gap.
-        """
-        with self._lock:
-            return [entry for entry in self._entries
-                    if entry.sequence >= sequence]
-
     def denials(self) -> List[AuditEntry]:
         return [entry for entry in self.entries() if not entry.accepted]
 
@@ -144,23 +132,6 @@ class AuditLog:
 
     def export(self) -> List[Dict[str, object]]:
         return [entry.to_dict() for entry in self.entries()]
-
-
-def entry_from_dict(data: Dict[str, object]) -> AuditEntry:
-    """Rebuild an entry exported by :meth:`AuditEntry.to_dict`.
-
-    The inverse the hierarchy needs to verify chains that crossed a
-    process boundary as JSON (the sharded gateway's ``OP_AUDIT``).
-    """
-    return AuditEntry(
-        sequence=int(data["sequence"]),
-        tee_type=int(data["tee_type"]),
-        accepted=bool(data["accepted"]),
-        reason=str(data["reason"]),
-        policy_fingerprint=bytes.fromhex(str(data["policy_fingerprint"])),
-        detail=str(data["detail"]),
-        digest=bytes.fromhex(str(data["digest"])),
-    )
 
 
 def verify_chain(entries: List[AuditEntry],

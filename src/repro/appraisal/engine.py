@@ -4,14 +4,14 @@ One engine object is what a relying party actually holds: it decodes
 self-describing evidence envelopes through the pluggable codec registry,
 appraises the resulting view against the compiled declarative policy,
 and records every decision — accepts and denies alike — in the
-append-only audit log. The verifier and the fleet shards consume it
+append-only audit log. The verifier and the fleet gateway consume it
 through three calls: :meth:`decode`, :meth:`appraise`, :meth:`record`.
 
 The engine's policy is live state: the revocation killswitch mutates it
 (:meth:`revoke_measurement` / :meth:`revoke_identity`), which bumps the
 policy epoch and therefore the fingerprint. The evaluator recompiles
 lazily on the next use, and every fingerprint-scoped consumer — the
-per-shard appraisal caches, the resumption tickets they minted —
+gateway's appraisal cache, the resumption tickets it minted —
 invalidates on its next message without any eager fan-out call.
 """
 
@@ -68,11 +68,6 @@ class AppraisalEngine:
     def revoke_identity(self, identity: bytes) -> None:
         """Killswitch: deny this attestation identity fleet-wide."""
         self.policy.revoke_identity(identity)
-
-    def replace_policy(self, policy: AppraisalPolicy) -> None:
-        """Swap in a new policy (shard sync path)."""
-        self.policy = policy
-        self._evaluator = policy.compile()
 
     # -- the three verbs --------------------------------------------------------
 

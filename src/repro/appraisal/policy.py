@@ -4,17 +4,17 @@ A relying party serving a heterogeneous fleet expresses what it accepts
 *declaratively* — per-TEE accepted measurements, minimum SVNs, a debug
 kill rule, key policies, expiry — rather than as imperative checks
 scattered through the verifier. The policy is plain data
-(:class:`AppraisalPolicy`), deterministically serialisable (so the fleet
-shards sync it over the same fingerprint-gated channel as the legacy
-``VerifierPolicy``), and compiled (:meth:`AppraisalPolicy.compile`) into
-an evaluator whose verdicts are structured accept/deny decisions with
-**stable reason codes** (:class:`Reason`) — the strings the audit log
-records and operators alert on, pinned by test.
+(:class:`AppraisalPolicy`), deterministically serialisable (the
+serialisation is the fingerprint input), and compiled
+(:meth:`AppraisalPolicy.compile`) into an evaluator whose verdicts are
+structured accept/deny decisions with **stable reason codes**
+(:class:`Reason`) — the strings the audit log records and operators
+alert on, pinned by test.
 
 The revocation killswitch lives here too: revoking a measurement or an
 identity adds it to the deny set *and bumps the policy epoch*. The epoch
 is part of the fingerprint, so every fingerprint-scoped consumer — the
-appraisal caches on every shard, the resumption tickets they minted —
+gateway's appraisal cache, the resumption tickets it minted —
 invalidates on the next message, even if the accept sets are later
 restored to an identical state. Un-revoking never resurrects old
 tickets.
@@ -34,9 +34,9 @@ from repro.errors import PolicyDenied
 class Reason:
     """Stable machine-readable verdict reason codes.
 
-    These strings are an API: the audit log persists them, the fleet
-    shards ship them across the IPC hop inside ``PolicyDenied`` messages,
-    and ``tests/appraisal/test_policy.py`` pins every value. Add new
+    These strings are an API: the audit log persists them,
+    ``PolicyDenied`` carries them as ``reason_code``, and
+    ``tests/appraisal/test_policy.py`` pins every value. Add new
     codes freely; never change an existing one.
     """
 
@@ -154,7 +154,7 @@ class AppraisalPolicy:
     # -- deterministic serialisation -------------------------------------------
 
     def encode(self) -> bytes:
-        """Canonical binary: the fingerprint input and the shard-sync blob."""
+        """Canonical binary: the fingerprint input."""
         parts = [struct.pack(">QI", self.epoch, len(self.tee))]
         parts.append(struct.pack(">BQ",
                                  0 if self.not_after_ns is None else 1,

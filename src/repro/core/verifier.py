@@ -105,7 +105,7 @@ class Verifier:
         cache fingerprints it itself — seed behaviour, unchanged). With
         an engine, cached appraisals also depend on the declarative
         policy — including its revocation epoch — so the scope becomes a
-        single combined digest: any revocation bumps it, every shard's
+        single combined digest: any revocation bumps it, the gateway's
         cache clears, and outstanding resumption tickets die with the
         entries that anchored them.
         """

@@ -1,9 +1,9 @@
 """Randomised-linear-combination batch ECDSA verification.
 
 The verifier-side hot path of Table III is the per-msg2 ECDSA verify:
-one Shamir double-scalar multiplication each. When the gateway drains
-several *independent* pending msg2s in one loop tick, their verification
-equations can be checked jointly: with random ``lambda_i`` the single
+one Shamir double-scalar multiplication each. When the gateway's lanes
+convoy several *independent* pending msg2s on the device lock, their
+verification equations can be checked jointly: with random ``lambda_i`` the single
 Strauss multi-scalar test
 
     sum(lambda_i * u1_i) * G + sum(lambda_i * u2_i * Q_i)

@@ -180,24 +180,17 @@ class PolicyDenied(AttestationError):
     """The declarative appraisal policy denied otherwise-valid evidence.
 
     ``reason_code`` carries the stable machine-readable verdict reason
-    (see :class:`repro.appraisal.policy.Reason`); it is embedded in the
-    message as a ``[reason]`` suffix so the code survives the fleet
-    shards' name+message IPC error hop.
+    (see :class:`repro.appraisal.policy.Reason`); the message ends with
+    it as a ``[reason]`` suffix.
     """
 
-    def __init__(self, message: str = "", reason: str = None) -> None:
-        if reason is None:
-            # Recover the code from a message that crossed the IPC hop.
-            start, end = message.rfind("["), message.rfind("]")
-            reason = message[start + 1:end] if 0 <= start < end else "denied"
-            super().__init__(message or f"appraisal denied [{reason}]")
-        else:
-            suffix = f"[{reason}]"
-            if not message:
-                message = f"appraisal denied {suffix}"
-            elif not message.endswith(suffix):
-                message = f"{message} {suffix}"
-            super().__init__(message)
+    def __init__(self, message: str = "", reason: str = "denied") -> None:
+        suffix = f"[{reason}]"
+        if not message:
+            message = f"appraisal denied {suffix}"
+        elif not message.endswith(suffix):
+            message = f"{message} {suffix}"
+        super().__init__(message)
         self.reason_code = reason
 
 
@@ -218,15 +211,6 @@ class FleetOverloaded(FleetError):
     def __init__(self, message: str = "", reason: str = "queue") -> None:
         super().__init__(message or f"gateway overloaded ({reason})")
         self.reason = reason
-
-
-class FleetShardCrashed(FleetError):
-    """A verifier shard died (or wedged) while serving a message.
-
-    The in-flight handshake cannot be salvaged — its protocol state lived
-    in the dead shard — so it fails cleanly and the attester restarts
-    from msg0 against the respawned worker.
-    """
 
 
 # --- Formal verification --------------------------------------------------

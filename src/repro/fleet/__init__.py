@@ -7,29 +7,8 @@ management, an appraisal cache for the hot path, explicit backpressure,
 and observable metrics. See DESIGN.md, "Fleet gateway".
 """
 
-from repro.fleet.asynccore import (
-    LOOP_BACKEND,
-    MAX_FRAME_BYTES,
-    FrameError,
-    FrameReader,
-    FrameWriter,
-    Reactor,
-    encode_frame,
-)
 from repro.fleet.backpressure import AdmissionController, TokenBucket
 from repro.fleet.cache import AppraisalCache
-from repro.fleet.fabric import (
-    AuditRelay,
-    ChurnProfile,
-    FabricStore,
-    HashRing,
-    ReplicaState,
-    RootAuditor,
-    model_churn,
-    model_revocation_storm,
-    run_churn,
-    zipf_sequence,
-)
 from repro.fleet.gateway import (
     CMD_FLEET_EVICT,
     CMD_FLEET_MESSAGE,
@@ -41,36 +20,20 @@ from repro.fleet.gateway import (
 )
 from repro.fleet.loadgen import (
     AttesterStack,
-    FleetModel,
     HandshakeResult,
     LoadProfile,
     LoadReport,
-    ModelResult,
     MultiTeeStack,
     build_attester_stacks,
     build_mixed_stacks,
-    model_fleet,
     run_load,
     run_one_handshake,
     run_one_handshake_multi,
 )
 from repro.fleet.metrics import FleetMetrics, LatencyHistogram
 from repro.fleet.sessions import SessionEntry, SessionTable
-from repro.fleet.shards import (
-    CRASH_EVICT_REASON,
-    ShardedGateway,
-    ShardSpec,
-    start_sharded_gateway,
-)
 
 __all__ = [
-    "LOOP_BACKEND",
-    "MAX_FRAME_BYTES",
-    "FrameError",
-    "FrameReader",
-    "FrameWriter",
-    "Reactor",
-    "encode_frame",
     "AdmissionController",
     "TokenBucket",
     "AppraisalCache",
@@ -85,12 +48,9 @@ __all__ = [
     "LoadProfile",
     "LoadReport",
     "HandshakeResult",
-    "FleetModel",
-    "ModelResult",
     "MultiTeeStack",
     "build_attester_stacks",
     "build_mixed_stacks",
-    "model_fleet",
     "run_load",
     "run_one_handshake",
     "run_one_handshake_multi",
@@ -98,18 +58,4 @@ __all__ = [
     "LatencyHistogram",
     "SessionEntry",
     "SessionTable",
-    "CRASH_EVICT_REASON",
-    "ShardedGateway",
-    "ShardSpec",
-    "start_sharded_gateway",
-    "AuditRelay",
-    "ChurnProfile",
-    "FabricStore",
-    "HashRing",
-    "ReplicaState",
-    "RootAuditor",
-    "model_churn",
-    "model_revocation_storm",
-    "run_churn",
-    "zipf_sequence",
 ]

@@ -82,17 +82,11 @@ class AppraisalCache:
         self._entries: "OrderedDict[CacheKey, Tuple[int, bytes]]" = \
             OrderedDict()
         self._fingerprint: Optional[bytes] = None
-        #: Optional fabric hook, called *outside* the lock after every
-        #: :meth:`store` as ``listener(fingerprint, key, resumption_key,
-        #: stored_at_ns)`` — how a shard reports freshly minted tickets.
-        #: Seeded entries never notify (no replication echo).
-        self._store_listener = None
         self.hits = 0
         self.misses = 0
         self.bad_tickets = 0
         self.invalidations = 0
         self.expirations = 0
-        self.seeds = 0
 
     @staticmethod
     def _key(evidence) -> CacheKey:
@@ -185,59 +179,9 @@ class AppraisalCache:
             self._refresh_policy(policy)
             key = self._key(evidence)
             self._entries.pop(key, None)  # re-store resets the store order
-            stored_at = self._now()
-            self._entries[key] = (stored_at, bytes(resumption_key))
+            self._entries[key] = (self._now(), bytes(resumption_key))
             while len(self._entries) > self._capacity:
                 self._entries.popitem(last=False)
-            listener = self._store_listener
-            fingerprint = self._fingerprint
-        if listener is not None:
-            # Outside the lock: the listener may consult other locked
-            # structures (the fabric store) without ordering hazards.
-            listener(fingerprint, key, bytes(resumption_key), stored_at)
-
-    # -- fabric surface ----------------------------------------------------------
-
-    def set_store_listener(self, listener) -> None:
-        """Register the fabric's mint hook (see ``_store_listener``)."""
-        self._store_listener = listener
-
-    def seed(self, fingerprint: bytes, key: CacheKey,
-             resumption_key: bytes, age_ns: int = 0) -> bool:
-        """Install a *replicated* entry under an explicit scope.
-
-        The entry was minted by a full verify elsewhere; ``age_ns`` is
-        its age on the authority's clock, so the local TTL continues
-        rather than restarts. A fresh cache adopts the pushed
-        fingerprint; a mismatch with the live fingerprint means the
-        push raced a policy change and is refused. Seeded entries may
-        land out of store order — :meth:`redeem` checks TTL per entry,
-        so a stale seed can never hit; it merely expires lazily.
-        """
-        if len(resumption_key) != RESUMPTION_KEY_SIZE:
-            raise ValueError("resumption key must be "
-                             f"{RESUMPTION_KEY_SIZE} bytes")
-        fingerprint = bytes(fingerprint)
-        with self._lock:
-            if self._fingerprint is None:
-                self._fingerprint = fingerprint
-            elif fingerprint != self._fingerprint:
-                return False
-            self._entries.pop(key, None)
-            self._entries[key] = (self._now() - age_ns,
-                                  bytes(resumption_key))
-            while len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
-            self.seeds += 1
-            return True
-
-    def evict_key(self, key: CacheKey) -> bool:
-        """Drop one entry by raw key (a fabric tombstone landing)."""
-        with self._lock:
-            if self._entries.pop(key, None) is None:
-                return False
-            self.invalidations += 1
-            return True
 
     def clear(self) -> None:
         with self._lock:
@@ -259,5 +203,4 @@ class AppraisalCache:
                 "bad_tickets": self.bad_tickets,
                 "invalidations": self.invalidations,
                 "expirations": self.expirations,
-                "seeds": self.seeds,
             }

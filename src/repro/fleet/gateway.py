@@ -22,7 +22,7 @@ single-session server does — the costs *compose* out of
 ``TaSession.invoke``; nothing here hardcodes them. Queueing and service
 time are measured in real ``perf_counter`` seconds. Per-message records
 (real service seconds + simulated transition nanoseconds, kept separate)
-feed the capacity model in :mod:`repro.fleet.loadgen`.
+feed the fleet benchmark.
 """
 
 from __future__ import annotations
@@ -62,9 +62,8 @@ _prewarm_registry = None
 def prewarm_msg2_tables(data: bytes) -> bool:
     """Precompute the evidence key's EC tables for a plain msg2.
 
-    Pure, idempotent math over *public* bytes, safe to run outside any
-    device lock (threaded gateway) or before the TA invoke (shard
-    worker). Plain msg2 and the multi-TEE envelope variant both carry
+    Pure, idempotent math over *public* bytes, safe to run outside the
+    device lock. Plain msg2 and the multi-TEE envelope variant both carry
     the attestation public key in the clear; malformed input is ignored
     here — the protocol path reports the real error. Returns True when
     tables were (re)warmed.
@@ -139,12 +138,14 @@ class _Msg2Batcher:
 
     Accounting is honest: the batch's elapsed wall time is split evenly
     across the covered messages and added to each one's ``service_s``,
-    so the capacity model sees the amortised cost, not a fictitious
-    zero-cost verify.
+    so the service-time metrics see the amortised cost, not a fictitious
+    zero-cost verify. ``soc`` names the gateway's board, which scopes the
+    ``fleet.batch_verify`` span ``Tracer.observe`` puts on :meth:`_verify`.
     """
 
-    def __init__(self, metrics: FleetMetrics) -> None:
+    def __init__(self, metrics: FleetMetrics, soc=None) -> None:
         self._metrics = metrics
+        self.soc = soc
         self._lock = threading.Lock()
         self._staged: Dict[int, BatchCandidate] = {}
         self._shares: Dict[int, float] = {}
@@ -177,8 +178,6 @@ class _Msg2Batcher:
         covered us (collect the share), we are alone (withdraw — the TA
         verifies as usual), or we batch-verify everything staged.
         """
-        from repro.crypto.batch import verify_batch
-
         with self._lock:
             if token not in self._staged:
                 return self._shares.pop(token, 0.0)
@@ -187,7 +186,7 @@ class _Msg2Batcher:
                 return 0.0
             staged, self._staged = self._staged, {}
         started = time.perf_counter()
-        verify_batch(list(staged.values()), seed_memo=True)
+        self._verify(list(staged.values()))
         share = (time.perf_counter() - started) / len(staged)
         with self._lock:
             for other in staged:
@@ -197,6 +196,12 @@ class _Msg2Batcher:
         self._metrics.increment("batch_verified", len(staged))
         self._metrics.observe("batch.drain", share * len(staged))
         return share
+
+    def _verify(self, items: List[BatchCandidate]) -> None:
+        """ONE randomised check of every item, seeding the memo."""
+        from repro.crypto.batch import verify_batch
+
+        verify_batch(items, seed_memo=True)
 
 
 @dataclass(frozen=True)
@@ -226,61 +231,15 @@ class FleetConfig:
     #: table construction and the in-lock ECDSA verify runs on warm
     #: tables (the critical-section shrink of the perf tentpole).
     prewarm_crypto: bool = True
-    #: Process shards (:mod:`repro.fleet.shards`). ``0`` keeps the
-    #: in-process thread-pool gateway above; ``n >= 1`` runs ``n``
-    #: verifier shard *processes*, each booting its own simulated board
-    #: and owning a slice of the session space, so verifier work scales
-    #: with host cores instead of serialising on the GIL.
-    shards: int = 0
-    #: Bounded per-shard in-flight window; a message that finds its
-    #: shard's queue full is shed with ``FleetOverloaded("queue")``.
-    #: ``None`` sizes it as ``max_in_flight`` (the global window then
-    #: bounds first).
-    shard_queue_depth: Optional[int] = None
-    #: Supervisor cadence: how often each shard is liveness-checked.
-    heartbeat_interval_s: float = 0.25
-    #: A shard that cannot answer a heartbeat within this window is
-    #: declared wedged, killed and respawned.
-    heartbeat_timeout_s: float = 2.0
-    #: Upper bound a router thread waits for a shard's reply before the
-    #: message fails with ``FleetShardCrashed``.
-    shard_request_timeout_s: float = 30.0
-    #: Board serial of shard 0 (shard ``i`` gets ``base + i``). With
-    #: ``shard_deterministic_rng`` this pins the shard board's entropy
-    #: stream — the lever the behaviour-invariance tests use to make a
-    #: sharded gateway draw the very bytes the threaded one would.
-    shard_base_serial: int = 1
-    shard_deterministic_rng: bool = False
-    #: Replicated resumption-ticket fabric (:mod:`repro.fleet.fabric`):
-    #: any shard resumes any device. Off by default — disabled, the
-    #: gateways are byte-identical in transcript and SimClock behaviour
-    #: to the pre-fabric code.
-    fabric: bool = False
-    #: Capacity of the router-side replicated ticket store.
-    fabric_capacity: int = 65_536
-    #: Virtual nodes per member on the fabric's consistent-hash ring.
-    fabric_vnodes: int = 64
-    #: Coalescing window for shard-state evict fan-out: evicts arriving
-    #: within the window ride one batched ``OP_EVICT`` frame per shard
-    #: (O(shards) frames for a mass eviction instead of O(devices)).
-    #: ``0`` flushes inline, one frame per evict — the pre-batching
-    #: cadence.
-    evict_coalesce_s: float = 0.0
     #: Batched ECDSA verification (:mod:`repro.crypto.batch`): when a
-    #: loop tick (sharded) or a device-lock convoy (threaded) holds two
-    #: or more independent plain msg2s, their signature checks ride one
-    #: randomised multi-scalar chain and seed the consume-once memo the
-    #: verifier TA then hits. Accept/reject behaviour, transcripts and
-    #: SimClock ns are identical either way — the knob exists for A/B
-    #: measurement. Observation never changes it: ``Tracer.observe``
-    #: traces the batched path as it ships.
+    #: device-lock convoy holds two or more independent plain msg2s,
+    #: their signature checks ride one randomised multi-scalar chain and
+    #: seed the consume-once memo the verifier TA then hits.
+    #: Accept/reject behaviour, transcripts and SimClock ns are identical
+    #: either way — the knob exists for A/B measurement. Observation
+    #: never changes it: ``Tracer.observe`` traces the batched path as it
+    #: ships.
     batch_verify: bool = True
-    #: Observe each worker process's board with a shard-local
-    #: :class:`repro.obs.Tracer` and export folded flame stacks over the
-    #: control channel (:meth:`ShardedGateway.shard_flame`) — the
-    #: cross-process counterpart of ``Tracer.observe`` on the threaded
-    #: gateway's board, for proving where the async core's time goes.
-    shard_trace: bool = False
 
 
 def make_fleet_verifier_ta(identity: ecdsa.KeyPair, policy: VerifierPolicy,
@@ -324,30 +283,13 @@ def make_fleet_verifier_ta(identity: ecdsa.KeyPair, policy: VerifierPolicy,
                     del self._states[conn_id]
                 return {"reply": reply, "done": done}
             if command == CMD_FLEET_EVICT:
-                # One invoke may carry a whole batch ("conns", the
-                # coalesced fan-out) or a single connection ("conn",
-                # the original form — unchanged on the wire).
-                conns = params.get("conns", ())
-                if isinstance(conns, (str, bytes)) or \
-                        not hasattr(conns, "__iter__"):
-                    raise TeeBadParameters("conns must be an iterable of "
-                                           "connection ids")
-                conns = [_conn_param(conn) for conn in conns]
-                if "conn" in params:
-                    conns.append(_conn_param(params["conn"]))
-                evicted = 0
-                for conn in conns:
-                    if self._states.pop(conn, None) is not None:
-                        evicted += 1
-                return {"evicted": evicted}
+                conn_id = _conn_param(params.get("conn"))
+                evicted = self._states.pop(conn_id, None) is not None
+                return {"evicted": int(evicted)}
             raise TeeBadParameters(f"unknown fleet command {command}")
 
         def close_session(self) -> None:
             self._states.clear()
-
-        @property
-        def live_states(self) -> int:
-            return len(self._states)
 
     return FleetVerifierTa
 
@@ -368,7 +310,7 @@ class _Lane:
 
 @dataclass
 class MessageRecord:
-    """One forwarded message, for the capacity model and the benchmark."""
+    """One forwarded message, for the metrics and the benchmark."""
 
     conn_id: int
     kind: str
@@ -423,20 +365,6 @@ class AttestationGateway:
             self.cache = AppraisalCache(capacity=config.cache_capacity,
                                         ttl_s=config.cache_ttl_s,
                                         time_source=time_source)
-        #: In-process fabric mirror: the threaded gateway's single cache
-        #: is already fleet-wide, so the fabric here is the *authority
-        #: bookkeeping* (versioned store, hierarchy hooks, metrics) with
-        #: one member — the same observable surface the sharded fabric
-        #: exposes, minus the replication RPCs it does not need.
-        self.fabric = None
-        if config.fabric and self.cache is not None:
-            from repro.fleet.fabric.store import FabricStore
-
-            self.fabric = FabricStore([0], capacity=config.fabric_capacity,
-                                      ttl_s=config.cache_ttl_s,
-                                      vnodes=config.fabric_vnodes,
-                                      time_source=time_source)
-            self.cache.set_store_listener(self._fabric_mint)
         bucket = None
         if config.rate_per_s is not None:
             bucket = TokenBucket(config.rate_per_s, config.rate_burst,
@@ -454,7 +382,7 @@ class AttestationGateway:
         #: Joint msg2 verification across lanes convoyed on that lock.
         self._batcher: Optional[_Msg2Batcher] = None
         if config.batch_verify:
-            self._batcher = _Msg2Batcher(self.metrics)
+            self._batcher = _Msg2Batcher(self.metrics, client.kernel.soc)
         self._conn_counter = 0
         self._conn_lock = threading.Lock()
         self._lanes: List[_Lane] = []
@@ -626,20 +554,6 @@ class AttestationGateway:
         if prewarm_msg2_tables(data):
             self.metrics.increment("crypto_prewarms")
 
-    def _fabric_mint(self, fingerprint: bytes, key, resumption_key: bytes,
-                     stored_at_ns: int) -> None:
-        """Cache store listener: mirror a fresh ticket into the fabric.
-
-        Runs outside the cache lock, in whichever worker thread just
-        completed the full verify. The fingerprint travels with the
-        mint, so a mint racing a policy change is recognisably stale
-        and dropped by the store's refresh-then-record discipline.
-        """
-        self.fabric.refresh(fingerprint)
-        if self.fabric.record_mint(0, fingerprint, key,
-                                   resumption_key) is not None:
-            self.metrics.increment("fabric_mints")
-
     @staticmethod
     def _kind(data: bytes) -> str:
         if not data:
@@ -692,8 +606,6 @@ class AttestationGateway:
                              if self.cache is not None else None)
         snapshot["audit"] = (self.engine.audit.counts_by_reason()
                              if self.engine is not None else None)
-        if self.fabric is not None:
-            snapshot["fabric"] = self.fabric.snapshot()
         return snapshot
 
 
@@ -702,23 +614,12 @@ def start_fleet_gateway(network: Network, host: str, port: int,
                         identity: ecdsa.KeyPair, policy: VerifierPolicy,
                         secret_provider: SecretProvider,
                         config: FleetConfig = FleetConfig(),
-                        engine=None):
+                        engine=None) -> AttestationGateway:
     """Convenience mirror of :func:`repro.core.server.start_verifier`.
 
-    With ``config.shards >= 1`` this starts the process-sharded gateway
-    (:mod:`repro.fleet.shards`) instead of the in-process thread pool;
-    ``client`` is then unused — every shard boots its own board.
     ``engine`` (a :class:`repro.appraisal.AppraisalEngine`) arms the
-    multi-TEE envelope path and the revocation killswitch on either
-    gateway flavour.
+    multi-TEE envelope path and the revocation killswitch.
     """
-    if config.shards:
-        from repro.fleet.shards import ShardedGateway
-
-        sharded = ShardedGateway(network, host, port, vendor_key, identity,
-                                 policy, secret_provider, config,
-                                 engine=engine)
-        return sharded.start()
     gateway = AttestationGateway(network, host, port, client, vendor_key,
                                  identity, policy, secret_provider,
                                  config, engine=engine)

@@ -1,38 +1,19 @@
-"""Load generation and capacity modelling for the fleet gateway.
+"""Load generation for the fleet gateway.
 
-Two halves, split along the repo's clock discipline (DESIGN.md):
-
-* :func:`run_load` drives N concurrent attester stacks — each a fresh
-  testbed device with its own SoC, kernel attestation service and
-  protocol engine — through full RA handshakes and secret delivery over
-  real threads. Every crypto segment is measured in real
-  ``perf_counter`` seconds; every world transition lands on the
-  attester's (and the gateway device's) ``SimClock``.
-
-* :func:`model_fleet` composes those *measured* per-message costs into a
-  deterministic discrete-event model of the fleet: attesters are
-  independent boards, and the gateway's verifier TA lanes serve their
-  messages like a K-server queue. This is the same composition approach
-  the repo uses for the Fig. 3 platform latencies: measure the
-  primitives for real, let the architecture-level numbers emerge from
-  composition.
-
-With the process-sharded gateway (:mod:`repro.fleet.shards`) the live
-numbers scale with host cores too — each shard is its own process with
-its own GIL — so the model is no longer the only way to see scaling: the
-fleet benchmark reports the live-vs-model gap per shard count, and the
-model remains the reference for projecting beyond the cores this host
-has (its lanes are *ideal* serial servers with zero routing cost).
+:func:`run_load` drives N concurrent attester stacks — each a fresh
+testbed device with its own SoC, kernel attestation service and protocol
+engine — through full RA handshakes and secret delivery over real
+threads. Every crypto segment is measured in real ``perf_counter``
+seconds; every world transition lands on the attester's (and the gateway
+device's) ``SimClock`` (DESIGN.md, "Clock discipline").
 """
 
 from __future__ import annotations
 
-import heapq
 import os
 import threading
 import time
 from dataclasses import dataclass, field
-from statistics import median
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.attester import Attester
@@ -243,11 +224,6 @@ class LoadReport:
             "p99": percentile(totals, 0.99),
         }
 
-    def segment_median(self, name: str) -> float:
-        values = [r.segments[name] for r in self.completed
-                  if name in r.segments]
-        return median(values) if values else 0.0
-
 
 def _drive_handshake(network, host: str, port: int, identity_public: bytes,
                      stack, attempt: int, make_msg0, make_msg2
@@ -307,7 +283,7 @@ def _drive_handshake(network, host: str, port: int, identity_public: bytes,
 def run_one_handshake(network, host: str, port: int,
                       identity_public: bytes, stack: AttesterStack,
                       attempt: int = 0) -> HandshakeResult:
-    """Drive one full RA handshake + secret delivery over the fabric."""
+    """Drive one full RA handshake + secret delivery over the network."""
     attester = stack.attester
 
     def make_msg2(session):
@@ -375,121 +351,3 @@ def run_load(network, host: str, port: int, identity_public: bytes,
     return LoadReport(profile=profile, results=results,
                       wall_seconds=wall_seconds)
 
-
-# --- capacity model -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FleetModel:
-    """Measured per-segment costs (seconds) composing one handshake."""
-
-    client_pre_s: float
-    client_mid_s: float
-    client_post_s: float
-    server_msg0_s: float
-    server_msg2_s: float
-
-    @classmethod
-    def from_measurements(cls, report: LoadReport,
-                          records) -> "FleetModel":
-        """Medians of a live run: client segments from the load report,
-        server service times from the gateway's message records."""
-        msg0 = [r.service_s for r in records if r.kind == "msg0"]
-        msg2 = [r.service_s for r in records if r.kind == "msg2"]
-        # The wait segments contain the server service (synchronous
-        # fabric); the pure client cost is measured directly.
-        return cls(
-            client_pre_s=report.segment_median("client_pre"),
-            client_mid_s=report.segment_median("client_mid"),
-            client_post_s=report.segment_median("client_post"),
-            server_msg0_s=median(msg0) if msg0 else 0.0,
-            server_msg2_s=median(msg2) if msg2 else 0.0,
-        )
-
-
-@dataclass
-class ModelResult:
-    """Deterministic fleet-capacity projection."""
-
-    concurrency: int
-    workers: int
-    handshakes: int
-    makespan_s: float
-    throughput_hz: float
-    p50_s: float
-    p95_s: float
-    p99_s: float
-
-
-def model_fleet(model: FleetModel, workers: int, concurrency: int,
-                handshakes_per_attester: int,
-                arrival_interval_s: float = 0.0) -> ModelResult:
-    """Discrete-event projection of the gateway serving a fleet.
-
-    Attesters are independent boards; their client segments overlap
-    freely. Server segments (msg0 handling, msg2 appraisal) queue on
-    ``workers`` verifier TA lanes, FIFO in ready order. With
-    ``arrival_interval_s`` > 0 handshakes arrive on a fixed global
-    schedule (open loop); otherwise each attester re-attests as soon as
-    the previous handshake finishes (closed loop).
-    """
-    if workers < 1 or concurrency < 1 or handshakes_per_attester < 1:
-        raise ValueError("workers, concurrency and handshakes must be >= 1")
-
-    lanes = [0.0] * workers
-    heapq.heapify(lanes)
-    # Event = (ready_time, sequence, stage, attester, handshake_index,
-    #          handshake_start). Sequence breaks ties deterministically.
-    events = []
-    sequence = 0
-    latencies: List[float] = []
-    finish_times: List[float] = []
-
-    def arrival_of(attester: int, index: int) -> float:
-        if arrival_interval_s <= 0:
-            return 0.0
-        return (index * concurrency + attester) * arrival_interval_s
-
-    def push(ready: float, stage: str, attester: int, index: int,
-             start: float) -> None:
-        nonlocal sequence
-        sequence += 1
-        heapq.heappush(events, (ready, sequence, stage, attester, index,
-                                start))
-
-    for attester in range(concurrency):
-        start = arrival_of(attester, 0)
-        push(start + model.client_pre_s, "msg0", attester, 0, start)
-
-    while events:
-        ready, _, stage, attester, index, start = heapq.heappop(events)
-        lane_free = heapq.heappop(lanes)
-        begin = max(ready, lane_free)
-        if stage == "msg0":
-            done = begin + model.server_msg0_s
-            heapq.heappush(lanes, done)
-            push(done + model.client_mid_s, "msg2", attester, index, start)
-        else:
-            done = begin + model.server_msg2_s
-            heapq.heappush(lanes, done)
-            finished = done + model.client_post_s
-            latencies.append(finished - start)
-            finish_times.append(finished)
-            next_index = index + 1
-            if next_index < handshakes_per_attester:
-                next_start = max(finished, arrival_of(attester, next_index))
-                push(next_start + model.client_pre_s, "msg0", attester,
-                     next_index, next_start)
-
-    makespan = max(finish_times) if finish_times else 0.0
-    total = len(latencies)
-    return ModelResult(
-        concurrency=concurrency,
-        workers=workers,
-        handshakes=total,
-        makespan_s=makespan,
-        throughput_hz=(total / makespan) if makespan > 0 else 0.0,
-        p50_s=percentile(latencies, 0.50) if latencies else 0.0,
-        p95_s=percentile(latencies, 0.95) if latencies else 0.0,
-        p99_s=percentile(latencies, 0.99) if latencies else 0.0,
-    )

@@ -6,17 +6,6 @@ reaching into internals. Latencies are recorded in seconds of real
 ``perf_counter`` time; simulated world-transition nanoseconds are
 tracked as a separate counter, never mixed into the same number
 (DESIGN.md, "Clock discipline").
-
-With the process-sharded gateway (:mod:`repro.fleet.shards`) metrics are
-produced in several processes at once, so both classes also have a
-*serializable snapshot-merge path*: :meth:`LatencyHistogram.state` /
-:meth:`FleetMetrics.state` export plain JSON-safe dicts, and the
-``from_states`` constructors fold any number of those back into one
-aggregate object. Exact accumulators (counts, sums, min/max) merge
-exactly; reservoirs merge by deterministic quantile-spaced subsampling
-with slots allocated proportionally to each shard's observation count,
-so the merged percentiles stay representative without any randomness in
-the merge itself.
 """
 
 from __future__ import annotations
@@ -24,7 +13,7 @@ from __future__ import annotations
 import random
 import threading
 from collections import defaultdict
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict, List
 
 from repro.bench.harness import percentile
 
@@ -95,76 +84,6 @@ class LatencyHistogram:
                 "p99": percentile(self._samples, 0.99),
             }
 
-    # -- cross-process merge ---------------------------------------------------
-
-    def state(self) -> Dict[str, object]:
-        """JSON-safe full state, suitable for IPC and for ``from_states``."""
-        with self._lock:
-            return {
-                "count": self._count,
-                "sum": self._sum,
-                "min": self._min if self._count else None,
-                "max": self._max if self._count else None,
-                "samples": list(self._samples),
-            }
-
-    @classmethod
-    def from_states(cls, states: Iterable[Mapping[str, object]],
-                    capacity: int = 4096, seed: int = 0x0B5
-                    ) -> "LatencyHistogram":
-        """Fold exported states into one histogram, deterministically.
-
-        Exact accumulators add exactly. The merged reservoir allocates
-        its slots to the inputs proportionally to their observation
-        counts (largest-remainder rounding), then fills each allocation
-        with quantile-spaced picks from that input's sorted samples — no
-        randomness, so the same states always merge to the same
-        percentiles, whichever process does the merge.
-        """
-        merged = cls(capacity=capacity, seed=seed)
-        live = [s for s in states if s and s.get("count")]
-        if not live:
-            return merged
-        merged._count = sum(int(s["count"]) for s in live)
-        merged._sum = sum(float(s["sum"]) for s in live)
-        merged._min = min(float(s["min"]) for s in live)
-        merged._max = max(float(s["max"]) for s in live)
-        sampled = [s for s in live if s["samples"]]
-        total_represented = sum(int(s["count"]) for s in sampled)
-        if sum(len(s["samples"]) for s in sampled) <= capacity:
-            for s in sampled:
-                merged._samples.extend(float(v) for v in s["samples"])
-            return merged
-        # Largest-remainder allocation of the reservoir slots.
-        shares = [capacity * int(s["count"]) / total_represented
-                  for s in sampled]
-        slots = [min(int(share), len(s["samples"]))
-                 for share, s in zip(shares, sampled)]
-        remainders = sorted(
-            range(len(sampled)),
-            key=lambda i: (slots[i] - shares[i], i),
-        )
-        spare = capacity - sum(slots)
-        for index in remainders:
-            if spare <= 0:
-                break
-            headroom = len(sampled[index]["samples"]) - slots[index]
-            take = min(spare, headroom)
-            slots[index] += take
-            spare -= take
-        for s, quota in zip(sampled, slots):
-            ordered = sorted(float(v) for v in s["samples"])
-            if quota >= len(ordered):
-                merged._samples.extend(ordered)
-                continue
-            # Quantile-spaced picks keep the shard's distribution shape.
-            step = len(ordered) / quota
-            merged._samples.extend(
-                ordered[min(int((k + 0.5) * step), len(ordered) - 1)]
-                for k in range(quota)
-            )
-        return merged
-
 
 class FleetMetrics:
     """Thread-safe counters, gauges and histograms for the gateway."""
@@ -215,47 +134,3 @@ class FleetMetrics:
                 "latency": {name: histogram.summary()
                             for name, histogram in self._histograms.items()},
             }
-
-    # -- cross-process merge ---------------------------------------------------
-
-    def state(self) -> Dict[str, object]:
-        """JSON-safe full state (counters + raw histogram states)."""
-        with self._lock:
-            return {
-                "counters": dict(self._counters),
-                "in_flight": self._in_flight,
-                "max_in_flight": self._max_in_flight,
-                "histograms": {name: histogram.state()
-                               for name, histogram
-                               in self._histograms.items()},
-            }
-
-    @classmethod
-    def from_states(cls, states: Iterable[Mapping[str, object]]
-                    ) -> "FleetMetrics":
-        """One aggregate view over states exported by several processes.
-
-        Counters and the in-flight gauge add; ``max_in_flight`` is the
-        max of the per-process highwater marks (each process observed its
-        own peak — the true global peak is unobservable after the fact,
-        and this lower bound is what a scrape-side aggregator reports
-        too). Histograms merge through
-        :meth:`LatencyHistogram.from_states`.
-        """
-        merged = cls()
-        states = list(states)
-        histogram_states: Dict[str, List[Mapping[str, object]]] = \
-            defaultdict(list)
-        for state in states:
-            if not state:
-                continue
-            for name, value in state.get("counters", {}).items():
-                merged._counters[name] += int(value)
-            merged._in_flight += int(state.get("in_flight", 0))
-            merged._max_in_flight = max(merged._max_in_flight,
-                                        int(state.get("max_in_flight", 0)))
-            for name, hist_state in state.get("histograms", {}).items():
-                histogram_states[name].append(hist_state)
-        for name, parts in histogram_states.items():
-            merged._histograms[name] = LatencyHistogram.from_states(parts)
-        return merged

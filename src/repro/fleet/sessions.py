@@ -99,22 +99,6 @@ class SessionTable:
         self._notify(evicted)
         return len(evicted)
 
-    def evict_lane(self, lane: int, reason: str) -> int:
-        """Evict every entry pinned to ``lane``; returns how many.
-
-        The sharded gateway calls this when a verifier shard dies: the
-        protocol state of every handshake the shard owned died with it,
-        so the sessions are invalidated (with a distinct ``reason``) and
-        their attesters must restart from msg0 on the respawned worker.
-        """
-        with self._lock:
-            victims = [conn_id for conn_id, entry in self._entries.items()
-                       if entry.lane == lane]
-            evicted = [(self._entries.pop(conn_id), reason)
-                       for conn_id in victims]
-        self._notify(evicted)
-        return len(evicted)
-
     def _sweep_expired(self):
         # Called with the lock held; returns (entry, reason) pairs so the
         # callbacks run after the lock is released (they may invoke the

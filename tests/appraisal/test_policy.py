@@ -1,7 +1,7 @@
 """The declarative policy: pinned reason codes, table-driven verdicts.
 
-The reason-code strings are an API — the audit log persists them, the
-shards ship them across the IPC hop, operators alert on them — so every
+The reason-code strings are an API — the audit log persists them,
+``PolicyDenied`` carries them, operators alert on them — so every
 value is pinned here verbatim. The verdict table drives one evidence
 sample through policies that each fail exactly one rule, checking both
 the decision and *which* rule reported it (the evaluator's check order

@@ -1,16 +1,13 @@
-"""Batched ECDSA verification in both gateway cores.
+"""Batched ECDSA verification in the gateway.
 
-Pins the three-way drain contract of the threaded gateway's staging
-batcher, the shard loop's queue-draining batch tick (made deterministic
-by SIGSTOPping the worker while msg2 frames pile up), the honest
-amortised-cost accounting, and — the non-negotiable — that batching
-changes wall-clock time only: reply bytes and SimClock nanoseconds are
-identical with batching on and off.
+Pins the three-way drain contract of the gateway's staging batcher, the
+honest amortised-cost accounting, the batch's span in an observed run,
+and — the non-negotiable — that batching changes wall-clock time only:
+reply bytes and SimClock nanoseconds are identical with batching on and
+off.
 """
 
 import hashlib
-import os
-import signal
 import threading
 import time
 from collections import deque
@@ -22,7 +19,7 @@ from repro.core.attester import Attester
 from repro.core.verifier import VerifierPolicy
 from repro.crypto import ecdsa
 from repro.fleet import (FleetConfig, LoadProfile, build_attester_stacks,
-                         run_load, run_one_handshake, start_fleet_gateway)
+                         run_load, start_fleet_gateway)
 from repro.fleet import gateway as gateway_module
 from repro.fleet.metrics import FleetMetrics
 from repro.obs import Tracer
@@ -242,8 +239,9 @@ def test_batching_changes_wall_time_only():
 
 def test_observing_the_gateway_keeps_the_batched_path():
     # A trace must show the path that ships: with the gateway board
-    # observed, the batcher stays armed, one drain covers both msg2s, and
-    # replies and per-message SimClock ns match the untraced run.
+    # observed, the batcher stays armed, one drain covers both msg2s (and
+    # shows as one board-scoped span), and replies and per-message
+    # SimClock ns match the untraced run.
     tracer = Tracer()
     replies_tr, secrets_tr, records_tr, counters_tr = \
         _two_concurrent_msg2(True, 7817, tracer=tracer)
@@ -256,11 +254,14 @@ def test_observing_the_gateway_keeps_the_batched_path():
     kinds = [span.attrs["kind"] for span in tracer.spans()
              if span.name == "fleet.request"]
     assert sorted(kinds) == ["msg0", "msg0", "msg2", "msg2"]
+    batches = [span for span in tracer.spans()
+               if span.name == "fleet.batch_verify"]
+    assert [span.attrs["n"] for span in batches] == [2]
 
 
 def test_batch_share_lands_in_service_time():
     # The amortised batch cost must surface in the covered messages'
-    # service_s (the capacity model's input), not vanish.
+    # service_s (the service-time histograms' input), not vanish.
     testbed = Testbed(first_serial=10)
     device = testbed.create_device()
     policy = VerifierPolicy()
@@ -283,167 +284,3 @@ def test_batch_share_lands_in_service_time():
     finally:
         gateway.stop()
 
-
-# -- the shard loop's batch tick, deterministically ----------------------------
-
-
-def test_shard_batch_tick_drains_queued_msg2s():
-    """SIGSTOP the worker, pile up six msg2 frames, SIGCONT.
-
-    On resume the single loop reads every queued frame in one fill; the
-    head of the queue is a batchable msg2 with five more behind it, so
-    ONE batch tick must settle all six signatures (one drain, six
-    covered), and every handshake completes with the right secret.
-    """
-    testbed = Testbed(first_serial=10)
-    policy = VerifierPolicy()
-    gateway = start_fleet_gateway(
-        testbed.network, HOST, 7813, None, testbed.vendor_key,
-        IDENTITY, policy, lambda: SECRET,
-        FleetConfig(shards=1, heartbeat_interval_s=60.0))
-    try:
-        lanes = []
-        for stack in build_attester_stacks(testbed, policy, 6):
-            connection = testbed.network.connect(HOST, 7813)
-            session = stack.attester.start_session(IDENTITY.public_bytes())
-            connection.send(stack.attester.make_msg0(session))
-            stack.attester.handle_msg1(session, connection.receive())
-            signed = stack.attester.collect_evidence(
-                session.anchor, stack.claim,
-                stack.device.attestation_public_key, stack.sign_evidence,
-                boot_claim=stack.device.kernel.boot_measurement)
-            lanes.append((connection, session, stack,
-                          stack.attester.make_msg2(session, signed)))
-        worker = gateway._shards[0].channel.process
-        replies = [None] * len(lanes)
-
-        def run(index):
-            connection, _session, _stack, msg2 = lanes[index]
-            connection.send(msg2)
-            replies[index] = connection.receive()
-
-        os.kill(worker.pid, signal.SIGSTOP)
-        try:
-            threads = [threading.Thread(target=run, args=(index,))
-                       for index in range(len(lanes))]
-            for thread in threads:
-                thread.start()
-            time.sleep(0.3)  # let every frame land in the socket buffer
-        finally:
-            os.kill(worker.pid, signal.SIGCONT)
-        for thread in threads:
-            thread.join(timeout=30.0)
-        secrets = {stack.attester.handle_msg3(session, replies[index])
-                   for index, (_conn, session, stack, _msg2)
-                   in enumerate(lanes)}
-        assert secrets == {SECRET}
-        counters = gateway.snapshot()["counters"]
-        assert counters["batch_drains"] == 1
-        assert counters["batch_verified"] == 6
-        # Batched messages skip the per-message table prewarm: their
-        # verify settles from the memo and never touches the tables.
-        assert counters.get("crypto_prewarms", 0) == 0
-        msg2 = [r for r in gateway.drain_records() if r.kind == "msg2"]
-        assert len(msg2) == 6
-        # The tick's elapsed time was split across the six messages.
-        assert all(record.service_s > 0.0 for record in msg2)
-    finally:
-        gateway.stop()
-
-
-@pytest.mark.skipif(not hasattr(signal, "SIGSTOP"),
-                    reason="needs SIGSTOP to park the worker")
-def test_shard_batch_disabled_serves_identically():
-    # Same queue pile-up with batching off: no drains, same outcomes.
-    testbed = Testbed(first_serial=10)
-    policy = VerifierPolicy()
-    gateway = start_fleet_gateway(
-        testbed.network, HOST, 7814, None, testbed.vendor_key,
-        IDENTITY, policy, lambda: SECRET,
-        FleetConfig(shards=1, heartbeat_interval_s=60.0,
-                    batch_verify=False))
-    try:
-        lanes = []
-        for stack in build_attester_stacks(testbed, policy, 3):
-            connection = testbed.network.connect(HOST, 7814)
-            session = stack.attester.start_session(IDENTITY.public_bytes())
-            connection.send(stack.attester.make_msg0(session))
-            stack.attester.handle_msg1(session, connection.receive())
-            signed = stack.attester.collect_evidence(
-                session.anchor, stack.claim,
-                stack.device.attestation_public_key, stack.sign_evidence,
-                boot_claim=stack.device.kernel.boot_measurement)
-            lanes.append((connection, session, stack,
-                          stack.attester.make_msg2(session, signed)))
-        worker = gateway._shards[0].channel.process
-        replies = [None] * len(lanes)
-
-        def run(index):
-            connection, _session, _stack, msg2 = lanes[index]
-            connection.send(msg2)
-            replies[index] = connection.receive()
-
-        os.kill(worker.pid, signal.SIGSTOP)
-        try:
-            threads = [threading.Thread(target=run, args=(index,))
-                       for index in range(len(lanes))]
-            for thread in threads:
-                thread.start()
-            time.sleep(0.3)
-        finally:
-            os.kill(worker.pid, signal.SIGCONT)
-        for thread in threads:
-            thread.join(timeout=30.0)
-        secrets = {stack.attester.handle_msg3(session, replies[index])
-                   for index, (_conn, session, stack, _msg2)
-                   in enumerate(lanes)}
-        assert secrets == {SECRET}
-        counters = gateway.snapshot()["counters"]
-        assert counters.get("batch_drains", 0) == 0
-        assert counters.get("batch_verified", 0) == 0
-        # Unbatched queued msg2s keep the legacy per-message prewarm.
-        assert counters["crypto_prewarms"] == 3
-    finally:
-        gateway.stop()
-
-
-# -- shard-local flame export --------------------------------------------------
-
-
-def test_shard_flame_export_names_the_request_spans():
-    testbed = Testbed(first_serial=10)
-    policy = VerifierPolicy()
-    gateway = start_fleet_gateway(
-        testbed.network, HOST, 7815, None, testbed.vendor_key,
-        IDENTITY, policy, lambda: SECRET,
-        FleetConfig(shards=1, shard_trace=True))
-    try:
-        stack = build_attester_stacks(testbed, policy, 1)[0]
-        result = run_one_handshake(testbed.network, HOST, 7815,
-                                   IDENTITY.public_bytes(), stack)
-        assert result.ok, result.error
-        report = gateway.flame_report()
-        assert "shard 0" in report
-        assert "fleet.request" in report
-        # The report drained the tracer: a fresh export starts empty.
-        flame = gateway.shard_flame(0)
-        assert flame is not None and flame["spans"] == 0
-        assert flame["folded_wall"] == [] and flame["folded_sim"] == []
-    finally:
-        gateway.stop()
-
-
-def test_shard_flame_without_tracing_is_empty():
-    testbed = Testbed(first_serial=10)
-    policy = VerifierPolicy()
-    gateway = start_fleet_gateway(
-        testbed.network, HOST, 7816, None, testbed.vendor_key,
-        IDENTITY, policy, lambda: SECRET, FleetConfig(shards=1))
-    try:
-        stack = build_attester_stacks(testbed, policy, 1)[0]
-        assert run_one_handshake(testbed.network, HOST, 7816,
-                                 IDENTITY.public_bytes(), stack).ok
-        flame = gateway.shard_flame(0)
-        assert flame is not None and flame["spans"] == 0
-    finally:
-        gateway.stop()

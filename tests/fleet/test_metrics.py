@@ -101,110 +101,3 @@ def test_observe_builds_named_histograms():
     assert metrics.histogram("never.seen") == {"count": 0}
     assert "service.msg2" in metrics.snapshot()["latency"]
 
-
-# -- cross-process snapshot-merge (repro.fleet.shards) ------------------------
-
-
-def test_histogram_state_roundtrip_small():
-    histogram = LatencyHistogram()
-    for value in (0.001, 0.002, 0.003):
-        histogram.add(value)
-    merged = LatencyHistogram.from_states([histogram.state()])
-    assert merged.summary() == histogram.summary()
-
-
-def test_histogram_state_is_json_safe():
-    import json
-
-    histogram = LatencyHistogram()
-    histogram.add(0.5)
-    assert json.loads(json.dumps(histogram.state())) == histogram.state()
-    empty = LatencyHistogram().state()
-    assert empty["min"] is None and empty["max"] is None
-    assert json.loads(json.dumps(empty)) == empty
-
-
-def test_histogram_merge_exact_accumulators():
-    a, b = LatencyHistogram(), LatencyHistogram()
-    for value in range(100):
-        a.add(value * 1e-3)
-    for value in range(100, 300):
-        b.add(value * 1e-3)
-    merged = LatencyHistogram.from_states([a.state(), b.state()])
-    summary = merged.summary()
-    assert summary["count"] == 300
-    assert summary["min"] == 0.0
-    assert abs(summary["max"] - 0.299) < 1e-12
-    assert abs(summary["mean"] - sum(range(300)) / 300 * 1e-3) < 1e-9
-
-
-def test_histogram_merge_is_deterministic_and_bounded():
-    def states():
-        parts = []
-        for shard in range(4):
-            histogram = LatencyHistogram(capacity=256)
-            for i in range(5000):
-                histogram.add((shard * 5000 + i) * 1e-6)
-            parts.append(histogram.state())
-        return parts
-
-    merged_a = LatencyHistogram.from_states(states(), capacity=128)
-    merged_b = LatencyHistogram.from_states(states(), capacity=128)
-    assert merged_a.summary() == merged_b.summary()
-    assert len(merged_a._samples) <= 128
-
-
-def test_histogram_merge_slots_proportional_to_counts():
-    # A shard that saw 10x the traffic gets ~10x the merged reservoir.
-    heavy, light = LatencyHistogram(capacity=512), LatencyHistogram(capacity=512)
-    for i in range(5000):
-        heavy.add(1.0 + i * 1e-6)
-    for i in range(500):
-        light.add(i * 1e-6)
-    merged = LatencyHistogram.from_states([heavy.state(), light.state()],
-                                          capacity=110)
-    heavy_share = sum(1 for s in merged._samples if s >= 1.0)
-    light_share = len(merged._samples) - heavy_share
-    assert heavy_share == 100
-    assert light_share == 10
-    # The weighting keeps the merged median inside the heavy shard.
-    assert merged.summary()["p50"] >= 1.0
-
-
-def test_histogram_merge_skips_empty_states():
-    histogram = LatencyHistogram()
-    histogram.add(0.25)
-    merged = LatencyHistogram.from_states(
-        [LatencyHistogram().state(), histogram.state(), None, {}])
-    assert merged.summary()["count"] == 1
-    assert LatencyHistogram.from_states([]).summary() == {"count": 0}
-
-
-def test_fleet_metrics_merge():
-    shard_a, shard_b = FleetMetrics(), FleetMetrics()
-    shard_a.increment("accepted", 3)
-    shard_a.observe("service.msg2", 0.010)
-    shard_a.enter_flight()
-    shard_a.enter_flight()
-    shard_a.exit_flight()
-    shard_b.increment("accepted", 2)
-    shard_b.increment("handshakes_completed")
-    shard_b.observe("service.msg2", 0.030)
-    shard_b.observe("service.msg0", 0.001)
-    shard_b.enter_flight()
-    merged = FleetMetrics.from_states([shard_a.state(), shard_b.state()])
-    assert merged.counter("accepted") == 5
-    assert merged.counter("handshakes_completed") == 1
-    assert merged.histogram("service.msg2")["count"] == 2
-    assert abs(merged.histogram("service.msg2")["mean"] - 0.020) < 1e-9
-    assert merged.histogram("service.msg0")["count"] == 1
-    snapshot = merged.snapshot()
-    assert snapshot["in_flight"] == 2  # 1 + 1 live across processes
-    assert snapshot["max_in_flight"] == 2  # max of per-process peaks
-
-
-def test_fleet_metrics_merge_tolerates_missing_states():
-    metrics = FleetMetrics()
-    metrics.increment("connections")
-    merged = FleetMetrics.from_states([metrics.state(), None, {}])
-    assert merged.counter("connections") == 1

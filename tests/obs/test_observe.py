@@ -4,7 +4,7 @@ The program holds no tracer. These tests pin what that design promises:
 every patched attribute is the identical original object again after the
 block (normal or raising exit), a namespace built while observing stops
 emitting once the block ends, a board-scoped observation ignores other
-boards, and no module on the serving path names a tracer at all.
+boards, and no module outside ``repro.obs`` names a tracer at all.
 """
 
 import ast
@@ -20,10 +20,11 @@ from repro.testbed import Testbed
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
-#: Code that must stay free of tracer plumbing (observation is outside).
-_TRACER_FREE = ("repro/hw", "repro/optee", "repro/wasi", "repro/core",
-                "repro/wasm", "repro/appraisal", "repro/fleet/gateway.py",
-                "repro/fleet/loadgen.py")
+#: Code that must stay free of tracer plumbing (observation is outside):
+#: every module under ``src/repro`` except ``repro.obs`` itself.
+_TRACER_FREE = tuple(
+    path for path in sorted((SRC / "repro").rglob("*.py"))
+    if (SRC / "repro" / "obs") not in path.parents)
 
 
 def _bindings():
@@ -107,25 +108,23 @@ def test_board_scope_ignores_other_boards_and_unnested_callees():
 
 
 def test_serving_path_names_no_tracer():
+    assert SRC / "repro" / "fleet" / "gateway.py" in _TRACER_FREE
     offenders = []
-    for root in _TRACER_FREE:
-        path = SRC / root
-        files = [path] if path.suffix == ".py" else sorted(path.rglob("*.py"))
-        for source in files:
-            tree = ast.parse(source.read_text(encoding="utf-8"))
-            for node in ast.walk(tree):
-                names = []
-                if isinstance(node, ast.Name):
-                    names.append(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.append(node.attr)
-                elif isinstance(node, ast.arg):
-                    names.append(node.arg)
-                elif isinstance(node, ast.keyword) and node.arg:
-                    names.append(node.arg)
-                elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                    names.append(node.name)
-                offenders += [f"{source.relative_to(SRC)}:{node.lineno} "
-                              f"{name}" for name in names
-                              if "tracer" in name.lower()]
+    for source in _TRACER_FREE:
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            names = []
+            if isinstance(node, ast.Name):
+                names.append(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.append(node.attr)
+            elif isinstance(node, ast.arg):
+                names.append(node.arg)
+            elif isinstance(node, ast.keyword) and node.arg:
+                names.append(node.arg)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.append(node.name)
+            offenders += [f"{source.relative_to(SRC)}:{node.lineno} "
+                          f"{name}" for name in names
+                          if "tracer" in name.lower()]
     assert offenders == []

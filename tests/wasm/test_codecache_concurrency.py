@@ -1,8 +1,7 @@
 """The code cache under concurrency: shared code, never shared state.
 
 The fleet gateway loads the same module binaries from many worker
-threads at once (and, with process shards, each shard process runs its
-own loader threads). These tests pin the cache's concurrent contract:
+threads at once. These tests pin the cache's concurrent contract:
 racing cold loads of one binary converge to a single cache entry whose
 artifacts are write-once, warm loads never recompile, the LRU bound
 holds under parallel stores, and instances built from shared cached
