@@ -5,13 +5,14 @@ double-and-add reference on the four operations that dominate the WaTZ
 handshake (Table III): ECDSA sign, ECDSA verify, ECDH shared-secret
 derivation and a full msg0..msg3 protocol exchange. Headline rows are
 measured with warm precomputation tables — the fleet steady state, where
-the generator tables are built once per process and the verifier holds a
-per-key table for each endorsed device.
+the generator tables are built once per process and each device key has
+the per-key table its board's attestation service built at boot.
 
 Writes ``bench_results/crypto_microbench.txt`` (human-readable) and
 ``bench_results/BENCH_crypto.json`` (machine-readable, for CI artifact
-diffing). The ``>= 3x`` assertions on verify and ECDH are the PR's
-acceptance floor; measured speedups are typically 4-5x.
+diffing), with each asserted check recorded under ``gates`` before it is
+asserted: verify and ECDH at least 3x over the reference (measured
+speedups are typically 4-5x), and a faster full handshake.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ def _private_scalar(label: bytes) -> int:
     """A deterministic full-width scalar (naive cost scales with bits)."""
     return int.from_bytes(hashlib.sha256(label).digest(), "big") % ec.N
 
+
+#: Why every gate is asserted on any host.
+_GATE_REASON = ("both paths run back to back in one process on one core, "
+                "best of several rounds, so the ratio does not depend on "
+                "the host's CPU count")
 
 _SIGNER = ecdsa.keypair_from_private(_private_scalar(b"microbench signer"))
 _PEER = ecdsa.keypair_from_private(_private_scalar(b"microbench peer"))
@@ -97,8 +103,8 @@ def _measure_suite():
 
 def test_crypto_microbench():
     # Warm tables first: generator combs are process-wide and built once;
-    # the per-key tables model a verifier that has precomputed its
-    # endorsed device keys (exactly what the gateway prewarm does).
+    # the per-key tables model the steady state where each board's
+    # attestation service warmed its own key at boot.
     ec.warm_generator_tables()
     ec.precompute_public_key(_SIGNER.public)
     ec.precompute_public_key(_PEER.public)
@@ -117,15 +123,41 @@ def test_crypto_microbench():
         ["operation", "naive", "fast", "speedup"], rows,
     ))
 
+    # Acceptance floor: the handshake-dominating verify and ECDH must be
+    # at least 3x over the naive reference, and the whole handshake
+    # faster. Recorded before asserted, so a failing run leaves its file.
+    gates = {
+        "verify_speedup": {
+            "metric": "naive / fast ECDSA verify, warm tables",
+            "threshold": 3.0,
+            "value": speedups["verify"],
+            "asserted": True,
+            "reason": _GATE_REASON,
+        },
+        "ecdh_speedup": {
+            "metric": "naive / fast ECDH shared secret, warm tables",
+            "threshold": 3.0,
+            "value": speedups["ecdh"],
+            "asserted": True,
+            "reason": _GATE_REASON,
+        },
+        "handshake_faster": {
+            "metric": "naive / fast full msg0..msg3 handshake "
+                      "(must exceed the threshold)",
+            "threshold": 1.0,
+            "value": speedups["handshake"],
+            "asserted": True,
+            "reason": _GATE_REASON,
+        },
+    }
     save_json("BENCH_crypto", {
         "rounds": _ROUNDS,
         "naive_s": naive,
         "fast_s": fast,
         "speedup": speedups,
+        "gates": gates,
     })
 
-    # Acceptance floor: the handshake-dominating verify and ECDH must be
-    # at least 3x over the naive reference.
-    assert speedups["verify"] >= 3.0, speedups
-    assert speedups["ecdh"] >= 3.0, speedups
-    assert fast["handshake"] < naive["handshake"]
+    assert speedups["verify"] >= 3.0, gates
+    assert speedups["ecdh"] >= 3.0, gates
+    assert fast["handshake"] < naive["handshake"], gates

@@ -192,7 +192,7 @@ def test_fleet_throughput(testbed, verifier_identity):
 
     # -- trace artifacts: one traced run, exported for Perfetto ---------------
     # A separate small run observed from outside; it takes the same
-    # (batched) path as the untraced sweep above.
+    # path as the untraced sweep above.
     report_tr, _, _, tracer = _run_live(
         testbed, identity, PORT_BASE + 12, 2, traced=True)
     assert len(report_tr.completed) == 2 * HANDSHAKES_EACH

@@ -8,7 +8,6 @@ seedable PRNG used to derive attestation keys from the root of trust.
 
 from repro.crypto import ec, gcm
 from repro.crypto.aes import Aes128
-from repro.crypto.batch import BATCH_MAX, verify_batch
 from repro.crypto.cmac import MAC_SIZE, AesCmac, aes_cmac
 from repro.crypto.ecdh import SessionKeyPair, generate as generate_session_keypair, shared_secret
 from repro.crypto.ecdsa import (
@@ -42,8 +41,6 @@ __all__ = [
     "ec",
     "gcm",
     "Aes128",
-    "BATCH_MAX",
-    "verify_batch",
     "AesCmac",
     "aes_cmac",
     "MAC_SIZE",

@@ -45,7 +45,7 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import CryptoError
 
@@ -122,23 +122,6 @@ def is_on_curve(point: Point) -> bool:
     if not (0 <= point.x < P and 0 <= point.y < P):
         return False
     return (point.y * point.y - (point.x**3 + A * point.x + B)) % P == 0
-
-
-def lift_x(x: int) -> Optional[Point]:
-    """Recover a curve point from an x-coordinate, or None off the curve.
-
-    ``P == 3 (mod 4)``, so the square root (when it exists) is a single
-    exponentiation; the returned point carries the root the exponent
-    produces — callers that need the conjugate negate ``y`` themselves.
-    Batch ECDSA verification uses this to rebuild the ``R`` point that
-    plain (x-only) signatures discard."""
-    if not 0 <= x < P:
-        return None
-    rhs = (x * x % P * x + A * x + B) % P
-    y = pow(rhs, (P + 1) // 4, P)
-    if y * y % P != rhs:
-        return None
-    return Point(x, y)
 
 
 # Jacobian coordinates: (X, Y, Z) represents the affine point (X/Z^2, Y/Z^3).
@@ -373,28 +356,10 @@ def _odd_multiples_affine(point: Point, width: int) -> List[Tuple[int, int]]:
                                                     width))
 
 
-def _odd_multiples_affine_many(points: Sequence[Point], width: int
-                               ) -> List[List[Tuple[int, int]]]:
-    """One-shot odd-multiple tables for many points, ONE batch inversion.
-
-    The batch-verification helper: ``n`` recovered ``R`` points need
-    their little wNAF tables, and sharing the inversion keeps the
-    amortised setup cost flat in ``n``."""
-    flats = [_odd_multiples_jacobian(_to_jacobian(point), width)
-             for point in points]
-    stride = 1 << (width - 2)
-    affine = _batch_normalize([entry for flat in flats for entry in flat])
-    return [affine[index * stride: (index + 1) * stride]
-            for index in range(len(points))]
-
-
-def _split_table_jacobian(point: Point, width: int) -> List[_Jacobian]:
-    """The flat Jacobian split table of one point (normalisation deferred).
-
-    One doubling ladder walks the eight chunk bases; the caller decides
-    how many points share the single batch inversion — one key's worth
-    (:func:`_build_split_table`) or a whole batch of keys' worth
-    (:func:`precompute_public_keys`)."""
+def _build_split_table(point: Point, width: int
+                       ) -> List[List[Tuple[int, int]]]:
+    """table[c] == odd multiples of ``2**(32c) * point``, all affine,
+    normalised with a single batch inversion."""
     base = _to_jacobian(point)
     flat: List[_Jacobian] = []
     for chunk in range(_SPLIT_CHUNKS):
@@ -402,21 +367,9 @@ def _split_table_jacobian(point: Point, width: int) -> List[_Jacobian]:
         if chunk + 1 < _SPLIT_CHUNKS:
             for _ in range(_SPLIT_BITS):
                 base = _jacobian_double(base)
-    return flat
-
-
-def _chunk_split_table(affine: List[Tuple[int, int]], width: int
-                       ) -> List[List[Tuple[int, int]]]:
+    affine = _batch_normalize(flat)
     size = 1 << (width - 2)
     return [affine[c * size: (c + 1) * size] for c in range(_SPLIT_CHUNKS)]
-
-
-def _build_split_table(point: Point, width: int
-                       ) -> List[List[Tuple[int, int]]]:
-    """table[c] == odd multiples of ``2**(32c) * point``, all affine,
-    normalised with a single batch inversion."""
-    return _chunk_split_table(_batch_normalize(_split_table_jacobian(
-        point, width)), width)
 
 
 def _generator_comb() -> List[List[Tuple[int, int]]]:
@@ -452,10 +405,9 @@ def warm_generator_tables() -> None:
 def precompute_public_key(point: Point) -> List[List[Tuple[int, int]]]:
     """Build (or fetch) the cached split table for a public key.
 
-    Idempotent, thread-safe, pure math over public values: the fleet
-    gateway calls this *outside* the secure-monitor lock so repeated
-    attesters (and concurrent lanes) pay table construction at most once
-    and off the critical section."""
+    Idempotent, thread-safe, pure math over public values. The attestation
+    service warms its own key this way at boot, so every later signature
+    check against that key runs on the short split-wNAF chain."""
     if point.is_infinity:
         raise CryptoError("cannot precompute the point at infinity")
     key = (point.x, point.y)
@@ -471,47 +423,6 @@ def precompute_public_key(point: Point) -> List[List[Tuple[int, int]]]:
         while len(_key_tables) > _KEY_TABLE_CAPACITY:
             _key_tables.popitem(last=False)
     return table
-
-
-def precompute_public_keys(points: Iterable[Point]) -> int:
-    """Build split tables for many public keys at once; returns how many.
-
-    The pipelined form of :func:`precompute_public_key`: the Jacobian
-    ladders of every *missing* key are built back to back and then
-    normalised with ONE batch inversion across all of them, instead of
-    one inversion per key. The gateway's batch tick uses this to overlap
-    one lane's table construction with another's — a whole drain of
-    first-sight attesters costs a single field inversion."""
-    fresh: List[Point] = []
-    seen: set = set()
-    for point in points:
-        if point.is_infinity:
-            raise CryptoError("cannot precompute the point at infinity")
-        key = (point.x, point.y)
-        if key in seen:
-            continue
-        seen.add(key)
-        fresh.append(point)
-    with _tables_lock:
-        missing = [point for point in fresh
-                   if (point.x, point.y) not in _key_tables]
-        for point in fresh:
-            if (point.x, point.y) in _key_tables:
-                _key_tables.move_to_end((point.x, point.y))
-    if not missing:
-        return 0
-    flats = [_split_table_jacobian(point, _WNAF_WIDTH) for point in missing]
-    stride = len(flats[0])
-    affine = _batch_normalize([entry for flat in flats for entry in flat])
-    with _tables_lock:
-        for index, point in enumerate(missing):
-            table = _chunk_split_table(
-                affine[index * stride: (index + 1) * stride], _WNAF_WIDTH)
-            _key_tables[(point.x, point.y)] = table
-            _key_tables.move_to_end((point.x, point.y))
-        while len(_key_tables) > _KEY_TABLE_CAPACITY:
-            _key_tables.popitem(last=False)
-    return len(missing)
 
 
 def _cached_key_table(point: Point
@@ -666,21 +577,13 @@ def scalar_base_mult(k: int) -> Point:
 MultiScalarTerm = Tuple[int, Optional[Point]]
 
 
-def multi_scalar_mult(terms: Sequence[MultiScalarTerm],
-                      tables: Optional[Sequence[Optional[
-                          List[Tuple[int, int]]]]] = None) -> Point:
+def multi_scalar_mult(terms: Sequence[MultiScalarTerm]) -> Point:
     """Compute ``sum(k_i * P_i)`` on ONE shared doubling chain (Strauss).
 
     The n-term generalisation of Shamir's trick: every term's wNAF
     expansion interleaves onto a single inlined doubling chain, so the
     dominant cost — the doublings — is paid once for the whole sum
-    instead of once per term. This is the engine of randomised-linear-
-    combination batch ECDSA verification (:mod:`repro.crypto.batch`).
-
-    ``tables`` optionally supplies a prebuilt odd-multiples table per
-    term (``None`` entries fall through to the cache / one-shot logic),
-    letting a batch caller build all one-shot tables with a single
-    shared inversion first."""
+    instead of once per term."""
     if not _fast_paths:
         acc = INFINITY
         for k, point in terms:
@@ -688,7 +591,7 @@ def multi_scalar_mult(terms: Sequence[MultiScalarTerm],
                 k, GENERATOR if point is None else point))
         return acc
     pairs: List[Tuple[List[int], List[Tuple[int, int]]]] = []
-    for index, (k, point) in enumerate(terms):
+    for k, point in terms:
         k %= N
         if not k:
             continue
@@ -697,10 +600,6 @@ def multi_scalar_mult(terms: Sequence[MultiScalarTerm],
                                       _GEN_WNAF_WIDTH))
             continue
         if point.is_infinity:
-            continue
-        prebuilt = tables[index] if tables is not None else None
-        if prebuilt is not None:
-            pairs.append((_wnaf_digits(k, _WNAF_WIDTH), prebuilt))
             continue
         split = _cached_key_table(point)
         if split is not None:

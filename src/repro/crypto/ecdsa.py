@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.crypto import ec
@@ -18,59 +16,6 @@ from repro.crypto.hashing import sha256
 from repro.errors import CryptoError, SignatureError
 
 SIGNATURE_SIZE = 64
-
-# -- the verified-signature memo -----------------------------------------------
-#
-# Batch verification (repro.crypto.batch) proves a whole drain of
-# signatures at once, but the verifier TA still calls :func:`verify` per
-# message. The memo closes that gap: a batch-verified (key, digest,
-# signature) triple is seeded here and the TA's verify consumes it in
-# one dict lookup instead of redoing the double-scalar multiplication.
-# Entries are consume-once (a hit pops) and the table is LRU-bounded, so
-# a seeded-but-never-verified triple can neither grow memory nor satisfy
-# more than one later verification. Accept/reject behaviour is identical
-# by construction — only triples that passed the full per-signature
-# equation are ever seeded.
-
-_MEMO_CAPACITY = 4096
-_memo_lock = threading.Lock()
-_verified_memo: "OrderedDict[tuple, None]" = OrderedDict()
-
-
-def _memo_key(public: ec.Point, digest: bytes, signature: bytes) -> tuple:
-    return (public.x, public.y, digest, signature)
-
-
-def seed_verified(public: ec.Point, message: bytes,
-                  signature: bytes) -> None:
-    """Record one *fully verified* signature for a later one-shot skip."""
-    key = _memo_key(public, sha256(message), signature)
-    with _memo_lock:
-        _verified_memo[key] = None
-        _verified_memo.move_to_end(key)
-        while len(_verified_memo) > _MEMO_CAPACITY:
-            _verified_memo.popitem(last=False)
-
-
-def _consume_verified(public: ec.Point, digest: bytes,
-                      signature: bytes) -> bool:
-    key = _memo_key(public, digest, signature)
-    with _memo_lock:
-        if key in _verified_memo:
-            del _verified_memo[key]
-            return True
-    return False
-
-
-def clear_verified_memo() -> None:
-    with _memo_lock:
-        _verified_memo.clear()
-
-
-def verified_memo_size() -> int:
-    with _memo_lock:
-        return len(_verified_memo)
-
 
 @dataclass(frozen=True)
 class KeyPair:
@@ -158,11 +103,6 @@ def verify(public: ec.Point, message: bytes, signature: bytes) -> None:
     if len(signature) != SIGNATURE_SIZE:
         raise SignatureError("signature must be 64 bytes (r || s)")
     digest = sha256(message)
-    # Consume-once fast path: this exact triple already passed the full
-    # equation inside a batch verification. The truthiness guard keeps
-    # the un-batched hot path at one plain dict test.
-    if _verified_memo and _consume_verified(public, digest, signature):
-        return
     try:
         ec.validate_public_key(public)
     except CryptoError as exc:

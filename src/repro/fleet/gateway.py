@@ -31,14 +31,14 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core import protocol
 from repro.core.server import (SecretProvider, VerifierProtocolState,
                                message_param)
 from repro.core.transport import Network, Service
 from repro.core.verifier import Verifier, VerifierPolicy
-from repro.crypto import ec, ecdsa
+from repro.crypto import ecdsa
 from repro.errors import FleetOverloaded, TeeBadParameters
 from repro.fleet.backpressure import AdmissionController, TokenBucket
 from repro.fleet.cache import AppraisalCache
@@ -53,160 +53,14 @@ CMD_FLEET_EVICT = 2
 FLEET_VERIFIER_UUID = "watz-fleet-verifier"
 
 
-#: Lazily built codec registry for prewarming multi-TEE msg2s; decoding
-#: here is advisory (pure math over public bytes), so one shared default
-#: registry is fine even when the verifier runs a restricted one.
-_prewarm_registry = None
-
-
-def prewarm_msg2_tables(data: bytes) -> bool:
-    """Precompute the evidence key's EC tables for a plain msg2.
-
-    Pure, idempotent math over *public* bytes, safe to run outside the
-    device lock. Plain msg2 and the multi-TEE envelope variant both carry
-    the attestation public key in the clear; malformed input is ignored
-    here — the protocol path reports the real error. Returns True when
-    tables were (re)warmed.
-    """
-    global _prewarm_registry
-    if not data:
-        return False
-    try:
-        if data[0] == protocol.MSG2:
-            message = protocol.decode_msg2(data)
-            public_bytes = \
-                message.signed_evidence.evidence.attestation_public_key
-        elif data[0] == protocol.MSG2_MULTI:
-            if _prewarm_registry is None:
-                from repro.appraisal.envelope import default_registry
-
-                _prewarm_registry = default_registry()
-            multi = protocol.decode_msg2_multi(data)
-            public_bytes = _prewarm_registry.decode(multi.envelope).identity
-        else:
-            return False
-        ec.precompute_public_key(ec.decode_point(public_bytes))
-    except Exception:
-        return False
-    return True
-
-
-#: One batchable verification: (public key point, message, signature) —
-#: exactly the triple :meth:`SignedEvidence.verify_signature` checks.
-BatchCandidate = Tuple[ec.Point, bytes, bytes]
-
-
-def batch_candidate_from_message(data: bytes) -> Optional[BatchCandidate]:
-    """Extract the ECDSA triple a *plain, ticketless* msg2 will verify.
-
-    Only those messages are admitted to a batch: a resumption ticket may
-    satisfy the appraisal cache instead of the signature check, and the
-    encrypted/multi-TEE variants verify through backend codecs. Like
-    :func:`prewarm_msg2_tables` this is advisory math over public bytes:
-    malformed input yields ``None`` and takes the normal path, where the
-    protocol reports the real error.
-    """
-    if not data or data[0] != protocol.MSG2:
-        return None
-    try:
-        message = protocol.decode_msg2(data)
-    except Exception:
-        return None
-    if message.ticket:
-        return None
-    signed = message.signed_evidence
-    try:
-        public = ec.decode_point(signed.evidence.attestation_public_key)
-    except Exception:
-        return None
-    return public, signed.evidence.encode(), signed.signature
-
-
-class _Msg2Batcher:
-    """Stage concurrently in-flight msg2 verifies and check them jointly.
-
-    Worker threads stage their message's ECDSA triple on entry and call
-    :meth:`drain` right after acquiring the device lock. The first
-    drainer to find two or more staged items runs ONE randomised batch
-    verification (:func:`repro.crypto.batch.verify_batch`) and seeds the
-    consume-once memo, so every covered lane's in-lock TA invoke settles
-    its signature check with a dict lookup. Because drains serialise on
-    the device lock, a thread reaching its own drain either still holds
-    its item (batch or solo) or finds the share an earlier drainer left
-    for it — there is no window where a message's verify work can be
-    double-counted or lost.
-
-    Accounting is honest: the batch's elapsed wall time is split evenly
-    across the covered messages and added to each one's ``service_s``,
-    so the service-time metrics see the amortised cost, not a fictitious
-    zero-cost verify. ``soc`` names the gateway's board, which scopes the
-    ``fleet.batch_verify`` span ``Tracer.observe`` puts on :meth:`_verify`.
-    """
-
-    def __init__(self, metrics: FleetMetrics, soc=None) -> None:
-        self._metrics = metrics
-        self.soc = soc
-        self._lock = threading.Lock()
-        self._staged: Dict[int, BatchCandidate] = {}
-        self._shares: Dict[int, float] = {}
-        self._next_token = 0
-
-    def stage(self, data: bytes) -> Optional[int]:
-        item = batch_candidate_from_message(data)
-        if item is None:
-            return None
-        with self._lock:
-            self._next_token += 1
-            token = self._next_token
-            self._staged[token] = item
-        return token
-
-    def should_prewarm(self, token: int) -> bool:
-        """Solo so far: keep the legacy prewarm-outside-the-lock path.
-
-        A second stager arriving later still batches this item — with
-        warm tables then, which is a wash — while a message that stays
-        alone behaves byte-for-byte like the unbatched gateway.
-        """
-        with self._lock:
-            return token in self._staged and len(self._staged) == 1
-
-    def drain(self, token: int) -> float:
-        """Settle ``token`` under the device lock; returns its share.
-
-        Exactly one of three things happens: an earlier drainer already
-        covered us (collect the share), we are alone (withdraw — the TA
-        verifies as usual), or we batch-verify everything staged.
-        """
-        with self._lock:
-            if token not in self._staged:
-                return self._shares.pop(token, 0.0)
-            if len(self._staged) < 2:
-                del self._staged[token]
-                return 0.0
-            staged, self._staged = self._staged, {}
-        started = time.perf_counter()
-        self._verify(list(staged.values()))
-        share = (time.perf_counter() - started) / len(staged)
-        with self._lock:
-            for other in staged:
-                if other != token:
-                    self._shares[other] = share
-        self._metrics.increment("batch_drains")
-        self._metrics.increment("batch_verified", len(staged))
-        self._metrics.observe("batch.drain", share * len(staged))
-        return share
-
-    def _verify(self, items: List[BatchCandidate]) -> None:
-        """ONE randomised check of every item, seeding the memo."""
-        from repro.crypto.batch import verify_batch
-
-        verify_batch(items, seed_memo=True)
-
-
 @dataclass(frozen=True)
 class FleetConfig:
-    """Gateway sizing knobs."""
+    """Gateway sizing knobs.
+
+    None of them touches evidence: the gateway reads only a message's
+    type byte, and every signature, MAC and endorsement check runs in
+    the verifier TA lane that owns the connection.
+    """
 
     #: Verifier TA lanes == worker threads.
     workers: int = 4
@@ -226,20 +80,6 @@ class FleetConfig:
     #: Declared heap of each verifier TA lane. Lanes hold only protocol
     #: state, so they stay far under the paper's 10 MB single verifier.
     lane_heap_size: int = 256 * 1024
-    #: Build the evidence key's EC tables in the worker thread *before*
-    #: taking the secure-monitor lock, so concurrent lanes overlap the
-    #: table construction and the in-lock ECDSA verify runs on warm
-    #: tables (the critical-section shrink of the perf tentpole).
-    prewarm_crypto: bool = True
-    #: Batched ECDSA verification (:mod:`repro.crypto.batch`): when a
-    #: device-lock convoy holds two or more independent plain msg2s,
-    #: their signature checks ride one randomised multi-scalar chain and
-    #: seed the consume-once memo the verifier TA then hits.
-    #: Accept/reject behaviour, transcripts and SimClock ns are identical
-    #: either way — the knob exists for A/B measurement. Observation
-    #: never changes it: ``Tracer.observe`` traces the batched path as it
-    #: ships.
-    batch_verify: bool = True
 
 
 def make_fleet_verifier_ta(identity: ecdsa.KeyPair, policy: VerifierPolicy,
@@ -379,10 +219,6 @@ class AttestationGateway:
         # One secure monitor: TA invocations across all lanes serialise on
         # the board's single world-transition path.
         self._device_lock = threading.Lock()
-        #: Joint msg2 verification across lanes convoyed on that lock.
-        self._batcher: Optional[_Msg2Batcher] = None
-        if config.batch_verify:
-            self._batcher = _Msg2Batcher(self.metrics, client.kernel.soc)
         self._conn_counter = 0
         self._conn_lock = threading.Lock()
         self._lanes: List[_Lane] = []
@@ -476,34 +312,15 @@ class AttestationGateway:
             self._admission.release()
 
     def _serve(self, conn_id: int, data: bytes) -> Optional[bytes]:
-        entry = self.sessions.touch(conn_id)
         kind = self._kind(data)
-        lane = self._lanes[entry.lane]
         clock = self.client.kernel.soc.clock
         service_s = 0.0
-        batch_token = None
-        if kind == "msg2" and self._batcher is not None:
-            batch_token = self._batcher.stage(data)
-        if self.config.prewarm_crypto and kind == "msg2" and \
-                (batch_token is None
-                 or self._batcher.should_prewarm(batch_token)):
-            # Critical-section shrink: the appraisal's expensive EC table
-            # construction happens here, in the worker thread, before the
-            # single secure-monitor lock serialises us. It is pure,
-            # idempotent math over *public* bytes, so the simulation
-            # contract (every world transition under the lock) is intact.
-            # A message already convoyed into a batch skips it — its
-            # verify settles from the memo, never touching the tables.
-            self._prewarm_crypto(data)
         try:
+            # A session the table refused (expired, LRU-evicted) is a
+            # failed message like any refusal from the lane's TA.
+            entry = self.sessions.touch(conn_id)
+            lane = self._lanes[entry.lane]
             with self._device_lock:
-                # Batched verification first: if other lanes staged msg2s
-                # while we waited for the lock, ONE multi-scalar chain
-                # settles all of them and seeds the memo the invokes
-                # below consume. Our share of its wall time joins this
-                # message's service_s — honest amortised accounting.
-                batch_share = (self._batcher.drain(batch_token)
-                               if batch_token is not None else 0.0)
                 # Read inside the lock: invokes serialise here, so the
                 # hits delta is unambiguously this message's.
                 hits_before = (self.cache.hits
@@ -513,7 +330,7 @@ class AttestationGateway:
                 try:
                     result = self._request(lane, conn_id, data)
                 finally:
-                    service_s = time.perf_counter() - started + batch_share
+                    service_s = time.perf_counter() - started
                     sim_delta = clock.now_ns() - sim_before
                 cache_hit = (self.cache is not None
                              and self.cache.hits > hits_before)
@@ -543,16 +360,6 @@ class AttestationGateway:
         """Forward one message to its lane's TA (under the device lock)."""
         return lane.session.invoke(CMD_FLEET_MESSAGE,
                                    {"conn": conn_id, "data": data})
-
-    def _prewarm_crypto(self, data: bytes) -> None:
-        """Precompute the evidence key's EC tables outside the device lock.
-
-        Only plain (unsealed) msg2 carries the attestation public key in
-        the clear; encrypted evidence is prewarmed implicitly by earlier
-        plain handshakes from the same attester.
-        """
-        if prewarm_msg2_tables(data):
-            self.metrics.increment("crypto_prewarms")
 
     @staticmethod
     def _kind(data: bytes) -> str:

@@ -4,7 +4,7 @@
 — methods on their class, functions on every ``repro`` module that binds
 them — and restores every original when the ``with`` block exits. The
 program never holds a tracer, so a traced run takes the path an untraced
-one takes (batched ECDSA included).
+one takes.
 
 With a board (``soc``), a call emits only if its receiver's board is that
 board; board-less callees emit only when nested under one of the tracer's
@@ -109,10 +109,6 @@ TARGETS: Tuple[tuple, ...] = tuple(
     ("repro.fleet.gateway", "AttestationGateway._connection_closed",
      INSTANT, "client.kernel.soc", "fleet.conn.close", "",
      lambda args, result: {"conn": args[1]}),
-    # Under the device lock, before the request it settles signatures
-    # for; the batch charges no SimClock.
-    ("repro.fleet.gateway", "_Msg2Batcher._verify", CALL, "soc",
-     "fleet.batch_verify", "", lambda args: {"n": len(args[1])}),
 )
 
 

@@ -5,25 +5,32 @@ full protocol checks, world-transition costs on the SimClock, secrets
 sealed per session. The suite covers the acceptance criteria: concurrent
 attesters all verified, protocol streams never cross, a tampered
 attester is rejected under load, overload sheds with FleetOverloaded,
-the TTL/LRU session table drops stalled handshakes, and a run with
-pinned entropy reproduces its wire transcript and SimClock charges.
+the TTL/LRU session table drops stalled handshakes, an unauthenticated
+msg2 leaves no trace in the normal world, a run with pinned entropy
+reproduces its wire transcript and SimClock charges, and an observed
+gateway serves overlapping msg2s exactly as an unobserved one.
 """
 
 import hashlib
-import os
 import threading
+import time
+from collections import deque
+from contextlib import ExitStack
 
 import pytest
 
+from repro.core import protocol
 from repro.core.attester import Attester
+from repro.core.evidence import Evidence, SignedEvidence
 from repro.core.verifier import VerifierPolicy
-from repro.crypto import ecdsa
+from repro.crypto import ec, ecdsa
 from repro.errors import (FleetOverloaded, ProtocolError,
                           TeeBadParameters, TeeCommunicationError)
 from repro.fleet import (CMD_FLEET_EVICT, CMD_FLEET_MESSAGE,
                          AttestationGateway, FleetConfig, LoadProfile,
                          build_attester_stacks, run_load, run_one_handshake,
                          start_fleet_gateway)
+from repro.obs import Tracer
 from repro.testbed import Testbed
 
 HOST, PORT = "fleet.verifier", 7700
@@ -75,9 +82,13 @@ def test_concurrent_attesters_all_verified(fleet):
     assert not report.failed and not report.rejected
     assert all(r.secret_len == len(SECRET) for r in report.completed)
     assert gateway.metrics.counter("handshakes_completed") == 8
+    records = gateway.drain_records()
     # Sticky lanes: both lanes of the pool actually served traffic.
-    lanes_used = {record.conn_id % 2 for record in gateway.drain_records()}
-    assert lanes_used == {0, 1}
+    assert {record.conn_id % 2 for record in records} == {0, 1}
+    # Every msg2's TA time reaches the service-time histograms' input.
+    msg2 = [record for record in records if record.kind == "msg2"]
+    assert len(msg2) == 8
+    assert all(record.service_s > 0.0 for record in msg2)
 
 
 def test_interleaved_streams_never_cross(fleet):
@@ -201,6 +212,7 @@ def test_stalled_session_expires_and_forfeits_verifier_state(
             connection.receive()
         assert gateway.sessions.expired == 1
         assert gateway.metrics.counter("sessions_evicted_ttl") == 1
+        assert gateway.metrics.counter("failed_messages") == 1
     finally:
         gateway.stop()
 
@@ -221,6 +233,7 @@ def test_session_cap_evicts_oldest_handshake(testbed, verifier_identity):
         connections[0].send(b"\x00")
         with pytest.raises(ProtocolError, match="evicted"):
             connections[0].receive()
+        assert gateway.metrics.counter("failed_messages") == 1
     finally:
         gateway.stop()
 
@@ -263,46 +276,28 @@ def test_cache_accelerates_reattestation(fleet):
     assert gateway.cache.snapshot()["hits"] == 1
 
 
-# -- crypto prewarm: appraisal precompute outside the device lock -------------
+# -- the trust boundary: the verifier TA alone reads evidence ------------------
 
 
-def test_msg2_prewarm_runs_before_appraisal(fleet):
-    testbed, gateway, policy, identity = fleet
-    stack = build_attester_stacks(testbed, policy, 1)[0]
-    result = run_one_handshake(testbed.network, HOST, PORT,
-                               identity.public_bytes(), stack)
-    assert result.ok, result.error
-    # One msg2 arrived, so the worker built the evidence key's wNAF table
-    # before taking the secure-monitor lock.
-    assert gateway.metrics.counter("crypto_prewarms") == 1
-    assert gateway.metrics.counter("handshakes_completed") == 1
-
-
-def test_prewarm_can_be_disabled(testbed, verifier_identity):
-    device = testbed.create_device()
-    policy = VerifierPolicy()
-    gateway = start_fleet_gateway(
-        testbed.network, HOST, PORT + 1, device.client, testbed.vendor_key,
-        verifier_identity, policy, lambda: SECRET,
-        FleetConfig(workers=1, prewarm_crypto=False),
-    )
-    try:
-        stack = build_attester_stacks(testbed, policy, 1)[0]
-        result = run_one_handshake(testbed.network, HOST, PORT + 1,
-                                   verifier_identity.public_bytes(), stack)
-        assert result.ok, result.error
-        assert gateway.metrics.counter("crypto_prewarms") == 0
-    finally:
-        gateway.stop()
-
-
-def test_prewarm_swallows_malformed_msg2(fleet):
-    _, gateway, _, _ = fleet
-    # Prewarming is a pure optimisation over untrusted bytes: garbage must
-    # neither raise nor count as a prewarm — appraisal rejects it later.
-    gateway._prewarm_crypto(b"\x02" + b"\xff" * 40)
-    gateway._prewarm_crypto(b"")
-    assert gateway.metrics.counter("crypto_prewarms") == 0
+def test_unauthenticated_msg2_leaves_the_key_tables_alone(fleet):
+    # A msg2 on a fresh connection (no msg0) carrying an unendorsed key,
+    # a junk signature and a junk MAC: the lane's TA refuses it, and the
+    # gateway did no EC work over the attacker's key on the way in.
+    testbed, gateway, _policy, _identity = fleet
+    rogue = ecdsa.keypair_from_private(0x0BAD5EED)
+    evidence = Evidence(anchor=b"\x11" * 32, claim=b"\x22" * 32,
+                        attestation_public_key=rogue.public_bytes())
+    msg2 = protocol.encode_msg2(rogue.public_bytes(),
+                                SignedEvidence(evidence, b"\x5a" * 64),
+                                b"\xa5" * 16)
+    # Start below capacity, so an inserted key would show in the count.
+    ec.clear_key_table_cache()
+    connection = testbed.network.connect(HOST, PORT)
+    connection.send(msg2)
+    with pytest.raises(ProtocolError, match="without a handshake"):
+        connection.receive()
+    assert ec.key_table_cache_info()["entries"] == 0
+    assert gateway.metrics.counter("failed_messages") == 1
 
 
 # -- transcript determinism ----------------------------------------------------
@@ -377,6 +372,137 @@ def test_transcript_is_identical_across_runs(verifier_identity):
     # the cache-hit pattern: miss on the first msg2, hit on resume.
     assert sim_a == sim_b
     assert [hit for _, _, hit in sim_a] == [False, False, False, True]
+
+
+# -- observation never changes the served path ---------------------------------
+
+
+class _FairLock:
+    """A FIFO-fair drop-in for the gateway's device lock.
+
+    The verifier draws msg3 IVs and resumption keys from one RNG stream
+    in msg2 *service* order, so comparing replies across two runs needs
+    that order pinned — a plain ``threading.Lock`` hands contended
+    acquisitions to an arbitrary waiter. This lock grants strictly in
+    blocking order, and exposes the waiter count so the test can stage
+    the threads one at a time.
+    """
+
+    def __init__(self):
+        self._mutex = threading.Lock()
+        self._locked = False
+        self._queue = deque()
+
+    def waiters(self):
+        with self._mutex:
+            return len(self._queue)
+
+    def acquire(self):
+        with self._mutex:
+            if not self._locked:
+                self._locked = True
+                return True
+            event = threading.Event()
+            self._queue.append(event)
+        event.wait()
+        return True
+
+    def release(self):
+        with self._mutex:
+            if self._queue:
+                self._queue.popleft().set()  # hand off: stays locked
+            else:
+                self._locked = False
+
+    __enter__ = acquire
+
+    def __exit__(self, *_exc):
+        self.release()
+
+
+def _two_concurrent_msg2(identity, port, tracer=None):
+    """Two handshakes with their msg2s forced to overlap, in a pinned order.
+
+    Both lanes are advanced to post-msg1 sequentially (deterministic
+    entropy order). The gateway's device lock is replaced with a
+    FIFO-fair one the test holds while starting the sender threads one
+    at a time — each is observed blocked on the lock before the next
+    starts — so msg2s are always *served* lane-0-then-lane-1. With a
+    ``tracer``, the whole run happens while it observes the gateway
+    board.
+    """
+    testbed = Testbed(deterministic_rng=True)
+    device = testbed.create_device()
+    policy = VerifierPolicy()
+    observing = ExitStack()
+    if tracer is not None:
+        observing.enter_context(tracer.observe(device.soc))
+    gateway = start_fleet_gateway(
+        testbed.network, HOST, port, device.client, testbed.vendor_key,
+        identity, policy, lambda: SECRET, FleetConfig(workers=2))
+    try:
+        lanes = []
+        for index, stack in enumerate(
+                build_attester_stacks(testbed, policy, 2)):
+            stack.attester = Attester(_deterministic_rng(f"lane-{index}"))
+            connection = testbed.network.connect(HOST, port)
+            session = stack.attester.start_session(identity.public_bytes())
+            connection.send(stack.attester.make_msg0(session))
+            stack.attester.handle_msg1(session, connection.receive())
+            signed = stack.attester.collect_evidence(
+                session.anchor, stack.claim,
+                stack.device.attestation_public_key, stack.sign_evidence,
+                boot_claim=stack.device.kernel.boot_measurement)
+            lanes.append((connection, session, stack,
+                          stack.attester.make_msg2(session, signed)))
+        replies = [None, None]
+
+        def run(index):
+            connection, _session, _stack, msg2 = lanes[index]
+            connection.send(msg2)
+            replies[index] = connection.receive()
+
+        fair = gateway._device_lock = _FairLock()
+        threads = [threading.Thread(target=run, args=(index,))
+                   for index in range(2)]
+        with fair:
+            for count, thread in enumerate(threads, start=1):
+                thread.start()
+                deadline = time.monotonic() + 10.0
+                while fair.waiters() < count:
+                    assert time.monotonic() < deadline, "serve never queued"
+                    time.sleep(0.005)
+        for thread in threads:
+            thread.join(timeout=10.0)
+        secrets = [stack.attester.handle_msg3(session, replies[index])
+                   for index, (_conn, session, stack, _msg2)
+                   in enumerate(lanes)]
+        records = sorted(
+            (record.conn_id, record.kind, record.sim_transition_ns)
+            for record in gateway.drain_records())
+        return replies, secrets, records
+    finally:
+        gateway.stop()
+        observing.close()
+
+
+def test_observed_gateway_serves_overlapping_msg2s_unchanged(
+        verifier_identity):
+    # A trace must show the path that ships: with the gateway board
+    # observed, two overlapping msg2s on two lanes get the same replies,
+    # secrets and per-message SimClock ns as the unobserved run.
+    tracer = Tracer()
+    replies_tr, secrets_tr, records_tr = _two_concurrent_msg2(
+        verifier_identity, 7817, tracer=tracer)
+    replies, secrets, records = _two_concurrent_msg2(verifier_identity,
+                                                     7818)
+    assert secrets_tr == secrets == [SECRET, SECRET]
+    assert replies_tr == replies
+    assert records_tr == records
+    kinds = sorted(span.attrs["kind"] for span in tracer.spans()
+                   if span.name == "fleet.request")
+    assert kinds == sorted(kind for _conn, kind, _ns in records) == \
+        ["msg0", "msg0", "msg2", "msg2"]
 
 
 # -- typed params at both verifier TAs ------------------------------------------
