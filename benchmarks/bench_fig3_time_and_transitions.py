@@ -11,11 +11,15 @@ Paper values: native-TA time fetch ~10 us, Wasm time fetch ~13 us
 
 from __future__ import annotations
 
-from repro.bench import paper_comparison, save_report
+from repro.bench import paper_comparison, save_json, save_report
 from repro.hw import StopWatch
 from repro.walc import compile_source
 
 _RUNS = 1000  # as in the paper
+
+#: Why every gate is asserted on any host.
+_GATE_REASON = ("SimClock-exact: composed from calibrated cost primitives, "
+                "so independent of host speed")
 
 _CLOCK_APP = """
 memory 1;
@@ -78,9 +82,39 @@ def test_fig3a_time_retrieval(benchmark, device):
     save_report("fig3a_time_retrieval",
                 paper_comparison("Fig. 3a — time retrieval (median of "
                                  f"{_RUNS})", rows))
-    assert abs(native_ns - 10_000) < 2_000
-    assert abs(wasm_ns - 13_000) < 2_000
-    assert wasm_ns > native_ns
+    gates = {
+        "native_fetch_near_paper": {
+            "metric": "|native TA time fetch - 10 us|, ns",
+            "threshold": 2_000,
+            "value": abs(native_ns - 10_000),
+            "asserted": True,
+            "reason": _GATE_REASON,
+        },
+        "wasm_fetch_near_paper": {
+            "metric": "|Wasm time fetch - 13 us|, ns",
+            "threshold": 2_000,
+            "value": abs(wasm_ns - 13_000),
+            "asserted": True,
+            "reason": _GATE_REASON,
+        },
+        "wasm_fetch_slower": {
+            "metric": "Wasm - native TA time fetch, ns (must exceed the "
+                      "threshold)",
+            "threshold": 0,
+            "value": wasm_ns - native_ns,
+            "asserted": True,
+            "reason": _GATE_REASON,
+        },
+    }
+    save_json("BENCH_fig3a_time_retrieval", {
+        "gates": gates,
+        "runs": _RUNS,
+        "native_ta_fetch_ns": native_ns,
+        "wasm_fetch_ns": wasm_ns,
+    })
+    assert abs(native_ns - 10_000) < 2_000, gates
+    assert abs(wasm_ns - 13_000) < 2_000, gates
+    assert wasm_ns > native_ns, gates
 
 
 def test_fig3b_world_transitions(benchmark, device):
@@ -94,5 +128,29 @@ def test_fig3b_world_transitions(benchmark, device):
     ]
     save_report("fig3b_world_transitions",
                 paper_comparison("Fig. 3b — world transition latency", rows))
-    assert enter_ns == device.soc.costs.world_enter_ns == 86_000
-    assert return_ns == device.soc.costs.world_return_ns == 20_000
+    costs = device.soc.costs
+    gates = {
+        "world_enter_exact": {
+            "metric": "normal -> secure call, ns (must equal the threshold "
+                      "and the world_enter_ns primitive)",
+            "threshold": 86_000,
+            "value": enter_ns,
+            "asserted": True,
+            "reason": _GATE_REASON,
+        },
+        "world_return_exact": {
+            "metric": "secure -> normal return, ns (must equal the threshold "
+                      "and the world_return_ns primitive)",
+            "threshold": 20_000,
+            "value": return_ns,
+            "asserted": True,
+            "reason": _GATE_REASON,
+        },
+    }
+    save_json("BENCH_fig3b_world_transitions", {
+        "gates": gates,
+        "world_enter_ns": costs.world_enter_ns,
+        "world_return_ns": costs.world_return_ns,
+    })
+    assert enter_ns == costs.world_enter_ns == 86_000, gates
+    assert return_ns == costs.world_return_ns == 20_000, gates

@@ -2,15 +2,21 @@
 
 Four configurations per test, as in the paper:
 
-* native NW — the Python SQL engine in the normal world (baseline, 1.0);
-* native TA — the same engine built as a TA. The paper measures 1.31x and
+* native NW — the pure-Python build of the storage core
+  (:class:`~repro.workloads.minidb.wasmcore.DbCore`, baseline 1.0);
+* native TA — the same build as a TA. The paper measures 1.31x and
   attributes it to toolchain differences (the normal-world binary is
   optimised for the hardware, the TA devkit build is not); Python cannot
   reproduce a C-toolchain delta, so this configuration applies the
   paper's own measured factor as a documented model (DESIGN.md
   substitution table);
-* WAMR — the walc storage-engine core in the normal world;
+* WAMR — the walc build of the same core, compiled to Wasm, in the normal
+  world;
 * WaTZ — the same Wasm binary hosted by the runtime TA.
+
+As in the paper, which builds one SQLite source twice, both builds run one
+algorithm: every test's checksum must be identical on all three measured
+sides (the ``checksums_agree`` gate).
 
 Paper shape: native TA ~1.31x, Wasm ~2.1x (WAMR) and ~2.12x (WaTZ);
 write-heavy tests slower than read-heavy (2.23x vs 2.04x); WAMR and WaTZ
@@ -24,13 +30,13 @@ import time
 
 from repro.bench import format_table, save_json, save_report
 from repro.core.runtime import NormalWorldRuntime
-from repro.workloads.minidb.engine import connect
 from repro.workloads.minidb.speedtest import (
     ALL_TESTS,
     READ_TESTS,
     WRITE_TESTS,
+    checksum,
 )
-from repro.workloads.minidb.wasmcore import compile_dbcore
+from repro.workloads.minidb.wasmcore import DbCore, compile_dbcore
 
 #: The paper runs Speedtest1 at --size 60%; our base scale is 1000 rows.
 SCALE = 600
@@ -45,40 +51,28 @@ _GATE_REASON = ("the native, WAMR and WaTZ runs share one process and run "
                 "one after the other, so the ratios do not depend on the "
                 "host's CPU count")
 
+#: Why the checksum gate is asserted on any host.
+_CHECKSUM_REASON = ("integer results of one algorithm on every side, so any "
+                    "difference is a bug on any host")
 
-def _median(operation):
-    samples = []
+
+def _seconds_and_checksums(test, invoke):
+    """Median run time of ``test`` over ``_RUNS``, and each run's checksum."""
+    samples, checksums = [], []
     for _ in range(_RUNS):
-        samples.append(operation())
+        for fn, args in test.setup(SCALE):
+            invoke(fn, *args)
+        started = time.perf_counter()
+        results = [invoke(fn, *args) for fn, args in test.run(SCALE)]
+        samples.append(time.perf_counter() - started)
+        checksums.append(checksum(invoke, results))
     samples.sort()
-    return samples[len(samples) // 2]
-
-
-def _sql_seconds(test):
-    def run():
-        db = connect()
-        test.sql_setup(db, SCALE)
-        started = time.perf_counter()
-        test.sql_run(db, SCALE)
-        return time.perf_counter() - started
-
-    return _median(run)
-
-
-def _wasm_seconds(test, instance):
-    def run():
-        for fn, args in test.wasm_setup(SCALE):
-            instance.invoke(fn, *args)
-        started = time.perf_counter()
-        for fn, args in test.wasm_run(SCALE):
-            instance.invoke(fn, *args)
-        return time.perf_counter() - started
-
-    return _median(run)
+    return samples[len(samples) // 2], checksums
 
 
 def _measure_all(device):
     binary = compile_dbcore()
+    native = DbCore()
     wamr = NormalWorldRuntime().load(binary)
     session = device.open_watz(heap_size=25 * 1024 * 1024)
     loaded = device.load_wasm(session, binary)
@@ -86,10 +80,12 @@ def _measure_all(device):
 
     results = []
     for test in ALL_TESTS:
-        native_s = _sql_seconds(test)
-        wamr_s = _wasm_seconds(test, wamr.instance)
-        watz_s = _wasm_seconds(test, watz_app.instance)
-        results.append((test, native_s, wamr_s, watz_s))
+        native_s, native_sums = _seconds_and_checksums(test, native.invoke)
+        wamr_s, wamr_sums = _seconds_and_checksums(test, wamr.instance.invoke)
+        watz_s, watz_sums = _seconds_and_checksums(
+            test, watz_app.instance.invoke)
+        agree = len(set(native_sums + wamr_sums + watz_sums)) == 1
+        results.append((test, native_s, wamr_s, watz_s, agree))
     session.close()
     return results
 
@@ -100,23 +96,33 @@ def test_fig6_speedtest(benchmark, device):
     rows = []
     ratios = {}
     pair_deltas = []
-    for test, native_s, wamr_s, watz_s in results:
+    for test, native_s, wamr_s, watz_s, agree in results:
         ratios[test.number] = (wamr_s / native_s, watz_s / native_s)
         pair_deltas.append(abs(watz_s - wamr_s) / max(wamr_s, 1e-9))
         rows.append((test.number, test.name, test.kind,
                      f"{native_s * 1000:.1f} ms",
                      f"{NATIVE_TA_TOOLCHAIN_FACTOR:.2f}x (modelled)",
                      f"{wamr_s / native_s:.2f}x",
-                     f"{watz_s / native_s:.2f}x"))
+                     f"{watz_s / native_s:.2f}x",
+                     "agree" if agree else "DIFFER"))
     read_avg = statistics.mean(ratios[n][1] for n in READ_TESTS)
     write_avg = statistics.mean(ratios[n][1] for n in WRITE_TESTS)
     rows.append(("", "read-test average (paper 2.04x)", "read", "-", "-", "-",
-                 f"{read_avg:.2f}x"))
+                 f"{read_avg:.2f}x", "-"))
     rows.append(("", "write-test average (paper 2.23x)", "write", "-", "-",
-                 "-", f"{write_avg:.2f}x"))
+                 "-", f"{write_avg:.2f}x", "-"))
     median_delta = sorted(pair_deltas)[len(pair_deltas) // 2]
     mean_ratio = statistics.mean(r[1] for r in ratios.values())
+    mismatches = sum(1 for *_timings, agree in results if not agree)
     gates = {
+        "checksums_agree": {
+            "metric": "tests whose checksum differs between native, WAMR, "
+                      "WaTZ or runs (must equal the threshold)",
+            "threshold": 0,
+            "value": mismatches,
+            "asserted": True,
+            "reason": _CHECKSUM_REASON,
+        },
         "watz_tracks_wamr": {
             "metric": "median |WaTZ - WAMR| / WAMR over the tests",
             "threshold": 0.20,
@@ -150,8 +156,9 @@ def test_fig6_speedtest(benchmark, device):
                 "native_s": native_s,
                 "wamr_s": wamr_s,
                 "watz_s": watz_s,
+                "checksums_agree": agree,
             }
-            for test, native_s, wamr_s, watz_s in results
+            for test, native_s, wamr_s, watz_s, agree in results
         },
         "read_avg_vs_native": read_avg,
         "write_avg_vs_native": write_avg,
@@ -159,10 +166,13 @@ def test_fig6_speedtest(benchmark, device):
     save_report("fig6_speedtest", format_table(
         f"Fig. 6 — Speedtest1 (scale {SCALE}) normalised to native NW, "
         f"median of {_RUNS}",
-        ["test", "name", "kind", "native NW", "native TA", "WAMR", "WaTZ"],
+        ["test", "name", "kind", "native NW", "native TA", "WAMR", "WaTZ",
+         "checksums"],
         rows,
     ))
 
+    # Native, WAMR and WaTZ compute the same answers.
+    assert mismatches == 0, gates
     # Shape 1: WaTZ tracks WAMR (the TEE adds no compute cost).
     assert median_delta < 0.20, gates
     # Shape 2: write-heavy tests suffer more than read-heavy ones.

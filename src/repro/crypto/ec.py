@@ -45,7 +45,7 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import CryptoError
 
@@ -571,57 +571,33 @@ def scalar_base_mult(k: int) -> Point:
     return _scalar_base_mult_comb(k)
 
 
-#: A multi-scalar term: ``(scalar, point)``; ``None`` stands for the
-#: generator (wide global split table), an explicit point rides its
-#: cached per-key table or a one-shot odd-multiples table.
-MultiScalarTerm = Tuple[int, Optional[Point]]
-
-
-def multi_scalar_mult(terms: Sequence[MultiScalarTerm]) -> Point:
-    """Compute ``sum(k_i * P_i)`` on ONE shared doubling chain (Strauss).
-
-    The n-term generalisation of Shamir's trick: every term's wNAF
-    expansion interleaves onto a single inlined doubling chain, so the
-    dominant cost — the doublings — is paid once for the whole sum
-    instead of once per term."""
-    if not _fast_paths:
-        acc = INFINITY
-        for k, point in terms:
-            acc = add(acc, scalar_mult_naive(
-                k, GENERATOR if point is None else point))
-        return acc
-    pairs: List[Tuple[List[int], List[Tuple[int, int]]]] = []
-    for k, point in terms:
-        k %= N
-        if not k:
-            continue
-        if point is None:
-            pairs.extend(_split_pairs(k, _generator_split(),
-                                      _GEN_WNAF_WIDTH))
-            continue
-        if point.is_infinity:
-            continue
-        split = _cached_key_table(point)
-        if split is not None:
-            pairs.extend(_split_pairs(k, split, _WNAF_WIDTH))
-        else:
-            # Unknown key: a one-shot odd-multiples table on the full
-            # chain; the other terms interleave onto the same chain.
-            table = _odd_multiples_affine(point, _WNAF_WIDTH)
-            pairs.append((_wnaf_digits(k, _WNAF_WIDTH), table))
-    if not pairs:
-        return INFINITY
-    return _from_jacobian(_wnaf_chain(pairs))
-
-
 def double_scalar_base_mult(u1: int, u2: int, point: Point) -> Point:
     """Compute ``u1*G + u2*point`` jointly (Shamir's trick).
 
     The single hottest verifier-side operation: ECDSA verification is one
     call of this instead of two full multiplications plus an addition.
-    The two-term special case of :func:`multi_scalar_mult`; G uses the
-    wide global table, ``point`` its (possibly cached) per-key table."""
-    return multi_scalar_mult(((u1, None), (u2, point)))
+    Both scalars' wNAF expansions interleave onto one inlined doubling
+    chain, so the doublings are paid once for the sum. G uses the wide
+    global split table, ``point`` its cached per-key split table or, for
+    an unknown key, a one-shot odd-multiples table on the full chain."""
+    if not _fast_paths:
+        return add(scalar_mult_naive(u1, GENERATOR),
+                   scalar_mult_naive(u2, point))
+    pairs: List[Tuple[List[int], List[Tuple[int, int]]]] = []
+    u1 %= N
+    if u1:
+        pairs.extend(_split_pairs(u1, _generator_split(), _GEN_WNAF_WIDTH))
+    u2 %= N
+    if u2 and not point.is_infinity:
+        split = _cached_key_table(point)
+        if split is not None:
+            pairs.extend(_split_pairs(u2, split, _WNAF_WIDTH))
+        else:
+            table = _odd_multiples_affine(point, _WNAF_WIDTH)
+            pairs.append((_wnaf_digits(u2, _WNAF_WIDTH), table))
+    if not pairs:
+        return INFINITY
+    return _from_jacobian(_wnaf_chain(pairs))
 
 
 # --- key validation -------------------------------------------------------------

@@ -1,11 +1,12 @@
 """The Speedtest1-like benchmark suite (paper Fig. 6).
 
-Each numbered test exists in two forms doing the same logical work:
-
-* ``sql_*`` — SQL statements against the Python engine (the "native
-  SQLite" build);
-* ``wasm_calls`` — a sequence of exported-function calls against the walc
-  storage-engine core (the "SQLite compiled to Wasm" build).
+Each numbered test is one pair of call lists against the database core's
+exported functions: ``setup`` (untimed preparation) and ``run`` (the timed
+body). The same lists drive all three sides of Fig. 6: the native build
+(:class:`~repro.workloads.minidb.wasmcore.DbCore`) and the Wasm build
+(:func:`~repro.workloads.minidb.wasmcore.compile_dbcore`) under WAMR and
+under WaTZ. :func:`checksum` reads what one side computed, and every side
+must read the same on every test.
 
 Test numbers follow the paper's Fig. 6 row labels; the paper classifies
 130-145, 160-170, 260, 310, 320, 410, 510, 520 as read-mostly and
@@ -16,16 +17,19 @@ the harness through the ``scale`` argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
-
-from repro.workloads.minidb.engine import Connection, connect
+from dataclasses import dataclass
+from typing import Callable, List, Sequence, Tuple
 
 Calls = List[Tuple[str, tuple]]
 
-#: Deterministic key stream shared with the walc core.
-def _prng(seed: int) -> int:
-    return ((seed * 1103515245 + 12345) >> 8) & 0x7FFFFF
+#: ``invoke(name, *args)``: ``Instance.invoke``, ``DbCore.invoke`` or a
+#: runtime TA's ``CMD_INVOKE``.
+Invoke = Callable[..., object]
+
+#: Read after a test's run calls: the live rows, the ORDER BY checksum of
+#: the live values and the live rows the index reaches.
+CHECK_CALLS: Calls = [("count_alive", ()), ("order_by_checksum", ()),
+                      ("lookup_count", (0, 1 << 30))]
 
 
 @dataclass(frozen=True)
@@ -33,443 +37,111 @@ class SpeedTest:
     number: int
     name: str
     kind: str  # "read" | "write"
-    #: Untimed SQL preparation (schema + population).
-    sql_setup: Callable[[Connection, int], None]
-    #: The timed SQL body.
-    sql_run: Callable[[Connection, int], None]
-    #: Untimed Wasm preparation calls.
-    wasm_setup: Callable[[int], Calls]
-    #: The timed Wasm calls.
-    wasm_run: Callable[[int], Calls]
-
-
-ALL_TESTS: List[SpeedTest] = []
-
-
-def _register(test: SpeedTest) -> None:
-    ALL_TESTS.append(test)
-
-
-def _create_t1(db: Connection, indexed: bool) -> None:
-    db.execute("CREATE TABLE t1(a INTEGER, b INTEGER, c TEXT)")
-    if indexed:
-        db.execute("CREATE INDEX t1a ON t1(a)")
-
-
-def _populate_t1(db: Connection, n: int, indexed: bool) -> None:
-    _create_t1(db, indexed)
-    db.execute("BEGIN")
-    for i in range(n):
-        key = _prng(i) % (n * 2)
-        db.execute("INSERT INTO t1 VALUES (?, ?, ?)",
-                   (key, (key * 3 + 7) % 1000, f"payload {key:07d}"))
-    db.execute("COMMIT")
-
-
-def _insert_sql(db: Connection, n: int, transaction: bool) -> None:
-    if transaction:
-        db.execute("BEGIN")
-    for i in range(n):
-        key = _prng(i) % (n * 2)
-        db.execute("INSERT INTO t1 VALUES (?, ?, ?)",
-                   (key, (key * 3 + 7) % 1000, f"payload {key:07d}"))
-    if transaction:
-        db.execute("COMMIT")
-
-
-# --- 100: INSERTs into an unindexed table --------------------------------------
-
-_register(SpeedTest(
-    100, "INSERTs into unindexed table", "write",
-    sql_setup=lambda db, n: _create_t1(db, indexed=False),
-    sql_run=lambda db, n: _insert_sql(db, n, transaction=False),
-    wasm_setup=lambda n: [("reset", ()), ("set_indexed", (0,))],
-    wasm_run=lambda n: [("insert_many", (n, n * 2))],
-))
-
-# --- 110: INSERTs inside a transaction ------------------------------------------
-
-_register(SpeedTest(
-    110, "INSERTs inside a transaction", "write",
-    sql_setup=lambda db, n: _create_t1(db, indexed=False),
-    sql_run=lambda db, n: _insert_sql(db, n, transaction=True),
-    wasm_setup=lambda n: [("reset", ()), ("set_indexed", (0,))],
-    wasm_run=lambda n: [("insert_many", (n, n * 2))],
-))
-
-# --- 120: INSERTs into an indexed table ------------------------------------------
-
-_register(SpeedTest(
-    120, "INSERTs into indexed table", "write",
-    sql_setup=lambda db, n: _create_t1(db, indexed=True),
-    sql_run=lambda db, n: _insert_sql(db, n, transaction=True),
-    wasm_setup=lambda n: [("reset", ()), ("set_indexed", (1,))],
-    wasm_run=lambda n: [("insert_many", (n, n * 2))],
-))
-
-
-# --- 130: range SELECTs without index --------------------------------------------
-
-def _sql_130(db: Connection, n: int) -> None:
-    reps = max(4, n // 100)
-    for i in range(reps):
-        low = (i * 29) % 900
-        db.execute(
-            "SELECT COUNT(*), SUM(b) FROM t1 WHERE b BETWEEN ? AND ?",
-            (low, low + 50),
-        )
-
-
-_register(SpeedTest(
-    130, "range SELECTs without index", "read",
-    sql_setup=lambda db, n: _populate_t1(db, n, indexed=False),
-    sql_run=_sql_130,
-    wasm_setup=lambda n: [("reset", ()), ("set_indexed", (0,)),
-                          ("insert_many", (n, n * 2))],
-    wasm_run=lambda n: [("scan_count", ((i * 29) % 900, (i * 29) % 900 + 50))
-                        for i in range(max(4, n // 100))],
-))
-
-
-# --- 140: text-compare SELECTs ----------------------------------------------------
-
-def _sql_140(db: Connection, n: int) -> None:
-    reps = max(4, n // 100)
-    for i in range(reps):
-        db.execute("SELECT COUNT(*) FROM t1 WHERE c LIKE ?",
-                   (f"payload %{i % 10}",))
-
-
-_register(SpeedTest(
-    140, "text-compare SELECTs", "read",
-    sql_setup=lambda db, n: _populate_t1(db, n, indexed=False),
-    sql_run=_sql_140,
-    wasm_setup=lambda n: [("reset", ()), ("set_indexed", (0,)),
-                          ("insert_many", (n, n * 2))],
-    wasm_run=lambda n: [("scan_like", (10, i % 10))
-                        for i in range(max(4, n // 100))],
-))
-
-
-# --- 145: SELECTs with OR terms -----------------------------------------------------
-
-def _sql_145(db: Connection, n: int) -> None:
-    reps = max(4, n // 200)
-    for i in range(reps):
-        db.execute(
-            "SELECT COUNT(*) FROM t1 WHERE b = ? OR b = ? OR a < ?",
-            (i % 1000, (i * 7) % 1000, 50),
-        )
-
-
-_register(SpeedTest(
-    145, "SELECTs with OR terms", "read",
-    sql_setup=lambda db, n: _populate_t1(db, n, indexed=False),
-    sql_run=_sql_145,
-    wasm_setup=lambda n: [("reset", ()), ("set_indexed", (0,)),
-                          ("insert_many", (n, n * 2))],
-    wasm_run=lambda n: [("scan_or", (i % 1000, (i * 7) % 1000, 50))
-                        for i in range(max(4, n // 200))],
-))
-
-
-# --- 160: point SELECTs via index ----------------------------------------------------
-
-def _sql_160(db: Connection, n: int) -> None:
-    reps = max(10, n)
-    for i in range(reps):
-        db.execute("SELECT b FROM t1 WHERE a = ?",
-                   (_prng(i * 17 + 3) % (n * 2),))
-
-
-_register(SpeedTest(
-    160, "point SELECTs via index", "read",
-    sql_setup=lambda db, n: _populate_t1(db, n, indexed=True),
-    sql_run=_sql_160,
-    wasm_setup=lambda n: [("reset", ()), ("set_indexed", (1,)),
-                          ("insert_many", (n, n * 2))],
-    wasm_run=lambda n: [("select_eq_sum", (max(10, n), n * 2))],
-))
-
-
-# --- 161: point SELECTs via unique index ----------------------------------------------
-
-def _setup_161(db: Connection, n: int) -> None:
-    db.execute("CREATE TABLE t1(a INTEGER PRIMARY KEY, b INTEGER, c TEXT)")
-    db.execute("BEGIN")
-    for i in range(n):
-        db.execute("INSERT INTO t1 VALUES (?, ?, ?)",
-                   (i, (i * 3 + 7) % 1000, f"payload {i:07d}"))
-    db.execute("COMMIT")
-
-
-def _sql_161(db: Connection, n: int) -> None:
-    for i in range(max(10, n)):
-        db.execute("SELECT b FROM t1 WHERE a = ?", (_prng(i) % n,))
-
-
-_register(SpeedTest(
-    161, "point SELECTs via unique index", "read",
-    sql_setup=_setup_161,
-    sql_run=_sql_161,
-    wasm_setup=lambda n: [("reset", ()), ("set_indexed", (1,)),
-                          ("insert_many", (n, n * 2))],
-    wasm_run=lambda n: [("select_eq_sum", (max(10, n), n * 2))],
-))
-
-
-# --- 170: range SELECTs via index ------------------------------------------------------
-
-def _sql_170(db: Connection, n: int) -> None:
-    reps = max(10, n // 10)
-    for i in range(reps):
-        low = (i * 37) % (n * 2)
-        db.execute("SELECT COUNT(*) FROM t1 WHERE a BETWEEN ? AND ?",
-                   (low, low + 100))
-
-
-_register(SpeedTest(
-    170, "range SELECTs via index", "read",
-    sql_setup=lambda db, n: _populate_t1(db, n, indexed=True),
-    sql_run=_sql_170,
-    wasm_setup=lambda n: [("reset", ()), ("set_indexed", (1,)),
-                          ("insert_many", (n, n * 2))],
-    wasm_run=lambda n: [("lookup_count", ((i * 37) % (n * 2),
-                                          (i * 37) % (n * 2) + 100))
-                        for i in range(max(10, n // 10))],
-))
-
-
-# --- 180: CREATE INDEX ---------------------------------------------------------------
-
-_register(SpeedTest(
-    180, "CREATE INDEX", "write",
-    sql_setup=lambda db, n: _populate_t1(db, n, indexed=False),
-    sql_run=lambda db, n: db.execute("CREATE INDEX t1a ON t1(a)"),
-    wasm_setup=lambda n: [("reset", ()), ("set_indexed", (0,)),
-                          ("insert_many", (n, n * 2))],
-    wasm_run=lambda n: [("build_index", ())],
-))
-
-
-# --- 190: range DELETEs without index ---------------------------------------------------
-
-def _sql_190(db: Connection, n: int) -> None:
-    for i in range(10):
-        low = i * (n // 5)
-        db.execute("DELETE FROM t1 WHERE a BETWEEN ? AND ?",
-                   (low, low + n // 10))
-
-
-_register(SpeedTest(
-    190, "range DELETEs without index", "write",
-    sql_setup=lambda db, n: _populate_t1(db, n, indexed=False),
-    sql_run=_sql_190,
-    wasm_setup=lambda n: [("reset", ()), ("set_indexed", (0,)),
-                          ("insert_many", (n, n * 2))],
-    wasm_run=lambda n: [("delete_range", (i * (n // 5), i * (n // 5) + n // 10))
-                        for i in range(10)],
-))
-
-
-# --- 210: range DELETEs with index -------------------------------------------------------
-
-_register(SpeedTest(
-    210, "range DELETEs with index", "write",
-    sql_setup=lambda db, n: _populate_t1(db, n, indexed=True),
-    sql_run=_sql_190,
-    wasm_setup=lambda n: [("reset", ()), ("set_indexed", (1,)),
-                          ("insert_many", (n, n * 2))],
-    wasm_run=lambda n: [("delete_range", (i * (n // 5), i * (n // 5) + n // 10))
-                        for i in range(10)],
-))
-
-
-# --- 260: ORDER BY ------------------------------------------------------------------------
-
-_register(SpeedTest(
-    260, "ORDER BY full table", "read",
-    sql_setup=lambda db, n: _populate_t1(db, n, indexed=False),
-    sql_run=lambda db, n: db.execute("SELECT b FROM t1 ORDER BY b"),
-    wasm_setup=lambda n: [("reset", ()), ("set_indexed", (0,)),
-                          ("insert_many", (n, n * 2))],
-    wasm_run=lambda n: [("order_by_checksum", ())],
-))
-
-
-# --- 290: range UPDATEs without index ---------------------------------------------------------
-
-def _sql_290(db: Connection, n: int) -> None:
-    for i in range(10):
-        low = (i * 97) % 900
-        db.execute("UPDATE t1 SET b = b + 1 WHERE b BETWEEN ? AND ?",
-                   (low, low + 50))
-
-
-_register(SpeedTest(
-    290, "range UPDATEs without index", "write",
-    sql_setup=lambda db, n: _populate_t1(db, n, indexed=False),
-    sql_run=_sql_290,
-    wasm_setup=lambda n: [("reset", ()), ("set_indexed", (0,)),
-                          ("insert_many", (n, n * 2))],
-    wasm_run=lambda n: [("update_scan", ((i * 97) % 900, (i * 97) % 900 + 50, 1))
-                        for i in range(10)],
-))
-
-
-# --- 300: key UPDATEs with index ------------------------------------------------------------------
-
-def _sql_300(db: Connection, n: int) -> None:
-    for i in range(10):
-        low = (i * 211) % (n * 2)
-        db.execute("UPDATE t1 SET a = a + ? WHERE a BETWEEN ? AND ?",
-                   (n * 4, low, low + n // 20))
-
-
-_register(SpeedTest(
-    300, "key UPDATEs with index", "write",
-    sql_setup=lambda db, n: _populate_t1(db, n, indexed=True),
-    sql_run=_sql_300,
-    wasm_setup=lambda n: [("reset", ()), ("set_indexed", (1,)),
-                          ("insert_many", (n, n * 2))],
-    wasm_run=lambda n: [("update_indexed", ((i * 211) % (n * 2),
-                                            (i * 211) % (n * 2) + n // 20,
-                                            n * 4))
-                        for i in range(10)],
-))
-
-
-# --- 310: GROUP BY ---------------------------------------------------------------------------------
-
-_register(SpeedTest(
-    310, "GROUP BY aggregate", "read",
-    sql_setup=lambda db, n: _populate_t1(db, n, indexed=False),
-    sql_run=lambda db, n: db.execute(
-        "SELECT b % 32, COUNT(*), SUM(b) FROM t1 GROUP BY b % 32"),
-    wasm_setup=lambda n: [("reset", ()), ("set_indexed", (0,)),
-                          ("insert_many", (n, n * 2))],
-    wasm_run=lambda n: [("group_sum", (32,))],
-))
-
-
-# --- 320: JOIN --------------------------------------------------------------------------------------
-
-def _setup_320(db: Connection, n: int) -> None:
-    _populate_t1(db, n, indexed=False)
-    db.execute("CREATE TABLE t2(x INTEGER PRIMARY KEY, y INTEGER)")
-    db.execute("BEGIN")
-    for i in range(n):
-        db.execute("INSERT INTO t2 VALUES (?, ?)", (i * 2, (i * 11 + 5) % 997))
-    db.execute("COMMIT")
-
-
-_register(SpeedTest(
-    320, "indexed JOIN", "read",
-    sql_setup=_setup_320,
-    sql_run=lambda db, n: db.execute(
-        "SELECT COUNT(*), SUM(t2.y) FROM t1 JOIN t2 ON t2.x = t1.a"),
-    wasm_setup=lambda n: [("reset", ()), ("set_indexed", (0,)),
-                          ("insert_many", (n, n * 2)),
-                          ("fill_join_table", (n,))],
-    wasm_run=lambda n: [("join_sum", ())],
-))
-
-
-# --- 400: full-table UPDATE ----------------------------------------------------------------------------
-
-_register(SpeedTest(
-    400, "full-table UPDATE", "write",
-    sql_setup=lambda db, n: _populate_t1(db, n, indexed=False),
-    sql_run=lambda db, n: db.execute("UPDATE t1 SET b = b + 1"),
-    wasm_setup=lambda n: [("reset", ()), ("set_indexed", (0,)),
-                          ("insert_many", (n, n * 2))],
-    wasm_run=lambda n: [("update_scan", (-1, 1 << 30, 1))],
-))
-
-
-# --- 410: SELECT with IN list ----------------------------------------------------------------------------
-
-def _sql_410(db: Connection, n: int) -> None:
-    reps = max(4, n // 200)
-    for i in range(reps):
-        db.execute(
-            "SELECT COUNT(*) FROM t1 WHERE b IN (?, ?, ?, ?)",
-            (i % 1000, (i * 3) % 1000, (i * 7) % 1000, (i * 13) % 1000),
-        )
-
-
-_register(SpeedTest(
-    410, "SELECTs with IN list", "read",
-    sql_setup=lambda db, n: _populate_t1(db, n, indexed=False),
-    sql_run=_sql_410,
-    wasm_setup=lambda n: [("reset", ()), ("set_indexed", (0,)),
-                          ("insert_many", (n, n * 2))],
-    wasm_run=lambda n: [("scan_or", (i % 1000, (i * 3) % 1000, 0))
-                        for i in range(max(4, n // 200))],
-))
-
-
-# --- 500: DROP TABLE and repopulate --------------------------------------------------------------------------
-
-def _sql_500(db: Connection, n: int) -> None:
-    db.execute("DROP TABLE t1")
-    _create_t1(db, indexed=False)
-    _insert_sql(db, n // 2, transaction=True)
-
-
-_register(SpeedTest(
-    500, "DROP TABLE and repopulate", "write",
-    sql_setup=lambda db, n: _populate_t1(db, n, indexed=False),
-    sql_run=_sql_500,
-    wasm_setup=lambda n: [("reset", ()), ("set_indexed", (0,)),
-                          ("insert_many", (n, n * 2))],
-    wasm_run=lambda n: [("reset", ()), ("set_indexed", (0,)),
-                        ("insert_many", (n // 2, n))],
-))
-
-
-# --- 510: COUNT(*) scans -----------------------------------------------------------------------------------------
-
-def _sql_510(db: Connection, n: int) -> None:
-    for _ in range(10):
-        db.execute("SELECT COUNT(*) FROM t1 WHERE b >= 0")
-
-
-_register(SpeedTest(
-    510, "COUNT(*) full scans", "read",
-    sql_setup=lambda db, n: _populate_t1(db, n, indexed=False),
-    sql_run=_sql_510,
-    wasm_setup=lambda n: [("reset", ()), ("set_indexed", (0,)),
-                          ("insert_many", (n, n * 2))],
-    wasm_run=lambda n: [("count_alive", ())] * 10,
-))
-
-
-# --- 520: MIN/MAX via index -------------------------------------------------------------------------------------------
-
-def _sql_520(db: Connection, n: int) -> None:
-    for _ in range(max(10, n // 5)):
-        db.execute("SELECT MIN(a), MAX(a) FROM t1 WHERE a BETWEEN ? AND ?",
-                   (0, 1 << 30))
-
-
-_register(SpeedTest(
-    520, "MIN/MAX via index", "read",
-    sql_setup=lambda db, n: _populate_t1(db, n, indexed=True),
-    sql_run=_sql_520,
-    wasm_setup=lambda n: [("reset", ()), ("set_indexed", (1,)),
-                          ("insert_many", (n, n * 2))],
-    wasm_run=lambda n: [("min_max_sum", (max(10, n // 5),))],
-))
-
+    #: Untimed preparation calls.
+    setup: Callable[[int], Calls]
+    #: The timed calls.
+    run: Callable[[int], Calls]
+
+
+def checksum(invoke: Invoke, results: Sequence) -> tuple:
+    """A test's checksum: its run calls' results, then :data:`CHECK_CALLS`."""
+    return tuple(results) + tuple(invoke(fn, *args) for fn, args in CHECK_CALLS)
+
+
+def _table(indexed: bool) -> Calls:
+    return [("reset", ()), ("set_indexed", (1 if indexed else 0,))]
+
+
+def _populated(n: int, indexed: bool = False) -> Calls:
+    return _table(indexed) + [("insert_many", (n, n * 2))]
+
+
+def _delete_ranges(n: int) -> Calls:
+    return [("delete_range", (i * (n // 5), i * (n // 5) + n // 10))
+            for i in range(10)]
+
+
+ALL_TESTS: List[SpeedTest] = [
+    SpeedTest(100, "INSERTs into unindexed table", "write",
+              setup=lambda n: _table(indexed=False),
+              run=lambda n: [("insert_many", (n, n * 2))]),
+    SpeedTest(110, "INSERTs inside a transaction", "write",
+              setup=lambda n: _table(indexed=False),
+              run=lambda n: [("insert_many", (n, n * 2))]),
+    SpeedTest(120, "INSERTs into indexed table", "write",
+              setup=lambda n: _table(indexed=True),
+              run=lambda n: [("insert_many", (n, n * 2))]),
+    SpeedTest(130, "range SELECTs without index", "read",
+              setup=_populated,
+              run=lambda n: [("scan_count", ((i * 29) % 900,
+                                             (i * 29) % 900 + 50))
+                             for i in range(max(4, n // 100))]),
+    SpeedTest(140, "text-compare SELECTs", "read",
+              setup=_populated,
+              run=lambda n: [("scan_like", (10, i % 10))
+                             for i in range(max(4, n // 100))]),
+    SpeedTest(145, "SELECTs with OR terms", "read",
+              setup=_populated,
+              run=lambda n: [("scan_or", (i % 1000, (i * 7) % 1000, 50))
+                             for i in range(max(4, n // 200))]),
+    SpeedTest(160, "point SELECTs via index", "read",
+              setup=lambda n: _populated(n, indexed=True),
+              run=lambda n: [("select_eq_sum", (max(10, n), n * 2))]),
+    SpeedTest(161, "point SELECTs via unique index", "read",
+              setup=lambda n: _populated(n, indexed=True),
+              run=lambda n: [("select_eq_sum", (max(10, n), n * 2))]),
+    SpeedTest(170, "range SELECTs via index", "read",
+              setup=lambda n: _populated(n, indexed=True),
+              run=lambda n: [("lookup_count", ((i * 37) % (n * 2),
+                                               (i * 37) % (n * 2) + 100))
+                             for i in range(max(10, n // 10))]),
+    SpeedTest(180, "CREATE INDEX", "write",
+              setup=_populated,
+              run=lambda n: [("build_index", ())]),
+    SpeedTest(190, "range DELETEs without index", "write",
+              setup=_populated,
+              run=_delete_ranges),
+    SpeedTest(210, "range DELETEs with index", "write",
+              setup=lambda n: _populated(n, indexed=True),
+              run=_delete_ranges),
+    SpeedTest(260, "ORDER BY full table", "read",
+              setup=_populated,
+              run=lambda n: [("order_by_checksum", ())]),
+    SpeedTest(290, "range UPDATEs without index", "write",
+              setup=_populated,
+              run=lambda n: [("update_scan", ((i * 97) % 900,
+                                              (i * 97) % 900 + 50, 1))
+                             for i in range(10)]),
+    SpeedTest(300, "key UPDATEs with index", "write",
+              setup=lambda n: _populated(n, indexed=True),
+              run=lambda n: [("update_indexed", ((i * 211) % (n * 2),
+                                                 (i * 211) % (n * 2) + n // 20,
+                                                 n * 4))
+                             for i in range(10)]),
+    SpeedTest(310, "GROUP BY aggregate", "read",
+              setup=_populated,
+              run=lambda n: [("group_sum", (32,))]),
+    SpeedTest(320, "indexed JOIN", "read",
+              setup=lambda n: _populated(n) + [("fill_join_table", (n,))],
+              run=lambda n: [("join_sum", ())]),
+    SpeedTest(400, "full-table UPDATE", "write",
+              setup=_populated,
+              run=lambda n: [("update_scan", (-1, 1 << 30, 1))]),
+    SpeedTest(410, "SELECTs with IN list", "read",
+              setup=_populated,
+              run=lambda n: [("scan_or", (i % 1000, (i * 3) % 1000, 0))
+                             for i in range(max(4, n // 200))]),
+    SpeedTest(500, "DROP TABLE and repopulate", "write",
+              setup=_populated,
+              run=lambda n: _table(indexed=False)
+              + [("insert_many", (n // 2, n))]),
+    SpeedTest(510, "COUNT(*) full scans", "read",
+              setup=_populated,
+              run=lambda n: [("count_alive", ())] * 10),
+    SpeedTest(520, "MIN/MAX via index", "read",
+              setup=lambda n: _populated(n, indexed=True),
+              run=lambda n: [("min_max_sum", (max(10, n // 5),))]),
+]
 
 READ_TESTS = tuple(t.number for t in ALL_TESTS if t.kind == "read")
 WRITE_TESTS = tuple(t.number for t in ALL_TESTS if t.kind == "write")
-
-
-def run_sql_test(test: SpeedTest, scale: int) -> "Connection":
-    """Run one test against a fresh Python engine (setup untimed upstream)."""
-    db = connect()
-    test.sql_setup(db, scale)
-    test.sql_run(db, scale)
-    return db
