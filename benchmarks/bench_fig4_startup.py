@@ -6,11 +6,14 @@ memory allocation ~5%, hashing ~4%, with transition / instantiation /
 execution each under 1%. The pure-Python AOT engine is much slower than
 WAMR's loader, so the binaries are scaled down 8x (0.125-1.125 MB); the
 *fractions* are what Fig. 4 reports and what we compare.
+
+Each test records its gates (threshold, value, ``asserted`` and a reason)
+in its own ``bench_results/BENCH_fig4_*.json`` before asserting them.
 """
 
 from __future__ import annotations
 
-from repro.bench import format_table, save_report
+from repro.bench import format_table, save_json, save_report
 from repro.workloads.startup import build_startup_app
 
 #: 8x scale-down of the paper's 1..9 MB sweep.
@@ -20,6 +23,12 @@ _PAPER_FRACTIONS = {
     "load": 0.73, "runtime_init": 0.16, "alloc": 0.05, "hash": 0.04,
     "transition": 0.01, "instantiate": 0.01, "execute": 0.01,
 }
+
+#: Why the phase-fraction gates hold on any host.
+_FRACTION_REASON = ("fractions of one load's own phase times: host speed "
+                    "scales every wall-clock phase alike, and decode, "
+                    "validate and compile dwarf the other phases by orders "
+                    "of magnitude")
 
 
 def _load_all(device):
@@ -53,17 +62,49 @@ def test_fig4_startup_breakdown(benchmark, device):
         ["binary", "total"] + phases, rows,
     ))
 
-    # Shape assertions across all sizes:
-    for size, breakdown in results:
-        fractions = breakdown.fractions()
-        # Loading dominates, as in the paper.
-        assert fractions["load"] > 0.5, (size, fractions)
-        # Transition, instantiation and execution are minor phases.
-        assert fractions["transition"] < 0.1
-        assert fractions["execute"] < 0.1
-    # Startup grows with binary size (roughly linearly).
+    # Shape gates across all sizes: loading dominates, as in the paper;
+    # transition and execution are minor phases; startup grows with
+    # binary size (roughly linearly).
+    all_fractions = [breakdown.fractions() for _size, breakdown in results]
+    load_min = min(fractions["load"] for fractions in all_fractions)
+    transition_max = max(f["transition"] for f in all_fractions)
+    execute_max = max(f["execute"] for f in all_fractions)
     totals = [b.total_s for _s, b in results]
-    assert totals[-1] > totals[0] * 4
+    gates = {
+        "load_dominates": {
+            "metric": "smallest load fraction over the nine sizes (must "
+                      "exceed the threshold)",
+            "threshold": 0.5, "value": round(load_min, 4),
+            "asserted": True, "reason": _FRACTION_REASON,
+        },
+        "transition_minor": {
+            "metric": "largest transition fraction over the nine sizes",
+            "threshold": 0.1, "value": round(transition_max, 6),
+            "asserted": True, "reason": _FRACTION_REASON,
+        },
+        "execute_minor": {
+            "metric": "largest execute fraction over the nine sizes",
+            "threshold": 0.1, "value": round(execute_max, 6),
+            "asserted": True, "reason": _FRACTION_REASON,
+        },
+        "startup_grows_with_size": {
+            "metric": "startup total of the largest binary over the "
+                      "smallest's (must exceed the threshold)",
+            "threshold": 4, "value": round(totals[-1] / totals[0], 3),
+            "asserted": True,
+            "reason": "the binaries grow 9x and loading is linear in "
+                      "their size, far above host drift within one sweep",
+        },
+    }
+    save_json("BENCH_fig4_startup", {
+        "gates": gates,
+        "sizes": [{"bytes": size, "total_s": round(breakdown.total_s, 4)}
+                  for size, breakdown in results],
+    })
+    assert load_min > 0.5, gates
+    assert transition_max < 0.1, gates
+    assert execute_max < 0.1, gates
+    assert totals[-1] > totals[0] * 4, gates
 
 
 def test_fig4_hash_overhead_is_small(device):
@@ -76,8 +117,20 @@ def test_fig4_hash_overhead_is_small(device):
     breakdown = loaded["breakdown"]
     watz_extras = (breakdown.hash_s
                    + breakdown.transition_ns * 1e-9)
-    assert watz_extras / breakdown.total_s < 0.15
     session.close()
+    gates = {
+        "hash_overhead_small": {
+            "metric": "hash + transition time over total startup",
+            "threshold": 0.15,
+            "value": round(watz_extras / breakdown.total_s, 6),
+            "asserted": True,
+            "reason": "a fraction of one load's own phase times; hashing "
+                      "is a linear pass, cheaper than decode and compile "
+                      "on any host",
+        },
+    }
+    save_json("BENCH_fig4_hash_overhead", {"gates": gates})
+    assert watz_extras / breakdown.total_s < 0.15, gates
 
 
 def test_fig4_code_cache_cold_vs_warm(device):
@@ -107,8 +160,33 @@ def test_fig4_code_cache_cold_vs_warm(device):
          row("cache-bypass", bypass)],
     ))
 
-    # Warm loads skip decode/validate/compile entirely.
-    assert warm.total_s < cold.total_s
-    assert warm.load_s < cold.load_s
-    # The bypass knob restores cold-path behaviour on a warm cache.
-    assert bypass.load_s > warm.load_s
+    # Warm loads skip decode/validate/compile entirely; the bypass knob
+    # restores cold-path behaviour on a warm cache.
+    reason = ("three loads of one binary in one process: a warm hit skips "
+              "decode, validate and compile, hundreds of times the host "
+              "noise between the loads")
+    gates = {
+        "warm_total_below_cold": {
+            "metric": "startup total, warm vs cold (s)",
+            "threshold": round(cold.total_s, 6),
+            "value": round(warm.total_s, 6),
+            "asserted": True, "reason": reason,
+        },
+        "warm_load_below_cold": {
+            "metric": "load phase, warm vs cold (s)",
+            "threshold": round(cold.load_s, 6),
+            "value": round(warm.load_s, 6),
+            "asserted": True, "reason": reason,
+        },
+        "bypass_load_above_warm": {
+            "metric": "load phase, bypass vs warm (s; must exceed the "
+                      "threshold)",
+            "threshold": round(warm.load_s, 6),
+            "value": round(bypass.load_s, 6),
+            "asserted": True, "reason": reason,
+        },
+    }
+    save_json("BENCH_fig4_code_cache", {"gates": gates})
+    assert warm.total_s < cold.total_s, gates
+    assert warm.load_s < cold.load_s, gates
+    assert bypass.load_s > warm.load_s, gates

@@ -2,17 +2,21 @@
 
 Drives the attestation gateway with the fleet load generator at
 concurrency 1/4/16/64, with and without the appraisal cache, and under
-deliberate overload. Every number is **live**: real wall-clock time of
-this host running every handshake (all crypto, all verifier checks).
-The in-process attesters share the gateway's process and GIL, so live
-throughput does not scale with the concurrency; it measures what one
-process serves, attesters included, not what separate attester boards
-would see.
+deliberate overload. The gateway serves every message on the attester
+thread that delivered it, through one verifier TA session. Every number
+is **live**: real wall-clock time of this host running every handshake
+(all crypto, all verifier checks). The in-process attesters share the
+gateway's process and GIL, so live throughput does not scale with the
+concurrency; it measures what one process serves, attesters included,
+not what separate attester boards would see.
 
 The simulated world-transition time per forwarded message is reported
-separately in virtual nanoseconds (DESIGN.md, "Clock discipline").
+separately in virtual nanoseconds (DESIGN.md, "Clock discipline"): the
+gateway board's SimClock movement over the load, per message. Per-message
+service times come from the gateway's ``service.*`` histograms.
 Machine-readable series and the record of every gate land in
-``bench_results/BENCH_fleet.json``.
+``bench_results/BENCH_fleet.json``; ``test_fleet_c16_smoke`` writes its
+gates to ``bench_results/BENCH_fleet_smoke.json``.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ from __future__ import annotations
 import json
 import os
 from contextlib import ExitStack
-from statistics import median
 
-from repro.bench import format_table, host_metadata, save_report, save_trace
+from repro.bench import (format_table, host_metadata, save_json,
+                         save_report, save_trace)
 from repro.core.verifier import VerifierPolicy
 from repro.fleet import (FleetConfig, LoadProfile, build_attester_stacks,
                          run_load, start_fleet_gateway)
@@ -41,14 +45,17 @@ def _run_live(testbed, identity, port, concurrency, enable_cache=True,
               traced=False):
     """One fresh gateway + fleet of attesters, driven to completion.
 
+    Returns the load report, the gateway snapshot, the gateway board's
+    SimClock ns per message over the load, and the tracer (or None).
     ``traced=True`` observes the gateway board with a dual-clock tracer
     (``Tracer.observe``) for the whole run; the program takes the same
     path either way.
     """
     secret = bytes(range(256)) * (BLOB_SIZE // 256)
     policy = VerifierPolicy()
-    config = FleetConfig(workers=4, enable_cache=enable_cache)
+    config = FleetConfig(enable_cache=enable_cache)
     gateway_device = testbed.create_device()
+    clock = gateway_device.soc.clock
     tracer = None
     observing = ExitStack()
     if traced:
@@ -63,13 +70,16 @@ def _run_live(testbed, identity, port, concurrency, enable_cache=True,
             profile = LoadProfile(concurrency=concurrency,
                                   handshakes_per_attester=HANDSHAKES_EACH,
                                   blob_size=BLOB_SIZE)
+            sim_before = clock.now_ns()
             report = run_load(testbed.network, HOST, port,
                               identity.public_bytes(), stacks, profile)
-            records = gateway.drain_records()
+            sim_ns = clock.now_ns() - sim_before
             snapshot = gateway.snapshot()
         finally:
             gateway.stop()
-    return report, records, snapshot, tracer
+    messages = snapshot["counters"].get("accepted", 0)
+    sim_ns_per_msg = sim_ns // messages if messages else 0
+    return report, snapshot, sim_ns_per_msg, tracer
 
 
 def _save_bench_json(payload: dict) -> str:
@@ -82,16 +92,14 @@ def _save_bench_json(payload: dict) -> str:
     return path
 
 
-def _live_stats(report, records):
+def _live_stats(report, sim_ns_per_msg):
     lat = report.latency_percentiles()
-    sim_ns = (int(median(r.sim_transition_ns for r in records))
-              if records else 0)
     return {
         "live_hs_per_s": round(report.throughput_hz, 3),
         "p50_ms": round(lat["p50"] * 1000, 3),
         "p95_ms": round(lat["p95"] * 1000, 3),
         "p99_ms": round(lat["p99"] * 1000, 3),
-        "sim_ns_per_msg": sim_ns,
+        "sim_ns_per_msg": sim_ns_per_msg,
     }
 
 
@@ -101,51 +109,50 @@ def test_fleet_throughput(testbed, verifier_identity):
     # -- live sweep over concurrency ------------------------------------------
     live = {}
     for offset, concurrency in enumerate(CONCURRENCIES):
-        report, records, snapshot, _ = _run_live(
+        report, snapshot, sim_ns_per_msg, _ = _run_live(
             testbed, identity, PORT_BASE + offset, concurrency)
         expected = concurrency * HANDSHAKES_EACH
         assert len(report.completed) == expected, \
             [(r.error, r.attester) for r in report.failed]
         assert not report.failed and not report.rejected
-        live[concurrency] = (report, records, snapshot)
+        live[concurrency] = (report, snapshot, sim_ns_per_msg)
 
     rows = []
     for concurrency in CONCURRENCIES:
-        report, records, _ = live[concurrency]
+        report, _, sim_ns_per_msg = live[concurrency]
         lat = report.latency_percentiles()
-        sim_ms = median(r.sim_transition_ns for r in records) / 1e6
         rows.append((
             concurrency,
             f"{report.throughput_hz:.1f}",
             f"{lat['p50'] * 1000:.0f}/{lat['p95'] * 1000:.0f}/"
             f"{lat['p99'] * 1000:.0f}",
-            f"{sim_ms:.3f}",
+            f"{sim_ns_per_msg / 1e6:.3f}",
         ))
     sweep_table = format_table(
-        "Fleet throughput — threaded gateway, attesters in the same "
-        "process (live)",
+        "Fleet throughput — one verifier TA session, attesters in the "
+        "same process (live)",
         ["conc", "live hs/s", "live p50/95/99 ms", "sim ns->ms/msg"],
         rows,
     )
 
     # -- the cache hit path is measurably cheaper ------------------------------
-    _, _, snapshot16 = live[16]
+    _, snapshot16, _ = live[16]
     hit_summary = snapshot16["latency"].get("service.msg2_hit", {"count": 0})
     miss_summary = snapshot16["latency"].get("service.msg2_miss",
                                              {"count": 0})
     assert hit_summary["count"] > 0 and miss_summary["count"] > 0
 
-    report_nc, records_nc, _, _ = _run_live(
+    report_nc, snapshot_nc, _, _ = _run_live(
         testbed, identity, PORT_BASE + 10, 16, enable_cache=False)
     assert len(report_nc.completed) == 16 * HANDSHAKES_EACH
-    nc_msg2 = median(r.service_s for r in records_nc if r.kind == "msg2")
+    nc_summary = snapshot_nc["latency"]["service.msg2"]
     cache_rows = [
         ("msg2 verify, cache miss", f"{miss_summary['p50'] * 1000:.1f}",
          miss_summary["count"], "full ECDSA verify"),
         ("msg2 verify, cache hit", f"{hit_summary['p50'] * 1000:.1f}",
          hit_summary["count"], "appraisal memoised"),
-        ("msg2 verify, cache off", f"{nc_msg2 * 1000:.1f}",
-         sum(1 for r in records_nc if r.kind == "msg2"), "baseline gateway"),
+        ("msg2 verify, cache off", f"{nc_summary['p50'] * 1000:.1f}",
+         nc_summary["count"], "baseline gateway"),
     ]
     cache_table = format_table(
         "Appraisal cache — msg2 service time at concurrency 16",
@@ -164,7 +171,7 @@ def test_fleet_throughput(testbed, verifier_identity):
         testbed.network, HOST, PORT_BASE + 11,
         testbed.create_device().client, testbed.vendor_key, identity,
         overload_policy, lambda: secret,
-        FleetConfig(workers=4, rate_per_s=0.0, rate_burst=6))
+        FleetConfig(rate_per_s=0.0, rate_burst=6))
     try:
         calm_stacks = build_attester_stacks(testbed, overload_policy, 1)
         calm = run_load(testbed.network, HOST, PORT_BASE + 11,
@@ -250,9 +257,9 @@ def test_fleet_throughput(testbed, verifier_identity):
         "mode": "full",
         **host_metadata(),
         "handshakes_per_attester": HANDSHAKES_EACH,
-        "threaded_baseline": {
+        "live": {
             str(concurrency): _live_stats(live[concurrency][0],
-                                          live[concurrency][1])
+                                          live[concurrency][2])
             for concurrency in CONCURRENCIES
         },
         "gates": gates,
@@ -263,3 +270,44 @@ def test_fleet_throughput(testbed, verifier_identity):
     assert overload_snapshot["counters"]["rejected_rate"] >= \
         MIN_OVERLOAD_REJECTIONS
     assert row_sim_ns == request_sim_ns, gates
+
+
+def test_fleet_c16_smoke(testbed, verifier_identity):
+    """One C=16 round: every handshake completes, nothing is refused."""
+    report, snapshot, sim_ns_per_msg, _ = _run_live(
+        testbed, verifier_identity, PORT_BASE + 13, 16)
+    expected = 16 * HANDSHAKES_EACH
+    failed_messages = snapshot["counters"].get("failed_messages", 0)
+    reason = ("16 trusted attesters under the default FleetConfig: no "
+              "admission limit is reached and no check may refuse")
+    gates = {
+        "completed": {
+            "metric": "handshakes completed at C=16",
+            "threshold": expected, "value": len(report.completed),
+            "asserted": True, "reason": reason,
+        },
+        "failed": {
+            "metric": "handshakes failed at C=16",
+            "threshold": 0, "value": len(report.failed),
+            "asserted": True, "reason": reason,
+        },
+        "rejected": {
+            "metric": "handshakes rejected with FleetOverloaded at C=16",
+            "threshold": 0, "value": len(report.rejected),
+            "asserted": True, "reason": reason,
+        },
+        "failed_messages": {
+            "metric": "gateway failed_messages counter at C=16",
+            "threshold": 0, "value": failed_messages,
+            "asserted": True, "reason": reason,
+        },
+    }
+    save_json("BENCH_fleet_smoke", {
+        "handshakes_per_attester": HANDSHAKES_EACH,
+        "live": {"16": _live_stats(report, sim_ns_per_msg)},
+        "gates": gates,
+    })
+    assert len(report.completed) == expected, gates
+    assert not report.failed, gates
+    assert not report.rejected, gates
+    assert failed_messages == 0, gates

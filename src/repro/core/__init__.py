@@ -21,6 +21,7 @@ from repro.core.runtime import (
     watz_manifest,
 )
 from repro.core.server import (
+    CMD_EVICT,
     CMD_HANDLE_MESSAGE,
     VERIFIER_UUID,
     VerifierListener,
@@ -62,6 +63,7 @@ __all__ = [
     "VerifierListener",
     "VERIFIER_UUID",
     "CMD_HANDLE_MESSAGE",
+    "CMD_EVICT",
     "WasiRa",
     "build_wasi_ra_imports",
     "WATZ_MODULE",

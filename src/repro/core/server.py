@@ -6,11 +6,14 @@ listener application that receives protocol messages and forwards them to
 the verifier TA in the secure world; replies travel the same path back.
 Every forwarded message therefore pays the world-transition costs of
 Fig. 3b — which the end-to-end benchmarks (Table IV, Fig. 8) include.
+
+The single-connection listener below and the fleet gateway
+(:mod:`repro.fleet.gateway`) both forward into this one verifier TA.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from repro.core import protocol
 from repro.core.transport import Network, Service
@@ -21,6 +24,7 @@ from repro.optee.gp_api import OpTeeClient
 from repro.optee.ta import TaManifest, TrustedApplication, sign_ta
 
 CMD_HANDLE_MESSAGE = 1
+CMD_EVICT = 2
 
 VERIFIER_UUID = "watz-verifier"
 
@@ -35,15 +39,19 @@ def message_param(params: dict) -> bytes:
     return bytes(data)
 
 
+def _conn_param(conn) -> int:
+    if not isinstance(conn, int) or isinstance(conn, bool):
+        raise TeeBadParameters("conn must be an integer connection id")
+    return conn
+
+
 class VerifierProtocolState:
     """Verifier-side state machine for one attester's message stream.
 
     One instance per inbound connection: msg0 opens the handshake, msg2
     appraises the evidence and (on success) releases the secret. The
-    single-session verifier TA owns exactly one of these; the fleet
-    gateway's pooled TA (:mod:`repro.fleet.gateway`) keeps a table of
-    them keyed by connection, which is what stops interleaved streams
-    from different attesters crossing.
+    verifier TA keeps a table of them keyed by connection id, which is
+    what stops interleaved streams from different attesters crossing.
     """
 
     def __init__(self, verifier: Verifier,
@@ -93,28 +101,52 @@ class VerifierProtocolState:
 
 def make_verifier_ta(identity: ecdsa.KeyPair, policy: VerifierPolicy,
                      secret_provider: SecretProvider,
-                     recorder: Optional[protocol.CostRecorder] = None,
-                     appraisal_cache=None) -> type:
+                     appraisal_cache=None, engine=None) -> type:
     """Build a verifier TA class closed over its configuration.
 
     The identity key and policy are baked into the TA the way the paper's
-    verifier TA carries its key material in secure storage.
+    verifier TA carries its key material in secure storage. Each
+    ``CMD_HANDLE_MESSAGE`` names its connection, and protocol state lives
+    in a per-connection table, so one session can interleave many
+    attesters' handshakes. A protocol error burns that connection's state
+    (the attester must start over from msg0), and the state is dropped
+    once msg3 is out. ``CMD_EVICT`` drops a stalled connection's state.
     """
 
     class VerifierTa(TrustedApplication):
         def open_session(self, api) -> None:
             super().open_session(api)
             self.verifier = Verifier(
-                identity, policy, api.generate_random, recorder,
-                appraisal_cache=appraisal_cache,
+                identity, policy, api.generate_random,
+                appraisal_cache=appraisal_cache, engine=engine,
             )
-            self._state = VerifierProtocolState(self.verifier,
-                                                secret_provider)
+            self._states: Dict[int, VerifierProtocolState] = {}
 
         def invoke(self, command: int, params: dict) -> dict:
-            if command != CMD_HANDLE_MESSAGE:
-                raise TeeBadParameters(f"unknown verifier command {command}")
-            return {"reply": self._state.handle(message_param(params))}
+            if command == CMD_HANDLE_MESSAGE:
+                conn_id = _conn_param(params.get("conn"))
+                data = message_param(params)
+                state = self._states.get(conn_id)
+                if state is None:
+                    state = VerifierProtocolState(self.verifier,
+                                                  secret_provider)
+                    self._states[conn_id] = state
+                try:
+                    reply = state.handle(data)
+                except Exception:
+                    del self._states[conn_id]
+                    raise
+                if state.done:
+                    del self._states[conn_id]
+                return {"reply": reply, "done": state.done}
+            if command == CMD_EVICT:
+                conn_id = _conn_param(params.get("conn"))
+                evicted = self._states.pop(conn_id, None) is not None
+                return {"evicted": int(evicted)}
+            raise TeeBadParameters(f"unknown verifier command {command}")
+
+        def close_session(self) -> None:
+            self._states.clear()
 
     return VerifierTa
 
@@ -122,13 +154,17 @@ def make_verifier_ta(identity: ecdsa.KeyPair, policy: VerifierPolicy,
 class VerifierListener(Service):
     """Normal-world listener: one TA session per inbound connection."""
 
+    #: The session serves one connection, so its state needs one key.
+    CONN = 0
+
     def __init__(self, client: OpTeeClient) -> None:
         self._ta_session = client.open_session(VERIFIER_UUID)
 
     def on_message(self, data: bytes) -> Optional[bytes]:
         # Forward to the secure world (paying the Fig. 3b transition) and
         # relay the TA's reply back over the socket.
-        result = self._ta_session.invoke(CMD_HANDLE_MESSAGE, {"data": data})
+        result = self._ta_session.invoke(CMD_HANDLE_MESSAGE,
+                                         {"conn": self.CONN, "data": data})
         return result.get("reply")
 
     def on_close(self) -> None:
@@ -139,14 +175,11 @@ def start_verifier(network: Network, host: str, port: int,
                    client: OpTeeClient, vendor_key: ecdsa.KeyPair,
                    identity: ecdsa.KeyPair, policy: VerifierPolicy,
                    secret_provider: SecretProvider,
-                   heap_size: int = 10 * 1024 * 1024,
-                   recorder: Optional[protocol.CostRecorder] = None,
-                   appraisal_cache=None) -> None:
+                   heap_size: int = 10 * 1024 * 1024) -> None:
     """Install the verifier TA and start listening on ``host:port``."""
     manifest = TaManifest(uuid=VERIFIER_UUID, name="watz-verifier",
                           heap_size=heap_size)
-    ta_class = make_verifier_ta(identity, policy, secret_provider, recorder,
-                                appraisal_cache=appraisal_cache)
+    ta_class = make_verifier_ta(identity, policy, secret_provider)
     image = sign_ta(manifest, b"watz verifier ta", ta_class, vendor_key)
     client.kernel.install_ta(image)
     network.listen(host, port, lambda: VerifierListener(client))

@@ -2,20 +2,17 @@
 
 The paper evaluates one attester against one verifier (§VI-F); this
 subsystem grows that into a service: many concurrent attester connections
-multiplexed onto a pool of verifier TA sessions, with session lifecycle
-management, an appraisal cache for the hot path, explicit backpressure,
-and observable metrics. See DESIGN.md, "Fleet gateway".
+sharing one verifier TA session, with session lifecycle management, an
+appraisal cache for the hot path, explicit backpressure, and observable
+metrics. See DESIGN.md, "Fleet gateway".
 """
 
 from repro.fleet.backpressure import AdmissionController, TokenBucket
 from repro.fleet.cache import AppraisalCache
 from repro.fleet.gateway import (
-    CMD_FLEET_EVICT,
-    CMD_FLEET_MESSAGE,
     FLEET_VERIFIER_UUID,
     AttestationGateway,
     FleetConfig,
-    make_fleet_verifier_ta,
     start_fleet_gateway,
 )
 from repro.fleet.loadgen import (
@@ -40,9 +37,6 @@ __all__ = [
     "AttestationGateway",
     "FleetConfig",
     "FLEET_VERIFIER_UUID",
-    "CMD_FLEET_MESSAGE",
-    "CMD_FLEET_EVICT",
-    "make_fleet_verifier_ta",
     "start_fleet_gateway",
     "AttesterStack",
     "LoadProfile",

@@ -7,7 +7,7 @@ Two mechanisms compose in :class:`AdmissionController`:
   rather than an ever-growing backlog;
 * a bounded in-flight window caps how many admitted messages may be
   outstanding at once — the "accept queue" in front of the verifier TA
-  lanes is finite.
+  is finite.
 
 Both reject with :class:`~repro.errors.FleetOverloaded`, carrying the
 reason (``"rate"`` vs ``"queue"``) so metrics can tell them apart. The
@@ -64,7 +64,7 @@ class TokenBucket:
 
 
 class AdmissionController:
-    """Gate in front of the worker pool: rate limit + bounded in-flight."""
+    """Gate in front of the verifier TA: rate limit + bounded in-flight."""
 
     def __init__(self, max_in_flight: int,
                  bucket: Optional[TokenBucket] = None) -> None:

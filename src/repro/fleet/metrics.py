@@ -3,9 +3,9 @@
 Everything exports as one plain-dict ``snapshot()`` so the fleet
 benchmark (and any future scraper) consumes gateway state without
 reaching into internals. Latencies are recorded in seconds of real
-``perf_counter`` time; simulated world-transition nanoseconds are
-tracked as a separate counter, never mixed into the same number
-(DESIGN.md, "Clock discipline").
+``perf_counter`` time; simulated world-transition nanoseconds are never
+mixed into them: an observing tracer's ``fleet.request`` spans carry
+those (DESIGN.md, "Clock discipline").
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Session table for the fleet gateway.
 
-Each inbound attester connection gets one entry, pinned to a verifier TA
-lane for its whole handshake (the lane's TA instance holds the
+Each inbound attester connection gets one entry for its whole handshake
+(the verifier TA holds the matching
 :class:`~repro.core.server.VerifierProtocolState` keyed by connection
 id). Entries expire on a TTL — an attester that stalls mid-handshake must
 not pin verifier state forever — and the table carries an LRU cap so a
@@ -26,7 +26,6 @@ class SessionEntry:
     """Gateway-side bookkeeping for one live attester connection."""
 
     conn_id: int
-    lane: int
     created_ns: int
     last_seen_ns: int
     messages: int = 0
@@ -52,14 +51,14 @@ class SessionTable:
         self.expired = 0
         self.evicted_lru = 0
 
-    def open(self, conn_id: int, lane: int) -> SessionEntry:
+    def open(self, conn_id: int) -> SessionEntry:
         """Register a new connection, evicting to stay under the cap."""
         evicted = []
         with self._lock:
             evicted += self._sweep_expired()
             now = self._now()
-            entry = SessionEntry(conn_id=conn_id, lane=lane,
-                                 created_ns=now, last_seen_ns=now)
+            entry = SessionEntry(conn_id=conn_id, created_ns=now,
+                                 last_seen_ns=now)
             self._entries[conn_id] = entry
             while len(self._entries) > self._capacity:
                 _, victim = self._entries.popitem(last=False)

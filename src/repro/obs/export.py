@@ -68,8 +68,6 @@ def to_chrome_trace(spans: Sequence[Span], clock: str = "wall",
         args: Dict[str, object] = dict(span.attrs)
         if span.world:
             args["world"] = span.world
-        if span.lane is not None:
-            args["lane"] = span.lane
         if clock == "wall":
             args[SIM_ARG] = span.sim_ns
         else:

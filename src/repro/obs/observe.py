@@ -29,8 +29,8 @@ CALL, CONTEXT, INSTANT, IMPORTS = "call", "context", "instant", "imports"
 
 
 def _request_attrs(args) -> dict:
-    gateway, lane, conn_id, data = args[:4]
-    return {"lane": lane.index, "conn": conn_id, "kind": gateway._kind(data)}
+    gateway, conn_id, data = args[:3]
+    return {"conn": conn_id, "kind": gateway._kind(data)}
 
 
 def _evaluate_attrs(args) -> dict:
@@ -55,7 +55,7 @@ _HW_STEPS = (("_optee_driver", "hw.optee_driver", NORMAL),
 #: is the path from the receiver (first argument) to its SoC, ``""`` for
 #: the SoC itself, ``None`` when board-less. ``name`` is a string or a
 #: function of the args; ``attrs`` maps the args (args and result, for an
-#: instant) to span attrs, a ``lane`` key filling :attr:`Span.lane`.
+#: instant) to span attrs.
 #: ``call`` times the call, ``context`` the ``with`` block of the context
 #: manager it returns, ``instant`` marks its return, and ``imports`` wraps
 #: every host function of the namespaces it builds as ``name + function``.
@@ -98,14 +98,13 @@ TARGETS: Tuple[tuple, ...] = tuple(
      "appraisal.decode", NORMAL, lambda args: {"size": len(args[1])}),
     ("repro.appraisal.policy", "PolicyEvaluator.evaluate", CALL, None,
      "appraisal.evaluate", NORMAL, _evaluate_attrs),
-    # Inside the device lock: a span opened before it would count the
-    # other lanes' SimClock while this one waits.
+    # Inside the device lock: a span opened before it would count other
+    # connections' SimClock while this one waits.
     ("repro.fleet.gateway", "AttestationGateway._request", CALL,
      "client.kernel.soc", "fleet.request", "", _request_attrs),
     ("repro.fleet.gateway", "AttestationGateway._new_connection", INSTANT,
      "client.kernel.soc", "fleet.conn.open", "",
-     lambda args, conn: {"conn": conn._conn_id,
-                         "lane": conn._conn_id % args[0].config.workers}),
+     lambda args, conn: {"conn": conn._conn_id}),
     ("repro.fleet.gateway", "AttestationGateway._connection_closed",
      INSTANT, "client.kernel.soc", "fleet.conn.close", "",
      lambda args, result: {"conn": args[1]}),
@@ -138,9 +137,8 @@ class _Observation:
             return (board(args[0]) if board else args[0]) is self.soc
 
         def start(args, fields):
-            lane = fields.pop("lane", None)
             return tracer._open(name(args) if callable(name) else name,
-                                world, lane, fields)
+                                world, fields)
 
         def call(*args, **kwargs):
             if not wanted(args):

@@ -1,10 +1,10 @@
 """Trace smoke run: ``python -m repro.obs.smoke [out_dir]``.
 
-Drives two concurrent attestation handshakes (two lanes, two clients)
-through the fleet gateway while a tracer observes the gateway board,
-checks that summed span sim self time equals the board clock's movement
-(a span opened outside the device lock would count the other lane's
-SimClock twice), exports the Chrome trace (wall and sim clocks), the
+Drives two concurrent attestation handshakes (two clients) through the
+fleet gateway while a tracer observes the gateway board, checks that
+summed span sim self time equals the board clock's movement (a span
+opened outside the device lock would count the other client's SimClock
+twice), exports the Chrome trace (wall and sim clocks), the
 flame summary and the span-derived per-phase breakdown into
 ``bench_results/``, and validates the JSON against the Perfetto schema
 gate. CI runs this and uploads the artifacts; it doubles as the smallest
@@ -43,7 +43,7 @@ def run_smoke(out_dir: str = "bench_results") -> dict:
         gateway = start_fleet_gateway(
             testbed.network, HOST, PORT, gateway_device.client,
             testbed.vendor_key, identity, policy, lambda: secret,
-            FleetConfig(workers=2))
+            FleetConfig())
         try:
             stacks = build_attester_stacks(testbed, policy, 2)
             report = run_load(testbed.network, HOST, PORT,

@@ -11,9 +11,10 @@ them (DESIGN.md, "Clock discipline"):
 
 Spans nest per thread; the tracer keeps a bounded flight-recorder ring
 buffer (oldest spans fall off) and is safe for concurrent emit from the
-gateway's worker threads. The program holds no tracer: :meth:`Tracer.observe`
-wraps the stack's entry points from outside for the duration of a ``with``
-block (:mod:`repro.obs.observe`), so an untraced run executes no tracing code.
+threads that deliver the gateway's messages. The program holds no tracer:
+:meth:`Tracer.observe` wraps the stack's entry points from outside for the
+duration of a ``with`` block (:mod:`repro.obs.observe`), so an untraced run
+executes no tracing code.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ class Span:
     name: str
     #: "normal" / "secure" / "" when the world is not meaningful.
     world: str
-    #: Verifier TA lane index (fleet gateway), or None.
-    lane: Optional[int]
     start_wall_s: float
     end_wall_s: float
     start_sim_ns: int
@@ -89,8 +88,7 @@ class Tracer:
             stack = self._stacks.stack = []
         return stack
 
-    def _open(self, name: str, world: str, lane: Optional[int],
-              attrs: Dict[str, object]) -> Span:
+    def _open(self, name: str, world: str, attrs: Dict[str, object]) -> Span:
         """Start a span on this thread's stack (close it with :meth:`_close`)."""
         with self._lock:
             span_id = self._next_id
@@ -102,7 +100,6 @@ class Tracer:
             parent_id=stack[-1] if stack else None,
             name=name,
             world=world,
-            lane=lane,
             start_wall_s=self._wall_now(),
             end_wall_s=0.0,
             start_sim_ns=self._sim_now(),
@@ -127,10 +124,10 @@ class Tracer:
         return bool(getattr(self._stacks, "stack", None))
 
     @contextmanager
-    def span(self, name: str, world: str = "", lane: Optional[int] = None,
+    def span(self, name: str, world: str = "",
              **attrs: object) -> Iterator[Span]:
         """Open a nested span; it is recorded when the block exits."""
-        record = self._open(name, world, lane, dict(attrs))
+        record = self._open(name, world, dict(attrs))
         try:
             yield record
         finally:

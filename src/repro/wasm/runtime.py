@@ -237,7 +237,11 @@ class Engine:
                     memory_cap_bytes: Optional[int] = None,
                     code_cache=codecache.DEFAULT,
                     cache_key: Optional[str] = None) -> Instance:
-        """Validate and instantiate a module (binary or decoded).
+        """Instantiate a module (binary or decoded).
+
+        A binary is decoded and validated here. A decoded module was
+        validated by the code that decoded it, so it is not validated
+        again.
 
         ``memory_cap_bytes`` lets the embedding platform (OP-TEE's secure
         heap in this reproduction) cap the linear memory irrespective of the
@@ -276,15 +280,12 @@ class Engine:
                 # itself and already accounted the hit/miss for this load.
                 cache_entry = cache.peek(cache_key, self.cache_identity)
                 if cache_entry is None:
-                    validate_module(module)
                     cache_entry = cache.store(cache_key, self.cache_identity,
                                               module)
                 elif cache_entry.module is not module:
                     # Adopt the cached decode so artifacts and module stay
                     # consistent (same content hash => same module).
                     module = cache_entry.module
-            else:
-                validate_module(module)
         imports = imports or {}
 
         instance = Instance(module)

@@ -31,7 +31,7 @@ def _start(testbed, engine, port):
     return start_fleet_gateway(
         testbed.network, HOST, port, device.client, testbed.vendor_key,
         IDENTITY, VerifierPolicy(), lambda: SECRET,
-        FleetConfig(workers=2), engine=engine,
+        FleetConfig(), engine=engine,
     )
 
 
@@ -54,9 +54,12 @@ def test_mixed_population_attests_under_one_policy():
         snapshot = gateway.snapshot()
         assert snapshot["audit"] == {"ok": 8}
         assert snapshot["counters"]["handshakes_completed"] == 8
-        # All three backends really crossed the wire as envelopes.
-        kinds = {record.kind for record in gateway.drain_records()}
-        assert kinds == {"msg0", "msg2"}
+        # All three backends really crossed the wire as envelopes, and
+        # every message was a msg0 or a msg2.
+        latency = snapshot["latency"]
+        assert latency["service.msg0"]["count"] == 8
+        assert latency["service.msg2"]["count"] == 8
+        assert "service.other" not in latency
     finally:
         gateway.stop()
 

@@ -19,8 +19,8 @@ class FakeClock:
 
 def test_open_touch_discard_roundtrip():
     table = SessionTable(capacity=4, ttl_s=30.0)
-    entry = table.open(7, lane=2)
-    assert entry.lane == 2 and 7 in table
+    entry = table.open(7)
+    assert entry.conn_id == 7 and 7 in table
     touched = table.touch(7)
     assert touched.messages == 1
     assert table.discard(7) is entry
@@ -39,9 +39,9 @@ def test_ttl_expiry_reported_with_reason():
     table = SessionTable(capacity=4, ttl_s=10.0, time_source=clock,
                          on_evict=lambda entry, reason:
                          evictions.append((entry.conn_id, reason)))
-    table.open(1, lane=0)
+    table.open(1)
     clock.advance_s(5)
-    table.open(2, lane=1)
+    table.open(2)
     clock.advance_s(6)  # conn 1 is now 11 s idle, conn 2 only 6 s
     assert table.sweep() == 1
     assert evictions == [(1, "ttl")]
@@ -53,7 +53,7 @@ def test_ttl_expiry_reported_with_reason():
 def test_touch_refreshes_the_ttl():
     clock = FakeClock()
     table = SessionTable(capacity=4, ttl_s=10.0, time_source=clock)
-    table.open(1, lane=0)
+    table.open(1)
     clock.advance_s(8)
     table.touch(1)
     clock.advance_s(8)
@@ -66,10 +66,10 @@ def test_lru_cap_evicts_least_recent():
     table = SessionTable(capacity=2, ttl_s=60.0,
                          on_evict=lambda entry, reason:
                          evictions.append((entry.conn_id, reason)))
-    table.open(1, lane=0)
-    table.open(2, lane=1)
+    table.open(1)
+    table.open(2)
     table.touch(1)      # 2 becomes the least recently used
-    table.open(3, lane=0)
+    table.open(3)
     assert evictions == [(2, "lru")]
     assert 1 in table and 3 in table and 2 not in table
     assert table.evicted_lru == 1
@@ -80,7 +80,7 @@ def test_discard_does_not_fire_evict_callback():
     table = SessionTable(capacity=4, ttl_s=60.0,
                          on_evict=lambda entry, reason:
                          evictions.append(entry.conn_id))
-    table.open(1, lane=0)
+    table.open(1)
     table.discard(1)
     assert evictions == []
 
@@ -91,14 +91,14 @@ def test_evict_callback_may_reenter_the_table():
     clock = FakeClock()
     table = SessionTable(capacity=4, ttl_s=10.0, time_source=clock,
                          on_evict=lambda entry, reason: len(table))
-    table.open(1, lane=0)
+    table.open(1)
     clock.advance_s(11)
     assert table.sweep() == 1
 
 
 def test_snapshot():
     table = SessionTable(capacity=8, ttl_s=60.0)
-    table.open(1, lane=0)
+    table.open(1)
     snapshot = table.snapshot()
     assert snapshot == {"live": 1, "capacity": 8, "expired": 0,
                         "evicted_lru": 0}

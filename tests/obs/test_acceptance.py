@@ -31,7 +31,7 @@ def traced_gateway_run(testbed, verifier_identity):
         gateway = start_fleet_gateway(
             testbed.network, HOST, PORT, gateway_device.client,
             testbed.vendor_key, verifier_identity, policy,
-            lambda: b"\x5e" * 32, FleetConfig(workers=1))
+            lambda: b"\x5e" * 32, FleetConfig())
         try:
             stacks = build_attester_stacks(testbed, policy, 1)
             report = run_load(testbed.network, HOST, PORT,
@@ -82,9 +82,10 @@ def test_gateway_trace_exports_and_validates(traced_gateway_run):
         validate_chrome_trace(to_chrome_trace(spans, clock=clock))
 
 
-def test_fleet_request_spans_carry_lane_and_kind(traced_gateway_run):
+def test_fleet_request_spans_carry_conn_and_kind(traced_gateway_run):
     spans, _ = traced_gateway_run
     requests = [span for span in spans if span.name == "fleet.request"]
     assert len(requests) == 4  # 2 handshakes x (msg0 + msg2)
-    assert all(span.lane == 0 for span in requests)
+    # One connection per handshake, each carrying its msg0 and msg2.
+    assert sorted(span.attrs["conn"] for span in requests) == [1, 1, 2, 2]
     assert {span.attrs.get("kind") for span in requests} == {"msg0", "msg2"}

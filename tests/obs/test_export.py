@@ -12,7 +12,7 @@ from repro.obs import (Tracer, flame_summary, folded_stacks, to_chrome_trace,
 def _sample_spans():
     clock = SimClock()
     tracer = Tracer(sim_now=clock.now_ns)
-    with tracer.span("fleet.request", world="normal", lane=0):
+    with tracer.span("fleet.request", world="normal", conn=1):
         with tracer.span("hw.smc.enter", world="normal"):
             clock.advance(4000)
         with tracer.span("core.protocol.msg0", world="secure"):
@@ -47,7 +47,7 @@ def test_chrome_trace_events_are_complete_events():
     # The other clock rides along in args; category is the name prefix.
     assert by_name["hw.smc.enter"]["args"]["wall_us"] >= 0.0
     assert by_name["hw.smc.enter"]["cat"] == "hw"
-    assert by_name["fleet.request"]["args"]["lane"] == 0
+    assert by_name["fleet.request"]["args"]["conn"] == 1
 
 
 def test_wall_trace_preserves_sim_in_args():

@@ -42,12 +42,11 @@ def test_spans_nest_per_thread():
     assert [s.name for s in tracer.spans()] == ["inner", "outer"]
 
 
-def test_world_lane_and_attrs_recorded():
+def test_world_and_attrs_recorded():
     _, tracer = _tracer()
-    with tracer.span("req", world="secure", lane=3, conn=7) as span:
+    with tracer.span("req", world="secure", conn=7) as span:
         pass
     assert span.world == "secure"
-    assert span.lane == 3
     assert span.attrs == {"conn": 7}
 
 
@@ -133,7 +132,7 @@ def test_tracing_recorder_mirrors_phases_as_spans():
 
 
 def test_span_dataclass_duration_properties():
-    span = Span(span_id=1, parent_id=None, name="x", world="", lane=None,
+    span = Span(span_id=1, parent_id=None, name="x", world="",
                 start_wall_s=1.0, end_wall_s=1.5,
                 start_sim_ns=100, end_sim_ns=350,
                 thread_id=1, thread_name="t")

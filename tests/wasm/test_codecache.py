@@ -270,6 +270,27 @@ def test_cmd_load_bypass_knob_skips_cache(device):
     assert stats["hits"] == 0 and stats["misses"] == 0
 
 
+def test_cmd_load_bypass_validates_once(device, monkeypatch):
+    """The load that decodes the module validates it; instantiating the
+    decoded module does not validate it again."""
+    import repro.core.runtime as runtime_ta
+    import repro.wasm.runtime as wasm_runtime
+    from repro.wasm.validation import validate_module
+
+    validated = []
+
+    def counting_validate(module):
+        validated.append(module)
+        validate_module(module)
+
+    monkeypatch.setattr(runtime_ta, "validate_module", counting_validate)
+    monkeypatch.setattr(wasm_runtime, "validate_module", counting_validate)
+    session = device.open_watz(heap_size=1 << 20)
+    loaded = _load_counter(device, session, code_cache=False)
+    assert len(validated) == 1
+    assert device.run_wasm(session, loaded["app"], "f") == 1
+
+
 def test_cmd_load_simclock_charges_identical_cached_vs_uncached(testbed):
     """The cache saves wall-clock work, never simulated cost: every load
     pays the same SimClock charges (shared-memory copy) whether it hits,
