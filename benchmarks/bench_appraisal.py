@@ -98,13 +98,13 @@ def _multi_msg2_times(attester, verifier, device, repeats=REPEATS):
     times = []
     for _ in range(repeats):
         session = attester.start_session(IDENTITY.public_bytes())
-        vsession, msg1 = verifier.handle_msg0_multi(
+        vsession, msg1 = verifier.handle_msg0(
             attester.make_msg0_multi(session, device.tee_type))
         attester.handle_msg1(session, msg1)
         view = device.collect_evidence(session.anchor)
         msg2 = attester.make_msg2_multi(session, view)
         elapsed, msg3 = _timed(
-            lambda: verifier.handle_msg2_multi(vsession, msg2, SECRET))
+            lambda: verifier.handle_msg2(vsession, msg2, SECRET))
         assert attester.handle_msg3(session, msg3) == SECRET
         times.append(elapsed)
     return times

@@ -68,8 +68,7 @@ def _run_live(testbed, identity, port, concurrency, enable_cache=True,
         try:
             stacks = build_attester_stacks(testbed, policy, concurrency)
             profile = LoadProfile(concurrency=concurrency,
-                                  handshakes_per_attester=HANDSHAKES_EACH,
-                                  blob_size=BLOB_SIZE)
+                                  handshakes_per_attester=HANDSHAKES_EACH)
             sim_before = clock.now_ns()
             report = run_load(testbed.network, HOST, port,
                               identity.public_bytes(), stacks, profile)
@@ -176,13 +175,11 @@ def test_fleet_throughput(testbed, verifier_identity):
         calm_stacks = build_attester_stacks(testbed, overload_policy, 1)
         calm = run_load(testbed.network, HOST, PORT_BASE + 11,
                         identity.public_bytes(), calm_stacks,
-                        LoadProfile(concurrency=1, handshakes_per_attester=2,
-                                    blob_size=BLOB_SIZE))
+                        LoadProfile(concurrency=1, handshakes_per_attester=2))
         flood_stacks = build_attester_stacks(testbed, overload_policy, 8)
         flood = run_load(testbed.network, HOST, PORT_BASE + 11,
                          identity.public_bytes(), flood_stacks,
-                         LoadProfile(concurrency=8, handshakes_per_attester=1,
-                                     blob_size=BLOB_SIZE))
+                         LoadProfile(concurrency=8, handshakes_per_attester=1))
         overload_snapshot = overload_gateway.snapshot()
     finally:
         overload_gateway.stop()

@@ -38,7 +38,8 @@ class AuditEntry:
     tee_type: int
     accepted: bool
     reason: str
-    policy_fingerprint: bytes
+    #: The policy fingerprint in force when the decision was made.
+    fingerprint: bytes
     detail: str = ""
     #: sha256 over the predecessor's digest plus this entry's fields.
     digest: bytes = b""
@@ -54,21 +55,21 @@ class AuditEntry:
             "tee_type": self.tee_type,
             "accepted": self.accepted,
             "reason": self.reason,
-            "policy_fingerprint": self.policy_fingerprint.hex(),
+            "fingerprint": self.fingerprint.hex(),
             "detail": self.detail,
             "digest": self.digest.hex(),
         }
 
 
 def _chain(previous: bytes, sequence: int, tee_type: int, accepted: bool,
-           reason: str, policy_fingerprint: bytes, detail: str) -> bytes:
+           reason: str, fingerprint: bytes, detail: str) -> bytes:
     return sha256(
         previous
         + sequence.to_bytes(8, "big")
         + bytes([tee_type, 1 if accepted else 0])
         + reason.encode()
         + b"|"
-        + policy_fingerprint
+        + fingerprint
         + detail.encode()
     )
 
@@ -81,23 +82,26 @@ class AuditLog:
         self._entries: deque = deque(maxlen=capacity)
         self._sequence = 0
         self._head = _GENESIS
+        # Per-reason totals over the whole history, not just the ring.
+        self._counts: Dict[str, int] = {}
 
     def record(self, tee_type: int, accepted: bool, reason: str,
-               policy_fingerprint: bytes, detail: str = "") -> AuditEntry:
+               fingerprint: bytes, detail: str = "") -> AuditEntry:
         """Append one decision; returns the chained entry."""
         with self._lock:
             digest = _chain(self._head, self._sequence, tee_type, accepted,
-                            reason, policy_fingerprint, detail)
+                            reason, fingerprint, detail)
             entry = AuditEntry(
                 sequence=self._sequence,
                 tee_type=tee_type,
                 accepted=accepted,
                 reason=reason,
-                policy_fingerprint=bytes(policy_fingerprint),
+                fingerprint=bytes(fingerprint),
                 detail=detail,
                 digest=digest,
             )
             self._entries.append(entry)
+            self._counts[reason] = self._counts.get(reason, 0) + 1
             self._sequence += 1
             self._head = digest
             return entry
@@ -125,10 +129,9 @@ class AuditLog:
         return [entry for entry in self.entries() if not entry.accepted]
 
     def counts_by_reason(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for entry in self.entries():
-            counts[entry.reason] = counts.get(entry.reason, 0) + 1
-        return counts
+        """Decisions per reason code over the entire history."""
+        with self._lock:
+            return dict(self._counts)
 
     def export(self) -> List[Dict[str, object]]:
         return [entry.to_dict() for entry in self.entries()]
@@ -149,7 +152,7 @@ def verify_chain(entries: List[AuditEntry],
     for entry in entries:
         expected = _chain(previous, entry.sequence, entry.tee_type,
                           entry.accepted, entry.reason,
-                          entry.policy_fingerprint, entry.detail)
+                          entry.fingerprint, entry.detail)
         if expected != entry.digest:
             return False
         previous = entry.digest

@@ -21,17 +21,8 @@ from typing import Tuple
 
 from repro.appraisal.envelope import TEE_TRUSTZONE, encode_envelope
 from repro.appraisal.policy import Reason
-from repro.core.evidence import (
-    EVIDENCE_SIZE,
-    TEE_TYPE_TRUSTZONE,
-    Evidence,
-    SignedEvidence,
-)
-from repro.errors import EndorsementError, EvidenceError, MeasurementMismatch
-
-# The core layer mirrors the tag (it cannot import this package); the
-# two constants describe the same backend and must never drift.
-assert TEE_TYPE_TRUSTZONE == TEE_TRUSTZONE
+from repro.core.evidence import EVIDENCE_SIZE, Evidence, SignedEvidence
+from repro.errors import EndorsementError, MeasurementMismatch
 
 
 @dataclass(frozen=True)
@@ -40,7 +31,7 @@ class TrustZoneView:
 
     signed: SignedEvidence
 
-    tee_type = TEE_TYPE_TRUSTZONE
+    tee_type = TEE_TRUSTZONE
 
     @property
     def evidence(self) -> Evidence:
@@ -89,7 +80,7 @@ class TrustZoneView:
 class TrustZoneCodec:
     """Envelope codec wrapping the unchanged native serialisation."""
 
-    tee_type = TEE_TYPE_TRUSTZONE
+    tee_type = TEE_TRUSTZONE
     name = "trustzone"
 
     def decode(self, body: bytes) -> TrustZoneView:
@@ -143,17 +134,3 @@ def appraise_post_signature(policy, evidence: Evidence) -> None:
               "boot-chain measurement matches no trusted value "
               "(possibly hijacked secure boot)",
               Reason.BOOT_UNKNOWN)
-
-
-def reason_of(exc: BaseException) -> str:
-    """Map an appraisal exception to its stable reason code (audit)."""
-    reason = getattr(exc, "reason_code", None)
-    if reason is not None:
-        return reason
-    if isinstance(exc, MeasurementMismatch):
-        return Reason.MEASUREMENT_UNKNOWN
-    if isinstance(exc, EndorsementError):
-        return Reason.IDENTITY_UNKNOWN
-    if isinstance(exc, EvidenceError):
-        return Reason.ENVELOPE_MALFORMED
-    return Reason.SIGNATURE_INVALID

@@ -4,8 +4,9 @@ One engine object is what a relying party actually holds: it decodes
 self-describing evidence envelopes through the pluggable codec registry,
 appraises the resulting view against the compiled declarative policy,
 and records every decision — accepts and denies alike — in the
-append-only audit log. The verifier and the fleet gateway consume it
-through three calls: :meth:`decode`, :meth:`appraise`, :meth:`record`.
+append-only audit log. The verifier consumes it through three calls:
+:meth:`decode`, :meth:`evaluator` and :meth:`record`; its msg2 pipeline
+writes one audit row per appraisal.
 
 The engine's policy is live state: the revocation killswitch mutates it
 (:meth:`revoke_measurement` / :meth:`revoke_identity`), which bumps the
@@ -25,12 +26,7 @@ from repro.appraisal.envelope import (
     decode_envelope,
     default_registry,
 )
-from repro.appraisal.policy import (
-    AppraisalPolicy,
-    PolicyEvaluator,
-    Reason,
-    Verdict,
-)
+from repro.appraisal.policy import AppraisalPolicy, PolicyEvaluator, Reason
 from repro.errors import EnvelopeError
 
 #: Audit tag for evidence denied before its backend could be identified.
@@ -69,7 +65,7 @@ class AppraisalEngine:
         """Killswitch: deny this attestation identity fleet-wide."""
         self.policy.revoke_identity(identity)
 
-    # -- the three verbs --------------------------------------------------------
+    # -- decode and audit -------------------------------------------------------
 
     def decode(self, data: bytes):
         """Envelope bytes -> typed evidence view.
@@ -91,20 +87,8 @@ class AppraisalEngine:
                         str(exc))
             raise
 
-    def appraise(self, view, now_ns: Optional[int] = None) -> Verdict:
-        """Evaluate the policy over a decoded view; audited either way."""
-        verdict = self.evaluator().evaluate(view, now_ns=now_ns)
-        self.record(verdict.tee_type, verdict.accepted, verdict.reason,
-                    verdict.detail)
-        return verdict
-
     def record(self, tee_type: int, accepted: bool, reason: str,
                detail: str = "") -> None:
-        """Audit one decision under the current policy fingerprint.
-
-        Also the hook the *legacy* TrustZone verifier path calls, so a
-        single-TEE deployment gets the same audit trail as the
-        envelope path.
-        """
+        """Audit one decision under the current policy fingerprint."""
         self.audit.record(tee_type, accepted, reason,
                           self.policy.fingerprint(), detail)

@@ -49,10 +49,7 @@ ENVELOPE_VERSION = 1
 _ENV_HEADER = struct.Struct("<4sBBHI")
 ENVELOPE_HEADER_SIZE = _ENV_HEADER.size
 
-#: Registered evidence-shape tags. TrustZone's value is mirrored as
-#: ``repro.core.evidence.TEE_TYPE_TRUSTZONE`` (the core layer must not
-#: import this package — it sits below it); the codec module asserts the
-#: two stay equal.
+#: Registered evidence-shape tags.
 TEE_TRUSTZONE = 0x01
 TEE_SGX = 0x02
 TEE_TDX = 0x03

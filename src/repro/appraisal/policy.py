@@ -67,9 +67,13 @@ class Verdict:
 
     def raise_if_denied(self) -> "Verdict":
         if not self.accepted:
-            raise PolicyDenied(self.detail or
-                               f"{tee_name(self.tee_type)} evidence denied",
-                               reason=self.reason)
+            denied = PolicyDenied(self.detail or
+                                  f"{tee_name(self.tee_type)} evidence denied",
+                                  reason=self.reason)
+            # What the audit row records: the verdict's own detail,
+            # without the message's "[reason]" suffix.
+            denied.detail = self.detail
+            raise denied
         return self
 
 

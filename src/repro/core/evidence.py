@@ -19,12 +19,6 @@ from repro.errors import CryptoError, EvidenceError
 
 WATZ_VERSION = (1, 0)
 
-#: Evidence-envelope tag of this (TrustZone) format in the multi-TEE
-#: codec registry (:mod:`repro.appraisal`). Defined here — not there —
-#: so the appraisal cache can key legacy evidence without importing the
-#: appraisal package (which imports this module).
-TEE_TYPE_TRUSTZONE = 0x01
-
 ANCHOR_SIZE = SHA256_SIZE
 CLAIM_SIZE = SHA256_SIZE
 BOOT_CLAIM_SIZE = SHA256_SIZE
@@ -68,24 +62,6 @@ class Evidence:
             raise EvidenceError("boot claim must be a SHA-256 digest")
         if len(self.attestation_public_key) != PUBKEY_SIZE:
             raise EvidenceError("attestation key must be an uncompressed point")
-
-    # -- uniform appraisal view (repro.appraisal) -------------------------------
-    # The multi-TEE appraisal cache and policy engine address every
-    # evidence shape through the same accessors; for the native format
-    # they are aliases, so the wire bytes are untouched.
-
-    #: Envelope tag of this evidence shape.
-    tee_type = TEE_TYPE_TRUSTZONE
-
-    @property
-    def identity(self) -> bytes:
-        """The attesting party's signing identity (the endorsed key)."""
-        return self.attestation_public_key
-
-    @property
-    def cache_extra(self) -> bytes:
-        """Backend-specific appraisal-relevant state beyond the claim."""
-        return self.boot_claim
 
     def encode(self) -> bytes:
         """Serialise the evidence body (the signed blob)."""

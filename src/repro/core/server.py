@@ -70,28 +70,15 @@ class VerifierProtocolState:
         if not data:
             raise ProtocolError("empty protocol message")
         kind = data[0]
-        if kind == protocol.MSG0:
+        if kind in (protocol.MSG0, protocol.MSG0_MULTI):
             if self._session is not None:
                 raise ProtocolError("msg0 after the handshake started")
             self._session, reply = self._verifier.handle_msg0(data)
             return reply
-        if kind == protocol.MSG0_MULTI:
-            if self._session is not None:
-                raise ProtocolError("msg0 after the handshake started")
-            self._session, reply = self._verifier.handle_msg0_multi(data)
-            return reply
-        if kind in (protocol.MSG2, protocol.MSG2_ENC):
+        if kind in (protocol.MSG2, protocol.MSG2_ENC, protocol.MSG2_MULTI):
             if self._session is None or self._done:
                 raise ProtocolError("msg2 without a handshake")
             reply = self._verifier.handle_msg2(
-                self._session, data, self._secret_provider()
-            )
-            self._done = True
-            return reply
-        if kind == protocol.MSG2_MULTI:
-            if self._session is None or self._done:
-                raise ProtocolError("msg2 without a handshake")
-            reply = self._verifier.handle_msg2_multi(
                 self._session, data, self._secret_provider()
             )
             self._done = True

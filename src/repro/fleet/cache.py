@@ -25,10 +25,13 @@ hit — and thereby the ECDSA skip — only when the ticket verifies against
 the entry's key; a msg2 built purely from public values always takes the
 full-verify path.
 
-Entries are bounded by TTL (counted from the last real verify), a
-capacity cap in store order, and a fingerprint of the verifier policy:
-endorsing a new device, trusting a new measurement, or any other policy
-change invalidates the whole cache.
+The cache does not read evidence bytes. The verifier hands it a *scope*
+(a digest of its policies), the evidence view whose backend and
+appraised fields key the entry, and the bytes its msg2 variant MACs
+tickets over. Entries are bounded by TTL (counted from the last real
+verify) and a capacity cap in store order, and a new scope — endorsing a
+new device, trusting a new measurement, a revocation, any other policy
+change — invalidates the whole cache.
 """
 
 from __future__ import annotations
@@ -40,29 +43,13 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.protocol import RESUMPTION_KEY_SIZE
 from repro.crypto.cmac import AesCmac
-from repro.crypto.hashing import constant_time_equal, sha256
+from repro.crypto.hashing import constant_time_equal
 
 CacheKey = Tuple[int, bytes, bytes, bytes]
 
 
-def policy_fingerprint(policy) -> bytes:
-    """A digest of everything the appraisal outcome depends on."""
-    hasher_input = bytearray()
-    for endorsement in sorted(policy.endorsements):
-        hasher_input += endorsement
-    hasher_input += b"|refs|"
-    for reference in sorted(policy.reference_values):
-        hasher_input += reference
-    hasher_input += b"|boot|"
-    for accumulated in sorted(policy.trusted_boot_measurements):
-        hasher_input += accumulated
-    hasher_input += b"|ver|"
-    hasher_input += bytes(policy.minimum_version)
-    return sha256(bytes(hasher_input))
-
-
 class AppraisalCache:
-    """TTL + capacity-bounded cache of appraisals, policy-fingerprinted.
+    """TTL + capacity-bounded cache of appraisals, scoped by policy.
 
     Entries are kept in store order (no recency reordering): the TTL
     counts from the last full verify, so eviction order and expiry order
@@ -81,7 +68,7 @@ class AppraisalCache:
         # key -> (stored_at_ns, resumption_key), ordered by store time.
         self._entries: "OrderedDict[CacheKey, Tuple[int, bytes]]" = \
             OrderedDict()
-        self._fingerprint: Optional[bytes] = None
+        self._scope: Optional[bytes] = None
         self.hits = 0
         self.misses = 0
         self.bad_tickets = 0
@@ -89,40 +76,26 @@ class AppraisalCache:
         self.expirations = 0
 
     @staticmethod
-    def _key(evidence) -> CacheKey:
+    def _key(view) -> CacheKey:
         # The key binds the evidence *backend* alongside every appraised
         # field: ``tee_type`` plus ``cache_extra`` (boot chain for
         # TrustZone, MRSIGNER/SVN/debug for SGX, RTMRs for TDX) keep an
         # entry minted for one backend or configuration from ever being
         # redeemed under another.
-        return (int(evidence.tee_type), bytes(evidence.identity),
-                bytes(evidence.claim), bytes(evidence.cache_extra))
+        return (int(view.tee_type), bytes(view.identity),
+                bytes(view.claim), bytes(view.cache_extra))
 
-    @staticmethod
-    def _ticket_body(evidence) -> bytes:
-        # Multi-TEE views MAC their full envelope — the tee_type tag sits
-        # inside the MAC'd header, so a ticket cannot cross backends.
-        # Legacy Evidence keeps MACing its bare body: the attester-side
-        # bytes are unchanged from the seed protocol.
-        if hasattr(evidence, "envelope"):
-            return evidence.envelope()
-        return evidence.encode()
-
-    def _refresh_policy(self, policy) -> None:
-        # ``policy`` is either a legacy ``VerifierPolicy`` or an already
-        # combined fingerprint (bytes) from a verifier that also holds an
-        # appraisal engine — see ``Verifier._policy_scope``.
-        if isinstance(policy, (bytes, bytearray)):
-            fingerprint = bytes(policy)
-        else:
-            fingerprint = policy_fingerprint(policy)
-        if fingerprint != self._fingerprint:
-            if self._fingerprint is not None and self._entries:
+    def _rescope(self, scope: bytes) -> None:
+        if scope != self._scope:
+            if self._scope is not None and self._entries:
                 self.invalidations += len(self._entries)
             self._entries.clear()
-            self._fingerprint = fingerprint
+            self._scope = scope
 
     def _expire(self) -> None:
+        # TTL counts from the last *store* (the last real verify): a
+        # constantly re-attesting device must still re-prove key
+        # possession every TTL.
         if self._ttl_ns is None:
             return
         deadline = self._now() - self._ttl_ns
@@ -133,36 +106,28 @@ class AppraisalCache:
             del self._entries[oldest_key]
             self.expirations += 1
 
-    def redeem(self, policy, evidence, ticket: bytes) -> Optional[bytes]:
+    def redeem(self, scope: bytes, view, body: bytes,
+               ticket: bytes) -> Optional[bytes]:
         """Release the entry's resumption key iff ``ticket`` proves it.
 
-        A hit requires a live entry for the evidence triple AND a valid
-        CMAC over the evidence body under the entry's resumption key —
-        the body contains this session's anchor, so neither a replayed
-        ticket nor a fabricated msg2 without the key can redeem. Anything
-        else counts a miss (an existing entry with a wrong ticket also
-        counts ``bad_tickets``) and the caller must run the full verify.
+        A hit requires a live entry for the view AND ``ticket`` to be a
+        valid CMAC over ``body`` under the entry's resumption key. The
+        verifier passes the bytes its msg2 variant MACs, which contain
+        this session's anchor, so neither a replayed ticket nor a
+        fabricated msg2 without the key can redeem. Anything else counts
+        a miss (an existing entry with a wrong ticket also counts
+        ``bad_tickets``) and the caller must run the full verify.
         """
         with self._lock:
-            self._refresh_policy(policy)
+            self._rescope(scope)
             self._expire()
-            key = self._key(evidence)
-            entry = self._entries.get(key)
-            if entry is not None and self._ttl_ns is not None and \
-                    entry[0] <= self._now() - self._ttl_ns:
-                # TTL counts from the last *store* (the last real
-                # verify): a constantly re-attesting device must still
-                # re-prove key possession every TTL.
-                del self._entries[key]
-                self.expirations += 1
-                entry = None
+            entry = self._entries.get(self._key(view))
             if entry is None:
                 self.misses += 1
                 return None
             resumption_key = entry[1]
             if not ticket or not constant_time_equal(
-                    AesCmac(resumption_key).mac(self._ticket_body(evidence)),
-                    ticket):
+                    AesCmac(resumption_key).mac(body), ticket):
                 if ticket:
                     self.bad_tickets += 1
                 self.misses += 1
@@ -170,14 +135,14 @@ class AppraisalCache:
             self.hits += 1
             return resumption_key
 
-    def store(self, policy, evidence, resumption_key: bytes) -> None:
+    def store(self, scope: bytes, view, resumption_key: bytes) -> None:
         """Record a fully successful appraisal and its resumption key."""
         if len(resumption_key) != RESUMPTION_KEY_SIZE:
             raise ValueError("resumption key must be "
                              f"{RESUMPTION_KEY_SIZE} bytes")
         with self._lock:
-            self._refresh_policy(policy)
-            key = self._key(evidence)
+            self._rescope(scope)
+            key = self._key(view)
             self._entries.pop(key, None)  # re-store resets the store order
             self._entries[key] = (self._now(), bytes(resumption_key))
             while len(self._entries) > self._capacity:

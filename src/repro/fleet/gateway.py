@@ -217,10 +217,11 @@ class AttestationGateway:
 
     def _serve(self, conn_id: int, data: bytes) -> Optional[bytes]:
         kind = self._kind(data)
-        service_s = 0.0
+        service_s = None  # set once the message reaches the verifier TA
         try:
             # A session the table refused (expired, LRU-evicted) is a
-            # failed message like any refusal from the verifier TA.
+            # failed message like any refusal from the verifier TA, but
+            # it never reached the TA, so it adds no service time.
             self.sessions.touch(conn_id)
             with self._device_lock:
                 # Read inside the lock: invokes serialise here, so the
@@ -239,7 +240,8 @@ class AttestationGateway:
             # evict callback that re-enters _evict_ta_state, which takes
             # the (non-reentrant) device lock.
             self.metrics.increment("failed_messages")
-            self.metrics.observe(f"service.{kind}", service_s)
+            if service_s is not None:
+                self.metrics.observe(f"service.{kind}", service_s)
             self.sessions.discard(conn_id)
             raise
         self.metrics.observe(f"service.{kind}", service_s)

@@ -3,8 +3,8 @@
 :func:`run_load` drives N concurrent attester stacks — each a fresh
 testbed device with its own SoC, kernel attestation service and protocol
 engine — through full RA handshakes and secret delivery over real
-threads. Every crypto segment is measured in real ``perf_counter``
-seconds; every world transition lands on the attester's (and the gateway
+threads. Each handshake is timed in real ``perf_counter`` seconds;
+every world transition lands on the attester's (and the gateway
 device's) ``SimClock`` (DESIGN.md, "Clock discipline").
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.attester import Attester
@@ -69,7 +69,7 @@ def build_attester_stacks(testbed, policy, count: int,
 
 
 @dataclass
-class MultiTeeStack:
+class MultiTeeStack(AttesterStack):
     """One heterogeneous-fleet attester: an evidence backend + protocol.
 
     The protocol engine is the unchanged :class:`Attester` — the
@@ -79,11 +79,7 @@ class MultiTeeStack:
     set.
     """
 
-    index: int
     tee_type: int
-    attester: Attester
-    claim: bytes
-    device: object = None   # repro.testbed.Device (TrustZone)
     enclave: object = None  # repro.appraisal.synthetic device (SGX/TDX)
 
     def collect_view(self, anchor: bytes):
@@ -94,14 +90,10 @@ class MultiTeeStack:
 
         signed = self.attester.collect_evidence(
             anchor, self.claim, self.device.attestation_public_key,
-            self._sign_evidence,
+            self.sign_evidence,
             boot_claim=self.device.kernel.boot_measurement,
         )
         return TrustZoneView(signed)
-
-    def _sign_evidence(self, body: bytes) -> bytes:
-        with self.device.soc.enter_secure_world():
-            return self.device.kernel.attestation_service.sign_evidence(body)
 
 
 def build_mixed_stacks(testbed, appraisal, population: Sequence[int],
@@ -168,12 +160,11 @@ class LoadProfile:
 
     concurrency: int = 4
     handshakes_per_attester: int = 2
-    blob_size: int = 4 * 1024
 
 
 @dataclass
 class HandshakeResult:
-    """Outcome and real-time breakdown of one attempted handshake."""
+    """Outcome and real-time latency of one attempted handshake."""
 
     attester: int
     index: int
@@ -181,11 +172,8 @@ class HandshakeResult:
     rejected: bool = False
     error: str = ""
     secret_len: int = 0
-    #: Real perf_counter seconds per segment: client_pre (keygen + msg0),
-    #: wait_msg1 (includes the gateway's msg0 service), client_mid (msg1
-    #: checks + evidence signing + msg2 build), wait_msg3 (includes the
-    #: gateway's msg2 appraisal), client_post (msg3 decrypt), total.
-    segments: Dict[str, float] = field(default_factory=dict)
+    #: Real perf_counter seconds from connect to close.
+    total_s: float = 0.0
 
 
 @dataclass
@@ -215,7 +203,7 @@ class LoadReport:
         return len(self.completed) / self.wall_seconds
 
     def latency_percentiles(self) -> Dict[str, float]:
-        totals = [r.segments["total"] for r in self.completed]
+        totals = [r.total_s for r in self.completed]
         if not totals:
             return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
         return {
@@ -228,42 +216,24 @@ class LoadReport:
 def _drive_handshake(network, host: str, port: int, identity_public: bytes,
                      stack, attempt: int, make_msg0, make_msg2
                      ) -> HandshakeResult:
-    """One handshake + secret delivery, timed segment by segment.
+    """One handshake + secret delivery, timed end to end.
 
     ``make_msg0(session)`` and ``make_msg2(session)`` build the attester's
     two messages; everything else is the same for every message variant.
     """
     result = HandshakeResult(attester=stack.index, index=attempt, ok=False)
-    segments = result.segments
-    total_start = time.perf_counter()
+    started = time.perf_counter()
     try:
         connection = network.connect(host, port)
     except ReproError as exc:
         result.error = type(exc).__name__
         return result
     try:
-        started = time.perf_counter()
         session = stack.attester.start_session(identity_public)
         connection.send(make_msg0(session))
-        segments["client_pre"] = time.perf_counter() - started
-
-        started = time.perf_counter()
-        msg1 = connection.receive()
-        segments["wait_msg1"] = time.perf_counter() - started
-
-        started = time.perf_counter()
-        stack.attester.handle_msg1(session, msg1)
+        stack.attester.handle_msg1(session, connection.receive())
         connection.send(make_msg2(session))
-        segments["client_mid"] = time.perf_counter() - started
-
-        started = time.perf_counter()
-        msg3 = connection.receive()
-        segments["wait_msg3"] = time.perf_counter() - started
-
-        started = time.perf_counter()
-        secret = stack.attester.handle_msg3(session, msg3)
-        segments["client_post"] = time.perf_counter() - started
-
+        secret = stack.attester.handle_msg3(session, connection.receive())
         result.ok = True
         result.secret_len = len(secret)
     except FleetOverloaded:
@@ -272,7 +242,7 @@ def _drive_handshake(network, host: str, port: int, identity_public: bytes,
     except ReproError as exc:
         result.error = type(exc).__name__
     finally:
-        segments["total"] = time.perf_counter() - total_start
+        result.total_s = time.perf_counter() - started
         try:
             connection.close()
         except ReproError:
@@ -303,7 +273,7 @@ def run_one_handshake_multi(network, host: str, port: int,
                             attempt: int = 0) -> HandshakeResult:
     """One multi-TEE handshake: envelope-framed evidence, any backend.
 
-    Same segment breakdown as :func:`run_one_handshake`; the transcript
+    Timed like :func:`run_one_handshake`; the transcript
     differs only in the message variants (msg0/1/2 carry the negotiated
     ``tee_type``, the evidence travels in a self-describing envelope).
     """

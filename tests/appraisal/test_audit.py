@@ -45,7 +45,7 @@ def test_tampering_any_field_breaks_the_chain():
         (3, {"accepted": True}),
         (3, {"reason": Reason.OK}),
         (3, {"detail": "scrubbed"}),
-        (3, {"policy_fingerprint": b"\xCD" * 32}),
+        (3, {"fingerprint": b"\xCD" * 32}),
         (4, {"sequence": 9}),
     ]:
         tampered = list(entries)
@@ -90,7 +90,7 @@ def test_export_is_plain_dicts():
     export = log.export()
     assert export[0]["tee"] == "trustzone"
     assert export[1]["tee"] == "sgx"
-    assert export[0]["policy_fingerprint"] == FP.hex()
+    assert export[0]["fingerprint"] == FP.hex()
     assert all(isinstance(row["digest"], str) for row in export)
 
 
@@ -112,3 +112,10 @@ def test_concurrent_appends_keep_one_consistent_chain():
     assert len(entries) == 200
     assert [e.sequence for e in entries] == list(range(200))
     assert verify_chain(entries)
+
+
+def test_counts_cover_the_whole_history_not_the_ring():
+    log = _filled(10, capacity=4)
+    counts = log.counts_by_reason()
+    assert sum(counts.values()) == len(log) == 10
+    assert counts[Reason.MEASUREMENT_UNKNOWN] == 4  # events 0, 3, 6, 9

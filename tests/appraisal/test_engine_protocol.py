@@ -82,11 +82,11 @@ def _device(tee_type, attester):
 
 def _handshake(attester, verifier, device):
     session = attester.start_session(IDENTITY.public_bytes())
-    vsession, msg1 = verifier.handle_msg0_multi(
+    vsession, msg1 = verifier.handle_msg0(
         attester.make_msg0_multi(session, device.tee_type))
     attester.handle_msg1(session, msg1)
     view = device.collect_evidence(session.anchor)
-    msg3 = verifier.handle_msg2_multi(
+    msg3 = verifier.handle_msg2(
         vsession, attester.make_msg2_multi(session, view), SECRET)
     return attester.handle_msg3(session, msg3)
 
@@ -114,7 +114,7 @@ def test_unknown_backend_is_refused_at_msg0():
     session = attester.start_session(IDENTITY.public_bytes())
     msg0 = attester.make_msg0_multi(session, 0x7F)
     with pytest.raises(EnvelopeError, match="no codec registered"):
-        verifier.handle_msg0_multi(msg0)
+        verifier.handle_msg0(msg0)
     (entry,) = engine.audit.entries()
     assert entry.reason == Reason.TEE_NOT_ACCEPTED and not entry.accepted
 
@@ -124,8 +124,7 @@ def test_multi_handshake_needs_an_engine():
     attester = Attester(os.urandom)
     session = attester.start_session(IDENTITY.public_bytes())
     with pytest.raises(ProtocolError, match="appraisal engine"):
-        verifier.handle_msg0_multi(attester.make_msg0_multi(session,
-                                                            TEE_SGX))
+        verifier.handle_msg0(attester.make_msg0_multi(session, TEE_SGX))
 
 
 def test_msg1_echo_must_match_the_declared_backend():
@@ -135,7 +134,7 @@ def test_msg1_echo_must_match_the_declared_backend():
     verifier = Verifier(IDENTITY, VerifierPolicy(), os.urandom,
                         engine=engine)
     session = attester.start_session(IDENTITY.public_bytes())
-    _, msg1 = verifier.handle_msg0_multi(
+    _, msg1 = verifier.handle_msg0(
         attester.make_msg0_multi(session, TEE_SGX))
     session.tee_type = TEE_TDX  # a confused (or tampered-with) client
     with pytest.raises(ProtocolError, match="did not declare"):
@@ -149,7 +148,7 @@ def test_attester_refuses_to_send_a_switched_backend():
     verifier = Verifier(IDENTITY, VerifierPolicy(), os.urandom,
                         engine=engine)
     session = attester.start_session(IDENTITY.public_bytes())
-    _, msg1 = verifier.handle_msg0_multi(
+    _, msg1 = verifier.handle_msg0(
         attester.make_msg0_multi(session, TEE_SGX))
     attester.handle_msg1(session, msg1)
     tdx_view = _device(TEE_TDX, attester).collect_evidence(session.anchor)
@@ -171,14 +170,14 @@ def test_verifier_rejects_a_switched_backend():
     verifier = Verifier(IDENTITY, VerifierPolicy(), os.urandom,
                         engine=engine)
     session = attester.start_session(IDENTITY.public_bytes())
-    vsession, msg1 = verifier.handle_msg0_multi(
+    vsession, msg1 = verifier.handle_msg0(
         attester.make_msg0_multi(session, TEE_SGX))
     attester.handle_msg1(session, msg1)
     tdx_view = tdx_device.collect_evidence(session.anchor)
     session.tee_type = TEE_TDX  # defeat the client-side guard
     msg2 = attester.make_msg2_multi(session, tdx_view)
     with pytest.raises(ProtocolError, match="differs from the negotiated"):
-        verifier.handle_msg2_multi(vsession, msg2, SECRET)
+        verifier.handle_msg2(vsession, msg2, SECRET)
     assert engine.audit.entries()[-1].reason == Reason.TEE_NOT_ACCEPTED
 
 
@@ -196,7 +195,7 @@ def test_msg2_multi_without_negotiation_is_refused():
     session.tee_type = TEE_SGX  # client pretends it negotiated
     msg2 = attester.make_msg2_multi(session, view)
     with pytest.raises(ProtocolError, match="did not negotiate"):
-        verifier.handle_msg2_multi(vsession, msg2, SECRET)
+        verifier.handle_msg2(vsession, msg2, SECRET)
 
 
 def test_evidence_must_be_anchored_to_the_session():
@@ -206,7 +205,7 @@ def test_evidence_must_be_anchored_to_the_session():
     verifier = Verifier(IDENTITY, VerifierPolicy(), os.urandom,
                         engine=engine)
     session = attester.start_session(IDENTITY.public_bytes())
-    vsession, msg1 = verifier.handle_msg0_multi(
+    vsession, msg1 = verifier.handle_msg0(
         attester.make_msg0_multi(session, TEE_SGX))
     attester.handle_msg1(session, msg1)
     stale = device.collect_evidence(b"\x5A" * 32)  # some other session
@@ -221,7 +220,7 @@ def test_forged_signature_is_rejected_and_audited():
     verifier = Verifier(IDENTITY, VerifierPolicy(), os.urandom,
                         engine=engine)
     session = attester.start_session(IDENTITY.public_bytes())
-    vsession, msg1 = verifier.handle_msg0_multi(
+    vsession, msg1 = verifier.handle_msg0(
         attester.make_msg0_multi(session, TEE_SGX))
     attester.handle_msg1(session, msg1)
     view = device.collect_evidence(session.anchor)
@@ -232,7 +231,7 @@ def test_forged_signature_is_rejected_and_audited():
     bad = dataclasses.replace(view, signature=bytes(forged))
     msg2 = attester.make_msg2_multi(session, bad)
     with pytest.raises(SignatureError):
-        verifier.handle_msg2_multi(vsession, msg2, SECRET)
+        verifier.handle_msg2(vsession, msg2, SECRET)
     assert engine.audit.entries()[-1].reason == Reason.SIGNATURE_INVALID
 
 

@@ -14,7 +14,6 @@ from repro.appraisal.envelope import (
     encode_envelope,
     tee_name,
 )
-from repro.core.evidence import TEE_TYPE_TRUSTZONE
 from repro.errors import EnvelopeError, EvidenceError
 
 
@@ -34,12 +33,6 @@ def test_tee_type_must_fit_the_tag_byte():
         encode_envelope(0x100, b"")
     with pytest.raises(EnvelopeError):
         encode_envelope(-1, b"")
-
-
-def test_trustzone_tag_matches_the_core_mirror():
-    # The core layer cannot import this package; the constant is mirrored
-    # and must never drift.
-    assert TEE_TRUSTZONE == TEE_TYPE_TRUSTZONE
 
 
 def test_short_header_rejected():

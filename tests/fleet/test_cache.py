@@ -14,6 +14,7 @@ import os
 
 import pytest
 
+from repro.appraisal.codecs.trustzone import TrustZoneView
 from repro.core import measure_bytes, protocol
 from repro.core.attester import Attester
 from repro.core.evidence import Evidence, SignedEvidence
@@ -21,7 +22,7 @@ from repro.core.verifier import Verifier, VerifierPolicy
 from repro.crypto import ecdsa
 from repro.crypto.cmac import AesCmac
 from repro.errors import AuthenticationError, SignatureError
-from repro.fleet.cache import AppraisalCache, policy_fingerprint
+from repro.fleet.cache import AppraisalCache
 
 DEVICE = ecdsa.keypair_from_private(515151)
 IDENTITY = ecdsa.keypair_from_private(616161)
@@ -42,12 +43,19 @@ def _policy():
 
 def _evidence(anchor=b"\x01" * 32, claim=CLAIM,
               key=DEVICE.public_bytes(), boot=b"\x00" * 32):
-    return Evidence(anchor=anchor, claim=claim,
-                    attestation_public_key=key, boot_claim=boot)
+    return TrustZoneView(SignedEvidence(
+        Evidence(anchor=anchor, claim=claim, attestation_public_key=key,
+                 boot_claim=boot),
+        signature=b"\x07" * ecdsa.SIGNATURE_SIZE))
 
 
 def _ticket(resumption_key, evidence):
     return AesCmac(resumption_key).mac(evidence.encode())
+
+
+def _redeem(cache, policy, evidence, ticket):
+    return cache.redeem(policy.fingerprint(), evidence, evidence.encode(),
+                        ticket)
 
 
 class FakeClock:
@@ -68,9 +76,9 @@ def test_miss_then_store_then_redeem():
     cache = AppraisalCache()
     policy = _policy()
     evidence = _evidence()
-    assert cache.redeem(policy, evidence, _ticket(KEY, evidence)) is None
-    cache.store(policy, evidence, KEY)
-    assert cache.redeem(policy, evidence, _ticket(KEY, evidence)) == KEY
+    assert _redeem(cache, policy, evidence, _ticket(KEY, evidence)) is None
+    cache.store(policy.fingerprint(), evidence, KEY)
+    assert _redeem(cache, policy, evidence, _ticket(KEY, evidence)) == KEY
     assert cache.hits == 1 and cache.misses == 1
 
 
@@ -80,10 +88,10 @@ def test_redeem_requires_a_valid_ticket():
     cache = AppraisalCache()
     policy = _policy()
     evidence = _evidence()
-    cache.store(policy, evidence, KEY)
-    assert cache.redeem(policy, evidence, b"") is None
+    cache.store(policy.fingerprint(), evidence, KEY)
+    assert _redeem(cache, policy, evidence, b"") is None
     wrong = _ticket(b"\x5A" * protocol.RESUMPTION_KEY_SIZE, evidence)
-    assert cache.redeem(policy, evidence, wrong) is None
+    assert _redeem(cache, policy, evidence, wrong) is None
     assert cache.hits == 0 and cache.misses == 2
     assert cache.bad_tickets == 1  # only the wrong guess, not the absence
 
@@ -94,24 +102,24 @@ def test_ticket_is_bound_to_the_evidence_body():
     cache = AppraisalCache()
     policy = _policy()
     old = _evidence(anchor=b"\x01" * 32)
-    cache.store(policy, old, KEY)
+    cache.store(policy.fingerprint(), old, KEY)
     captured = _ticket(KEY, old)
     fresh = _evidence(anchor=b"\x99" * 32)
-    assert cache.redeem(policy, fresh, captured) is None
+    assert _redeem(cache, policy, fresh, captured) is None
     assert cache.bad_tickets == 1
     # The same key over the fresh body does redeem (anchor is per-session
     # and deliberately not part of the cache key).
-    assert cache.redeem(policy, fresh, _ticket(KEY, fresh)) == KEY
+    assert _redeem(cache, policy, fresh, _ticket(KEY, fresh)) == KEY
 
 
 def test_key_binds_device_claim_and_boot():
     cache = AppraisalCache()
     policy = _policy()
-    cache.store(policy, _evidence(), KEY)
+    cache.store(policy.fingerprint(), _evidence(), KEY)
     other_key = ecdsa.keypair_from_private(999).public_bytes()
     for changed in (_evidence(key=other_key), _evidence(claim=b"\x42" * 32),
                     _evidence(boot=b"\x42" * 32)):
-        assert cache.redeem(policy, changed, _ticket(KEY, changed)) is None
+        assert _redeem(cache, policy, changed, _ticket(KEY, changed)) is None
 
 
 def test_ttl_expires_from_store_time_even_when_redeemed():
@@ -119,13 +127,13 @@ def test_ttl_expires_from_store_time_even_when_redeemed():
     cache = AppraisalCache(ttl_s=10.0, time_source=clock)
     policy = _policy()
     evidence = _evidence()
-    cache.store(policy, evidence, KEY)
+    cache.store(policy.fingerprint(), evidence, KEY)
     clock.advance_s(6)
-    assert cache.redeem(policy, evidence, _ticket(KEY, evidence)) == KEY
+    assert _redeem(cache, policy, evidence, _ticket(KEY, evidence)) == KEY
     clock.advance_s(6)
     # 12 s since the store: the redemption at 6 s must not have extended
     # the TTL — the device must re-prove key possession.
-    assert cache.redeem(policy, evidence, _ticket(KEY, evidence)) is None
+    assert _redeem(cache, policy, evidence, _ticket(KEY, evidence)) is None
     assert cache.expirations == 1
 
 
@@ -137,14 +145,15 @@ def test_capacity_evicts_in_store_order():
     first = _evidence(boot=b"\x01" * 32)
     second = _evidence(boot=b"\x02" * 32)
     third = _evidence(boot=b"\x03" * 32)
-    cache.store(policy, first, KEY)
-    cache.store(policy, second, KEY)
-    assert cache.redeem(policy, first, _ticket(KEY, first)) == KEY
-    cache.store(policy, third, KEY)   # evicts first, the oldest store
+    cache.store(policy.fingerprint(), first, KEY)
+    cache.store(policy.fingerprint(), second, KEY)
+    assert _redeem(cache, policy, first, _ticket(KEY, first)) == KEY
+    # evicts first, the oldest store
+    cache.store(policy.fingerprint(), third, KEY)
     assert len(cache) == 2
-    assert cache.redeem(policy, first, _ticket(KEY, first)) is None
-    assert cache.redeem(policy, second, _ticket(KEY, second)) == KEY
-    assert cache.redeem(policy, third, _ticket(KEY, third)) == KEY
+    assert _redeem(cache, policy, first, _ticket(KEY, first)) is None
+    assert _redeem(cache, policy, second, _ticket(KEY, second)) == KEY
+    assert _redeem(cache, policy, third, _ticket(KEY, third)) == KEY
 
 
 def test_restore_resets_the_store_order():
@@ -153,38 +162,40 @@ def test_restore_resets_the_store_order():
     first = _evidence(boot=b"\x01" * 32)
     second = _evidence(boot=b"\x02" * 32)
     third = _evidence(boot=b"\x03" * 32)
-    cache.store(policy, first, KEY)
-    cache.store(policy, second, KEY)
-    cache.store(policy, first, KEY)   # re-verified: first is newest again
-    cache.store(policy, third, KEY)   # evicts second
-    assert cache.redeem(policy, first, _ticket(KEY, first)) == KEY
-    assert cache.redeem(policy, second, _ticket(KEY, second)) is None
+    cache.store(policy.fingerprint(), first, KEY)
+    cache.store(policy.fingerprint(), second, KEY)
+    # re-verified: first is newest again
+    cache.store(policy.fingerprint(), first, KEY)
+    cache.store(policy.fingerprint(), third, KEY)  # evicts second
+    assert _redeem(cache, policy, first, _ticket(KEY, first)) == KEY
+    assert _redeem(cache, policy, second, _ticket(KEY, second)) is None
 
 
 def test_policy_change_invalidates_everything():
     cache = AppraisalCache()
     policy = _policy()
     evidence = _evidence()
-    cache.store(policy, evidence, KEY)
-    assert cache.redeem(policy, evidence, _ticket(KEY, evidence)) == KEY
+    cache.store(policy.fingerprint(), evidence, KEY)
+    assert _redeem(cache, policy, evidence, _ticket(KEY, evidence)) == KEY
     policy.trust_measurement(b"\x55" * 32)  # any policy edit
-    assert cache.redeem(policy, evidence, _ticket(KEY, evidence)) is None
+    assert _redeem(cache, policy, evidence, _ticket(KEY, evidence)) is None
     assert cache.invalidations == 1
-    assert policy_fingerprint(policy) != policy_fingerprint(_policy())
+    assert policy.fingerprint() != _policy().fingerprint()
 
 
 def test_store_rejects_a_malformed_key():
     with pytest.raises(ValueError):
-        AppraisalCache().store(_policy(), _evidence(), b"short")
+        AppraisalCache().store(_policy().fingerprint(), _evidence(),
+                               b"short")
 
 
 def test_snapshot_counters():
     cache = AppraisalCache()
     policy = _policy()
     evidence = _evidence()
-    cache.redeem(policy, evidence, b"")
-    cache.store(policy, evidence, KEY)
-    cache.redeem(policy, evidence, _ticket(KEY, evidence))
+    _redeem(cache, policy, evidence, b"")
+    cache.store(policy.fingerprint(), evidence, KEY)
+    _redeem(cache, policy, evidence, _ticket(KEY, evidence))
     snapshot = cache.snapshot()
     assert snapshot["entries"] == 1
     assert snapshot["hits"] == 1

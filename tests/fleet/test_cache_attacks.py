@@ -58,7 +58,7 @@ def test_same_claim_different_backend_is_a_different_entry():
     cache = AppraisalCache()
     cache.store(SCOPE, _sgx_view(), KEY)
     tz = _tz_view()
-    assert cache.redeem(SCOPE, tz, _ticket(tz)) is None
+    assert cache.redeem(SCOPE, tz, tz.envelope(), _ticket(tz)) is None
     assert cache.misses == 1 and cache.hits == 0
 
 
@@ -69,27 +69,64 @@ def test_ticket_minted_under_one_backend_never_crosses():
     cache = AppraisalCache()
     sgx = _sgx_view()
     cache.store(SCOPE, sgx, KEY)
-    assert cache.redeem(SCOPE, sgx, _ticket(sgx)) == KEY
+    assert cache.redeem(SCOPE, sgx, sgx.envelope(), _ticket(sgx)) == KEY
     forged = AesCmac(KEY).mac(_tz_view().envelope())
-    assert cache.redeem(SCOPE, sgx, forged) is None
+    assert cache.redeem(SCOPE, sgx, sgx.envelope(), forged) is None
     assert cache.bad_tickets == 1
 
 
 def test_legacy_and_envelope_tickets_are_domain_separated():
-    # The legacy path MACs the bare evidence bytes (seed behaviour,
-    # unchanged); the multi path MACs the envelope. A ticket captured on
-    # one path cannot be replayed on the other even for the *same*
-    # TrustZone evidence.
-    view = _tz_view()
-    legacy_body = view.signed.evidence  # what the seed verifier caches
-    legacy_ticket = AesCmac(KEY).mac(legacy_body.encode())
-    envelope_ticket = _ticket(view)
-    assert legacy_ticket != envelope_ticket
-
+    # The verifier checks a Table II ticket against the bare evidence body
+    # (seed behaviour, unchanged) and an envelope ticket against the
+    # envelope. Both variants key the same cache entry for the same
+    # TrustZone board, yet a ticket made for one never redeems on the
+    # other, even under the live resumption key.
+    policy = VerifierPolicy()
+    policy.endorse(DEVICE.public_bytes())
+    policy.trust_measurement(CLAIM)
+    engine = AppraisalEngine(AppraisalPolicy.from_verifier_policy(policy))
     cache = AppraisalCache()
-    cache.store(SCOPE, view, KEY)
-    assert cache.redeem(SCOPE, view, legacy_ticket) is None
-    assert cache.redeem(SCOPE, view, envelope_ticket) == KEY
+    verifier = Verifier(IDENTITY, policy, os.urandom,
+                        appraisal_cache=cache, engine=engine)
+    attester = Attester(os.urandom)
+
+    def handshake(envelope, ticket_over_envelope):
+        session = attester.start_session(IDENTITY.public_bytes())
+        msg0 = attester.make_msg0_multi(session, TEE_TRUSTZONE) \
+            if envelope else attester.make_msg0(session)
+        vsession, msg1 = verifier.handle_msg0(msg0)
+        attester.handle_msg1(session, msg1)
+        signed = attester.collect_evidence(
+            session.anchor, CLAIM, DEVICE.public_bytes(),
+            lambda body: ecdsa.sign(DEVICE.private, body))
+        view = TrustZoneView(signed)
+        ticket = b""
+        if attester.resumption_key is not None:
+            ticket = AesCmac(attester.resumption_key).mac(
+                view.envelope() if ticket_over_envelope
+                else signed.evidence.encode())
+        mac_key = AesCmac(session.keys.mac_key)
+        if envelope:
+            wrapped = view.envelope()
+            content = (session.g_a + len(wrapped).to_bytes(4, "little")
+                       + wrapped + ticket)
+            msg2 = protocol.encode_msg2_multi(
+                session.g_a, wrapped, mac_key.mac(content), ticket)
+        else:
+            content = session.g_a + signed.encode() + ticket
+            msg2 = protocol.encode_msg2(session.g_a, signed,
+                                        mac_key.mac(content), ticket)
+        msg3 = verifier.handle_msg2(vsession, msg2, SECRET)
+        assert attester.handle_msg3(session, msg3) == SECRET
+
+    handshake(envelope=False, ticket_over_envelope=False)  # full verify
+    handshake(envelope=True, ticket_over_envelope=False)
+    handshake(envelope=False, ticket_over_envelope=True)
+    assert cache.hits == 0 and cache.bad_tickets == 2
+    # Each variant's own ticket does redeem the shared entry.
+    handshake(envelope=True, ticket_over_envelope=True)
+    handshake(envelope=False, ticket_over_envelope=False)
+    assert cache.hits == 2 and cache.bad_tickets == 2
 
 
 def test_sgx_config_change_misses_the_old_entry():
@@ -98,7 +135,8 @@ def test_sgx_config_change_misses_the_old_entry():
     cache = AppraisalCache()
     cache.store(SCOPE, _sgx_view(), KEY)
     debug = _sgx_view(debug=True)
-    assert cache.redeem(SCOPE, debug, _ticket(debug)) is None
+    assert cache.redeem(SCOPE, debug, debug.envelope(),
+                        _ticket(debug)) is None
     assert cache.misses == 1
 
 
@@ -109,7 +147,8 @@ def test_scope_bytes_invalidate_like_a_policy_change():
     cache = AppraisalCache()
     sgx = _sgx_view()
     cache.store(b"\x01" * 32, sgx, KEY)
-    assert cache.redeem(b"\x02" * 32, sgx, _ticket(sgx)) is None
+    assert cache.redeem(b"\x02" * 32, sgx, sgx.envelope(),
+                        _ticket(sgx)) is None
     assert cache.invalidations == 1
 
 
@@ -129,11 +168,11 @@ def _multi_actors(cache):
 
 def _multi_handshake(attester, verifier, enclave):
     session = attester.start_session(IDENTITY.public_bytes())
-    vsession, msg1 = verifier.handle_msg0_multi(
+    vsession, msg1 = verifier.handle_msg0(
         attester.make_msg0_multi(session, enclave.tee_type))
     attester.handle_msg1(session, msg1)
     view = enclave.collect_evidence(session.anchor)
-    msg3 = verifier.handle_msg2_multi(
+    msg3 = verifier.handle_msg2(
         vsession, attester.make_msg2_multi(session, view), SECRET)
     return attester.handle_msg3(session, msg3)
 

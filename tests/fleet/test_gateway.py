@@ -237,6 +237,37 @@ def test_session_cap_evicts_oldest_handshake(fleet):
         connection.close()
 
 
+def test_refused_session_adds_no_service_time(testbed, verifier_identity):
+    # A msg0 on an expired session fails before it reaches the verifier
+    # TA: it counts in failed_messages but is no service-time sample.
+    clock = FakeClock()
+    device = testbed.create_device()
+    gateway = AttestationGateway(
+        testbed.network, HOST, 7708, device.client, testbed.vendor_key,
+        verifier_identity, VerifierPolicy(), lambda: SECRET,
+        time_source=clock,
+    ).start()
+    try:
+        attester = Attester(_deterministic_rng("refused-service-time"))
+        served = testbed.network.connect(HOST, 7708)
+        stalled = testbed.network.connect(HOST, 7708)
+        session = attester.start_session(verifier_identity.public_bytes())
+        served.send(attester.make_msg0(session))
+        attester.handle_msg1(session, served.receive())
+        clock.advance_s(SESSION_TTL_S + 1)
+        stalled.send(attester.make_msg0(
+            attester.start_session(verifier_identity.public_bytes())))
+        with pytest.raises(ProtocolError, match="expired"):
+            stalled.receive()
+        histogram = gateway.metrics.histogram("service.msg0")
+        assert histogram["count"] == 1 and histogram["min"] > 0
+        assert gateway.metrics.counter("failed_messages") == 1
+        served.close()
+        stalled.close()
+    finally:
+        gateway.stop()
+
+
 def test_in_flight_window_sheds_the_message_past_it(fleet):
     # Hold the device lock so admitted msg0s queue in front of the TA:
     # MAX_IN_FLIGHT of them are admitted and wait, the next is shed with
