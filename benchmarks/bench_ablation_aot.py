@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 
-from repro.bench import format_table, geometric_mean, save_report
+from repro.bench import format_table, geometric_mean, save_json, save_report
 from repro.walc import compile_source
 from repro.wasm import AotCompiler, Interpreter
 from repro.workloads.polybench import get_kernel
@@ -18,6 +18,10 @@ from repro.workloads.polybench import get_kernel
 _KERNELS = ["gemm", "atax", "jacobi-1d", "floyd-warshall", "durbin",
             "trisolv"]
 _SCALE_DIVISOR = 3  # interpreter-friendly sizes
+#: Why both gates are asserted on any host.
+_GATE_REASON = ("both engines run each kernel in this one process on the "
+                "same core, so the ratio does not depend on the host's CPU "
+                "count; the checksum comparison is exact")
 
 
 def _timed(instance):
@@ -34,11 +38,11 @@ def _measure():
         binary = compile_source(kernel.walc_source(size))
         aot = AotCompiler().instantiate(binary)
         interp = Interpreter().instantiate(binary)
-        assert aot.invoke("run") == interp.invoke("run")
+        agree = aot.invoke("run") == interp.invoke("run")
 
         _, aot_s = _timed(aot)
         _, interp_s = _timed(interp)
-        results.append((name, size, aot_s, interp_s))
+        results.append((name, size, aot_s, interp_s, agree))
     return results
 
 
@@ -46,9 +50,13 @@ def test_ablation_aot_vs_interpreter(benchmark):
     results = benchmark.pedantic(_measure, rounds=1, iterations=1)
     rows = []
     factors = []
-    for name, size, aot_s, interp_s in results:
+    kernels_json = {}
+    for name, size, aot_s, interp_s, agree in results:
         factor = interp_s / aot_s
         factors.append(factor)
+        kernels_json[name] = {"size": size, "interpreter_s": interp_s,
+                              "aot_s": aot_s, "speedup": factor,
+                              "checksums_agree": agree}
         rows.append((name, size, f"{interp_s * 1000:.1f} ms",
                      f"{aot_s * 1000:.1f} ms", f"{factor:.1f}x"))
     overall = geometric_mean(factors)
@@ -58,6 +66,28 @@ def test_ablation_aot_vs_interpreter(benchmark):
         "A1 — interpreter vs AOT",
         ["kernel", "size", "interpreter", "AOT", "speed-up"], rows,
     ))
+    checksums_agree = all(kernel["checksums_agree"]
+                          for kernel in kernels_json.values())
+    save_json("BENCH_ablation_aot", {
+        "kernels": kernels_json,
+        "geomean_speedup": overall,
+        "gates": {
+            "checksums_agree": {
+                "metric": "each kernel's checksum, AOT vs interpreter",
+                "value": checksums_agree,
+                "asserted": True,
+                "reason": _GATE_REASON,
+            },
+            "geomean_speedup": {
+                "metric": "geo-mean interpreter / AOT seconds",
+                "threshold": 10,
+                "value": overall,
+                "asserted": True,
+                "reason": _GATE_REASON,
+            },
+        },
+    })
+    assert checksums_agree, kernels_json
     # The paper's motivation must hold decisively: AOT is an order of
     # magnitude faster, justifying the executable-pages kernel extension.
     assert overall > 10, overall

@@ -161,3 +161,94 @@ def test_fig8_genann_training(benchmark, testbed, device, verifier_identity):
     assert all(value > 3.0 for value in growth), gates
     # Shape 2: WaTZ training matches WAMR (same engine, no TEE penalty).
     assert median_delta < 0.10, gates
+
+
+# -- CI perf smoke: the Genann job on both engines ----------------------------
+
+_SMOKE_RECORDS = 400
+#: Floor of the AOT speed-up over the interpreter on the whole job: the
+#: paper's "order of magnitude" (A1), far below what either side varies.
+_SMOKE_FLOOR = 10.0
+_SMOKE_EXACT = "an exact comparison, independent of the host"
+_SMOKE_REASON = ("both engines run the job in this one process on the "
+                 "same core, so the ratio does not depend on the host's "
+                 "CPU count")
+
+
+def test_genann_aot_smoke():
+    """CI gate: the Fig. 8 job on the standalone build — ``ann_init``, one
+    training epoch and ``ann_accuracy`` over 400 records, then the weight
+    checksum — on the interpreter and the AOT engine in one process.
+
+    Both engines must reproduce the pure-Python Genann's accuracy and
+    weight checksum bit for bit and leave identical final memory, and
+    the AOT engine must run the job at least 10x faster than the
+    interpreter. Writes ``BENCH_genann_smoke.json``."""
+    from repro.wasi import WasiEnvironment, build_wasi_imports
+    from repro.wasm import AotCompiler, Interpreter
+    from repro.workloads.datasets import decode_records
+    from repro.workloads.genann.python_impl import accuracy, train_classifier
+
+    blob = dataset_of_size(_SMOKE_RECORDS * RECORD_SIZE)
+    records = decode_records(blob)
+    assert len(records) == _SMOKE_RECORDS
+    binary = build_standalone_ann(len(blob) + 4096)
+    reference = train_classifier(records, epochs=_EPOCHS, rate=_RATE)
+    expected_correct = round(accuracy(reference, records) * len(records))
+    expected_checksum = sum(reference.weights)
+
+    engines, memories = {}, {}
+    for engine in (Interpreter(), AotCompiler()):
+        instance = engine.instantiate(binary,
+                                      build_wasi_imports(WasiEnvironment()))
+        instance.memory.write(SECRET_ADDR, blob)
+        started = time.perf_counter()
+        instance.invoke("ann_init", 1)
+        trained = instance.invoke("ann_train", len(records), _EPOCHS, _RATE)
+        correct = instance.invoke("ann_accuracy", len(records))
+        checksum = instance.invoke("ann_weight_checksum")
+        seconds = time.perf_counter() - started
+        assert trained == len(records) * _EPOCHS, (engine.name, trained)
+        engines[engine.name] = {"seconds": seconds, "correct": correct,
+                                "checksum": checksum}
+        memories[engine.name] = bytes(instance.memory.data)
+
+    speedup = engines["interpreter"]["seconds"] / engines["aot"]["seconds"]
+    checksums_match = all(
+        run["checksum"] == expected_checksum
+        and run["correct"] == expected_correct for run in engines.values())
+    memory_identical = memories["interpreter"] == memories["aot"]
+    gates = {
+        "checksum_matches_python": {
+            "metric": "accuracy and weight checksum, each engine vs the "
+                      "pure-Python Genann (exact)",
+            "value": checksums_match,
+            "asserted": True,
+            "reason": _SMOKE_EXACT,
+        },
+        "final_memory_identical": {
+            "metric": "final linear memory, interpreter vs AOT (bytes)",
+            "value": memory_identical,
+            "asserted": True,
+            "reason": _SMOKE_EXACT,
+        },
+        "aot_speedup": {
+            "metric": "interpreter / AOT job seconds",
+            "threshold": _SMOKE_FLOOR,
+            "value": speedup,
+            "asserted": True,
+            "reason": _SMOKE_REASON,
+        },
+    }
+    save_json("BENCH_genann_smoke", {
+        "records": len(records),
+        "epochs": _EPOCHS,
+        "rate": _RATE,
+        "python": {"correct": expected_correct,
+                   "checksum": expected_checksum},
+        "engines": engines,
+        "gates": gates,
+    })
+    assert checksums_match, (engines, expected_correct, expected_checksum)
+    assert memory_identical
+    assert speedup >= _SMOKE_FLOOR, engines

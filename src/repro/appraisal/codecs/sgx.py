@@ -175,6 +175,3 @@ class SgxCodec:
 
     def encode(self, view: SgxEvidence) -> bytes:
         return view.encode()
-
-    def verify_signature(self, view: SgxEvidence) -> None:
-        view.verify_signature()

@@ -160,6 +160,3 @@ class TdxCodec:
 
     def encode(self, view: TdxEvidence) -> bytes:
         return view.encode()
-
-    def verify_signature(self, view: TdxEvidence) -> None:
-        view.verify_signature()

@@ -91,9 +91,6 @@ class TrustZoneCodec:
     def encode(self, view: TrustZoneView) -> bytes:
         return view.signed.encode()
 
-    def verify_signature(self, view: TrustZoneView) -> None:
-        view.verify_signature()
-
     @property
     def body_size(self) -> int:
         return EVIDENCE_SIZE

@@ -21,19 +21,18 @@ codec exposes:
 
 * ``tee_type`` / ``name`` — the tag it claims and a human label;
 * ``decode(body) -> view`` / ``encode(view) -> body`` — strict, typed
-  parsing of the backend-specific body;
-* ``verify_signature(view)`` — the backend's key/signature verification
-  path (all three built-ins reuse :mod:`repro.crypto`).
+  parsing of the backend-specific body.
 
 Every decoded *view* presents the uniform appraisal surface the policy
 engine and the appraisal cache consume: ``tee_type``, ``anchor``,
 ``claim`` (the primary code measurement), ``identity`` (the signing
 key), ``cache_extra`` (backend state beyond the claim — boot chain,
 MRSIGNER/SVN/debug, RTMRs), ``svn``, ``debug``, ``signer``, ``version``,
-plus ``encode()`` (the codec body) and ``envelope()`` (the full wire
-envelope — the byte string resumption tickets MAC over, so a ticket
-minted under one backend can never verify under another: the header's
-``tee_type`` is inside the MAC'd bytes).
+``verify_signature()`` (the backend's key/signature check, on
+:mod:`repro.crypto`), plus ``encode()`` (the codec body) and
+``envelope()`` (the full wire envelope — the byte string resumption
+tickets MAC over, so a ticket minted under one backend can never verify
+under another: the header's ``tee_type`` is inside the MAC'd bytes).
 """
 
 from __future__ import annotations

@@ -37,16 +37,29 @@ Compilation strategy:
 * dead code after an unconditional transfer is skipped entirely;
 * a function with no ``call``/``call_indirect`` (a leaf) checks the call
   depth inline; every other function enters and leaves its frame through
-  ``Instance.enter_call``/``exit_call`` around a ``try``/``finally``.
+  ``Instance.enter_call``/``exit_call`` around a ``try``/``finally``;
+* no access carries a bounds check. The access is the check, the
+  software analogue of the guard page WAMR faults on: an out-of-range
+  index raises ``IndexError`` (a typed plane, the bytearray) or
+  ``struct.error`` (``unpack_from``/``pack_into``) before touching
+  memory, and :func:`_wrap_entry` maps a fault raised in generated code
+  to the interpreter's ``TrapError('out-of-bounds memory access')``.
+  Every emitted index is provably non-negative (a negative Python index
+  reads from the end), and loads stay statements at their own
+  instruction, so trap order and partial memory effects are the
+  interpreter's.
 
 On top of that lowering sit the optimisation passes, fed by the loop
 analysis in :mod:`repro.wasm.aotopt`: value ranges (mask elimination,
 signed compares and conversions without a call, ``/`` for a divisor
-proven nonzero), loop-invariant code motion, typed-memory-plane
-accesses where an access is provably aligned, and loop versioning with
-the bounds checks hoisted into one preflight test. The interpreter is the
-semantic oracle: results and trap type, ordering and messages are
-identical.
+proven nonzero; induction locals and running counters are bounded),
+loop-invariant code motion, typed-memory-plane accesses where an access
+is provably aligned (indexed straight from the affine form when the
+range lattice bounds the address), and loop versioning: a fast copy
+that computes the addresses the lattice cannot bound mask-free under
+one preflight test, emitted only where it differs from the plain copy.
+The interpreter is the semantic oracle: results and trap type, ordering
+and messages are identical.
 
 CPython's ``compile()`` nests at most 20 loops (``try`` counts as one)
 and about 100 indentation levels; a function past either limit fails to
@@ -56,7 +69,8 @@ load with a :class:`~repro.errors.WasmError` naming it.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, FrozenSet, List, Optional
+import struct
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import TrapError, WasmError
 from repro.wasm import aotopt
@@ -370,7 +384,10 @@ class _Value:
       ``{local_index: coefficient, -1: constant}`` with all coefficients
       non-negative, or ``None``. ``expr`` may wrap (masks); ``affine``
       never does — versioned loops bound it symbolically for the hoisted
-      preflight check and rebuild addresses from it mask-free.
+      preflight check and rebuild addresses from it mask-free. A value
+      with a proven range was built without a wrap, so when it reads no
+      temporary its affine form *is* its value, and an access indexes
+      straight from it.
     * ``temps`` — generated variable names the expression references
       (``t``/``s``/``h`` vars); an expression is only hoistable to a loop
       preheader when every such name was itself hoisted there.
@@ -622,6 +639,9 @@ class _FunctionCompiler:
         self.local_types: List[ValType] = \
             list(self.func_type.params) + list(func.locals)
         self.analysis: Dict[int, aotopt.LoopInfo] = aotopt.analyze(func)
+        #: Running counters' function-wide bounds (local -> max value).
+        self.counters = aotopt.counter_bounds(
+            func, len(self.func_type.params), self.analysis)
         self.py_loops = aotopt.python_loops(func.body)
         #: A leaf calls nothing, so nothing can observe its call depth.
         self.leaf = not any(instr.opcode in (op.CALL, op.CALL_INDIRECT)
@@ -679,12 +699,8 @@ class _FunctionCompiler:
         ctx = self.loop_ctxs[-1]
         if value.locals_read & ctx.info.writes:
             return False
-        if value.temps:
-            hoisted_names = set()
-            for open_ctx in self.loop_ctxs:
-                hoisted_names.update(open_ctx.hoisted.values())
-            if not value.temps <= hoisted_names:
-                return False
+        if value.temps and not value.temps <= self._hoisted_names():
+            return False
         name = ctx.hoisted.get(value.expr)
         if name is None:
             name = f"h{self.next_hoist}"
@@ -695,6 +711,14 @@ class _FunctionCompiler:
             ctx.insert_at += 1
         self.stack.append(_Value.var_like(name, value))
         return True
+
+    def _hoisted_names(self) -> set:
+        """The variables hoisted to the preheader of an open loop: each
+        is invariant anywhere inside its loop."""
+        names = set()
+        for ctx in self.loop_ctxs:
+            names.update(ctx.hoisted.values())
+        return names
 
     def _push_var(self, expr: str, lo: Optional[int] = None,
                   hi: Optional[int] = None,
@@ -1097,59 +1121,29 @@ class _FunctionCompiler:
             elif code in _LOADS:
                 width, template = _LOADS[code]
                 address = self._pop()
-                offset = instr.arg or 0
                 lo, hi = _LOAD_RANGES.get(code, (None, None))
-                if self.fast is not None:
-                    access = self._fast_access(address, offset, width)
-                    if access is not None:
-                        addr, plane = access
-                        if plane is not None and code in _PLANE_LOADS:
-                            expr = _PLANE_LOADS[code].format(i=plane)
-                        else:
-                            expr = template.format(m="_m", a=addr)
-                        self._push_var(expr, lo=lo, hi=hi)
-                        continue
-                offset_text = f" + {instr.arg}" if instr.arg else ""
-                out.emit(f"_a = {address.paren}{offset_text}")
-                out.emit(f"if _a + {width} > len(_m): "
-                         "_trap('out-of-bounds memory access')")
-                shift = self._plane_shift(code, _PLANE_LOADS, address,
-                                          offset, width)
-                if shift is not None:
-                    self._push_var(
-                        _PLANE_LOADS[code].format(i=f"_a >> {shift}"),
-                        lo=lo, hi=hi)
+                on_plane, index_text = self._access(
+                    code, _PLANE_LOADS, address, instr.arg or 0, width)
+                if on_plane:
+                    expr = _PLANE_LOADS[code].format(i=index_text)
                 else:
-                    self._push_var(template.format(m="_m", a="_a"),
-                                   lo=lo, hi=hi)
+                    expr = template.format(m="_m", a=index_text)
+                # A load stays a statement at its own instruction, so it
+                # faults there, ahead of any later store.
+                self._push_var(expr, lo=lo, hi=hi)
             elif code in _STORES:
                 width, template = _STORES[code]
                 value = self._pop()
                 address = self._pop()
                 self._spill_memory_readers()
-                offset = instr.arg or 0
-                if self.fast is not None:
-                    access = self._fast_access(address, offset, width)
-                    if access is not None:
-                        addr, plane = access
-                        if plane is not None and code in _PLANE_STORES:
-                            out.emit(_PLANE_STORES[code].format(
-                                i=plane, v=value.expr))
-                        else:
-                            out.emit(template.format(m="_m", a=addr,
-                                                     v=value.expr))
-                        continue
-                offset_text = f" + {instr.arg}" if instr.arg else ""
-                out.emit(f"_a = {address.paren}{offset_text}")
-                out.emit(f"if _a + {width} > len(_m): "
-                         "_trap('out-of-bounds memory access')")
-                shift = self._plane_shift(code, _PLANE_STORES, address,
-                                          offset, width)
-                if shift is not None:
-                    out.emit(_PLANE_STORES[code].format(i=f"_a >> {shift}",
+                on_plane, index_text = self._access(
+                    code, _PLANE_STORES, address, instr.arg or 0, width)
+                if on_plane:
+                    out.emit(_PLANE_STORES[code].format(i=index_text,
                                                         v=value.expr))
                 else:
-                    out.emit(template.format(m="_m", a="_a", v=value.expr))
+                    out.emit(template.format(m="_m", a=index_text,
+                                             v=value.expr))
             elif code == op.MEMORY_SIZE:
                 self._push("_mem.size_pages", reads_memory=True, ops=1)
             elif code == op.MEMORY_GROW:
@@ -1279,6 +1273,9 @@ class _FunctionCompiler:
         affine = None
         if self.local_types[local] == ValType.I32:
             affine = {local: 1}
+            if local in self.counters:
+                lo, hi = 0, self.counters[local]
+            # Inside its loop, an induction local's range is tighter.
             for ctx in reversed(self.loop_ctxs):
                 if ctx.ind_local == local and ctx.ind_hi is not None:
                     lo, hi = ctx.ind_lo, ctx.ind_hi
@@ -1367,6 +1364,44 @@ class _FunctionCompiler:
             temps=lhs.temps | rhs.temps,
         )
 
+    def _access(self, code: int, table: Dict[int, str], address: _Value,
+                offset: int, width: int) -> Tuple[bool, str]:
+        """Lower one access's address, with no bounds check.
+
+        Returns ``(True, element index)`` into the typed plane when the
+        access is provably width-aligned, else ``(False, byte address)``.
+        Every index is provably non-negative (a negative Python index
+        would read from the end), so an out-of-range one faults in the
+        access itself and ``_wrap_entry`` maps the fault to the trap.
+
+        A deferred address reads the locals' current values (a write to
+        one would have spilled it); if every temporary in it is a hoist,
+        whose locals its open loop never writes, its affine form is its
+        real value. That is its exact value when the range lattice bounds
+        it (computed without a wrap), and the access indexes straight from
+        it (``_pD[l1 + 2312]``); a versioned loop's fast copy also rebuilds
+        an unbounded one, under the preflight that keeps it from wrapping.
+        Any other address is its canonical i32 expression.
+        """
+        rebuild = address.affine is not None and not address.is_var \
+            and address.temps <= self._hoisted_names()
+        if rebuild and address.hi is None:
+            rebuild = self.fast is not None \
+                and self._require_in_bounds(address, offset, width)
+        shift = self._plane_shift(code, table, address, offset, width)
+        if rebuild:
+            effective = dict(address.affine)
+            effective[-1] = effective.get(-1, 0) + offset
+            if shift is not None:
+                return True, _affine_expr(effective, width)
+            return False, _affine_expr(effective, 1)
+        if shift is None:
+            return False, \
+                f"{address.paren} + {offset}" if offset else address.expr
+        if offset:
+            return True, f"({address.paren} + {offset}) >> {shift}"
+        return True, f"{address.paren} >> {shift}"
+
     def _plane_shift(self, code: int, table: Dict[int, str], address: _Value,
                      offset: int, width: int) -> Optional[int]:
         """The plane shift when the access is provably width-aligned.
@@ -1405,7 +1440,8 @@ class _FunctionCompiler:
         local written inside the region is only boundable when it is the
         induction variable of a loop the access is structurally inside
         (its ctx is still open): there the guard has passed, so the value
-        is at most the guard bound.
+        is at most the guard bound. A running counter is bounded
+        function-wide.
         """
         fast = self.fast
         if local not in fast.root.writes:
@@ -1426,20 +1462,19 @@ class _FunctionCompiler:
             if reads & fast.root.writes:
                 return None
             return None, part
+        if local in self.counters:
+            return self.counters[local], None
         return None
 
-    def _fast_access(self, address: _Value, offset: int,
-                     width: int) -> Optional[tuple]:
-        """Hoist one access's bounds check into the loop preflight.
-
-        Returns ``(address_expr, plane_index_expr_or_None)`` and records
-        the requirement ``max_address + width <= _ml``, or None (probe
-        failure) when the address cannot be bounded at loop entry.
-        """
+    def _require_in_bounds(self, address: _Value, offset: int,
+                           width: int) -> bool:
+        """Record the preflight requirement ``max_address + width <= _ml``
+        under which an unbounded address may be rebuilt mask-free; False
+        (the probe fails) when it cannot be bounded at loop entry."""
         fast = self.fast
         if address.affine is None:
             fast.failed = True
-            return None
+            return False
         effective = dict(address.affine)
         effective[-1] = effective.get(-1, 0) + offset
         numeric = effective[-1] + width
@@ -1450,7 +1485,7 @@ class _FunctionCompiler:
             bound = self._fast_bound(local)
             if bound is None:
                 fast.failed = True
-                return None
+                return False
             bound_numeric, bound_symbolic = bound
             if bound_numeric is not None:
                 numeric += coeff * bound_numeric
@@ -1462,36 +1497,21 @@ class _FunctionCompiler:
             fast.require(" + ".join(symbolic + [str(numeric)]) + " <= _ml")
         else:
             fast.require_numeric(numeric)
-        # The emitted address: a materialised variable is its own (proven
-        # unwrapped) value; a deferred expression is rebuilt mask-free
-        # from the affine form.
-        if address.is_var:
-            addr = f"{address.expr} + {offset}" if offset else address.expr
-        else:
-            addr = _affine_expr(effective, 1)
-        plane = None
-        if self.use_planes and width in (2, 4, 8) \
-                and effective.get(-1, 0) % width == 0 \
-                and all(coeff % width == 0
-                        for key, coeff in effective.items() if key >= 0):
-            shift = width.bit_length() - 1
-            if address.is_var:
-                base = f"({addr})" if offset else addr
-                plane = f"{base} >> {shift}"
-            else:
-                plane = _affine_expr(effective, width)
-        return addr, plane
+        return True
 
     def _compile_versioned_loop(self, index: int) -> int:
         """Emit a fast/safe versioned pair for the loop at ``index``.
 
-        The fast copy elides every per-access bounds check (and computes
-        addresses mask-free, through planes when aligned) under a single
-        preflight conjunction evaluated at loop entry; the safe copy is
-        the plain lowering, taken whenever the preflight cannot prove the
-        whole iteration space in bounds — including every program that
-        would trap, which therefore traps with the byte-identical message
-        at the identical point.
+        The fast copy computes the addresses the range lattice cannot
+        bound mask-free (through planes when aligned) under a single
+        preflight conjunction evaluated at loop entry: every such address
+        stays below the memory size, so none wraps. The safe copy is the
+        plain lowering, taken whenever the preflight fails, including by
+        every program that would trap; both copies fault at the same
+        access as the interpreter. When the two copies come out
+        identical, the loop is emitted once with no preflight; when the
+        probe needed no condition at all, it is that one copy, and the
+        loop is compiled only once.
         """
         info = self.analysis[index]
         stop = info.end + 1
@@ -1517,33 +1537,41 @@ class _FunctionCompiler:
         del self.frames[frames_len:]
         self._reset_stack(height)
         self.next_temp, self.next_hoist = snapshot
+        self.out = outer
 
         conditions = fast.conditions()
-        if fast.failed or not conditions or len(conditions) > _MAX_PREFLIGHT:
+        if fast.failed or len(conditions) > _MAX_PREFLIGHT:
             # Probe failed: compile this loop in place, unversioned —
             # but let its inner loops try their own versions.
             self.no_version.add(index)
             self.version_depth -= 1
-            self.out = outer
             self._compile_range(index, stop)
             return stop
 
-
-        safe_out = _Emitter()
-        safe_out.indent = outer.indent + 1
-        self.out = safe_out
-        self._compile_range(index, stop)
+        # With no condition, no address needed the preflight (nor would
+        # any inner loop's): the probe already is the plain lowering.
+        safe_out = fast_out
+        if conditions:
+            safe_out = _Emitter()
+            safe_out.indent = outer.indent + 1
+            self.out = safe_out
+            self._compile_range(index, stop)
+            self.out = outer
         self.version_depth -= 1
-        self.out = outer
-
         self.next_temp = max(fast_counters[0], self.next_temp)
         self.next_hoist = max(fast_counters[1], self.next_hoist)
 
-        outer.emit("_ml = len(_m)")
-        outer.emit(f"if {' and '.join(conditions)}:")
-        outer.extend(fast_out)
-        outer.emit("else:")
-        outer.extend(safe_out)
+        if fast_out.lines == safe_out.lines:
+            # The preflight would drop nothing: emit the loop once, one
+            # (single-space) indentation level out.
+            outer.lines.extend(line[1:] for line in safe_out.lines)
+            outer.count += safe_out.count
+        else:
+            outer.emit("_ml = len(_m)")
+            outer.emit(f"if {' and '.join(conditions)}:")
+            outer.extend(fast_out)
+            outer.emit("else:")
+            outer.extend(safe_out)
 
         del self.frames[frames_len:]
         self._reset_stack(height)
@@ -1692,8 +1720,33 @@ def _pycompile(source: str, func_index: int):
                         f"the Python lowering ({reason})") from None
 
 
+#: What an out-of-range access raises: a typed plane's or the bytearray's
+#: ``IndexError``, or ``struct.error`` from ``unpack_from``/``pack_into``.
+#: Each checks before it touches memory, so a faulting store writes nothing.
+_FAULTS = (IndexError, struct.error)
+
+
+def _faulted_in_wasm(exc: BaseException) -> bool:
+    """Whether ``exc`` was raised by a memory access in generated code.
+
+    The innermost frame of the traceback is the one whose statement
+    raised. A generated function's accesses call C code with no frame of
+    its own, so that frame is the generated function; a fault inside a
+    host import or a numerics helper ends in that Python frame instead.
+    """
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return tb.tb_frame.f_code.co_filename.startswith("<wasm-aot")
+
+
 def _wrap_entry(compiled: Callable, param_types) -> Callable:
-    """Coerce host-supplied arguments once at the public boundary."""
+    """The public boundary: coerce host-supplied arguments once, and map
+    an access fault to the interpreter's trap.
+
+    Exports, the start function and a host's re-entry all come through
+    here, so a fault in a re-entered call traps at its own entry.
+    """
     from repro.wasm.interpreter import _coerce
 
     def entry(*args):
@@ -1701,10 +1754,15 @@ def _wrap_entry(compiled: Callable, param_types) -> Callable:
             raise TrapError(
                 f"expected {len(param_types)} arguments, got {len(args)}"
             )
-        return compiled(*(
-            _coerce(value, valtype)
-            for value, valtype in zip(args, param_types)
-        ))
+        try:
+            return compiled(*(
+                _coerce(value, valtype)
+                for value, valtype in zip(args, param_types)
+            ))
+        except _FAULTS as exc:
+            if _faulted_in_wasm(exc):
+                raise TrapError("out-of-bounds memory access") from None
+            raise
 
     entry.__wasm_source__ = compiled.__wasm_source__
     entry.compiled = compiled

@@ -8,7 +8,7 @@ records
   loop-invariant code motion: an expression reading none of them computes
   the same value on every iteration);
 * whether the region contains calls or ``memory.grow`` (either one makes
-  the memory length loop-variant, ruling out bounds-check hoisting);
+  the memory length loop-variant, ruling out a versioning preflight);
 * a **monotone induction pattern**, when the loop matches the canonical
   counted shape the walc compiler emits::
 
@@ -29,8 +29,8 @@ records
   ``+= S``-then-branch-to-loop-header step (``continue`` statements
   duplicate it mid-body) and no ``local.tee $i`` anywhere.
 
-Soundness of the induction claim (the basis for bounds-check hoisting and
-mask elimination in :mod:`repro.wasm.aot`):
+Soundness of the induction claim (the basis for the versioning preflight
+and mask elimination in :mod:`repro.wasm.aot`):
 
 * whenever the loop *body* executes, the guard has just passed, so the
   induction local is at most ``max`` (``N-1`` for ``lt``, ``N`` for
@@ -44,6 +44,18 @@ mask elimination in :mod:`repro.wasm.aot`):
   (a compile-time check for constant bounds, a preflight conjunct for
   local bounds) before entering an unchecked fast path, which inductively
   pins the raw value below 2^31 for the whole loop.
+
+A counted loop also has a **trip count** when its init and bound are
+compile-time constants, its step cannot wrap, and every branch back to
+its header is that step followed by ``br``: a ``br_if`` or ``br_table``
+to the header, or a ``br`` that skips the step, could re-run the body
+with the same value any number of times.
+
+:func:`counter_bounds` builds on trip counts: it gives a function-wide
+upper bound to every *running counter*, a local only ever set to a
+constant or stepped by one inside counted loops (Genann's weight cursor
+``pos``, which no loop guard bounds), so its address arithmetic needs no
+masks either.
 
 A second pre-pass, :func:`python_loops`, decides the control lowering:
 which ``block``/``loop``/``if`` constructs need a Python ``while True:``
@@ -61,6 +73,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.wasm import numerics as num
 from repro.wasm import opcodes as op
 from repro.wasm.module import Function, Instr
+from repro.wasm.types import ValType
 
 #: Opcodes that touch linear memory (loads and stores of every width).
 ACCESS_OPS = frozenset((
@@ -107,11 +120,12 @@ class Induction:
     """The counted-loop pattern: ``for i = C; i < N; i += S``."""
 
     __slots__ = ("local", "init", "step", "bound_const", "bound_local",
-                 "signed", "inclusive")
+                 "signed", "inclusive", "back_edges_step")
 
     def __init__(self, local: int, init: Optional[int], step: int,
                  bound_const: Optional[int], bound_local: Optional[int],
-                 signed: bool, inclusive: bool) -> None:
+                 signed: bool, inclusive: bool,
+                 back_edges_step: bool) -> None:
         self.local = local
         self.init = init
         self.step = step
@@ -119,6 +133,8 @@ class Induction:
         self.bound_local = bound_local
         self.signed = signed
         self.inclusive = inclusive
+        #: Every branch to the loop header is the step followed by ``br``.
+        self.back_edges_step = back_edges_step
 
     @property
     def max_numeric(self) -> Optional[int]:
@@ -158,6 +174,21 @@ class Induction:
         if maximum is None or self.init is None:
             return None
         return max(self.init, maximum + self.step)
+
+    @property
+    def trips(self) -> Optional[int]:
+        """How often the body runs per loop entry, when that is a
+        compile-time constant: a known init and constant bound, a step
+        that cannot wrap past the guard, and a step on every back edge."""
+        maximum = self.max_numeric
+        if not self.back_edges_step or maximum is None or self.init is None:
+            return None
+        ceiling = _SIGN_BIT32 - 1 if self.signed else num.MASK32
+        if maximum + self.step > ceiling:
+            return None
+        if maximum < self.init:
+            return 0
+        return (maximum - self.init) // self.step + 1
 
     def fast_path_sound(self) -> Tuple[bool, Optional[str]]:
         """Whether the induction claim may back an *unchecked* fast path.
@@ -354,8 +385,11 @@ def _match_induction(body: List[Instr], start: int, end: int,
 
     # Every write to the induction local must be the canonical step
     # followed by an unconditional branch back to this loop's header.
+    # Separately, note whether every branch back to the header steps
+    # first: the trip count needs that, the value range does not.
     step = None
     saw_step = False
+    back_edges_step = True
     depth = 0  # labels opened since the loop header
     index = start + 1
     while index < end:
@@ -363,6 +397,14 @@ def _match_induction(body: List[Instr], start: int, end: int,
         code = instr.opcode
         if code == op.LOCAL_TEE and instr.arg == local:
             return None
+        if code == op.BR and instr.arg == depth:
+            previous = body[index - 1]
+            if previous.opcode != op.LOCAL_SET or previous.arg != local:
+                back_edges_step = False
+        elif (code == op.BR_IF and instr.arg == depth) or (
+                code == op.BR_TABLE
+                and depth in set(instr.arg[0]) | {instr.arg[1]}):
+            back_edges_step = False
         if code == op.LOCAL_SET and instr.arg == local:
             if (index < 3 + start
                     or body[index - 3].opcode != op.LOCAL_GET
@@ -389,4 +431,64 @@ def _match_induction(body: List[Instr], start: int, end: int,
     if not saw_step:
         return None
     return Induction(local, init, step, bound_const, bound_local,
-                     signed, inclusive)
+                     signed, inclusive, back_edges_step)
+
+
+def counter_bounds(func: Function, param_count: int,
+                   loops: Dict[int, LoopInfo]) -> Dict[int, int]:
+    """Function-wide upper bounds of the *running counters*.
+
+    A running counter is a non-parameter i32 local (so zero on entry)
+    whose every write is either ``i32.const k; local.set`` or ``local.get
+    x; i32.const c; i32.add; local.set x``, with every such add nested
+    only in loops that have a trip count. Code runs at most once per
+    iteration of its innermost loop, so each add runs at most the product
+    of its loops' trip counts per call, and the local never exceeds
+    ``max k + sum(c * product of trips)`` in real arithmetic. A counter
+    whose bound passes 2^32 - 1 could wrap and gets no bound.
+    """
+    body = func.body
+    constant: Dict[int, int] = {}
+    added: Dict[int, int] = {}
+    excluded: Set[int] = set()
+    #: Iterations of the innermost open loop per call, None if unbounded.
+    weight: Optional[int] = 1
+    outer: List[Optional[int]] = []
+    for index, instr in enumerate(body):
+        code = instr.opcode
+        if code in _OPENERS:
+            outer.append(weight)
+            if code == op.LOOP:
+                info = loops.get(index)
+                trips = info.induction.trips \
+                    if info is not None and info.induction is not None \
+                    else None
+                weight = None if weight is None or trips is None \
+                    else weight * trips
+        elif code == op.END:
+            if outer:
+                weight = outer.pop()
+        elif code in (op.LOCAL_SET, op.LOCAL_TEE):
+            local = instr.arg
+            if code == op.LOCAL_SET and index >= 1 \
+                    and body[index - 1].opcode == op.I32_CONST:
+                constant[local] = max(constant.get(local, 0),
+                                      body[index - 1].arg)
+            elif (code == op.LOCAL_SET and weight is not None and index >= 3
+                    and body[index - 3].opcode == op.LOCAL_GET
+                    and body[index - 3].arg == local
+                    and body[index - 2].opcode == op.I32_CONST
+                    and body[index - 1].opcode == op.I32_ADD):
+                added[local] = added.get(local, 0) \
+                    + body[index - 2].arg * weight
+            else:
+                excluded.add(local)
+    bounds: Dict[int, int] = {}
+    for local in (constant.keys() | added.keys()) - excluded:
+        if local < param_count \
+                or func.locals[local - param_count] != ValType.I32:
+            continue
+        bound = constant.get(local, 0) + added.get(local, 0)
+        if bound <= num.MASK32:
+            bounds[local] = bound
+    return bounds

@@ -2,7 +2,8 @@
 
 The differential suite (test_opt_differential.py) pins *behaviour*; this
 file pins the *mechanism* — that the optimiser actually emits what it
-promises (plane indexing, a hoisted preflight, mask-free induction
+promises (plane indexing, no per-access bounds check, a preflight only
+where the two loop copies differ, mask-free induction and running-counter
 arithmetic, loop-invariant hoists, control flow without unwinding
 scaffolding, helper-free signed arithmetic, leaf frames), that planes
 track ``memory.grow``, and that traps fall back to the byte-identical
@@ -18,6 +19,7 @@ import pytest
 from repro.errors import TrapError
 from repro.walc import compile_source
 from repro.wasm import AotCompiler, Interpreter, Memory, ModuleBuilder
+from repro.wasm import aotopt
 from repro.wasm import opcodes as op
 from repro.wasm.decoder import decode_module
 from repro.wasm.types import F64, I32
@@ -27,28 +29,34 @@ from repro.workloads.minidb.wasmcore import compile_dbcore
 from repro.workloads.polybench import all_kernels
 
 
-def _f64_stream_kernel() -> bytes:
+def _f64_stream_kernel(runtime_bound: bool = False) -> bytes:
     """for (i = 0; i < 64; i++) mem_f64[i*8] = mem_f64[i*8] * 2.0 + p0*3.0
 
     Affine aligned f64 traffic plus a loop-invariant float expression —
-    the shape every optimisation pass fires on.
+    the shape every optimisation pass fires on. With ``runtime_bound``
+    the loop runs ``i < p1`` (unsigned) instead, so the range lattice
+    cannot bound ``i * 8``.
     """
     builder = ModuleBuilder()
     builder.add_memory(1, 1)
-    f = builder.add_function(builder.add_type([F64], []))
-    f.add_local(I32)  # i = local 1
-    f.i32_const(0).local_set(1)
+    params = [F64, I32] if runtime_bound else [F64]
+    f = builder.add_function(builder.add_type(params, []))
+    i = f.add_local(I32)
+    f.i32_const(0).local_set(i)
     f.block()
     f.loop()
-    f.local_get(1).i32_const(64).emit(op.I32_LT_S)
+    if runtime_bound:
+        f.local_get(i).local_get(1).emit(op.I32_LT_U)
+    else:
+        f.local_get(i).i32_const(64).emit(op.I32_LT_S)
     f.emit(op.I32_EQZ).br_if(1)
-    f.local_get(1).i32_const(8).emit(op.I32_MUL)       # address
-    f.local_get(1).i32_const(8).emit(op.I32_MUL)
+    f.local_get(i).i32_const(8).emit(op.I32_MUL)       # address
+    f.local_get(i).i32_const(8).emit(op.I32_MUL)
     f.emit(op.F64_LOAD, 0)
     f.f64_const(2.0).emit(op.F64_MUL)
     f.local_get(0).f64_const(3.0).emit(op.F64_MUL).emit(op.F64_ADD)
     f.emit(op.F64_STORE, 0)
-    f.local_get(1).i32_const(1).emit(op.I32_ADD).local_set(1)
+    f.local_get(i).i32_const(1).emit(op.I32_ADD).local_set(i)
     f.br(0)
     f.end()
     f.end()
@@ -62,13 +70,29 @@ def _source(binary: bytes) -> str:
     return source
 
 
-def _loop_body(source: str) -> str:
-    """The lines emitted after the preflight branch (the fast region)."""
+def _versioned_copies(source: str) -> list:
+    """``(fast, safe)`` line lists of every versioned loop in ``source``:
+    the suites under the ``if`` that follows each ``_ml = len(_m)`` and
+    under its ``else:``."""
     lines = source.splitlines()
+    copies = []
     for index, line in enumerate(lines):
-        if line.strip().startswith("if ") and "_ml" in line:
-            return "\n".join(lines[index:])
-    raise AssertionError(f"no preflight found in:\n{source}")
+        if line.strip() == "_ml = len(_m)":
+            header = lines[index + 1]
+            assert header.strip().startswith("if ") and "<= _ml" in header
+            fast = _suite(lines, index + 1)
+            otherwise = index + 2 + len(fast)
+            assert lines[otherwise].strip() == "else:", source
+            copies.append((fast, _suite(lines, otherwise)))
+    return copies
+
+
+_ACCESS = re.compile(r"_p[HIQFD]\[|_m\[|\(_m, ")
+
+
+def _accesses(lines) -> list:
+    """The lines of ``lines`` that index linear memory."""
+    return [line for line in lines if _ACCESS.search(line)]
 
 
 # -- generated-code shape -----------------------------------------------------
@@ -77,26 +101,30 @@ def _loop_body(source: str) -> str:
 @pytest.mark.skipif(not Memory.planes_supported,
                     reason="typed planes need a little-endian host")
 def test_opt2_emits_planes_preflight_and_no_masks():
+    """No access carries a bounds check: an out-of-range one faults. A
+    constant-bound loop's addresses are range-bounded, so it is one copy
+    indexing its plane straight from the induction local, with no
+    preflight; a runtime-bound loop is still versioned, with address
+    masks only in the copy its preflight rejects."""
     source = _source(_f64_stream_kernel())
-    # One hoisted bounds check per loop entry...
-    assert "_ml = len(_m)" in source
-    fast = _loop_body(source)
-    fast_region, _, safe_region = fast.partition("else:")
-    # ...direct f64 plane indexing in the fast region, with no per-access
-    # bounds checks and no masks on the induction arithmetic...
-    assert "_pD[" in fast_region
-    assert "out-of-bounds" not in fast_region
-    assert "& 0xFFFFFFFF" not in fast_region
-    # ...while the safe copy keeps the per-access bounds checks
-    # (planes and range-proven mask drops may appear there too — those
-    # passes are sound without the preflight).
-    assert "out-of-bounds" in safe_region
+    assert "len(_m)" not in source and "out-of-bounds" not in source
+    assert "t0 = _pD[l1]" in source and "_pD[l1] = " in source
+    assert "& 0xFFFFFFFF" not in source
+    assert source.count("while True:") == 1
+
+    source = _source(_f64_stream_kernel(runtime_bound=True))
+    assert "out-of-bounds" not in source
+    ((fast, safe),) = _versioned_copies(source)
+    assert "t0 = _pD[l2]" in "\n".join(fast)
+    assert all("& 0xFFFFFFFF" not in line for line in _accesses(fast))
+    assert _accesses(safe) and all("& 0xFFFFFFFF" in line
+                                   for line in _accesses(safe))
 
 
 def test_opt2_hoists_loop_invariant_expression():
     source = _source(_f64_stream_kernel())
     # p0 * 3.0 is pure and loop-invariant: computed once in a preheader
-    # (once per loop version — fast and safe copies each hoist it).
+    # (once per copy in a versioned loop).
     assert "h0 = " in source
     for line in source.splitlines():
         if "3.0" in line:
@@ -177,6 +205,190 @@ def test_workload_codegen_needs_no_unwinding():
                 assert "_inst.call_depth >= " in source, where
             else:
                 assert "_inst.enter_call()" in source, where
+
+
+def test_workload_accesses_carry_no_bounds_check():
+    """In every function of every workload build: no access compares
+    against ``len(_m)``, and the memory length is read only by the
+    preflight of a versioned loop whose fast and safe copies differ."""
+    for name, module in _workload_modules():
+        for func, source in _sources(module):
+            where = (name, source.split("(")[0])
+            assert "> len(_m)" not in source, where
+            assert "out-of-bounds" not in source, where
+            copies = _versioned_copies(source)
+            assert source.count("len(_m)") == len(copies), where
+            for fast, safe in copies:
+                assert fast != safe, where
+
+
+def _callees(module, func_index: int) -> list:
+    base = len(module.imported_funcs)
+    return [instr.arg for instr in module.functions[func_index - base].body
+            if instr.opcode == op.CALL]
+
+
+def test_genann_weights_index_planes_from_the_running_counter():
+    """Genann's weight cursor ``pos`` is a running counter: bounded by 35
+    in ``ann_run`` and 55 in ``ann_train_one``, so every weight access
+    reads ``_pD[pos + K]`` and no address built from it, or indexing a
+    plane, carries a mask."""
+    module = decode_module(build_attested_ann(_VERIFIER_KEY, "verifier",
+                                              7000))
+    base = len(module.imported_funcs)
+    (train_one,) = set(_callees(module, module.export("ann_train").index))
+    run = _callees(module, train_one)[0]
+    for func_index, bound in ((run, 35), (train_one, 55)):
+        func = module.functions[func_index - base]
+        counters = aotopt.counter_bounds(
+            func, len(module.func_type(func_index).params),
+            aotopt.analyze(func))
+        pos = max(counters, key=counters.get)
+        assert counters[pos] == bound
+        source = AotCompiler().compile_artifact(module, func_index)[1]
+        accesses = _accesses(source.splitlines())
+        from_counter = [line for line in accesses
+                        if re.search(rf"\bl{pos}\b", line)]
+        assert any(f"_pD[l{pos} + " in line for line in from_counter)
+        assert f"l{pos} = l{pos} + 1" in source
+        for line in from_counter + [line for line in accesses
+                                    if "_pD[" in line]:
+            assert "& 0xFFFFFFFF" not in line, (func_index, line)
+
+
+def _counter_module(shape: str) -> bytes:
+    """``f(p)``: a 4-trip counted loop over ``i`` stores ``i`` at
+    ``mem32[c * 4 + 64]`` and steps a counter ``c``; ``f`` returns ``c``.
+
+    ``"counted"`` meets the running-counter rule. Every other shape
+    breaks one condition, so ``c`` must keep its masks: a step-less
+    ``continue`` (never taken) in the loop, as ``br_if`` or as ``br`` in
+    an ``if``; a runtime loop bound ``p``; the parameter as the counter;
+    a step of 2^30, whose bound 2^32 exceeds 2^32 - 1 and whose masked
+    address ``c * 4 + 64`` wraps back to 64 every time; or a guard ``i <
+    0xF0000000`` stepped by 0x70000000, which wraps ``i`` and so runs 9
+    times, not the 3 the bound alone suggests.
+    """
+    wraps = shape == "wrapping_guard"
+    builder = ModuleBuilder()
+    builder.add_memory(1, 1)
+    f = builder.add_function(builder.add_type([I32], [I32]))
+    i = f.add_local(I32)
+    c = 0 if shape == "parameter" else f.add_local(I32)
+    f.i32_const(0).local_set(i)
+    f.block()
+    f.loop()
+    f.local_get(i)
+    if shape == "runtime_bound":
+        f.local_get(0)
+    else:
+        f.i32_const(0xF000_0000 if wraps else 4)
+    f.emit(op.I32_LT_U).emit(op.I32_EQZ).br_if(1)
+    if shape == "stepless_br_if":
+        f.local_get(0).i32_const(12345).emit(op.I32_EQ).br_if(0)
+    if shape == "stepless_br":
+        f.local_get(0).i32_const(12345).emit(op.I32_EQ)
+        f.if_().br(1).end()
+    f.local_get(c).i32_const(4).emit(op.I32_MUL).i32_const(64)
+    f.emit(op.I32_ADD).local_get(i).emit(op.I32_STORE, 0)
+    f.local_get(c).i32_const(1 << 30 if shape in ("overflow", "wrapping_guard")
+                             else 1)
+    f.emit(op.I32_ADD).local_set(c)
+    f.local_get(i).i32_const(0x7000_0000 if wraps else 1)
+    f.emit(op.I32_ADD).local_set(i)
+    f.br(0)
+    f.end()
+    f.end()
+    f.local_get(c)
+    builder.export_function("f", f.index)
+    return builder.build()
+
+
+_COUNTER_ARGUMENT = {"runtime_bound": 4, "parameter": (1 << 30) - 1}
+
+
+@pytest.mark.parametrize("shape", ["counted", "stepless_br_if",
+                                   "stepless_br", "runtime_bound",
+                                   "parameter", "overflow",
+                                   "wrapping_guard"])
+def test_running_counter_rule(shape):
+    binary = _counter_module(shape)
+    module = decode_module(binary)
+    func = module.functions[0]
+    counters = aotopt.counter_bounds(func, 1, aotopt.analyze(func))
+    c = 0 if shape == "parameter" else 2
+    source = _source(binary)
+    if shape == "counted":
+        assert counters[c] == 4
+        assert f"_pI[l{c} + 16] = " in source
+        assert "& 0xFFFFFFFF" not in source
+    else:
+        assert c not in counters
+        assert f"(l{c} * 4) & 0xFFFFFFFF" in source
+        assert f"l{c} = (l{c} + " in source and "& 0xFFFFFFFF" in source
+    argument = _COUNTER_ARGUMENT.get(shape, 0)
+    outcomes = []
+    for engine in (Interpreter(), AotCompiler()):
+        instance = engine.instantiate(binary)
+        outcomes.append((instance.invoke("f", argument),
+                         bytes(instance.memory.data)))
+    assert outcomes[0] == outcomes[1]
+
+
+def _stale_address_module(versioned: bool) -> bytes:
+    """``f(p)`` takes the address ``p + c * 4`` (``c * 4`` with no ``p``
+    unless ``versioned``), then changes ``c``, then loads at that address
+    plus 4: the address was materialised before ``c`` changed, so the
+    load must index from that temporary, never rebuild ``c * 4`` from the
+    affine form with the new ``c``. ``c`` is a running counter: written
+    by constants only, or stepped in a 4-trip loop (``versioned``, where
+    ``p`` leaves the address unbounded, so the fast copy sees it)."""
+    builder = ModuleBuilder()
+    builder.add_memory(1, 1)
+    builder.add_data(0, bytes(range(256)))
+    f = builder.add_function(builder.add_type([I32], [I32]))
+    c, i, total = f.add_local(I32), f.add_local(I32), f.add_local(I32)
+
+    def body():
+        if versioned:
+            f.local_get(0)
+        f.local_get(c).i32_const(4).emit(op.I32_MUL)
+        if versioned:
+            f.emit(op.I32_ADD)
+            f.local_get(c).i32_const(1).emit(op.I32_ADD).local_set(c)
+        else:
+            f.i32_const(0).local_set(c)
+        f.i32_const(4).emit(op.I32_ADD).emit(op.I32_LOAD, 0)
+        f.local_get(total).emit(op.I32_ADD).local_set(total)
+
+    if versioned:
+        f.i32_const(0).local_set(i)
+        f.block()
+        f.loop()
+        f.local_get(i).i32_const(4).emit(op.I32_LT_U)
+        f.emit(op.I32_EQZ).br_if(1)
+        body()
+        f.local_get(i).i32_const(1).emit(op.I32_ADD).local_set(i)
+        f.br(0)
+        f.end()
+        f.end()
+    else:
+        f.i32_const(8).local_set(c)
+        body()
+    f.local_get(total)
+    builder.export_function("f", f.index)
+    return builder.build()
+
+
+@pytest.mark.parametrize("versioned", [False, True])
+def test_address_taken_before_its_local_changes_keeps_the_old_value(
+        versioned):
+    binary = _stale_address_module(versioned)
+    func = decode_module(binary).functions[0]
+    assert 1 in aotopt.counter_bounds(func, 1, aotopt.analyze(func))
+    results = [engine.instantiate(binary).invoke("f", 16)
+               for engine in (Interpreter(), AotCompiler())]
+    assert results[0] == results[1]
 
 
 def test_genann_exp_taylor_loop_is_helper_free():

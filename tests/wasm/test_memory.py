@@ -1,11 +1,13 @@
 """Linear memory: typed access, bounds, grow, data segments."""
 
+import struct
+
 import pytest
 
 from repro.errors import TrapError
-from repro.wasm import ModuleBuilder, PAGE_SIZE
+from repro.wasm import HostFunction, ModuleBuilder, PAGE_SIZE
 from repro.wasm import opcodes as op
-from repro.wasm.types import F32, F64, I32, I64
+from repro.wasm.types import F32, F64, I32, I64, FuncType
 from tests.wasm.helpers import run_single
 
 _MEM = (1, 4)
@@ -213,3 +215,182 @@ def test_memory_cap_limits_grow(engine):
     instance = engine.instantiate(builder.build(),
                                   memory_cap_bytes=2 * PAGE_SIZE)
     assert instance.invoke("grow") == 0xFFFFFFFF
+
+
+# -- bounds at N and N+1 ------------------------------------------------------
+#
+# The AOT engine emits no bounds check: an out-of-range access faults in
+# the access itself (a typed plane's or the bytearray's IndexError,
+# struct.error from unpack_from/pack_into) and the entry maps the fault to
+# the interpreter's trap. These pin that boundary on both engines, for
+# every access opcode and for each way the AOT engine lowers an address.
+
+#: Access opcode -> (width in bytes, Wasm type of the value).
+_ACCESS_OPS = {
+    op.I32_LOAD: (4, I32), op.I64_LOAD: (8, I64),
+    op.F32_LOAD: (4, F32), op.F64_LOAD: (8, F64),
+    op.I32_LOAD8_S: (1, I32), op.I32_LOAD8_U: (1, I32),
+    op.I32_LOAD16_S: (2, I32), op.I32_LOAD16_U: (2, I32),
+    op.I64_LOAD8_S: (1, I64), op.I64_LOAD8_U: (1, I64),
+    op.I64_LOAD16_S: (2, I64), op.I64_LOAD16_U: (2, I64),
+    op.I64_LOAD32_S: (4, I64), op.I64_LOAD32_U: (4, I64),
+    op.I32_STORE: (4, I32), op.I64_STORE: (8, I64),
+    op.F32_STORE: (4, F32), op.F64_STORE: (8, F64),
+    op.I32_STORE8: (1, I32), op.I32_STORE16: (2, I32),
+    op.I64_STORE8: (1, I64), op.I64_STORE16: (2, I64),
+    op.I64_STORE32: (4, I64),
+}
+_STORE_OPS = {op.I32_STORE, op.I64_STORE, op.F32_STORE, op.F64_STORE,
+              op.I32_STORE8, op.I32_STORE16, op.I64_STORE8, op.I64_STORE16,
+              op.I64_STORE32}
+_STORED = {I32: 0x5A, I64: 0x5A, F32: 1.5, F64: 1.5}
+_OOB = "out-of-bounds memory access"
+
+
+def _bounds_module(code: int, offset: int, constants) -> bytes:
+    """One access ``code`` with offset immediate ``offset``, reached three
+    ways: ``byte(a)`` at address ``a`` (the struct/bytearray path),
+    ``element(k)`` at ``k * width`` (provably aligned: the typed-plane
+    path), and ``at<a>()`` at each constant ``a`` (range-bounded: a
+    plane indexed by a literal). ``grow()`` adds one page."""
+    width, valtype = _ACCESS_OPS[code]
+    results = [] if code in _STORE_OPS else [valtype]
+    builder = ModuleBuilder()
+    builder.add_memory(1, 2)
+
+    def export(name, params, address):
+        f = builder.add_function(builder.add_type(params, results))
+        address(f)
+        if code in _STORE_OPS:
+            f.emit(rtype_const(valtype), _STORED[valtype])
+        f.emit(code, offset)
+        builder.export_function(name, f.index)
+
+    export("byte", [I32], lambda f: f.local_get(0))
+    export("element", [I32],
+           lambda f: f.local_get(0).i32_const(width).emit(op.I32_MUL))
+    for address in constants:
+        export(f"at{address}", [], lambda f, a=address: f.i32_const(a))
+    grow = builder.add_function(builder.add_type([], [I32]))
+    grow.i32_const(1).emit(op.MEMORY_GROW)
+    builder.export_function("grow", grow.index)
+    return builder.build()
+
+
+def _stored_bytes(code: int) -> bytes:
+    width, valtype = _ACCESS_OPS[code]
+    if valtype == F32:
+        return struct.pack("<f", _STORED[F32])
+    if valtype == F64:
+        return struct.pack("<d", _STORED[F64])
+    return _STORED[valtype].to_bytes(width, "little")
+
+
+def _expect_in_bounds(instance, code, end, name, *args):
+    """Call ``name``, whose access ends at byte ``end``; a store must
+    have written exactly there (cleared again for the next check)."""
+    width = _ACCESS_OPS[code][0]
+    instance.invoke(name, *args)
+    if code in _STORE_OPS:
+        assert bytes(instance.memory.data[end - width:end]) \
+            == _stored_bytes(code)
+        instance.memory.data[end - width:end] = bytes(width)
+    assert not any(instance.memory.data)
+
+
+def _expect_trap(instance, name, *args):
+    before = bytes(instance.memory.data)
+    with pytest.raises(TrapError) as info:
+        instance.invoke(name, *args)
+    assert type(info.value) is TrapError and str(info.value) == _OOB
+    # A faulting store writes nothing, not even the bytes that fit.
+    assert bytes(instance.memory.data) == before
+
+
+@pytest.mark.parametrize("offset", [0, 24])
+@pytest.mark.parametrize("code", sorted(_ACCESS_OPS), ids=op.name)
+def test_access_ending_at_memory_size_succeeds_one_byte_more_traps(
+        engine, code, offset):
+    width = _ACCESS_OPS[code][0]
+    # Per memory size, the address whose access ends exactly at it.
+    last = [pages * PAGE_SIZE - width - offset for pages in (1, 2)]
+    instance = engine.instantiate(_bounds_module(
+        code, offset, [a + past for a in last for past in (0, 1)]))
+    for pages, address in enumerate(last, 1):
+        size = pages * PAGE_SIZE
+        if pages == 2:
+            # A grown memory re-requests the planes; the new end bounds.
+            assert instance.invoke("grow") == 1
+            _expect_in_bounds(instance, code, PAGE_SIZE + 1,
+                              f"at{last[0] + 1}")
+        _expect_in_bounds(instance, code, size, "byte", address)
+        _expect_trap(instance, "byte", address + 1)
+        _expect_in_bounds(instance, code, size, "element", address // width)
+        _expect_trap(instance, "element", address // width + 1)
+        _expect_in_bounds(instance, code, size, f"at{address}")
+        _expect_trap(instance, f"at{address + 1}")
+        if pages == 1:
+            _expect_trap(instance, f"at{last[1]}")
+
+
+def test_address_plus_offset_past_4_gib_traps(engine):
+    """The effective address is not wrapped: 0xFFFFFFFF + 8 traps."""
+    instance = engine.instantiate(_bounds_module(op.I64_LOAD, 8, []))
+    _expect_trap(instance, "byte", 0xFFFFFFFF)
+    _expect_trap(instance, "element", 0x1FFFFFFF)
+
+
+# -- faults outside generated code keep their type -----------------------------
+
+
+def _host_module(host_fn):
+    """``f(a)`` calls the import ``env.host(a)``, run by ``host_fn``, and
+    returns its result; ``peek(a)`` loads the i32 at ``a``."""
+    builder = ModuleBuilder()
+    builder.add_memory(1, 1)
+    t = builder.add_type([I32], [I32])
+    host = builder.import_function("env", "host", t)
+    f = builder.add_function(t)
+    f.local_get(0).call(host)
+    builder.export_function("f", f.index)
+    peek = builder.add_function(t)
+    peek.local_get(0).emit(op.I32_LOAD, 0)
+    builder.export_function("peek", peek.index)
+    return {"env": {"host": HostFunction(FuncType((I32,), (I32,)),
+                                         host_fn)}}, builder.build()
+
+
+@pytest.mark.parametrize("read, error", [
+    (lambda instance, address: instance.memory.data[address], IndexError),
+    (lambda instance, address: struct.unpack_from(
+        "<I", instance.memory.data, address)[0], struct.error),
+], ids=["IndexError", "struct.error"])
+def test_host_import_fault_is_not_a_memory_trap(engine, read, error):
+    """A host import that indexes past the memory itself raises the same
+    exception types as a generated access; it surfaces as that type."""
+    imports, binary = _host_module(read)
+    instance = engine.instantiate(binary, imports)
+    assert instance.invoke("f", 0) == 0
+    with pytest.raises(error) as info:
+        instance.invoke("f", PAGE_SIZE)
+    assert not isinstance(info.value, TrapError)
+
+
+def test_fault_in_a_reentered_call_traps_at_its_own_entry(engine):
+    """Wasm -> host -> Wasm: the inner call's fault is a TrapError where
+    the host called it, and the host may handle it there."""
+    seen = []
+
+    def reenter(instance, address):
+        try:
+            return instance.invoke("peek", address)
+        except TrapError as trap:
+            seen.append(str(trap))
+            return 7
+
+    imports, binary = _host_module(reenter)
+    instance = engine.instantiate(binary, imports)
+    assert instance.invoke("f", 0) == 0 and seen == []
+    assert instance.invoke("f", PAGE_SIZE - 3) == 7
+    assert seen == [_OOB]
+    assert instance.call_depth == 0

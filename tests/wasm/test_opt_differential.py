@@ -137,6 +137,66 @@ def test_aot_and_interpreter_agree_on_final_memory(binary, argument):
     assert reference.memory.data == optimised.memory.data
 
 
+@st.composite
+def counter_programs(draw):
+    """Running counters: ``c`` starts at a constant and steps by a
+    constant inside one or two nested counted loops, addressing memory
+    as ``c * stride + offset`` (optionally ``+ base``). Steps up to
+    2^31 - 1 make some counters' bounds pass 2^32 - 1, so their masked
+    addresses wrap; offsets near the page end make others trap."""
+    start = draw(st.sampled_from([0, 3, 65_000]))
+    step = draw(st.sampled_from([1, 2, 7, 1 << 30, 0x7FFF_FFFF]))
+    stride = draw(st.sampled_from([1, 2, 4, 8]))
+    offset = draw(st.sampled_from([0, 16, 65_500, 65_532]))
+    width = draw(st.sampled_from([1, 2, 4]))
+    trips = [draw(st.integers(0, 5))
+             for _ in range(draw(st.integers(1, 2)))]
+    add_base = draw(st.booleans())
+    is_store = draw(st.booleans())
+
+    builder = ModuleBuilder()
+    builder.add_memory(1, 2)
+    f = builder.add_function(builder.add_type([I32], [I32]))
+    counter = f.add_local(I32)
+    f.i32_const(start).local_set(counter)
+    for trip in trips:
+        i = f.add_local(I32)
+        f.i32_const(0).local_set(i)
+        f.block()
+        f.loop()
+        f.local_get(i).i32_const(trip).emit(op.I32_LT_U)
+        f.emit(op.I32_EQZ).br_if(1)
+    load_op, store_op = _WIDTH_OPS[width]
+    f.local_get(counter).i32_const(stride).emit(op.I32_MUL)
+    if add_base:
+        f.local_get(_BASE).emit(op.I32_ADD)
+    if is_store:
+        f.local_get(counter).emit(store_op, offset)
+    else:
+        f.emit(load_op, offset).emit(op.DROP)
+    f.local_get(counter).i32_const(step).emit(op.I32_ADD)
+    f.local_set(counter)
+    for depth, _ in enumerate(trips):
+        i = counter + len(trips) - depth
+        f.local_get(i).i32_const(1).emit(op.I32_ADD).local_set(i)
+        f.br(0)
+        f.end()
+        f.end()
+    f.local_get(counter)
+    builder.export_function("f", f.index)
+    return builder.build()
+
+
+@settings(max_examples=100, deadline=None)
+@given(binary=counter_programs(), argument=_ARGUMENTS)
+def test_running_counter_programs_agree(binary, argument):
+    """Result or trap, and the final memory, match the interpreter."""
+    reference = Interpreter().instantiate(binary)
+    optimised = AotCompiler().instantiate(binary)
+    assert _outcome(optimised, argument) == _outcome(reference, argument)
+    assert reference.memory.data == optimised.memory.data
+
+
 def _engines():
     return (Interpreter(), AotCompiler())
 
