@@ -14,11 +14,15 @@ shape; the first reproduces in direction (the magnitude depends on the
 substituted toolchains — see EXPERIMENTS.md).
 
 The ``BENCH_polybench.json`` artifact records the per-kernel ratios so
-future changes can diff the compute-speed trajectory.
+future changes can diff the compute-speed trajectory. Each kernel's three
+configurations are timed in alternating rounds (native, WAMR, WaTZ, then
+again), so a host hiccup lands in one sample of one side, not in a whole
+side's median.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from repro.bench import format_table, geometric_mean, save_json, save_report
@@ -26,21 +30,23 @@ from repro.core.runtime import NormalWorldRuntime
 from repro.walc import compile_source
 from repro.workloads.polybench import all_kernels, get_kernel
 
-_RUNS = 3
+_ROUNDS = 5
 #: Why both shape gates are asserted on any host.
 _GATE_REASON = ("native, WAMR and WaTZ run each kernel in this one process, "
-                "one after another, so the ratios do not depend on the "
+                "in alternating rounds, so the ratios do not depend on the "
                 "host's CPU count")
 
 
-def _median_seconds(operation, runs=_RUNS):
-    samples = []
-    for _ in range(runs):
-        started = time.perf_counter()
-        operation()
-        samples.append(time.perf_counter() - started)
-    samples.sort()
-    return samples[len(samples) // 2]
+def _alternating_medians(operations, rounds=_ROUNDS):
+    """Each operation's median seconds, timed one after another in each
+    of ``rounds`` rounds."""
+    samples = [[] for _ in operations]
+    for _ in range(rounds):
+        for side, operation in zip(samples, operations):
+            started = time.perf_counter()
+            operation()
+            side.append(time.perf_counter() - started)
+    return [statistics.median(side) for side in samples]
 
 
 def _measure_all(device):
@@ -51,15 +57,14 @@ def _measure_all(device):
         size = kernel.default_size
         binary = compile_source(kernel.walc_source(size))
 
-        native_s = _median_seconds(lambda: kernel.native(size))
-
         wamr_app = normal_world.load(binary)
-        wamr_s = _median_seconds(
-            lambda: normal_world.invoke(wamr_app, "run"))
-
         loaded = device.load_wasm(session, binary)
         app = session.ta._apps[loaded["app"]]
-        watz_s = _median_seconds(lambda: app.instance.invoke("run"))
+        native_s, wamr_s, watz_s = _alternating_medians((
+            lambda: kernel.native(size),
+            lambda: normal_world.invoke(wamr_app, "run"),
+            lambda: app.instance.invoke("run"),
+        ))
 
         # Cross-check: all three computed the same checksum.
         assert normal_world.invoke(wamr_app, "run") == kernel.native(size) \
@@ -95,13 +100,13 @@ def test_fig5_polybench(benchmark, device):
                  f"{geometric_mean(watz_ratios):.2f}x"))
     save_report("fig5_polybench", format_table(
         "Fig. 5 — PolyBench/C normalised to native "
-        f"(median of {_RUNS} runs)",
+        f"(medians of {_ROUNDS} alternating rounds)",
         ["kernel", "native", "WAMR (normal world)", "WaTZ (secure world)"],
         rows,
     ))
     median_delta = sorted(pair_deltas)[len(pair_deltas) // 2]
     save_json("BENCH_polybench", {
-        "runs": _RUNS,
+        "rounds": _ROUNDS,
         "kernels": kernels_json,
         "geomean": {
             "wamr_vs_native": geometric_mean(wamr_ratios),

@@ -53,13 +53,20 @@ On top of that lowering sit the optimisation passes, fed by the loop
 analysis in :mod:`repro.wasm.aotopt`: value ranges (mask elimination,
 signed compares and conversions without a call, ``/`` for a divisor
 proven nonzero; induction locals and running counters are bounded),
-loop-invariant code motion, typed-memory-plane accesses where an access
-is provably aligned (indexed straight from the affine form when the
-range lattice bounds the address), and loop versioning: a fast copy
-that computes the addresses the lattice cannot bound mask-free under
-one preflight test, emitted only where it differs from the plain copy.
-The interpreter is the semantic oracle: results and trap type, ordering
-and messages are identical.
+loop-invariant code motion (a hoist no emitted line reads is dropped),
+typed-memory-plane accesses where an access is provably aligned (indexed
+straight from the affine form when the range lattice bounds the
+address), and loop versioning: a fast copy that computes the addresses
+the lattice cannot bound mask-free under one preflight test, emitted
+only where it differs from the plain copy. In a *hot* function (one a
+loop calls, see :func:`repro.wasm.aotopt.hot_functions`) small counted
+loops become straight-line code: each trip is one copy of the body with
+the induction local a literal, locals set to literals stay known
+literals until a join or a loop that writes them, and comparisons,
+int-to-float conversions and ``if``s on literals fold. A float-to-int
+truncation is ``int(x)`` under an inline range test, calling the
+trapping helper only outside it. The interpreter is the semantic oracle:
+results and trap type, ordering and messages are identical.
 
 CPython's ``compile()`` nests at most 20 loops (``try`` counts as one)
 and about 100 indentation levels; a function past either limit fails to
@@ -69,7 +76,10 @@ load with a :class:`~repro.errors.WasmError` naming it.
 from __future__ import annotations
 
 import math
+import operator
+import re
 import struct
+from collections import Counter
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import TrapError, WasmError
@@ -204,7 +214,22 @@ _FOLDABLE_BINOPS = {
 
 _FOLD_NAMESPACE = {
     "_shrs": num.shr_s, "_rotl": num.rotl, "_rotr": num.rotr,
+    "_f32r": num.f32_round,
 }
+
+_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+            ">": operator.gt, "<=": operator.le, ">=": operator.ge}
+
+
+def _fold_compare(code: int, lhs: int, rhs: int) -> int:
+    """An integer comparison of two literals, at compile time."""
+    if code in _SIGNED_RELOPS:
+        bits, operator_text = _SIGNED_RELOPS[code]
+        signed = num.s32 if bits == 32 else num.s64
+        lhs, rhs = signed(lhs), signed(rhs)
+    else:
+        operator_text = _RELOPS[code].split()[1]
+    return int(_COMPARE[operator_text](lhs, rhs))
 
 # Pure unary operators: opcode -> template over {a}.
 _UNOPS: Dict[int, str] = {
@@ -268,16 +293,26 @@ _INT_TO_FLOAT = {
     op.F64_CONVERT_I64_S, op.F64_CONVERT_I64_U,
 }
 
-# Trapping unary operators (float-to-int truncation): materialised.
-_TRAPPING_UNOPS: Dict[int, str] = {
-    op.I32_TRUNC_F32_S: "_trunc({a}, True, 32)",
-    op.I32_TRUNC_F32_U: "_trunc({a}, False, 32)",
-    op.I32_TRUNC_F64_S: "_trunc({a}, True, 32)",
-    op.I32_TRUNC_F64_U: "_trunc({a}, False, 32)",
-    op.I64_TRUNC_F32_S: "_trunc({a}, True, 64)",
-    op.I64_TRUNC_F32_U: "_trunc({a}, False, 64)",
-    op.I64_TRUNC_F64_S: "_trunc({a}, True, 64)",
-    op.I64_TRUNC_F64_U: "_trunc({a}, False, 64)",
+# Float-to-int truncations (trapping, so materialised): opcode ->
+# (signed, bit width).
+_TRUNCS: Dict[int, Tuple[bool, int]] = {
+    op.I32_TRUNC_F32_S: (True, 32), op.I32_TRUNC_F64_S: (True, 32),
+    op.I32_TRUNC_F32_U: (False, 32), op.I32_TRUNC_F64_U: (False, 32),
+    op.I64_TRUNC_F32_S: (True, 64), op.I64_TRUNC_F64_S: (True, 64),
+    op.I64_TRUNC_F32_U: (False, 64), op.I64_TRUNC_F64_U: (False, 64),
+}
+
+# The inline test under which ``int(x)`` (masked when signed) is the
+# truncation; outside it ``_trunc`` raises the interpreter's trap, and
+# NaN and the infinities fail every comparison. The open bounds are the
+# integer range widened by one: no double, so no f32 either, lies
+# strictly between a bound and the range it encloses. -2^63 - 1 is no
+# double, so the signed i64 test closes on -2^63 instead.
+_TRUNC_TESTS: Dict[Tuple[bool, int], str] = {
+    (True, 32): "-2147483649.0 < {x} < 2147483648.0",
+    (False, 32): "-1.0 < {x} < 4294967296.0",
+    (True, 64): "-9223372036854775808.0 <= {x} < 9223372036854775808.0",
+    (False, 64): "-1.0 < {x} < 18446744073709551616.0",
 }
 
 _LOADS: Dict[int, tuple] = {
@@ -539,7 +574,7 @@ class _Frame:
     """One open structured construct during compilation."""
 
     __slots__ = ("kind", "label", "entry_height", "arity", "py_loop",
-                 "mark", "unwind")
+                 "mark", "unwind", "known")
 
     def __init__(self, kind: int, label: int, entry_height: int,
                  arity: int, py_loop: bool) -> None:
@@ -557,6 +592,8 @@ class _Frame:
         #: statement that consumes ``_br`` after this loop, or None to
         #: keep unwinding.
         self.unwind: Dict[int, Optional[str]] = {}
+        #: The known-literal locals on entry (hot functions only).
+        self.known: Optional[Dict[int, int]] = None
 
 
 class _LoopCtx:
@@ -646,8 +683,21 @@ class _FunctionCompiler:
         #: A leaf calls nothing, so nothing can observe its call depth.
         self.leaf = not any(instr.opcode in (op.CALL, op.CALL_INDIRECT)
                             for instr in func.body)
+        #: Called from a loop (see ``aotopt.hot_functions``): its small
+        #: counted loops unroll, and literals fold through its locals.
+        self.hot = func_index in aotopt.hot_functions(module)
+        #: Loops lowered as straight-line copies: LOOP index -> trips.
+        self.unroll: Dict[int, int] = {}
+        #: Locals whose value here is a known integer literal.
+        self.known: Dict[int, int] = {}
+        self.targeted: set = set()
+        if self.hot:
+            self.unroll = aotopt.unroll_plan(func.body, self.analysis)
+            self.targeted = aotopt.branch_targets(func.body)
         #: Set once some branch unwinds through ``_br``.
         self.uses_br = False
+        #: Hoists an address indexed from its affine form did not read.
+        self.bypassed: set = set()
         self.loop_ctxs: List[_LoopCtx] = []
         self.fast: Optional[_FastCtx] = None
         #: Depth of versioned-region recompilation (no nested versioning).
@@ -866,6 +916,7 @@ class _FunctionCompiler:
         self._compile_range(0, len(self.func.body))
         if self.uses_br:
             out.lines.insert(body_at, " " * out.indent + "_br = -1")
+        _drop_unread_hoists(out.lines, self.bypassed)
         if not self.leaf:
             out.indent -= 1
             out.emit("finally:")
@@ -883,6 +934,8 @@ class _FunctionCompiler:
         then ``header`` (an ``if`` line) if given."""
         frame = _Frame(kind, index, len(self.stack), arity,
                        index in self.py_loops)
+        if self.hot:
+            frame.known = dict(self.known)
         self.frames.append(frame)
         out = self.out
         if frame.py_loop:
@@ -906,6 +959,14 @@ class _FunctionCompiler:
         control can fall off its last arm."""
         frame = self.frames.pop()
         self._pop_loop_ctx(frame)
+        if self.hot and frame.kind != op.LOOP \
+                and (frame.kind == op.IF or frame.label in self.targeted):
+            # A join: a local any path through the construct may have
+            # written is no longer a known literal.
+            writes = aotopt.written_locals(self.func.body, frame.label)
+            self.known = {local: value
+                          for local, value in frame.known.items()
+                          if local not in writes}
         out = self.out
         if frame.kind == op.IF:
             self._end_suite(frame)
@@ -918,12 +979,14 @@ class _FunctionCompiler:
             self._emit_epilogue(frame)
         self._reset_stack(frame.entry_height + frame.arity)
 
-    def _compile_range(self, start: int, stop: int) -> None:
-        """Compile the instruction range ``[start, stop)``.
+    def _compile_range(self, start: int, stop: int) -> bool:
+        """Compile the instruction range ``[start, stop)``; True when
+        control cannot fall off its end.
 
         The whole function body is one range; a versioned loop compiles
         its own ``[loop, end]`` sub-range twice (fast probe + safe copy)
-        through the same machinery.
+        and an unrolled loop its body once per trip, all through the same
+        machinery.
         """
         module = self.module
         body = self.func.body
@@ -954,7 +1017,62 @@ class _FunctionCompiler:
             if code == op.NOP:
                 continue
 
-            if code == op.BLOCK:
+            # The commonest instructions first.
+            if code == op.LOCAL_GET:
+                self._push_local(instr.arg)
+            elif code == op.LOCAL_SET or code == op.LOCAL_TEE:
+                value = self._pop()
+                self._spill_local_readers(instr.arg)
+                out.emit(f"l{instr.arg} = {value.expr}")
+                if self.hot:
+                    if value.literal is None:
+                        self.known.pop(instr.arg, None)
+                    else:
+                        self.known[instr.arg] = value.literal
+                if code == op.LOCAL_TEE:
+                    self._push_local(instr.arg)
+            elif code in (op.I32_CONST, op.I64_CONST):
+                # `_push_literal` inlined: decoded constants are canonical
+                # (non-negative), and this is the lowering's hottest push.
+                literal = instr.arg
+                self._push(str(literal), ops=0, lo=literal, hi=literal,
+                           affine={-1: literal} if code == op.I32_CONST
+                           else None)
+            elif code in _BINOPS:
+                rhs = self._pop()
+                lhs = self._pop()
+                if (code in _FOLDABLE_BINOPS and lhs.literal is not None
+                        and rhs.literal is not None):
+                    folded = eval(  # compile-time, pure integer arithmetic
+                        _BINOPS[code].format(a=lhs.expr, b=rhs.expr),
+                        dict(_FOLD_NAMESPACE),
+                    )
+                    if folded >= 0:
+                        self._push(str(folded), ops=0, lo=folded, hi=folded,
+                                   affine={-1: folded}
+                                   if _RANGE_BINOPS.get(code, ("", 0))[1] == 32
+                                   else None)
+                    else:
+                        self._push(str(folded), ops=0)
+                    continue
+                if code in _RANGE_BINOPS:
+                    self._push_value(self._range_binop(code, lhs, rhs))
+                    continue
+                template = _BINOPS[code]
+                if code in _PLAIN_FDIV and rhs.nonzero:
+                    template = _PLAIN_FDIV[code]
+                self._push(
+                    template.format(a=lhs.paren, b=rhs.paren),
+                    locals_read=lhs.locals_read | rhs.locals_read,
+                    reads_global=lhs.reads_global or rhs.reads_global,
+                    reads_memory=lhs.reads_memory or rhs.reads_memory,
+                    ops=lhs.ops + rhs.ops + 1,
+                    temps=lhs.temps | rhs.temps,
+                )
+            elif code == op.BLOCK:
+                if index + 1 in self.unroll:
+                    skip_until, dead = self._compile_unrolled(index + 1)
+                    continue
                 self._spill_all()
                 self._open(code, index, instr.arg.arity)
             elif code == op.LOOP:
@@ -965,21 +1083,39 @@ class _FunctionCompiler:
                 info = self.analysis.get(index)
                 insert_at, indent = len(out.lines), out.indent
                 frame = self._open(code, index, instr.arg.arity)
+                if self.hot:
+                    # The back edges join here.
+                    self.known = {local: value
+                                  for local, value in self.known.items()
+                                  if local not in info.writes}
                 if frame.py_loop and info is not None:
                     self.loop_ctxs.append(_LoopCtx(index, info, frame, out,
                                                    insert_at, indent))
             elif code == op.IF:
                 condition = self._pop()
                 self._spill_all()
-                if instr.else_target == -1 and condition.literal:
-                    # An `if` on a nonzero literal without `else` (walc's
-                    # scope around a `for` init) always runs: a block.
-                    self._open(op.BLOCK, index, instr.arg.arity)
+                literal = condition.literal
+                if literal is not None and (
+                        self.hot or (literal and instr.else_target == -1)):
+                    # Only the arm that runs, as a block (in any function,
+                    # walc's `if (1)` scope around a `for` init). A then
+                    # arm's `else` skips to the end.
+                    if literal or instr.else_target != -1:
+                        self._open(op.BLOCK, index, instr.arg.arity)
+                    if not literal:
+                        skip_until = instr.target + 1 \
+                            if instr.else_target == -1 \
+                            else instr.else_target + 1
                 else:
                     self._open(code, index, instr.arg.arity,
                                f"if {condition.condition}:")
             elif code == op.ELSE:
                 frame = self.frames[-1]
+                if frame.kind == op.BLOCK:
+                    # An `if` on a nonzero literal, lowered as a block:
+                    # its then arm ran, so skip the else arm.
+                    skip_until = body[frame.label].target
+                    continue
                 if not dead:
                     self._spill_all()
                 if body[index + 1].opcode != op.END:
@@ -988,6 +1124,8 @@ class _FunctionCompiler:
                     out.indent += 1
                     frame.mark = out.count
                 self._reset_stack(frame.entry_height)
+                if self.hot:
+                    self.known = dict(frame.known)
                 dead = False
             elif code == op.END:
                 if not self.frames:
@@ -1082,31 +1220,12 @@ class _FunctionCompiler:
                 out.emit(f"s{top - 2} = s{top - 1}")
                 out.indent -= 1
                 self._pop()
-            elif code == op.LOCAL_GET:
-                self._push_local(instr.arg)
-            elif code == op.LOCAL_SET:
-                value = self._pop()
-                self._spill_local_readers(instr.arg)
-                out.emit(f"l{instr.arg} = {value.expr}")
-            elif code == op.LOCAL_TEE:
-                value = self._pop()
-                self._spill_local_readers(instr.arg)
-                out.emit(f"l{instr.arg} = {value.expr}")
-                self._push_local(instr.arg)
             elif code == op.GLOBAL_GET:
                 self._push(f"_g[{instr.arg}].value", reads_global=True, ops=1)
             elif code == op.GLOBAL_SET:
                 value = self._pop()
                 self._spill_global_readers()
                 out.emit(f"_g[{instr.arg}].value = {value.expr}")
-            elif code in (op.I32_CONST, op.I64_CONST):
-                literal = instr.arg
-                if literal >= 0:
-                    affine = {-1: literal} if code == op.I32_CONST else None
-                    self._push(str(literal), ops=0, lo=literal, hi=literal,
-                               affine=affine)
-                else:
-                    self._push(str(literal), ops=0)
             elif code in (op.F32_CONST, op.F64_CONST):
                 value = instr.arg
                 # NaN != 0.0 too: any divisor but a zero takes plain `/`.
@@ -1152,6 +1271,9 @@ class _FunctionCompiler:
                 self._push_var(f"_mem.grow({value.expr}) & {_MASK32}")
             elif code in (op.I32_EQZ, op.I64_EQZ):
                 operand = self._pop()
+                if self.hot and operand.literal is not None:
+                    self._push_literal(int(operand.literal == 0), True)
+                    continue
                 if operand.bool_expr is not None:
                     raw = f"not ({operand.bool_expr})"
                 elif operand.literal is not None:
@@ -1167,37 +1289,6 @@ class _FunctionCompiler:
                     bool_expr=raw,
                     lo=0, hi=1, temps=operand.temps,
                 )
-            elif code in _BINOPS:
-                rhs = self._pop()
-                lhs = self._pop()
-                if (code in _FOLDABLE_BINOPS and lhs.literal is not None
-                        and rhs.literal is not None):
-                    folded = eval(  # compile-time, pure integer arithmetic
-                        _BINOPS[code].format(a=lhs.expr, b=rhs.expr),
-                        dict(_FOLD_NAMESPACE),
-                    )
-                    if folded >= 0:
-                        self._push(str(folded), ops=0, lo=folded, hi=folded,
-                                   affine={-1: folded}
-                                   if _RANGE_BINOPS.get(code, ("", 0))[1] == 32
-                                   else None)
-                    else:
-                        self._push(str(folded), ops=0)
-                    continue
-                if code in _RANGE_BINOPS:
-                    self._push_value(self._range_binop(code, lhs, rhs))
-                    continue
-                template = _BINOPS[code]
-                if code in _PLAIN_FDIV and rhs.nonzero:
-                    template = _PLAIN_FDIV[code]
-                self._push(
-                    template.format(a=lhs.paren, b=rhs.paren),
-                    locals_read=lhs.locals_read | rhs.locals_read,
-                    reads_global=lhs.reads_global or rhs.reads_global,
-                    reads_memory=lhs.reads_memory or rhs.reads_memory,
-                    ops=lhs.ops + rhs.ops + 1,
-                    temps=lhs.temps | rhs.temps,
-                )
             elif code in _TRAPPING_BINOPS:
                 rhs = self._pop()
                 lhs = self._pop()
@@ -1206,6 +1297,11 @@ class _FunctionCompiler:
             elif code in _RELOPS or code in _SIGNED_RELOPS:
                 rhs = self._pop()
                 lhs = self._pop()
+                if self.hot and lhs.literal is not None \
+                        and rhs.literal is not None:
+                    self._push_literal(
+                        _fold_compare(code, lhs.literal, rhs.literal), True)
+                    continue
                 if code in _MULTI_USE_RELOPS:
                     # The template reads each operand more than once:
                     # materialise both into fresh temporaries first.
@@ -1248,6 +1344,14 @@ class _FunctionCompiler:
                 bits = _SIGNED_UNOPS.get(code)
                 if bits:
                     text = _signed_reading(operand, bits)
+                if self.hot and code in _INT_TO_FLOAT \
+                        and operand.literal is not None:
+                    # `float(3)` is `3.0`: convert the literal now (an
+                    # integer's float is finite, even rounded to f32).
+                    folded = eval(template.format(a=text),
+                                  dict(_FOLD_NAMESPACE))
+                    self._push(repr(folded), ops=0, nonzero=folded != 0.0)
+                    continue
                 self._push(
                     template.format(a=text),
                     locals_read=operand.locals_read,
@@ -1259,16 +1363,74 @@ class _FunctionCompiler:
                              and operand.lo >= 1
                              and (not bits or _below_sign(operand, bits))),
                 )
-            elif code in _TRAPPING_UNOPS:
+            elif code in _TRUNCS:
                 operand = self._pop()
-                self._push_var(_TRAPPING_UNOPS[code].format(a=operand.expr))
+                if not (operand.is_var or operand.expr.isidentifier()):
+                    # The fast path reads its operand three times.
+                    self.stack.append(operand)
+                    self._materialize(len(self.stack) - 1)
+                    operand = self._pop()
+                signed, bits = _TRUNCS[code]
+                x = operand.expr
+                fast = f"int({x})"
+                if signed:
+                    fast += " & " + (_MASK32 if bits == 32 else _MASK64)
+                test = _TRUNC_TESTS[signed, bits].format(x=x)
+                self._push_var(f"{fast} if {test} "
+                               f"else _trunc({x}, {signed}, {bits})")
             else:
                 raise WasmError(f"AOT: unimplemented opcode {op.name(code)}")
+        return dead
+
+    def _compile_unrolled(self, index: int) -> Tuple[int, bool]:
+        """Lower the loop at ``index`` (see ``aotopt.unroll_plan``) as
+        one straight-line copy of its body per trip, with the induction
+        local a known literal in each: the guard and the step emit
+        nothing, and the local is set to its exit value after the last
+        copy. Returns the index past the exit block and whether control
+        cannot get there (a copy always returns)."""
+        info = self.analysis[index]
+        induction = info.induction
+        local = induction.local
+        # A loop inside whose guard bound is this local reads it by name
+        # in its versioning preflight: keep the variable current there.
+        named = any(inner.induction is not None
+                    and inner.induction.bound_local == local
+                    for start, inner in self.analysis.items()
+                    if index < start < info.end)
+        self._spill_all()
+        height = len(self.stack)
+        value = induction.init
+        for _ in range(self.unroll[index]):
+            self.known[local] = value
+            if named:
+                self.out.emit(f"l{local} = {value}")
+            if self._compile_range(induction.body_start, info.end - 5):
+                return info.end + 2, True
+            # `br` drops whatever the body left above the loop's base.
+            del self.stack[height:]
+            value += induction.step
+        if value != induction.init:
+            self.out.emit(f"l{local} = {value}")
+        self.known[local] = value
+        return info.end + 2, False
 
     # -- optimisation passes ------------------------------------------------------
 
+    def _push_literal(self, literal: int, is32: bool) -> None:
+        """An integer literal: its own range, and for i32 its affine form."""
+        if literal >= 0:
+            self._push(str(literal), ops=0, lo=literal, hi=literal,
+                       affine={-1: literal} if is32 else None)
+        else:
+            self._push(str(literal), ops=0)
+
     def _push_local(self, local: int) -> None:
         """local.get / the re-read half of local.tee, with metadata."""
+        if self.known and local in self.known:
+            self._push_literal(self.known[local],
+                               self.local_types[local] == ValType.I32)
+            return
         lo = hi = None
         affine = None
         if self.local_types[local] == ValType.I32:
@@ -1390,6 +1552,8 @@ class _FunctionCompiler:
                 and self._require_in_bounds(address, offset, width)
         shift = self._plane_shift(code, table, address, offset, width)
         if rebuild:
+            if address.temps:
+                self.bypassed.update(address.temps)
             effective = dict(address.affine)
             effective[-1] = effective.get(-1, 0) + offset
             if shift is not None:
@@ -1519,6 +1683,7 @@ class _FunctionCompiler:
         height = len(self.stack)
         frames_len = len(self.frames)
         snapshot = (self.next_temp, self.next_hoist)
+        known = self.known
         outer = self.out
 
         self.version_depth += 1
@@ -1530,6 +1695,7 @@ class _FunctionCompiler:
         fast_out = _Emitter()
         fast_out.indent = outer.indent + 1
         self.out = fast_out
+        self.known = dict(known)
         self._compile_range(index, stop)
         self.fast = None
         fast_counters = (self.next_temp, self.next_hoist)
@@ -1545,6 +1711,7 @@ class _FunctionCompiler:
             # but let its inner loops try their own versions.
             self.no_version.add(index)
             self.version_depth -= 1
+            self.known = known
             self._compile_range(index, stop)
             return stop
 
@@ -1555,6 +1722,7 @@ class _FunctionCompiler:
             safe_out = _Emitter()
             safe_out.indent = outer.indent + 1
             self.out = safe_out
+            self.known = known
             self._compile_range(index, stop)
             self.out = outer
         self.version_depth -= 1
@@ -1576,6 +1744,49 @@ class _FunctionCompiler:
         del self.frames[frames_len:]
         self._reset_stack(height)
         return stop
+
+
+# Only hoists are named h<digits>, and every generated line is indented.
+_HOIST_READ = re.compile(r"h\d+")
+_HOIST_ASSIGNED = re.compile(r" (h\d+) = ")
+
+
+def _drop_unread_hoists(lines: List[str], candidates: set) -> None:
+    """Delete each preheader hoist among ``candidates`` that no other
+    line reads. The candidates are the hoists some address indexed
+    straight from its affine form was built from, bypassing them; the
+    hoists a deleted line read become candidates in turn. (A versioned
+    loop's two copies may each assign a hoist.)"""
+    if not candidates:
+        return
+    text = "\n".join(lines) + "\n"
+    mentions = Counter(_HOIST_READ.findall(text))
+    assigned = Counter(_HOIST_ASSIGNED.findall(text))
+    spans = []
+    while candidates:
+        read_by_dead = set()
+        for name in candidates:
+            if not assigned[name] or mentions[name] != assigned[name]:
+                continue
+            assigned[name] = 0
+            assignment = f" {name} = "
+            position = text.find(assignment)
+            while position >= 0:
+                end = text.index("\n", position) + 1
+                spans.append((text.rfind("\n", 0, position) + 1, end))
+                for read in _HOIST_READ.findall(
+                        text, position + len(assignment), end):
+                    mentions[read] -= 1
+                    read_by_dead.add(read)
+                position = text.find(assignment, end)
+        candidates = read_by_dead
+    if spans:
+        kept, cursor = [], 0
+        for start, end in sorted(spans):
+            kept.append(text[cursor:start])
+            cursor = end
+        kept.append(text[cursor:])
+        lines[:] = "".join(kept).split("\n")[:-1]
 
 
 def _affine_expr(affine: Dict[int, int], scale: int) -> str:

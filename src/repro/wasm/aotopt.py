@@ -61,6 +61,13 @@ A second pre-pass, :func:`python_loops`, decides the control lowering:
 which ``block``/``loop``/``if`` constructs need a Python ``while True:``
 at all (see its docstring).
 
+:func:`hot_functions` marks, once per module, the functions a ``loop``
+calls, directly or through another such function, and
+:func:`unroll_plan` picks the counted loops of those that the lowering
+emits as straight-line copies, one per trip: a trip count, no branch out
+of the body but the guard's exit and the final back edge, and at most
+:data:`UNROLL_BUDGET` instructions emitted, inner loops included.
+
 Everything here is shape matching over the flat instruction list — the
 decoder already resolved each ``block``/``loop``/``if`` to its matching
 ``end`` index (``Instr.target``), so regions are index ranges.
@@ -68,11 +75,11 @@ decoder already resolved each ``block``/``loop``/``if`` to its matching
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.wasm import numerics as num
 from repro.wasm import opcodes as op
-from repro.wasm.module import Function, Instr
+from repro.wasm.module import Function, Instr, Module
 from repro.wasm.types import ValType
 
 #: Opcodes that touch linear memory (loads and stores of every width).
@@ -120,12 +127,12 @@ class Induction:
     """The counted-loop pattern: ``for i = C; i < N; i += S``."""
 
     __slots__ = ("local", "init", "step", "bound_const", "bound_local",
-                 "signed", "inclusive", "back_edges_step")
+                 "signed", "inclusive", "back_edges_step", "body_start")
 
     def __init__(self, local: int, init: Optional[int], step: int,
                  bound_const: Optional[int], bound_local: Optional[int],
                  signed: bool, inclusive: bool,
-                 back_edges_step: bool) -> None:
+                 back_edges_step: bool, body_start: int) -> None:
         self.local = local
         self.init = init
         self.step = step
@@ -135,6 +142,8 @@ class Induction:
         self.inclusive = inclusive
         #: Every branch to the loop header is the step followed by ``br``.
         self.back_edges_step = back_edges_step
+        #: Index of the first body instruction after the guard's ``br_if``.
+        self.body_start = body_start
 
     @property
     def max_numeric(self) -> Optional[int]:
@@ -249,6 +258,37 @@ def python_loops(body: List[Instr]) -> Set[int]:
     plain ``if``/``else``. Branches in dead code count as targeting:
     that only ever keeps a loop the lowering could have dropped.
     """
+    sources, opener_of_end = _branch_sources(body)
+    loops: Set[int] = set()
+    # Ends were recorded in body order, so inner constructs are decided
+    # before the constructs around them.
+    for end, start in opener_of_end.items():
+        if start not in sources:
+            continue
+        if body[start].opcode != op.LOOP:
+            exit_loop = _exit_loop(end, opener_of_end, loops)
+            if exit_loop is not None and all(
+                    exit_loop < source < body[exit_loop].target
+                    for source in sources[start]):
+                continue
+        loops.add(start)
+    return loops
+
+
+def branch_targets(body: List[Instr]) -> Set[int]:
+    """The constructs (by opener index) that some branch targets."""
+    return set(_branch_sources(body)[0])
+
+
+def _branch_depths(instr: Instr) -> Tuple[int, ...]:
+    if instr.opcode == op.BR_TABLE:
+        return tuple(instr.arg[0]) + (instr.arg[1],)
+    return (instr.arg,)
+
+
+def _branch_sources(body: List[Instr]) -> Tuple[Dict[int, List[int]],
+                                                Dict[int, int]]:
+    """``(opener -> indices of the branches targeting it, end -> opener)``."""
     sources: Dict[int, List[int]] = {}
     opener_of_end: Dict[int, int] = {}
     open_stack: List[int] = []
@@ -268,20 +308,7 @@ def python_loops(body: List[Instr]) -> Set[int]:
                 if depth < len(open_stack):
                     target = open_stack[-1 - depth]
                     sources.setdefault(target, []).append(index)
-    loops: Set[int] = set()
-    # Ends were recorded in body order, so inner constructs are decided
-    # before the constructs around them.
-    for end, start in opener_of_end.items():
-        if start not in sources:
-            continue
-        if body[start].opcode != op.LOOP:
-            exit_loop = _exit_loop(end, opener_of_end, loops)
-            if exit_loop is not None and all(
-                    exit_loop < source < body[exit_loop].target
-                    for source in sources[start]):
-                continue
-        loops.add(start)
-    return loops
+    return sources, opener_of_end
 
 
 def _exit_loop(end: int, opener_of_end: Dict[int, int],
@@ -297,12 +324,15 @@ def _exit_loop(end: int, opener_of_end: Dict[int, int],
 
 
 def analyze(func: Function) -> Dict[int, LoopInfo]:
-    """Analyse every loop in ``func``; keyed by LOOP instruction index."""
-    body = func.body
-    loops: Dict[int, LoopInfo] = {}
-    for index, instr in enumerate(body):
-        if instr.opcode == op.LOOP:
-            loops[index] = _analyze_loop(body, index, instr.target)
+    """Analyse every loop in ``func``; keyed by LOOP instruction index.
+    Computed once per function and memoised on it."""
+    loops = getattr(func, "_aot_loops", None)
+    if loops is None:
+        body = func.body
+        loops = {index: _analyze_loop(body, index, instr.target)
+                 for index, instr in enumerate(body)
+                 if instr.opcode == op.LOOP}
+        func._aot_loops = loops  # type: ignore[attr-defined]
     return loops
 
 
@@ -431,7 +461,7 @@ def _match_induction(body: List[Instr], start: int, end: int,
     if not saw_step:
         return None
     return Induction(local, init, step, bound_const, bound_local,
-                     signed, inclusive, back_edges_step)
+                     signed, inclusive, back_edges_step, cursor + 3)
 
 
 def counter_bounds(func: Function, param_count: int,
@@ -492,3 +522,113 @@ def counter_bounds(func: Function, param_count: int,
         if bound <= num.MASK32:
             bounds[local] = bound
     return bounds
+
+
+def written_locals(body: List[Instr], opener: int) -> Set[int]:
+    """The locals written anywhere in the construct opened at ``opener``."""
+    return {body[index].arg
+            for index in range(opener + 1, body[opener].target)
+            if body[index].opcode in (op.LOCAL_SET, op.LOCAL_TEE)}
+
+
+#: Full unrolling budget, in Wasm instructions: the code a loop emits once
+#: unrolled, trips times its length with the loops inside counted as they
+#: are emitted. 1,000 admits every counted nest of the hot Genann
+#: functions; the largest, in ``ann_train_one``, emits 4 copies of 208.
+#: Counting inner loops as emitted keeps a nest from multiplying: a
+#: budget on each loop's own length alone let a four-deep nest of small
+#: loops emit 10,000 copies.
+UNROLL_BUDGET = 1000
+
+
+def unroll_trips(body: List[Instr], info: LoopInfo) -> Optional[int]:
+    """The trip count of a loop whose shape allows full unrolling, else
+    None (:func:`unroll_plan` applies the budget).
+
+    The loop needs a trip count; it and its exit block must yield no
+    value; its last instructions must be the step and ``br 0``; and apart
+    from the guard's exit and that back edge no branch in it may target
+    the loop or a construct around it (a ``continue`` or a ``break``
+    would; a ``return`` may stay). Each copy of the body then runs
+    straight through to the next one.
+    """
+    induction = info.induction
+    trips = induction.trips if induction is not None else None
+    if trips is None:
+        return None
+    start, end = info.start, info.end
+    if body[start].arg.arity or body[start - 1].arg.arity:
+        return None
+    back_edge, step = body[end - 1], body[end - 2]
+    if back_edge.opcode != op.BR or back_edge.arg != 0 \
+            or step.opcode != op.LOCAL_SET or step.arg != induction.local:
+        return None
+    depth = 0  # constructs opened since the loop header
+    for index in range(induction.body_start, end - 1):
+        instr = body[index]
+        code = instr.opcode
+        if code in _OPENERS:
+            depth += 1
+        elif code == op.END:
+            depth -= 1
+        elif code in _BRANCHES and max(_branch_depths(instr)) >= depth:
+            return None
+    return trips
+
+
+def unroll_plan(body: List[Instr],
+                loops: Dict[int, LoopInfo]) -> Dict[int, int]:
+    """LOOP index -> trips, for every loop to emit as straight-line
+    copies: :func:`unroll_trips` allows it, and its trips times its
+    emitted length are within :data:`UNROLL_BUDGET`."""
+    plan: Dict[int, int] = {}
+    emitted: Dict[int, int] = {}
+    # A loop's region holds only shorter loops, so inner loops come first.
+    for start in sorted(loops, key=lambda index: loops[index].end - index):
+        info = loops[start]
+        length = info.end - start
+        cursor = start
+        for inner in sorted(index for index in emitted
+                            if start < index < info.end):
+            if inner > cursor:  # outermost of the loops inside
+                length += emitted[inner] - (loops[inner].end - inner)
+                cursor = loops[inner].end
+        trips = unroll_trips(body, info)
+        if trips is not None and trips * length <= UNROLL_BUDGET:
+            plan[start] = trips
+            length *= trips
+        emitted[start] = length
+    return plan
+
+
+def hot_functions(module: Module) -> FrozenSet[int]:
+    """The *hot* local functions of ``module``, by function index.
+
+    A function is hot when a direct ``call`` inside some ``loop`` region
+    reaches it, or a hot function calls it directly: it may run many
+    times per invocation, so straight-line code for its small counted
+    loops repays its compile cost. A ``call_indirect`` makes no callee
+    hot. Computed once per module (code-cache artifacts are keyed by
+    module content) and memoised on it.
+    """
+    hot = getattr(module, "_aot_hot_functions", None)
+    if hot is not None:
+        return hot
+    base = len(module.imported_funcs)
+    reached: Set[int] = set()
+    for func in module.functions:
+        for info in analyze(func).values():
+            if info.has_call:
+                reached.update(instr.arg
+                               for instr in func.body[info.start:info.end]
+                               if instr.opcode == op.CALL)
+    pending = [index for index in reached if index >= base]
+    while pending:
+        for instr in module.functions[pending.pop() - base].body:
+            if instr.opcode == op.CALL and instr.arg not in reached:
+                reached.add(instr.arg)
+                if instr.arg >= base:
+                    pending.append(instr.arg)
+    hot = frozenset(index for index in reached if index >= base)
+    module._aot_hot_functions = hot  # type: ignore[attr-defined]
+    return hot

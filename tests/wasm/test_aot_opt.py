@@ -229,10 +229,11 @@ def _callees(module, func_index: int) -> list:
 
 
 def test_genann_weights_index_planes_from_the_running_counter():
-    """Genann's weight cursor ``pos`` is a running counter: bounded by 35
-    in ``ann_run`` and 55 in ``ann_train_one``, so every weight access
-    reads ``_pD[pos + K]`` and no address built from it, or indexing a
-    plane, carries a mask."""
+    """Genann's weight cursor ``pos`` is a running counter (bounded by 35
+    in ``ann_run`` and 55 in ``ann_train_one``) in hot functions whose
+    counted loops unroll, so in every copy it is a literal: each weight
+    access indexes ``_pD`` with a literal and no mask, and every weight
+    is reached."""
     module = decode_module(build_attested_ann(_VERIFIER_KEY, "verifier",
                                               7000))
     base = len(module.imported_funcs)
@@ -243,17 +244,18 @@ def test_genann_weights_index_planes_from_the_running_counter():
         counters = aotopt.counter_bounds(
             func, len(module.func_type(func_index).params),
             aotopt.analyze(func))
-        pos = max(counters, key=counters.get)
-        assert counters[pos] == bound
+        assert max(counters.values()) == bound
         source = AotCompiler().compile_artifact(module, func_index)[1]
-        accesses = _accesses(source.splitlines())
-        from_counter = [line for line in accesses
-                        if re.search(rf"\bl{pos}\b", line)]
-        assert any(f"_pD[l{pos} + " in line for line in from_counter)
-        assert f"l{pos} = l{pos} + 1" in source
-        for line in from_counter + [line for line in accesses
-                                    if "_pD[" in line]:
-            assert "& 0xFFFFFFFF" not in line, (func_index, line)
+        indices = set()
+        for line in source.splitlines():
+            for index in re.findall(r"_pD\[([^]]*)\]", line):
+                assert index.isdigit(), (func_index, line)
+                indices.add(int(index))
+            if "_pD[" in line:
+                assert "& 0xFFFFFFFF" not in line, (func_index, line)
+        # The weights lie below the hidden and output areas.
+        weights = min(indices)
+        assert set(range(weights, weights + 35)) <= indices
 
 
 def _counter_module(shape: str) -> bytes:
@@ -393,29 +395,135 @@ def test_address_taken_before_its_local_changes_keeps_the_old_value(
 
 def test_genann_exp_taylor_loop_is_helper_free():
     """Genann's sigmoid spends its time in ``exp_shared``'s 11-step Taylor
-    loop: ``term * r / (i as f64)`` with ``i`` in [1, 11] divides by a
-    proven-nonzero float, so neither ``_fdiv`` nor a sign helper runs."""
+    loop, ``term * r / (i as f64)``: the function is hot, so the loop is
+    11 straight-line divisions by the float literals 1.0 to 11.0, with
+    neither ``_fdiv`` nor a sign helper."""
     module = decode_module(build_attested_ann(_VERIFIER_KEY, "verifier",
                                               7000))
     (source,) = [source for _, source in _sources(module)
                  if "0.6931471805599453" in source]
-    lines = source.splitlines()
-    header = next(index for index, line in enumerate(lines)
-                  if "while True:  # loop" in line)
-    taylor = "\n".join(_suite(lines, header))
-    assert "/ (float(l" in taylor, taylor
-    assert "_fdiv(" not in taylor and "_s32(" not in taylor, taylor
+    divisions = re.findall(r"^ +l\d+ = \(l\d+ \* l\d+\) / \((\d+\.0)\)$",
+                           source, re.MULTILINE)
+    assert divisions == [f"{k}.0" for k in range(1, 12)], source
+    assert "_fdiv(" not in source and "_s32(" not in source, source
 
 
 def test_polybench_codegen_is_compact():
     """The 30 quarter-size kernels lower to at least 40% fewer lines than
-    the ``while True``/``_br`` capsule lowering's 17,777."""
+    the ``while True``/``_br`` capsule lowering's 17,777, and to fewer
+    than the 3,075 they took before unread hoists were dropped."""
     lines = 0
     for kernel in all_kernels():
         module = decode_module(compile_source(
             kernel.walc_source(max(1, kernel.default_size // 4))))
         lines += sum(source.count("\n") for _, source in _sources(module))
     assert lines <= 0.6 * 17_777, lines
+    assert lines < 3_075, lines
+
+
+_HOIST = re.compile(r"^ *(h\d+) = ", re.MULTILINE)
+
+
+def test_workload_hoists_are_all_read():
+    """Every preheader hoist ``hN`` a workload function assigns is read
+    by some other line of that function."""
+    for name, module in _workload_modules():
+        for _, source in _sources(module):
+            for hoist in set(_HOIST.findall(source)):
+                reads = len(re.findall(rf"\b{hoist}\b", source))
+                assert reads > len(re.findall(rf"^ *{hoist} = ", source,
+                                              re.MULTILINE)), \
+                    (name, hoist, source)
+
+
+def test_a_bypassed_hoist_that_is_read_elsewhere_stays():
+    """``i * 64`` is hoisted out of the inner loop; the fast copy indexes
+    its plane straight from the affine form, bypassing the hoist, but
+    the stored value ``i * 64 + 1`` still reads it, so it must stay."""
+    binary = compile_source("""
+memory 1;
+export fn f(n: i32) -> i32 {
+  var t: i32 = 0;
+  for (var i: i32 = 0; i < n; i = i + 1) {
+    for (var j: i32 = 0; j < 4; j = j + 1) {
+      store_i32(i * 64 + j * 4, i * 64 + 1);
+      t = t + load_i32(i * 64 + j * 4);
+    }
+  }
+  return t;
+}
+""")
+    ((fast, safe),) = _versioned_copies(_source(binary))
+    assert any(line.strip().startswith("h0 = ") for line in fast)
+    indices = [index for line in fast
+               for index in re.findall(r"_pI\[([^]]*)\]", line)]
+    assert indices and not any("h0" in index for index in indices)
+    for n in (0, 3, 1024, 1025):
+        outcomes = []
+        for engine in (Interpreter(), AotCompiler()):
+            instance = engine.instantiate(binary)
+            try:
+                outcomes.append(instance.invoke("f", n))
+            except TrapError as trap:
+                outcomes.append(str(trap))
+        assert outcomes[0] == outcomes[1], n
+
+
+def test_only_genann_and_dbcore_have_hot_functions():
+    """A function is hot when a loop calls it, directly or through a hot
+    function. No PolyBench build (so nothing ``cold-deploy`` compiles)
+    and not the WASI-RA app has one; in dbcore none of the hot functions
+    holds a loop with a trip count, so nothing there unrolls either."""
+    for name, module in _workload_modules():
+        hot = aotopt.hot_functions(module)
+        assert hot is aotopt.hot_functions(module)  # memoised
+        if name == "genann":
+            assert len(hot) == 4
+        elif name == "dbcore":
+            assert len(hot) == 12 and len(module.functions) == 32
+            base = len(module.imported_funcs)
+            for func_index in hot:
+                func = module.functions[func_index - base]
+                assert all(aotopt.unroll_trips(func.body, info) is None
+                           for info in aotopt.analyze(func).values())
+        else:
+            assert hot == frozenset(), name
+
+
+def test_genann_hot_loops_are_straight_line():
+    """In the attested Genann build, ``exp_shared``, ``sigmoid``,
+    ``ann_run`` and ``ann_train_one`` are hot and emit no ``while True``
+    for a loop with a compile-time trip count; ``exp_shared``'s 2^k loops,
+    bounded by a runtime value, stay loops, as do the loops of
+    ``ann_init``, ``ann_accuracy`` and ``ann_weight_checksum``; and every
+    ``_trunc`` call is the fallback arm of the inline range test."""
+    module = decode_module(build_attested_ann(_VERIFIER_KEY, "verifier",
+                                              7000))
+    base = len(module.imported_funcs)
+    (train_one,) = set(_callees(module, module.export("ann_train").index))
+    run = _callees(module, train_one)[0]
+    (sigmoid,) = set(_callees(module, run))
+    (exp_shared,) = set(_callees(module, sigmoid))
+    assert aotopt.hot_functions(module) == {train_one, run, sigmoid,
+                                            exp_shared}
+    for func_index in (train_one, run, sigmoid, exp_shared):
+        func = module.functions[func_index - base]
+        source = AotCompiler().compile_artifact(module, func_index)[1]
+        for index, info in aotopt.analyze(func).items():
+            kept = f"while True:  # loop @{index}" in source
+            assert kept == (info.induction is None
+                            or info.induction.trips is None), \
+                (func_index, index)
+        if func_index == exp_shared:
+            assert source.count("while True:  # loop") == 2
+    for name in ("ann_init", "ann_accuracy", "ann_weight_checksum"):
+        func_index = module.export(name).index
+        func = module.functions[func_index - base]
+        source = AotCompiler().compile_artifact(module, func_index)[1]
+        assert all(f"while True:  # loop @{index}" in source
+                   for index in aotopt.analyze(func)), name
+    for _, source in _sources(module):
+        assert source.count("_trunc(") == source.count(" else _trunc(")
 
 
 def test_codegen_is_deterministic():

@@ -7,7 +7,9 @@ arithmetic, loop-invariant subexpressions, aligned and misaligned
 accesses) plus the shapes that must defeat it (out-of-bounds addresses,
 division by zero). Every program runs on the interpreter (the reference
 oracle) and on AOT; both must agree on the result value, on trap type
-and message, and on the final linear memory.
+and message, and on the final linear memory. Half the programs are also
+called from a loop, which makes them hot: their small counted loops are
+then emitted as straight-line copies.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ def loop_programs(draw):
     relop = draw(st.sampled_from(_RELOPS))
     add_base = draw(st.booleans())
     divide = draw(st.booleans())
+    hot = draw(st.booleans())
     accesses = draw(st.lists(
         st.tuples(
             st.sampled_from([1, 2, 4]),       # access width
@@ -97,7 +100,16 @@ def loop_programs(draw):
     f.end()
     f.local_get(_ACC)
     builder.export_function("f", f.index)
+    if hot:
+        _call_from_a_loop(builder, f.index)
     return builder.build()
+
+
+def _call_from_a_loop(builder: ModuleBuilder, func_index: int) -> None:
+    """Add a function (never run) that calls ``func_index`` inside a
+    ``loop``: that makes it hot, so its small counted loops unroll."""
+    caller = builder.add_function(builder.add_type([], []))
+    caller.loop().i32_const(0).call(func_index).emit(op.DROP).end()
 
 
 def _outcome(instance, argument):
@@ -153,6 +165,7 @@ def counter_programs(draw):
              for _ in range(draw(st.integers(1, 2)))]
     add_base = draw(st.booleans())
     is_store = draw(st.booleans())
+    hot = draw(st.booleans())
 
     builder = ModuleBuilder()
     builder.add_memory(1, 2)
@@ -184,6 +197,8 @@ def counter_programs(draw):
         f.end()
     f.local_get(counter)
     builder.export_function("f", f.index)
+    if hot:
+        _call_from_a_loop(builder, f.index)
     return builder.build()
 
 
