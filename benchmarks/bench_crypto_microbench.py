@@ -12,11 +12,14 @@ Writes ``bench_results/crypto_microbench.txt`` (human-readable) and
 ``bench_results/BENCH_crypto.json`` (machine-readable, for CI artifact
 diffing), with each asserted check recorded under ``gates`` before it is
 asserted: verify and ECDH at least 3x over the reference (measured
-speedups are typically 4-5x), and a faster full handshake.
+speedups are typically 4-5x), and a faster full handshake. Each round
+times both paths of one operation back to back, in alternating order, so
+a change in host speed during the run moves both sides of a ratio alike.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import time
 
@@ -37,22 +40,13 @@ def _private_scalar(label: bytes) -> int:
 
 
 #: Why every gate is asserted on any host.
-_GATE_REASON = ("both paths run back to back in one process on one core, "
-                "best of several rounds, so the ratio does not depend on "
-                "the host's CPU count")
+_GATE_REASON = ("both paths run back to back in alternating rounds in one "
+                "process on one core, best of the same rounds, so the ratio "
+                "depends neither on the host's CPU count nor on its speed "
+                "drifting between the paths")
 
 _SIGNER = ecdsa.keypair_from_private(_private_scalar(b"microbench signer"))
 _PEER = ecdsa.keypair_from_private(_private_scalar(b"microbench peer"))
-
-
-def _time(callable_, rounds=_ROUNDS):
-    """Best-of-rounds wall clock; robust against scheduler noise."""
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        callable_()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _deterministic_random(label):
@@ -88,17 +82,34 @@ def _handshake_once():
     return attester.handle_msg3(session, msg3)
 
 
-def _measure_suite():
-    """Time the four operations on the currently selected crypto path."""
+def _time_once(callable_, naive: bool) -> float:
+    with ec.reference_paths() if naive else contextlib.nullcontext():
+        start = time.perf_counter()
+        callable_()
+        return time.perf_counter() - start
+
+
+def _measure():
+    """Best-of-rounds wall clock of the four operations on the fast and
+    the naive path: ``(fast, naive)``, each keyed by operation."""
     signature = ecdsa.sign(_SIGNER.private, _MESSAGE)
-    return {
-        "sign": _time(lambda: ecdsa.sign(_SIGNER.private, _MESSAGE)),
-        "verify": _time(
-            lambda: ecdsa.verify(_SIGNER.public, _MESSAGE, signature)),
-        "ecdh": _time(
-            lambda: ecdh.shared_secret(_SIGNER.private, _PEER.public)),
-        "handshake": _time(_handshake_once, rounds=3),
+    operations = {
+        "sign": (lambda: ecdsa.sign(_SIGNER.private, _MESSAGE), _ROUNDS),
+        "verify": (lambda: ecdsa.verify(_SIGNER.public, _MESSAGE,
+                                        signature), _ROUNDS),
+        "ecdh": (lambda: ecdh.shared_secret(_SIGNER.private, _PEER.public),
+                 _ROUNDS),
+        "handshake": (_handshake_once, 3),
     }
+    fast, naive = {}, {}
+    for name, (callable_, rounds) in operations.items():
+        fast[name] = naive[name] = float("inf")
+        for round_ in range(rounds):
+            for use_naive in (round_ % 2 == 1, round_ % 2 == 0):
+                best = naive if use_naive else fast
+                best[name] = min(best[name],
+                                 _time_once(callable_, use_naive))
+    return fast, naive
 
 
 def test_crypto_microbench():
@@ -108,10 +119,7 @@ def test_crypto_microbench():
     ec.warm_generator_tables()
     ec.precompute_public_key(_SIGNER.public)
     ec.precompute_public_key(_PEER.public)
-    fast = _measure_suite()
-
-    with ec.reference_paths():
-        naive = _measure_suite()
+    fast, naive = _measure()
 
     operations = ["sign", "verify", "ecdh", "handshake"]
     speedups = {op: naive[op] / fast[op] for op in operations}

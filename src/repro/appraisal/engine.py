@@ -50,9 +50,9 @@ class AppraisalEngine:
         """The live policy fingerprint (recomputed; policy may mutate)."""
         return self.policy.fingerprint()
 
-    def evaluator(self) -> PolicyEvaluator:
-        """The compiled policy, recompiled lazily after any mutation."""
-        fingerprint = self.policy.fingerprint()
+    def evaluator(self, fingerprint: bytes) -> PolicyEvaluator:
+        """The compiled policy, recompiled lazily after any mutation;
+        ``fingerprint`` is the live one (:meth:`fingerprint`)."""
         if fingerprint != self._evaluator.fingerprint:
             self._evaluator = self.policy.compile()
         return self._evaluator
@@ -88,7 +88,9 @@ class AppraisalEngine:
             raise
 
     def record(self, tee_type: int, accepted: bool, reason: str,
-               detail: str = "") -> None:
-        """Audit one decision under the current policy fingerprint."""
-        self.audit.record(tee_type, accepted, reason,
-                          self.policy.fingerprint(), detail)
+               detail: str = "", fingerprint: Optional[bytes] = None) -> None:
+        """Audit one decision under the current policy fingerprint (which
+        the caller may pass when it has computed it already)."""
+        if fingerprint is None:
+            fingerprint = self.policy.fingerprint()
+        self.audit.record(tee_type, accepted, reason, fingerprint, detail)

@@ -3,9 +3,10 @@
 The flow of paper Fig. 2: the normal world places AOT bytecode in a shared
 buffer and invokes the runtime TA; the runtime copies the bytecode into
 secure memory *measuring it as it goes*, allocates executable pages
-through the kernel extension, instantiates the module with WASI + WASI-RA
-bindings, and executes it. The per-phase startup breakdown (Fig. 4) is
-recorded on every load.
+through the kernel extension, loads and instantiates the module with WASI +
+WASI-RA bindings, and executes it. The per-phase startup breakdown (Fig. 4)
+is recorded on every load. Unloading an application (or closing the
+session) closes its instance, which frees its memory and code at once.
 
 A :class:`NormalWorldRuntime` (the WAMR-outside-the-TEE baseline of
 Figs. 5/6/8) shares the engines but binds WASI to the cheap normal-world
@@ -27,9 +28,7 @@ from repro.optee.ta import TaManifest, TrustedApplication
 from repro.wasi import ProcExit, WasiEnvironment, build_wasi_imports
 from repro.wasm import AotCompiler, Interpreter
 from repro.wasm import codecache
-from repro.wasm.decoder import decode_module
 from repro.wasm.runtime import Instance
-from repro.wasm.validation import validate_module
 
 # Runtime TA commands.
 CMD_LOAD = 1
@@ -106,6 +105,11 @@ class WatzRuntime(TrustedApplication):
         super().open_session(api)
         self._apps: Dict[int, LoadedApp] = {}
         self._next_handle = 1
+
+    def close_session(self) -> None:
+        for app in self._apps.values():
+            app.instance.close()
+        self._apps.clear()
 
     # -- TA command dispatch ----------------------------------------------------
 
@@ -202,34 +206,28 @@ class WatzRuntime(TrustedApplication):
             # the paper's dominant phase (73% of startup, Fig. 4): "parses the
             # bytecode and creates the internal structures required to run",
             # including the relocation processing our AOT compilation stands
-            # in for. The content-addressed code cache skips the parse/validate
-            # (and, below, the per-function compile) when the same binary was
-            # loaded before; the bytecode copy and its SimClock charge are real
-            # data movement and are always paid.
-            cache = codecache.DEFAULT_CACHE if params.get("code_cache", True) \
-                else None
+            # in for. The bytecode copy and its SimClock charge are real data
+            # movement and are always paid.
             started = time.perf_counter()
             api.charge_ns(api.costs.shared_copy_ns(size))
             copier = MeasuringCopier()
             bytecode = copier.copy(shared_buffer.read(0, size))
-            cache_key = None
-            cache_entry = None
-            if cache is not None:
-                cache_key = codecache.CodeCache.module_key(bytecode)
-                cache_entry = cache.lookup(cache_key, engine.cache_identity)
-            if cache_entry is not None:
-                module = cache_entry.module
-            else:
-                module = decode_module(bytecode)
-                validate_module(module)
-                if cache is not None:
-                    cache.store(cache_key, engine.cache_identity, module)
-            breakdown.load_s = time.perf_counter() - started
+            copy_s = time.perf_counter() - started
 
             # Phase 4: measurement (the hash later embedded in evidence).
             started = time.perf_counter()
             measurement = copier.finish()
             breakdown.hash_s = time.perf_counter() - started
+
+            # The rest of the load. The measurement is the binary's SHA-256,
+            # so it is the content-addressed code cache's key: a binary
+            # loaded before skips decode, validate and compile.
+            started = time.perf_counter()
+            loaded = engine.load(
+                bytecode,
+                codecache.DEFAULT if params.get("code_cache", True) else None,
+                key=measurement.hex)
+            breakdown.load_s = copy_s + time.perf_counter() - started
 
             # WASI-RA needs the finished measurement as its claim.
             wasi_ra = WasiRa(api, measurement.digest,
@@ -246,27 +244,10 @@ class WatzRuntime(TrustedApplication):
                 imports, hostcall_log = record_host_calls(imports)
 
             # Phase 5: instantiation — memory/table/global setup and linking.
-            # The engine's per-function lowering is charged to the load phase,
-            # where WAMR's relocation work lives.
-            compile_seconds = [0.0]
-            original_compile = engine.compile_function
-
-            def timed_compile(*compile_args):
-                compile_started = time.perf_counter()
-                compiled = original_compile(*compile_args)
-                compile_seconds[0] += time.perf_counter() - compile_started
-                return compiled
-
-            engine.compile_function = timed_compile
             started = time.perf_counter()
-            instance = engine.instantiate(
-                module, imports, memory_cap_bytes=api.heap_free,
-                code_cache=cache, cache_key=cache_key,
-            )
-            total_elapsed = time.perf_counter() - started
-            breakdown.load_s += compile_seconds[0]
-            breakdown.instantiate_s = max(
-                0.0, total_elapsed - compile_seconds[0])
+            instance = engine.instantiate(loaded, imports,
+                                          memory_cap_bytes=api.heap_free)
+            breakdown.instantiate_s = time.perf_counter() - started
 
             handle = self._next_handle
             self._next_handle += 1
@@ -297,7 +278,9 @@ class WatzRuntime(TrustedApplication):
             # A load that fails after allocating (a malformed module, a
             # link error, a trapping entry point) leaves nothing charged
             # and no half-loaded application behind.
-            self._apps.pop(handle, None)
+            app = self._apps.pop(handle, None)
+            if app is not None:
+                app.instance.close()
             if executable_region is not None:
                 api.free_executable(executable_region)
             api.tee_free(allocated)
@@ -323,6 +306,7 @@ class WatzRuntime(TrustedApplication):
             raise TeeBadParameters("application handle must be an integer")
         app = self._apps.pop(handle, None)
         if app is not None:
+            app.instance.close()
             self.api.tee_free(app.allocated_bytes)
             self.api.free_executable(app.executable_region)
         return {}

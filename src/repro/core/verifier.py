@@ -25,7 +25,8 @@ its appraisal steps before and after the signature:
 :meth:`Verifier.handle_msg2` then checks the anchor, runs the
 pre-signature step, lets a valid ticket stand in for the signature or
 verifies it, runs the post-signature step, writes one audit row, stores
-the resumption key and seals msg3.
+the resumption key and seals msg3, all under one fingerprint of the
+engine's policy.
 """
 
 from __future__ import annotations
@@ -120,17 +121,18 @@ class Verifier:
     def identity_bytes(self) -> bytes:
         return self.identity.public_bytes()
 
-    def _cache_scope(self) -> bytes:
+    def _cache_scope(self, fingerprint: Optional[bytes]) -> bytes:
         """What the appraisal cache's entries and tickets are valid under.
 
         The legacy policy's fingerprint, combined — when an engine is
-        armed — with the declarative policy's, revocation epoch included:
-        any revocation moves the scope, the cache clears, and outstanding
-        resumption tickets die with the entries that anchored them.
+        armed — with the declarative policy's ``fingerprint``, revocation
+        epoch included: any revocation moves the scope, the cache clears,
+        and outstanding resumption tickets die with the entries that
+        anchored them.
         """
-        if self.engine is None:
+        if fingerprint is None:
             return self.policy.fingerprint()
-        return sha256(self.policy.fingerprint() + self.engine.fingerprint())
+        return sha256(self.policy.fingerprint() + fingerprint)
 
     # -- msg0 -> msg1 --------------------------------------------------------------
 
@@ -200,6 +202,10 @@ class Verifier:
                 "(masquerading or replay)"
             )
 
+        # One declarative-policy fingerprint per msg2, when an engine is
+        # armed: the cache scope, the evaluator and the audit row share it.
+        fingerprint = None if self.engine is None \
+            else self.engine.fingerprint()
         cache = self.appraisal_cache
         resumption_key = None
         try:
@@ -214,23 +220,23 @@ class Verifier:
             # so a bare msg2 — however well-formed — never skips the
             # signature check. Every other check still runs.
             if cache is not None:
-                scope = self._cache_scope()
+                scope = self._cache_scope(fingerprint)
                 with self.recorder.phase("msg2", protocol.SYMMETRIC):
                     resumption_key = cache.redeem(scope, view, ticket_body,
                                                   ticket)
             if resumption_key is None:
                 with self.recorder.phase("msg2", protocol.ASYMMETRIC):
                     view.verify_signature()
-            post_signature(view)
+            post_signature(view, fingerprint)
         except Exception as exc:
             # Appraisal steps tag what they raise with a reason code; an
             # untagged failure is the signature's. A policy verdict's
             # denial keeps the verdict's own detail.
-            self._audit(view.tee_type, False,
+            self._audit(fingerprint, view.tee_type, False,
                         getattr(exc, "reason_code", Reason.SIGNATURE_INVALID),
                         getattr(exc, "detail", str(exc)))
             raise
-        self._audit(view.tee_type, True, Reason.OK)
+        self._audit(fingerprint, view.tee_type, True, Reason.OK)
 
         # All checks passed: only now is the appraisal memoised, so a
         # failed appraisal is never cached. The freshly drawn resumption
@@ -277,7 +283,7 @@ class Verifier:
                 self._check_revocations(view)
             trustzone.appraise_pre_signature(self.policy, evidence)
 
-        def post_signature(view) -> None:
+        def post_signature(view, fingerprint) -> None:
             trustzone.appraise_post_signature(self.policy, evidence)
 
         return (trustzone.TrustZoneView(signed), ticket, evidence.encode(),
@@ -304,10 +310,10 @@ class Verifier:
         return view, message.ticket, message.envelope, _no_step, \
             self._appraise_envelope
 
-    def _appraise_envelope(self, view) -> None:
+    def _appraise_envelope(self, view, fingerprint: bytes) -> None:
         # The declarative policy runs even on a cache hit: the cache only
         # stands in for the asymmetric verify, never for appraisal.
-        self.engine.evaluator().evaluate(
+        self.engine.evaluator(fingerprint).evaluate(
             view, now_ns=time.monotonic_ns()).raise_if_denied()
 
     def _check_revocations(self, view) -> None:
@@ -322,10 +328,11 @@ class Verifier:
             raise PolicyDenied("attestation identity is revoked",
                                reason=Reason.IDENTITY_REVOKED)
 
-    def _audit(self, tee_type: int, accepted: bool, reason: str,
-               detail: str = "") -> None:
+    def _audit(self, fingerprint: Optional[bytes], tee_type: int,
+               accepted: bool, reason: str, detail: str = "") -> None:
         if self.engine is not None:
-            self.engine.record(tee_type, accepted, reason, detail)
+            self.engine.record(tee_type, accepted, reason, detail,
+                               fingerprint)
 
     def _seal_msg3(self, session: VerifierSession, secret_blob: bytes,
                    resumption_key: Optional[bytes]) -> bytes:

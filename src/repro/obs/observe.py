@@ -87,7 +87,7 @@ TARGETS: Tuple[tuple, ...] = tuple(
      lambda args: {"message": args[1]}),
     ("repro.core.protocol", "NullRecorder.phase", CONTEXT, None, _phase, "",
      lambda args: {"message": args[1]}),
-    ("repro.wasm.aot", "AotCompiler.compile_artifact", CALL, None,
+    ("repro.wasm.aot", "AotCompiler.compile_function", CALL, None,
      "aot.compile", "", lambda args: {"func": args[2]}),
     ("repro.wasm.aot", "AotCompiler._make_compiler", CALL, None,
      "aot.analyze", "", None),

@@ -3,9 +3,11 @@
 WaTZ executes AOT-compiled Wasm (paper §III, "Execution modes"): WAMR's
 LLVM back end lowers bytecode to ARM64 before loading, and the runtime only
 needs executable pages. Our analog lowers each Wasm function to Python
-source once at instantiation time, removing the per-instruction dispatch of
-the interpreter; the measured speed-up is the subject of the A1 ablation
-(the paper reports ~28x).
+source and a code object once, at load time
+(:meth:`AotCompiler.compile_function`), and each instance executes those
+in its one namespace (:meth:`AotCompiler.link`), removing the
+per-instruction dispatch of the interpreter; the measured speed-up is the
+subject of the A1 ablation (the paper reports ~28x).
 
 Compilation strategy:
 
@@ -52,21 +54,22 @@ Compilation strategy:
 On top of that lowering sit the optimisation passes, fed by the loop
 analysis in :mod:`repro.wasm.aotopt`: value ranges (mask elimination,
 signed compares and conversions without a call, ``/`` for a divisor
-proven nonzero; induction locals and running counters are bounded),
-loop-invariant code motion (a hoist no emitted line reads is dropped),
-typed-memory-plane accesses where an access is provably aligned (indexed
-straight from the affine form when the range lattice bounds the
-address), and loop versioning: a fast copy that computes the addresses
-the lattice cannot bound mask-free under one preflight test, emitted
-only where it differs from the plain copy. In a *hot* function (one a
+proven nonzero; induction locals are bounded), loop-invariant code motion
+(a hoist no emitted line reads is dropped), typed-memory-plane accesses
+where an access is provably aligned (indexed straight from the affine
+form when the range lattice bounds the address; a function that executes
+``memory.grow`` rebinds its instance's plane globals after it), and loop
+versioning: a fast copy that computes the addresses the lattice cannot
+bound mask-free under one preflight test, emitted only where it differs
+from the plain copy. Locals set to literals stay known literals until a
+join or a loop that writes them, and comparisons, ``eqz``, int-to-float
+conversions and ``if``s on literals fold. In a *hot* function (one a
 loop calls, see :func:`repro.wasm.aotopt.hot_functions`) small counted
 loops become straight-line code: each trip is one copy of the body with
-the induction local a literal, locals set to literals stay known
-literals until a join or a loop that writes them, and comparisons,
-int-to-float conversions and ``if``s on literals fold. A float-to-int
-truncation is ``int(x)`` under an inline range test, calling the
-trapping helper only outside it. The interpreter is the semantic oracle:
-results and trap type, ordering and messages are identical.
+the induction local a literal. A float-to-int truncation is ``int(x)``
+under an inline range test, calling the trapping helper only outside it.
+The interpreter is the semantic oracle: results and trap type, ordering
+and messages are identical.
 
 CPython's ``compile()`` nests at most 20 loops (``try`` counts as one)
 and about 100 indentation levels; a function past either limit fails to
@@ -80,7 +83,8 @@ import operator
 import re
 import struct
 from collections import Counter
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple)
 
 from repro.errors import TrapError, WasmError
 from repro.wasm import aotopt
@@ -376,6 +380,13 @@ _PLANE_STORES: Dict[int, str] = {
 #: The plane names the instance namespace must provide, by format code.
 _PLANE_NAMES = {"H": "_pH", "I": "_pI", "Q": "_pQ", "f": "_pF", "d": "_pD"}
 
+#: ``memory.grow`` releases the planes, so a function that executes it
+#: declares them global and rebinds them after every grow; every function
+#: of the instance reads them from those shared globals.
+_PLANE_GLOBALS = ", ".join(_PLANE_NAMES.values())
+_REBIND_PLANES = \
+    f"{_PLANE_GLOBALS} = map(_mem.plane, {''.join(_PLANE_NAMES)!r})"
+
 #: Proven result ranges of zero-extending loads.
 _LOAD_RANGES: Dict[int, tuple] = {
     op.I32_LOAD8_U: (0, 0xFF),
@@ -574,10 +585,10 @@ class _Frame:
     """One open structured construct during compilation."""
 
     __slots__ = ("kind", "label", "entry_height", "arity", "py_loop",
-                 "mark", "unwind", "known")
+                 "mark", "unwind", "known", "targeted")
 
     def __init__(self, kind: int, label: int, entry_height: int,
-                 arity: int, py_loop: bool) -> None:
+                 arity: int, py_loop: bool, known: Dict[int, int]) -> None:
         self.kind = kind
         #: The opener's instruction index: unique, and stable across the
         #: two compilations of a versioned loop.
@@ -592,8 +603,10 @@ class _Frame:
         #: statement that consumes ``_br`` after this loop, or None to
         #: keep unwinding.
         self.unwind: Dict[int, Optional[str]] = {}
-        #: The known-literal locals on entry (hot functions only).
-        self.known: Optional[Dict[int, int]] = None
+        #: The known-literal locals on entry.
+        self.known = known
+        #: Set once a live branch targets the construct.
+        self.targeted = False
 
 
 class _LoopCtx:
@@ -676,26 +689,21 @@ class _FunctionCompiler:
         self.local_types: List[ValType] = \
             list(self.func_type.params) + list(func.locals)
         self.analysis: Dict[int, aotopt.LoopInfo] = aotopt.analyze(func)
-        #: Running counters' function-wide bounds (local -> max value).
-        self.counters = aotopt.counter_bounds(
-            func, len(self.func_type.params), self.analysis)
         self.py_loops = aotopt.python_loops(func.body)
         #: A leaf calls nothing, so nothing can observe its call depth.
         self.leaf = not any(instr.opcode in (op.CALL, op.CALL_INDIRECT)
                             for instr in func.body)
-        #: Called from a loop (see ``aotopt.hot_functions``): its small
-        #: counted loops unroll, and literals fold through its locals.
-        self.hot = func_index in aotopt.hot_functions(module)
         #: Loops lowered as straight-line copies: LOOP index -> trips.
+        #: Only a hot function's (see ``aotopt.hot_functions``) unroll.
         self.unroll: Dict[int, int] = {}
+        if func_index in aotopt.hot_functions(module):
+            self.unroll = aotopt.unroll_plan(func.body, self.analysis)
         #: Locals whose value here is a known integer literal.
         self.known: Dict[int, int] = {}
-        self.targeted: set = set()
-        if self.hot:
-            self.unroll = aotopt.unroll_plan(func.body, self.analysis)
-            self.targeted = aotopt.branch_targets(func.body)
         #: Set once some branch unwinds through ``_br``.
         self.uses_br = False
+        #: Set once a ``memory.grow`` rebinds the planes.
+        self.grows = False
         #: Hoists an address indexed from its affine form did not read.
         self.bypassed: set = set()
         self.loop_ctxs: List[_LoopCtx] = []
@@ -850,6 +858,7 @@ class _FunctionCompiler:
                 self.out.emit(f"return s{height - 1}")
             return
         target = self.frames[-1 - depth]
+        target.targeted = True
         arity = 0 if target.kind == op.LOOP else target.arity
         base = target.entry_height
         source_base = height - arity
@@ -917,6 +926,8 @@ class _FunctionCompiler:
         if self.uses_br:
             out.lines.insert(body_at, " " * out.indent + "_br = -1")
         _drop_unread_hoists(out.lines, self.bypassed)
+        if self.grows:
+            out.lines.insert(1, f" global {_PLANE_GLOBALS}")
         if not self.leaf:
             out.indent -= 1
             out.emit("finally:")
@@ -933,9 +944,7 @@ class _FunctionCompiler:
         """Open a construct: its ``while True:`` if it is a Python loop,
         then ``header`` (an ``if`` line) if given."""
         frame = _Frame(kind, index, len(self.stack), arity,
-                       index in self.py_loops)
-        if self.hot:
-            frame.known = dict(self.known)
+                       index in self.py_loops, dict(self.known))
         self.frames.append(frame)
         out = self.out
         if frame.py_loop:
@@ -959,11 +968,11 @@ class _FunctionCompiler:
         control can fall off its last arm."""
         frame = self.frames.pop()
         self._pop_loop_ctx(frame)
-        if self.hot and frame.kind != op.LOOP \
-                and (frame.kind == op.IF or frame.label in self.targeted):
+        if frame.kind != op.LOOP and (frame.kind == op.IF or frame.targeted):
             # A join: a local any path through the construct may have
             # written is no longer a known literal.
-            writes = aotopt.written_locals(self.func.body, frame.label)
+            writes = aotopt.written_locals(self.func.body, frame.label) \
+                if frame.known else ()
             self.known = {local: value
                           for local, value in frame.known.items()
                           if local not in writes}
@@ -1024,11 +1033,10 @@ class _FunctionCompiler:
                 value = self._pop()
                 self._spill_local_readers(instr.arg)
                 out.emit(f"l{instr.arg} = {value.expr}")
-                if self.hot:
-                    if value.literal is None:
-                        self.known.pop(instr.arg, None)
-                    else:
-                        self.known[instr.arg] = value.literal
+                if value.literal is None:
+                    self.known.pop(instr.arg, None)
+                else:
+                    self.known[instr.arg] = value.literal
                 if code == op.LOCAL_TEE:
                     self._push_local(instr.arg)
             elif code in (op.I32_CONST, op.I64_CONST):
@@ -1083,11 +1091,10 @@ class _FunctionCompiler:
                 info = self.analysis.get(index)
                 insert_at, indent = len(out.lines), out.indent
                 frame = self._open(code, index, instr.arg.arity)
-                if self.hot:
-                    # The back edges join here.
-                    self.known = {local: value
-                                  for local, value in self.known.items()
-                                  if local not in info.writes}
+                # The back edges join here.
+                self.known = {local: value
+                              for local, value in self.known.items()
+                              if local not in info.writes}
                 if frame.py_loop and info is not None:
                     self.loop_ctxs.append(_LoopCtx(index, info, frame, out,
                                                    insert_at, indent))
@@ -1095,11 +1102,10 @@ class _FunctionCompiler:
                 condition = self._pop()
                 self._spill_all()
                 literal = condition.literal
-                if literal is not None and (
-                        self.hot or (literal and instr.else_target == -1)):
-                    # Only the arm that runs, as a block (in any function,
-                    # walc's `if (1)` scope around a `for` init). A then
-                    # arm's `else` skips to the end.
+                if literal is not None:
+                    # Only the arm that runs, as a block (walc's `if (1)`
+                    # scope around a `for` init, say). A then arm's
+                    # `else` skips to the end.
                     if literal or instr.else_target != -1:
                         self._open(op.BLOCK, index, instr.arg.arity)
                     if not literal:
@@ -1124,8 +1130,7 @@ class _FunctionCompiler:
                     out.indent += 1
                     frame.mark = out.count
                 self._reset_stack(frame.entry_height)
-                if self.hot:
-                    self.known = dict(frame.known)
+                self.known = dict(frame.known)
                 dead = False
             elif code == op.END:
                 if not self.frames:
@@ -1269,15 +1274,16 @@ class _FunctionCompiler:
                 value = self._pop()
                 self._spill_memory_readers()
                 self._push_var(f"_mem.grow({value.expr}) & {_MASK32}")
+                if self.use_planes:
+                    out.emit(_REBIND_PLANES)
+                    self.grows = True
             elif code in (op.I32_EQZ, op.I64_EQZ):
                 operand = self._pop()
-                if self.hot and operand.literal is not None:
+                if operand.literal is not None:
                     self._push_literal(int(operand.literal == 0), True)
                     continue
                 if operand.bool_expr is not None:
                     raw = f"not ({operand.bool_expr})"
-                elif operand.literal is not None:
-                    raw = "True" if operand.literal == 0 else "False"
                 else:
                     raw = f"{operand.paren} == 0"
                 self._push(
@@ -1297,8 +1303,7 @@ class _FunctionCompiler:
             elif code in _RELOPS or code in _SIGNED_RELOPS:
                 rhs = self._pop()
                 lhs = self._pop()
-                if self.hot and lhs.literal is not None \
-                        and rhs.literal is not None:
+                if lhs.literal is not None and rhs.literal is not None:
                     self._push_literal(
                         _fold_compare(code, lhs.literal, rhs.literal), True)
                     continue
@@ -1344,8 +1349,7 @@ class _FunctionCompiler:
                 bits = _SIGNED_UNOPS.get(code)
                 if bits:
                     text = _signed_reading(operand, bits)
-                if self.hot and code in _INT_TO_FLOAT \
-                        and operand.literal is not None:
+                if code in _INT_TO_FLOAT and operand.literal is not None:
                     # `float(3)` is `3.0`: convert the literal now (an
                     # integer's float is finite, even rounded to f32).
                     folded = eval(template.format(a=text),
@@ -1435,8 +1439,6 @@ class _FunctionCompiler:
         affine = None
         if self.local_types[local] == ValType.I32:
             affine = {local: 1}
-            if local in self.counters:
-                lo, hi = 0, self.counters[local]
             # Inside its loop, an induction local's range is tighter.
             for ctx in reversed(self.loop_ctxs):
                 if ctx.ind_local == local and ctx.ind_hi is not None:
@@ -1604,8 +1606,7 @@ class _FunctionCompiler:
         local written inside the region is only boundable when it is the
         induction variable of a loop the access is structurally inside
         (its ctx is still open): there the guard has passed, so the value
-        is at most the guard bound. A running counter is bounded
-        function-wide.
+        is at most the guard bound.
         """
         fast = self.fast
         if local not in fast.root.writes:
@@ -1626,8 +1627,6 @@ class _FunctionCompiler:
             if reads & fast.root.writes:
                 return None
             return None, part
-        if local in self.counters:
-            return self.counters[local], None
         return None
 
     def _require_in_bounds(self, address: _Value, offset: int,
@@ -1810,114 +1809,101 @@ class AotCompiler(Engine):
 
     name = "aot"
 
-    #: The Wasm -> Python lowering and CPython bytecode compilation depend
-    #: only on the module content, so the resulting top-level code object
-    #: (plus its source) is a reusable artifact; only the ``exec`` into a
-    #: per-instance namespace is instance-specific.
-    supports_code_artifacts = True
-
     def _make_compiler(self, module: Module,
                        func_index: int) -> _FunctionCompiler:
         func = module.functions[func_index - len(module.imported_funcs)]
         return _FunctionCompiler(module, func, func_index,
                                  Memory.planes_supported)
 
-    def compile_artifact(self, module: Module, func_index: int) -> tuple:
-        """Lower one function to a (code object, source) artifact."""
+    def compile_function(self, module: Module, func_index: int) -> tuple:
+        """Lower one function to its (code object, source) artifact. The
+        lowering depends only on the module, so instances share it; only
+        the ``exec`` into an instance's namespace is theirs."""
         source = self._make_compiler(module, func_index).compile()
         return (_pycompile(source, func_index), source)
 
-    def link_artifact(self, module: Module, instance: Instance,
-                      func_index: int, artifact: object) -> Callable:
-        """Bind a compiled artifact to an instance's fresh namespace."""
-        code, source = artifact
-        namespace = self._namespace(module, instance)
-        exec(code, namespace)
-        compiled = namespace[f"_wasm_f{func_index}"]
-        compiled.__wasm_source__ = source  # aid debugging and tests
-        # Internal Wasm->Wasm calls skip the coercing wrapper: values
-        # produced inside the sandbox are already canonical.
-        namespace["_f"].append(compiled)
-        func = module.functions[func_index - len(module.imported_funcs)]
-        param_types = module.types[func.type_index].params
-        return _wrap_entry(compiled, param_types)
-
-    def compile_function(self, module: Module, instance: Instance,
-                         func_index: int) -> Callable:
-        artifact = self.compile_artifact(module, func_index)
-        entry = self.link_artifact(module, instance, func_index, artifact)
-        entry.code_artifact = artifact
-        return entry
-
-    def _namespace(self, module: Module, instance: Instance) -> dict:
-        cached = getattr(instance, "_aot_namespace", None)
-        if cached is not None:
-            return cached
-        namespace = {
-            "_inst": instance,
-            # The fast call table: host bindings as-is (they are ordinary
-            # Python callables), local functions appended *unwrapped* as
-            # they are compiled. instance.funcs keeps the wrapped entry
-            # points for the embedder.
-            "_f": list(instance.funcs),
-            "_ft": instance.func_types,
-            "_g": instance.globals,
-            "_mem": instance.memory,
-            "_m": instance.memory.data if instance.memory else b"",
-            "_tbl": instance.table,
-            "_trap": _trap,
-            "_f32r": num.f32_round,
-            "_clz": num.clz,
-            "_ctz": num.ctz,
-            "_popcnt": num.popcnt,
-            "_rotl": num.rotl,
-            "_rotr": num.rotr,
-            "_divs": num.idiv_s,
-            "_divu": num.idiv_u,
-            "_rems": num.irem_s,
-            "_remu": num.irem_u,
-            "_shrs": num.shr_s,
-            "_trunc": num.trunc_to_int,
-            "_ext": num.extend_signed,
-            "_fdiv": _fdiv,
-            "_fmin": num.fmin,
-            "_fmax": num.fmax,
-            "_fceil": num.fceil,
-            "_ffloor": num.ffloor,
-            "_ftrunc": num.ftrunc,
-            "_fnearest": num.fnearest,
-            "_fsqrt": num.fsqrt,
-            "_copysign": math.copysign,
-            "_isnan": math.isnan,
-            "_ri32f32": num.i32_reinterpret_f32,
-            "_ri64f64": num.i64_reinterpret_f64,
-            "_rf32i32": num.f32_reinterpret_i32,
-            "_rf64i64": num.f64_reinterpret_i64,
-            "_upI16": S_I16.unpack_from,
-            "_upI32": S_I32.unpack_from,
-            "_upI64": S_I64.unpack_from,
-            "_upF32": S_F32.unpack_from,
-            "_upF64": S_F64.unpack_from,
-            "_pkI16": S_I16.pack_into,
-            "_pkI32": S_I32.pack_into,
-            "_pkI64": S_I64.pack_into,
-            "_pkF32": S_F32.pack_into,
-            "_pkF64": S_F64.pack_into,
-        }
+    def link(self, module: Module, instance: Instance,
+             artifacts: Sequence[tuple]) -> List[Callable]:
+        """Exec every function's code object into the instance's one
+        namespace; return their public entry points."""
+        namespace = instance.namespace
+        namespace.update(_HELPERS)
         memory = instance.memory
+        namespace.update(
+            _inst=instance,
+            # The fast call table: host bindings as-is (they are ordinary
+            # Python callables), local functions *unwrapped*.
+            # instance.funcs keeps the wrapped entry points for the
+            # embedder.
+            _f=list(instance.funcs),
+            _ft=instance.func_types,
+            _g=instance.globals,
+            _mem=memory,
+            _m=memory.data if memory is not None else b"",
+            _tbl=instance.table,
+        )
         if memory is not None and memory.planes_supported:
-            # Typed planes over the linear memory. `memory.grow` swaps
-            # the backing buffer, so the namespace re-requests them on
-            # every grow; generated code reads the names per access.
-            def _refresh_planes(space=namespace, memory=memory) -> None:
-                for fmt, plane_name in _PLANE_NAMES.items():
-                    space[plane_name] = memory.plane(fmt)
-            _refresh_planes()
-            memory.add_plane_listener(_refresh_planes)
+            # Generated code reads the planes per access; the code that
+            # executes `memory.grow` rebinds them (see _REBIND_PLANES).
+            for fmt, plane_name in _PLANE_NAMES.items():
+                namespace[plane_name] = memory.plane(fmt)
         for type_index, func_type in enumerate(module.types):
             namespace[f"_sig{type_index}"] = func_type
-        instance._aot_namespace = namespace  # type: ignore[attr-defined]
-        return namespace
+        base = len(module.imported_funcs)
+        entries = []
+        for func_index, (code, source) in enumerate(artifacts, base):
+            exec(code, namespace)
+            compiled = namespace[f"_wasm_f{func_index}"]
+            compiled.__wasm_source__ = source  # aid debugging and tests
+            # Internal Wasm->Wasm calls skip the coercing wrapper: values
+            # produced inside the sandbox are already canonical.
+            namespace["_f"].append(compiled)
+            entries.append(_wrap_entry(
+                compiled, module.func_type(func_index).params))
+        return entries
+
+
+#: The names every generated function may read besides its instance's.
+_HELPERS = {
+    "_trap": _trap,
+    "_f32r": num.f32_round,
+    "_clz": num.clz,
+    "_ctz": num.ctz,
+    "_popcnt": num.popcnt,
+    "_rotl": num.rotl,
+    "_rotr": num.rotr,
+    "_divs": num.idiv_s,
+    "_divu": num.idiv_u,
+    "_rems": num.irem_s,
+    "_remu": num.irem_u,
+    "_shrs": num.shr_s,
+    "_trunc": num.trunc_to_int,
+    "_ext": num.extend_signed,
+    "_fdiv": _fdiv,
+    "_fmin": num.fmin,
+    "_fmax": num.fmax,
+    "_fceil": num.fceil,
+    "_ffloor": num.ffloor,
+    "_ftrunc": num.ftrunc,
+    "_fnearest": num.fnearest,
+    "_fsqrt": num.fsqrt,
+    "_copysign": math.copysign,
+    "_isnan": math.isnan,
+    "_ri32f32": num.i32_reinterpret_f32,
+    "_ri64f64": num.i64_reinterpret_f64,
+    "_rf32i32": num.f32_reinterpret_i32,
+    "_rf64i64": num.f64_reinterpret_i64,
+    "_upI16": S_I16.unpack_from,
+    "_upI32": S_I32.unpack_from,
+    "_upI64": S_I64.unpack_from,
+    "_upF32": S_F32.unpack_from,
+    "_upF64": S_F64.unpack_from,
+    "_pkI16": S_I16.pack_into,
+    "_pkI32": S_I32.pack_into,
+    "_pkI64": S_I64.pack_into,
+    "_pkF32": S_F32.pack_into,
+    "_pkF64": S_F64.pack_into,
+}
 
 
 def _pycompile(source: str, func_index: int):

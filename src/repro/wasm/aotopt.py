@@ -51,12 +51,6 @@ its header is that step followed by ``br``: a ``br_if`` or ``br_table``
 to the header, or a ``br`` that skips the step, could re-run the body
 with the same value any number of times.
 
-:func:`counter_bounds` builds on trip counts: it gives a function-wide
-upper bound to every *running counter*, a local only ever set to a
-constant or stepped by one inside counted loops (Genann's weight cursor
-``pos``, which no loop guard bounds), so its address arithmetic needs no
-masks either.
-
 A second pre-pass, :func:`python_loops`, decides the control lowering:
 which ``block``/``loop``/``if`` constructs need a Python ``while True:``
 at all (see its docstring).
@@ -80,7 +74,6 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.wasm import numerics as num
 from repro.wasm import opcodes as op
 from repro.wasm.module import Function, Instr, Module
-from repro.wasm.types import ValType
 
 #: Opcodes that touch linear memory (loads and stores of every width).
 ACCESS_OPS = frozenset((
@@ -275,11 +268,6 @@ def python_loops(body: List[Instr]) -> Set[int]:
     return loops
 
 
-def branch_targets(body: List[Instr]) -> Set[int]:
-    """The constructs (by opener index) that some branch targets."""
-    return set(_branch_sources(body)[0])
-
-
 def _branch_depths(instr: Instr) -> Tuple[int, ...]:
     if instr.opcode == op.BR_TABLE:
         return tuple(instr.arg[0]) + (instr.arg[1],)
@@ -462,66 +450,6 @@ def _match_induction(body: List[Instr], start: int, end: int,
         return None
     return Induction(local, init, step, bound_const, bound_local,
                      signed, inclusive, back_edges_step, cursor + 3)
-
-
-def counter_bounds(func: Function, param_count: int,
-                   loops: Dict[int, LoopInfo]) -> Dict[int, int]:
-    """Function-wide upper bounds of the *running counters*.
-
-    A running counter is a non-parameter i32 local (so zero on entry)
-    whose every write is either ``i32.const k; local.set`` or ``local.get
-    x; i32.const c; i32.add; local.set x``, with every such add nested
-    only in loops that have a trip count. Code runs at most once per
-    iteration of its innermost loop, so each add runs at most the product
-    of its loops' trip counts per call, and the local never exceeds
-    ``max k + sum(c * product of trips)`` in real arithmetic. A counter
-    whose bound passes 2^32 - 1 could wrap and gets no bound.
-    """
-    body = func.body
-    constant: Dict[int, int] = {}
-    added: Dict[int, int] = {}
-    excluded: Set[int] = set()
-    #: Iterations of the innermost open loop per call, None if unbounded.
-    weight: Optional[int] = 1
-    outer: List[Optional[int]] = []
-    for index, instr in enumerate(body):
-        code = instr.opcode
-        if code in _OPENERS:
-            outer.append(weight)
-            if code == op.LOOP:
-                info = loops.get(index)
-                trips = info.induction.trips \
-                    if info is not None and info.induction is not None \
-                    else None
-                weight = None if weight is None or trips is None \
-                    else weight * trips
-        elif code == op.END:
-            if outer:
-                weight = outer.pop()
-        elif code in (op.LOCAL_SET, op.LOCAL_TEE):
-            local = instr.arg
-            if code == op.LOCAL_SET and index >= 1 \
-                    and body[index - 1].opcode == op.I32_CONST:
-                constant[local] = max(constant.get(local, 0),
-                                      body[index - 1].arg)
-            elif (code == op.LOCAL_SET and weight is not None and index >= 3
-                    and body[index - 3].opcode == op.LOCAL_GET
-                    and body[index - 3].arg == local
-                    and body[index - 2].opcode == op.I32_CONST
-                    and body[index - 1].opcode == op.I32_ADD):
-                added[local] = added.get(local, 0) \
-                    + body[index - 2].arg * weight
-            else:
-                excluded.add(local)
-    bounds: Dict[int, int] = {}
-    for local in (constant.keys() | added.keys()) - excluded:
-        if local < param_count \
-                or func.locals[local - param_count] != ValType.I32:
-            continue
-        bound = constant.get(local, 0) + added.get(local, 0)
-        if bound <= num.MASK32:
-            bounds[local] = bound
-    return bounds
 
 
 def written_locals(body: List[Instr], opener: int) -> Set[int]:

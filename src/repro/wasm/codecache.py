@@ -1,28 +1,28 @@
-"""Content-addressed code cache for compiled Wasm modules.
+"""Content-addressed code cache for loaded Wasm modules.
 
 The paper's startup breakdown (Fig. 4) is dominated by the load phase —
 parsing, validation and AOT processing of the module. In the fleet steady
 state (and in every benchmark repeat) the *same* module binary is
 instantiated over and over, so that work is pure waste after the first
-load. This cache keys it by content: ``sha256(module binary)`` plus the
-engine's *cache identity* (:attr:`~repro.wasm.runtime.Engine.cache_identity`,
-the engine name, so an interpreter load never sees AOT artifacts)
-addresses
+load. This cache keys what :meth:`~repro.wasm.runtime.Engine.load`
+produces by content: ``sha256(module binary)`` (the runtime TA passes
+its measurement, which is that digest) plus the engine name, so an
+interpreter load never sees AOT artifacts. One :class:`CacheEntry` holds
 
-* the decoded, validated :class:`~repro.wasm.module.Module` (both
-  engines), and
-* per-function AOT artifacts — the compiled top-level code object and its
-  generated source (AOT engine only).
+* the decoded, validated :class:`~repro.wasm.module.Module`, and
+* one artifact per local function — for the AOT engine the compiled
+  top-level code object and its generated source, for the interpreter
+  the decoded function itself.
 
-Artifacts are *code*, never *state*: the AOT artifact is the module-level
-code object of the generated ``def``, which each instantiation ``exec``\\ s
-into its own fresh namespace. Instances therefore share compiled code
-objects but never memories, tables or globals.
+Artifacts are *code*, never *state*: each instantiation links them into
+its own fresh namespace (the AOT engine executes the code objects
+there). Instances therefore share compiled code objects but never
+memories, tables or globals.
 
 The cache is a bounded LRU (never grows past ``capacity`` modules) with an
 explicit bypass: pass ``code_cache=None`` to
-:meth:`~repro.wasm.runtime.Engine.instantiate` (or ``code_cache=False`` to
-the runtime TA's ``CMD_LOAD``) to force a full recompile, and
+:meth:`~repro.wasm.runtime.Engine.load` (or ``code_cache=False`` to the
+runtime TA's ``CMD_LOAD``) to force a full recompile, and
 :meth:`CodeCache.invalidate` / :meth:`CodeCache.clear` to drop entries.
 """
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.wasm.module import Module
 
@@ -41,20 +41,21 @@ class _Sentinel:
         return "<use the process-wide default code cache>"
 
 
-#: Default argument for ``instantiate(code_cache=...)``: use the
-#: process-wide cache. ``None`` means bypass.
+#: Default argument for ``load(code_cache=...)``: use the process-wide
+#: cache. ``None`` means bypass.
 DEFAULT = _Sentinel()
 
 
 class CacheEntry:
-    """Cached compilation products of one (module binary, engine) pair."""
+    """A loaded module: what one engine made of one module binary."""
 
     __slots__ = ("module", "artifacts")
 
-    def __init__(self, module: Module) -> None:
+    def __init__(self, module: Module, artifacts: Tuple[object, ...]) -> None:
         self.module = module
-        #: func_index -> engine-specific artifact (opaque to the cache).
-        self.artifacts: Dict[int, object] = {}
+        #: One engine-specific artifact per local function, in order
+        #: (opaque to the cache).
+        self.artifacts = artifacts
 
 
 class CodeCache:
@@ -87,24 +88,23 @@ class CodeCache:
             return entry
 
     def peek(self, key: str, engine_name: str) -> Optional[CacheEntry]:
-        """Like :meth:`lookup` but without touching hit/miss counters.
-
-        Used when the caller already did (and counted) the lookup for this
-        load and hands the engine a decoded module plus its key."""
+        """Like :meth:`lookup` but without touching hit/miss counters."""
         with self._lock:
             entry = self._entries.get((key, engine_name))
             if entry is not None:
                 self._entries.move_to_end((key, engine_name))
             return entry
 
-    def store(self, key: str, engine_name: str, module: Module) -> CacheEntry:
-        """Insert a decoded module, evicting LRU entries past capacity."""
-        entry = CacheEntry(module)
+    def store(self, key: str, engine_name: str, module: Module,
+              artifacts: Tuple[object, ...] = ()) -> CacheEntry:
+        """Insert a loaded module, evicting LRU entries past capacity.
+
+        Returns the entry to use: a racing load that stored the same key
+        first wins (same content hash, same module and code)."""
+        entry = CacheEntry(module, artifacts)
         with self._lock:
             existing = self._entries.get((key, engine_name))
             if existing is not None:
-                # Same content hash: the module is identical; keep the
-                # entry that may already hold compiled artifacts.
                 self._entries.move_to_end((key, engine_name))
                 return existing
             self._entries[(key, engine_name)] = entry
@@ -112,11 +112,6 @@ class CodeCache:
                 self._entries.popitem(last=False)
                 self.evictions += 1
         return entry
-
-    def store_artifact(self, entry: CacheEntry, func_index: int,
-                       artifact: object) -> None:
-        with self._lock:
-            entry.artifacts.setdefault(func_index, artifact)
 
     def invalidate(self, key: str, engine_name: Optional[str] = None) -> int:
         """Drop the entries for a content key; returns how many were dropped."""
@@ -158,16 +153,10 @@ DEFAULT_CACHE = CodeCache()
 
 
 def resolve(code_cache) -> Optional[CodeCache]:
-    """Map an ``instantiate(code_cache=...)`` argument to a cache or None."""
+    """Map a ``load(code_cache=...)`` argument to a cache or None."""
     if code_cache is DEFAULT:
         return DEFAULT_CACHE
-    if code_cache is None or code_cache is False:
-        return None
-    if code_cache is True:
-        return DEFAULT_CACHE
-    if isinstance(code_cache, CodeCache):
+    if code_cache is None or isinstance(code_cache, CodeCache):
         return code_cache
     raise TypeError(
-        "code_cache must be a CodeCache, None/False (bypass), True or "
-        "codecache.DEFAULT"
-    )
+        "code_cache must be a CodeCache, None (bypass) or codecache.DEFAULT")

@@ -10,12 +10,12 @@ interpretation, an ablation reproduced in ``benchmarks/bench_ablation_aot.py``.
 from __future__ import annotations
 
 import math
-from typing import Callable, List
+from typing import Callable, List, Sequence
 
 from repro.errors import TrapError
 from repro.wasm import numerics as num
 from repro.wasm import opcodes as op
-from repro.wasm.module import Module
+from repro.wasm.module import Function, Module
 from repro.wasm.runtime import Engine, Instance, S_F32, S_F64, S_I16, S_I32, S_I64
 from repro.wasm.types import ValType
 
@@ -28,35 +28,42 @@ class Interpreter(Engine):
 
     name = "interpreter"
 
-    def compile_function(self, module: Module, instance: Instance,
-                         func_index: int) -> Callable:
-        func = module.functions[func_index - len(module.imported_funcs)]
-        func_type = module.types[func.type_index]
-        param_types = func_type.params
-        result_arity = len(func_type.results)
-        local_types = func.locals
-        body = func.body
+    def compile_function(self, module: Module, func_index: int) -> Function:
+        """Nothing to compile: the artifact is the decoded function."""
+        return module.functions[func_index - len(module.imported_funcs)]
 
-        def invoke(*args):
-            if len(args) != len(param_types):
-                raise TrapError(
-                    f"expected {len(param_types)} arguments, got {len(args)}"
-                )
-            locals_list = [
-                _coerce(value, valtype)
-                for value, valtype in zip(args, param_types)
-            ]
-            locals_list.extend(t.zero() for t in local_types)
-            instance.enter_call()
-            try:
-                stack = _run(module, instance, body, locals_list, result_arity)
-            finally:
-                instance.exit_call()
-            if result_arity == 0:
-                return None
-            return stack[-1]
+    def link(self, module: Module, instance: Instance,
+             artifacts: Sequence[Function]) -> List[Callable]:
+        return [_bind(module, instance, func) for func in artifacts]
 
-        return invoke
+
+def _bind(module: Module, instance: Instance, func: Function) -> Callable:
+    func_type = module.types[func.type_index]
+    param_types = func_type.params
+    result_arity = len(func_type.results)
+    local_types = func.locals
+    body = func.body
+
+    def invoke(*args):
+        if len(args) != len(param_types):
+            raise TrapError(
+                f"expected {len(param_types)} arguments, got {len(args)}"
+            )
+        locals_list = [
+            _coerce(value, valtype)
+            for value, valtype in zip(args, param_types)
+        ]
+        locals_list.extend(t.zero() for t in local_types)
+        instance.enter_call()
+        try:
+            stack = _run(module, instance, body, locals_list, result_arity)
+        finally:
+            instance.exit_call()
+        if result_arity == 0:
+            return None
+        return stack[-1]
+
+    return invoke
 
 
 def _coerce(value, valtype: ValType):

@@ -1,19 +1,26 @@
 """Runtime structures shared by the interpreter and the AOT engine.
 
-An :class:`Instance` owns a linear :class:`Memory`, a funcref
-:class:`Table`, globals and a function index space mixing host imports and
-local functions. Engines differ only in how they turn a decoded
-:class:`~repro.wasm.module.Function` into a Python callable.
+An :class:`Engine` runs a module in WAMR's three steps
+(``wasm_runtime_load``, ``wasm_runtime_instantiate``,
+``wasm_runtime_deinstantiate``): :meth:`Engine.load` decodes, validates
+and compiles a binary once, or returns its code-cache entry;
+:meth:`Engine.instantiate` links a fresh :class:`Instance` from it; and
+:meth:`Instance.close` frees that instance's memory and code. An instance
+owns a linear :class:`Memory`, a funcref :class:`Table`, globals and a
+function index space mixing host imports and local functions. Engines
+differ only in what they compile a decoded
+:class:`~repro.wasm.module.Function` to and how they link it.
 """
 
 from __future__ import annotations
 
 import struct
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.errors import LinkError, TrapError, ValidationError
 from repro.wasm import codecache
+from repro.wasm.codecache import CacheEntry
 from repro.wasm.decoder import decode_module
 from repro.wasm.module import Module
 from repro.wasm.types import PAGE_SIZE, FuncType, ValType
@@ -39,9 +46,10 @@ class Memory:
     callers must fall back to the struct path otherwise.
 
     ``bytearray.extend`` raises ``BufferError`` while any view is exported,
-    so :meth:`grow` releases every plane first and notifies registered
-    listeners afterwards; holders (the AOT instance namespaces) re-request
-    their planes, which lazily rebuilds them over the grown buffer.
+    so :meth:`grow` releases every plane first; a holder re-requests its
+    planes after a grow (the AOT code that executes ``memory.grow``
+    rebinds its instance's plane globals), which lazily rebuilds them over
+    the grown buffer.
     """
 
     #: Plane element formats and widths; linear memory is always a whole
@@ -60,7 +68,6 @@ class Memory:
             raise TrapError("initial memory exceeds the platform heap cap")
         self.data = bytearray(min_pages * PAGE_SIZE)
         self._planes: Dict[str, memoryview] = {}
-        self._plane_listeners: List[Callable[[], None]] = []
 
     @property
     def size_pages(self) -> int:
@@ -78,10 +85,6 @@ class Memory:
             self._planes[fmt] = view
         return view
 
-    def add_plane_listener(self, callback: Callable[[], None]) -> None:
-        """Register a callback fired after ``grow`` remaps the buffer."""
-        self._plane_listeners.append(callback)
-
     def _release_planes(self) -> None:
         planes, self._planes = self._planes, {}
         for view in planes.values():
@@ -98,12 +101,9 @@ class Memory:
         if (self.hard_cap_bytes is not None
                 and new * PAGE_SIZE > self.hard_cap_bytes):
             return -1
-        # Exported memoryviews pin the buffer; drop them for the resize and
-        # let listeners re-request planes over the grown buffer.
+        # Exported memoryviews pin the buffer; drop them for the resize.
         self._release_planes()
         self.data.extend(bytes(delta_pages * PAGE_SIZE))
-        for callback in self._plane_listeners:
-            callback()
         return old
 
     # -- typed access (used by hosts and the interpreter) ---------------------
@@ -176,6 +176,22 @@ class Instance:
         self.func_types: List[FuncType] = []
         self.call_depth = 0
         self._export_cache: Dict[str, Callable] = {}
+        #: The globals of the instance's generated code (AOT engine).
+        self.namespace: dict = {}
+        self.closed = False
+
+    def close(self) -> None:
+        """Free the instance's memory and code now (idempotent).
+
+        Its functions, host bindings and generated code all refer back to
+        the instance, so without this it would wait for a full garbage
+        collection. A closed instance's exports trap.
+        """
+        self.closed = True
+        self.funcs.clear()
+        self._export_cache.clear()
+        self.namespace.clear()
+        self.memory = None
 
     def enter_call(self) -> None:
         self.call_depth += 1
@@ -192,6 +208,8 @@ class Instance:
         cached = self._export_cache.get(name)
         if cached is not None:
             return cached
+        if self.closed:
+            raise TrapError("instance is closed")
         export = self.module.export(name)
         if export.kind != "func":
             raise LinkError(f"export {name!r} is a {export.kind}, not a function")
@@ -207,85 +225,63 @@ class Instance:
 class Engine:
     """Interface implemented by the interpreter and the AOT compiler."""
 
-    #: Human-readable engine name, used in benchmark labels.
+    #: Human-readable engine name, used in benchmark labels and as the
+    #: engine's part of a code-cache key.
     name = "abstract"
 
-    #: True when :meth:`compile_function` produces an instance-independent
-    #: artifact (exposed via a ``code_artifact`` attribute on the returned
-    #: callable) that :meth:`link_artifact` can re-link into a fresh
-    #: instance. The interpreter builds per-instance closures, so only the
-    #: decoded module is cacheable for it.
-    supports_code_artifacts = False
-
-    @property
-    def cache_identity(self) -> str:
-        """The code-cache key component for this engine: its name."""
-        return self.name
-
-    def compile_function(self, module: Module, instance: Instance,
-                         func_index: int) -> Callable:
+    def compile_function(self, module: Module, func_index: int) -> object:
+        """Compile one local function to an instance-independent artifact,
+        which :meth:`link` binds to an instance."""
         raise NotImplementedError
 
-    def link_artifact(self, module: Module, instance: Instance,
-                      func_index: int, artifact: object) -> Callable:
-        """Turn a cached artifact into a callable bound to ``instance``."""
+    def link(self, module: Module, instance: Instance,
+             artifacts: Sequence[object]) -> List[Callable]:
+        """The entry points of the local functions, bound to ``instance``."""
         raise NotImplementedError
 
-    # -- shared instantiation -------------------------------------------------
+    def load(self, binary: bytes, code_cache=codecache.DEFAULT,
+             key: Optional[str] = None) -> CacheEntry:
+        """Decode, validate and compile every function of ``binary`` once.
 
-    def instantiate(self, module_or_binary, imports: Optional[Imports] = None,
+        ``code_cache`` selects the content-addressed code cache:
+        :data:`repro.wasm.codecache.DEFAULT` uses the process-wide cache,
+        ``None`` bypasses it, a :class:`~repro.wasm.codecache.CodeCache`
+        uses that one. On a hit the cached entry is returned and nothing
+        is decoded, validated or compiled. ``key`` is the binary's content
+        address when the caller has hashed it already; a binary that fails
+        to decode, validate or compile is never cached.
+        """
+        cache = codecache.resolve(code_cache)
+        if cache is not None:
+            if key is None:
+                key = codecache.CodeCache.module_key(binary)
+            entry = cache.lookup(key, self.name)
+            if entry is not None:
+                return entry
+        module = decode_module(binary)
+        validate_module(module)
+        base = len(module.imported_funcs)
+        artifacts = tuple(self.compile_function(module, base + offset)
+                          for offset in range(len(module.functions)))
+        if cache is None:
+            return CacheEntry(module, artifacts)
+        return cache.store(key, self.name, module, artifacts)
+
+    def instantiate(self, loaded: Union[CacheEntry, bytes],
+                    imports: Optional[Imports] = None,
                     memory_cap_bytes: Optional[int] = None,
-                    code_cache=codecache.DEFAULT,
-                    cache_key: Optional[str] = None) -> Instance:
-        """Instantiate a module (binary or decoded).
-
-        A binary is decoded and validated here. A decoded module was
-        validated by the code that decoded it, so it is not validated
-        again.
+                    code_cache=codecache.DEFAULT) -> Instance:
+        """Link a fresh instance from a loaded module, loading a binary
+        first (through ``code_cache``, see :meth:`load`).
 
         ``memory_cap_bytes`` lets the embedding platform (OP-TEE's secure
         heap in this reproduction) cap the linear memory irrespective of the
-        module's own limits.
-
-        ``code_cache`` selects the content-addressed code cache:
-        :data:`repro.wasm.codecache.DEFAULT` (or ``True``) uses the
-        process-wide cache, ``None``/``False`` bypasses caching entirely, a
-        :class:`~repro.wasm.codecache.CodeCache` uses that instance. On a
-        hit, decoding, validation and per-function compilation are all
-        skipped; runtime state (memory, table, globals) is always built
-        fresh. ``cache_key`` supplies the content address when the caller
-        already decoded the binary itself (a decoded module without a key
-        cannot be content-addressed and is never cached).
+        module's own limits. Runtime state (memory, table, globals) is
+        always built fresh.
         """
-        cache = codecache.resolve(code_cache)
-        cache_entry = None
-        if isinstance(module_or_binary, (bytes, bytearray)):
-            binary = bytes(module_or_binary)
-            if cache is not None:
-                if cache_key is None:
-                    cache_key = codecache.CodeCache.module_key(binary)
-                cache_entry = cache.lookup(cache_key, self.cache_identity)
-            if cache_entry is not None:
-                module = cache_entry.module
-            else:
-                module = decode_module(binary)
-                validate_module(module)
-                if cache is not None:
-                    cache_entry = cache.store(cache_key, self.cache_identity,
-                                              module)
-        else:
-            module = module_or_binary
-            if cache is not None and cache_key is not None:
-                # The caller decoded (and content-addressed) the binary
-                # itself and already accounted the hit/miss for this load.
-                cache_entry = cache.peek(cache_key, self.cache_identity)
-                if cache_entry is None:
-                    cache_entry = cache.store(cache_key, self.cache_identity,
-                                              module)
-                elif cache_entry.module is not module:
-                    # Adopt the cached decode so artifacts and module stay
-                    # consistent (same content hash => same module).
-                    module = cache_entry.module
+        if isinstance(loaded, (bytes, bytearray)):
+            loaded = self.load(bytes(loaded), code_cache)
+        module = loaded.module
         imports = imports or {}
 
         instance = Instance(module)
@@ -339,26 +335,11 @@ class Engine:
                 raise ValidationError("data segment without a memory")
             instance.memory.write(segment.offset, segment.data)
 
-        local_base = len(module.imported_funcs)
-        reusable = (cache_entry is not None and self.supports_code_artifacts)
-        for local_index in range(len(module.functions)):
-            func_index = local_base + local_index
-            artifact = cache_entry.artifacts.get(func_index) \
-                if reusable else None
-            if artifact is not None:
-                # Cache hit: re-link the compiled code object into this
-                # instance's fresh namespace — no recompilation.
-                fn = self.link_artifact(module, instance, func_index,
-                                        artifact)
-            else:
-                fn = self.compile_function(module, instance, func_index)
-                if reusable:
-                    produced = getattr(fn, "code_artifact", None)
-                    if produced is not None:
-                        cache.store_artifact(cache_entry, func_index,
-                                             produced)
-            instance.funcs.append(fn)
-            instance.func_types.append(module.func_type(func_index))
+        base = len(module.imported_funcs)
+        instance.func_types.extend(
+            module.func_type(base + offset)
+            for offset in range(len(module.functions)))
+        instance.funcs.extend(self.link(module, instance, loaded.artifacts))
 
         if module.start is not None:
             instance.funcs[module.start]()

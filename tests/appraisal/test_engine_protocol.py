@@ -106,6 +106,47 @@ def test_full_handshake_provisions_the_secret(tee_type):
     assert entries[0].tee_type == tee_type
 
 
+@pytest.mark.parametrize("variant", ["envelope", "table2"])
+def test_one_policy_fingerprint_per_msg2(variant, monkeypatch):
+    """With the appraisal cache armed, a msg2 hashes the engine's policy
+    once: the cache scope, the evaluator's staleness check and the audit
+    row share that fingerprint."""
+    from repro.fleet.cache import AppraisalCache
+
+    attester = Attester(os.urandom)
+    device = TrustZoneDevice(attester)
+    engine = AppraisalEngine(_provisioned_policy(device))
+    legacy = VerifierPolicy()
+    legacy.endorse(DEVICE.public_bytes())
+    legacy.trust_measurement(CLAIM)
+    legacy.trust_boot_measurement(BOOT)
+    verifier = Verifier(IDENTITY, legacy, os.urandom,
+                        appraisal_cache=AppraisalCache(), engine=engine)
+    fingerprint = AppraisalPolicy.fingerprint
+    hashed = []
+
+    def counting(policy):
+        hashed.append(policy)
+        return fingerprint(policy)
+
+    monkeypatch.setattr(AppraisalPolicy, "fingerprint", counting)
+    if variant == "envelope":
+        assert _handshake(attester, verifier, device) == SECRET
+    else:
+        session = attester.start_session(IDENTITY.public_bytes())
+        vsession, msg1 = verifier.handle_msg0(attester.make_msg0(session))
+        attester.handle_msg1(session, msg1)
+        signed = attester.collect_evidence(
+            session.anchor, CLAIM, DEVICE.public_bytes(),
+            lambda body: ecdsa.sign(DEVICE.private, body), boot_claim=BOOT)
+        msg3 = verifier.handle_msg2(
+            vsession, attester.make_msg2(session, signed), SECRET)
+        assert attester.handle_msg3(session, msg3) == SECRET
+    assert hashed == [engine.policy]
+    (entry,) = engine.audit.entries()
+    assert entry.accepted and entry.fingerprint == fingerprint(engine.policy)
+
+
 def test_unknown_backend_is_refused_at_msg0():
     engine = AppraisalEngine(AppraisalPolicy())
     verifier = Verifier(IDENTITY, VerifierPolicy(), os.urandom,

@@ -1,6 +1,8 @@
 """The WaTZ runtime TA: loading, measuring, executing Wasm on the platform."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.errors import (
     TeeAccessDenied,
     TeeBadParameters,
     TeeOutOfMemory,
+    TrapError,
     WasmError,
 )
 from repro.walc import compile_source
@@ -177,6 +180,44 @@ def test_unload_returns_memory(device):
     loaded = device.load_wasm(session, binary)
     session.invoke(CMD_UNLOAD, {"app": loaded["app"]})
     assert session.api.heap_used == before
+
+
+@pytest.mark.parametrize("engine_name", ["interpreter", "aot"])
+def test_unload_frees_the_app_without_gc(device, engine_name):
+    """CMD_UNLOAD, and closing the session of an app never unloaded,
+    free the app's linear memory and WASI-RA state at once, not at the
+    next full garbage collection."""
+    session = device.open_watz(heap_size=4 * 1024 * 1024, engine=engine_name)
+    binary = compile_source(_APP)
+
+    def load():
+        handle = device.load_wasm(session, binary)["app"]
+        assert device.run_wasm(session, handle, "add", 2, 3) == 5
+        app = session.ta._apps[handle]
+        return (handle, weakref.ref(app.instance.memory),
+                weakref.ref(app.wasi_ra))
+
+    gc.disable()
+    try:
+        handle, memory, wasi_ra = load()
+        session.invoke(CMD_UNLOAD, {"app": handle})
+        assert memory() is None and wasi_ra() is None
+        _, memory, wasi_ra = load()
+        session.close()
+        assert memory() is None and wasi_ra() is None
+    finally:
+        gc.enable()
+
+
+def test_closed_instance_traps_typed(engine):
+    instance = engine.instantiate(compile_source(
+        "memory 1;\nexport fn f() -> i32 { return load_i32(0); }"))
+    assert instance.invoke("f") == 0
+    instance.close()
+    instance.close()
+    assert instance.memory is None
+    with pytest.raises(TrapError):
+        instance.invoke("f")
 
 
 def test_unknown_app_handle_rejected(watz):

@@ -124,10 +124,10 @@ def test_corpus_loops_are_straight_line_code():
                if instr.opcode == op.CALL}
     assert hot == frozenset(callees) and len(hot) == 3
     for func_index in hot:
-        source = AotCompiler().compile_artifact(module, func_index)[1]
+        source = AotCompiler().compile_function(module, func_index)[1]
         assert "while True" not in source, source
         assert "_fdiv(" not in source
-    kernel = AotCompiler().compile_artifact(
+    kernel = AotCompiler().compile_function(
         module, min(callees))[1]
     # Conversions of the induction fold, and so does the `if (j == 5)`:
     # one arm per copy, and no test at all.
@@ -194,7 +194,7 @@ def test_inner_loop_bounded_by_the_induction_reads_its_copy_value():
     loops = aotopt.analyze(module.functions[0])
     outer = min(loops)
     i = loops[outer].induction.local
-    source = AotCompiler().compile_artifact(module, 0)[1]
+    source = AotCompiler().compile_function(module, 0)[1]
     assert f"while True:  # loop @{outer}" not in source
     assert "len(_m)" in source, source
     for k in range(4):
@@ -236,7 +236,7 @@ def test_known_literals_end_where_paths_join():
     binary = compile_source(_JOINS)
     module = decode_module(binary)
     assert 0 in aotopt.hot_functions(module)
-    source = AotCompiler().compile_artifact(module, 0)[1]
+    source = AotCompiler().compile_function(module, 0)[1]
     assert "while True" not in source
     for n in (-1, 0, 1, 2, 7):
         _agree(binary, "f", n)
@@ -339,7 +339,7 @@ def test_loops_that_do_not_qualify_keep_their_loop():
     cold = module.export("cold").index
     assert cold not in hot and len(hot) == 4
     for func_index in sorted(hot) + [cold]:
-        source = AotCompiler().compile_artifact(module, func_index)[1]
+        source = AotCompiler().compile_function(module, func_index)[1]
         kept = _loops_kept(module, func_index, source)
         assert kept and all(kept.values()), (func_index, source)
     for n in (0, 2, 3, 7):
@@ -349,7 +349,7 @@ def test_loops_that_do_not_qualify_keep_their_loop():
     binary = _indirect_module()
     module = decode_module(binary)
     assert aotopt.hot_functions(module) == frozenset()
-    source = AotCompiler().compile_artifact(module, 0)[1]
+    source = AotCompiler().compile_function(module, 0)[1]
     assert all(_loops_kept(module, 0, source).values()), source
     _agree(binary, "drive", 5)
 
@@ -383,7 +383,7 @@ export fn f(n: i32) -> i32 {{
         func = module.functions[0]
         assert bool(aotopt.unroll_plan(func.body,
                                        aotopt.analyze(func))) == unrolled
-        source = AotCompiler().compile_artifact(module, 0)[1]
+        source = AotCompiler().compile_function(module, 0)[1]
         assert ("while True" not in source) == unrolled
         _agree(binary, "f", 3)
 
@@ -426,7 +426,7 @@ def test_budget_counts_inner_loops_as_emitted():
                for info in loops.values())
     innermost = max(loops)
     assert set(aotopt.unroll_plan(func.body, loops)) == {innermost}
-    source = AotCompiler().compile_artifact(module, 0)[1]
+    source = AotCompiler().compile_function(module, 0)[1]
     assert source.count("\n") < 100, source.count("\n")
     assert all(f"while True:  # loop @{index}" in source
                for index in loops if index != innermost)
@@ -437,7 +437,7 @@ def test_budget_counts_inner_loops_as_emitted():
     func = module.functions[0]
     assert set(aotopt.unroll_plan(func.body, aotopt.analyze(func))) \
         == set(aotopt.analyze(func))
-    assert "while True" not in AotCompiler().compile_artifact(module, 0)[1]
+    assert "while True" not in AotCompiler().compile_function(module, 0)[1]
     _agree(binary, "f", 3)
 
 
@@ -516,7 +516,7 @@ def test_trunc_agrees_at_its_bounds(code):
 
 @pytest.mark.parametrize("code", sorted(_TRUNC_OPS), ids=op.name)
 def test_trunc_calls_its_helper_only_outside_the_range(code):
-    source = AotCompiler().compile_artifact(
+    source = AotCompiler().compile_function(
         decode_module(_trunc_module(code)), 0)[1]
     assert re.search(r"= int\(l0\)[^\n]* if [^\n]* else _trunc\(l0, ",
                      source), source

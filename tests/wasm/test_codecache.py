@@ -1,11 +1,11 @@
 """The content-addressed code cache: sharing code, never state.
 
 Covers the cache data structure (keying, LRU bound, stats, invalidation),
-both engines' instantiate integration (cache hits skip decode/compile,
-bypass forces a recompile), the state-freshness contract (instances built
-from cached artifacts share code objects but never memories), and the
-cost-model invariance of the runtime TA's ``CMD_LOAD`` (identical SimClock
-charges cached vs uncached).
+both engines' load integration (cache hits skip decode/compile, bypass
+forces a recompile, a failed compile is not cached), the state-freshness
+contract (instances built from cached artifacts share code objects but
+never memories), and the runtime TA's ``CMD_LOAD`` (one hash per load,
+identical SimClock charges cached vs uncached).
 """
 
 import pytest
@@ -39,9 +39,9 @@ def _count_compiles(engine):
     calls = []
     original = engine.compile_function
 
-    def counting(module, instance, func_index):
+    def counting(module, func_index):
         calls.append(func_index)
-        return original(module, instance, func_index)
+        return original(module, func_index)
 
     engine.compile_function = counting
     return calls
@@ -80,11 +80,10 @@ def test_store_duplicate_keeps_entry_with_artifacts():
     binary = _counter_module()
     key = CodeCache.module_key(binary)
     module = decode_module(binary)
-    entry = cache.store(key, "aot", module)
-    cache.store_artifact(entry, 0, "artifact")
-    again = cache.store(key, "aot", decode_module(binary))
+    entry = cache.store(key, "aot", module, ("artifact",))
+    again = cache.store(key, "aot", decode_module(binary), ("racer",))
     assert again is entry
-    assert again.artifacts == {0: "artifact"}
+    assert again.module is module and again.artifacts == ("artifact",)
 
 
 def test_lru_eviction_keeps_cache_bounded():
@@ -130,12 +129,11 @@ def test_resolve_maps_knob_values():
 
     cache = CodeCache()
     assert resolve(DEFAULT) is DEFAULT_CACHE
-    assert resolve(True) is DEFAULT_CACHE
     assert resolve(None) is None
-    assert resolve(False) is None
     assert resolve(cache) is cache
-    with pytest.raises(TypeError):
-        resolve("yes please")
+    for value in (True, False, "yes please"):
+        with pytest.raises(TypeError):
+            resolve(value)
 
 
 # -- engine integration -------------------------------------------------------
@@ -151,7 +149,7 @@ def test_aot_warm_instantiate_skips_decode_and_compile():
     cold_compiles = len(calls)
     assert cold_compiles >= 1
     key = CodeCache.module_key(binary)
-    entry = cache.peek(key, engine.cache_identity)
+    entry = cache.peek(key, engine.name)
     assert entry is not None
     assert len(entry.artifacts) == cold_compiles
 
@@ -196,7 +194,8 @@ def test_interpreter_caches_module_but_not_artifacts():
     first = engine.instantiate(binary, code_cache=cache)
     entry = cache.peek(CodeCache.module_key(binary), engine.name)
     assert entry is not None
-    assert entry.artifacts == {}  # interpreter has no reusable artifacts
+    # Nothing is compiled: the interpreter runs the decoded functions.
+    assert entry.artifacts == tuple(entry.module.functions)
     second = engine.instantiate(binary, code_cache=cache)
     assert second.module is first.module
     assert first.invoke("f") == 1
@@ -224,19 +223,15 @@ def test_separate_aot_engines_share_artifacts():
     assert not calls, "same identity must reuse the cached artifact"
 
 
-def test_decoded_module_with_key_uses_cache():
-    engine = AotCompiler()
+def test_failed_compile_is_not_cached():
+    from repro.errors import WasmError
+    from tests.wasm.helpers import build_loop_nest
+
+    binary = build_loop_nest(21)  # past CPython's 20 nested loops
     cache = CodeCache()
-    binary = _counter_module()
-    key = CodeCache.module_key(binary)
-    module = decode_module(binary)
-    calls = _count_compiles(engine)
-    engine.instantiate(module, code_cache=cache, cache_key=key)
-    cold_compiles = len(calls)
-    # Passing a freshly decoded module with the same key adopts the cached
-    # one and links against its artifacts.
-    engine.instantiate(decode_module(binary), code_cache=cache, cache_key=key)
-    assert len(calls) == cold_compiles
+    with pytest.raises(WasmError):
+        AotCompiler().load(binary, cache)
+    assert len(cache) == 0
 
 
 # -- CMD_LOAD: warm loads, bypass knob, SimClock invariance -------------------
@@ -272,8 +267,7 @@ def test_cmd_load_bypass_knob_skips_cache(device):
 
 def test_cmd_load_bypass_validates_once(device, monkeypatch):
     """The load that decodes the module validates it; instantiating the
-    decoded module does not validate it again."""
-    import repro.core.runtime as runtime_ta
+    loaded module does not validate it again."""
     import repro.wasm.runtime as wasm_runtime
     from repro.wasm.validation import validate_module
 
@@ -283,7 +277,6 @@ def test_cmd_load_bypass_validates_once(device, monkeypatch):
         validated.append(module)
         validate_module(module)
 
-    monkeypatch.setattr(runtime_ta, "validate_module", counting_validate)
     monkeypatch.setattr(wasm_runtime, "validate_module", counting_validate)
     session = device.open_watz(heap_size=1 << 20)
     loaded = _load_counter(device, session, code_cache=False)
@@ -308,3 +301,17 @@ def test_cmd_load_simclock_charges_identical_cached_vs_uncached(testbed):
     bypass = charge(code_cache=False)
     assert cold == warm == bypass
 
+
+def test_cmd_load_hashes_once(device, monkeypatch):
+    """The measurement is the binary's SHA-256, so ``CMD_LOAD`` keys the
+    cache with it and never hashes the bytecode a second time."""
+    from repro.wasm.codecache import DEFAULT_CACHE
+
+    def second_hash(binary):
+        raise AssertionError("CMD_LOAD hashed the bytecode twice")
+
+    monkeypatch.setattr(CodeCache, "module_key", staticmethod(second_hash))
+    session = device.open_watz(heap_size=1 << 20)
+    loaded = _load_counter(device, session)
+    assert DEFAULT_CACHE.peek(loaded["measurement"], "aot") is not None
+    assert device.run_wasm(session, loaded["app"], "f") == 1

@@ -71,7 +71,7 @@ def test_parallel_cold_loads_of_same_binary_converge():
     # However the compile race resolved, the cache holds exactly one
     # entry for this content hash, and its artifacts are populated.
     assert len(cache) == 1
-    entry = cache.peek(CodeCache.module_key(binary), engine.cache_identity)
+    entry = cache.peek(CodeCache.module_key(binary), engine.name)
     assert entry is not None and entry.artifacts
     stats = cache.stats()
     assert stats["hits"] + stats["misses"] == 8
@@ -90,9 +90,9 @@ def test_warm_parallel_loads_never_recompile():
     compiles = []
     original = engine.compile_function
 
-    def counting(module, instance, func_index):
+    def counting(module, func_index):
         compiles.append(func_index)
-        return original(module, instance, func_index)
+        return original(module, func_index)
 
     engine.compile_function = counting
     _run_threads(8, lambda _:

@@ -171,6 +171,24 @@ def test_grow_makes_new_pages_accessible(engine):
     assert run_single(engine, [], [I32], emit, memory=_MEM) == 42
 
 
+def test_caller_sees_the_pages_its_callee_grew(engine):
+    """A callee's grow rebinds the typed planes every function reads, so
+    the caller's f64 accesses after the call reach the new page."""
+    builder = ModuleBuilder()
+    builder.add_memory(1, 2)
+    grow = builder.add_function(builder.add_type([], []))
+    grow.i32_const(1).emit(op.MEMORY_GROW).emit(op.DROP)
+    f = builder.add_function(builder.add_type([], [F64]))
+    f.i32_const(8).f64_const(1.5).emit(op.F64_STORE, 0)
+    f.call(grow.index)
+    f.i32_const(PAGE_SIZE + 8).f64_const(2.5).emit(op.F64_STORE, 0)
+    f.i32_const(8).emit(op.F64_LOAD, 0)
+    f.i32_const(PAGE_SIZE + 8).emit(op.F64_LOAD, 0)
+    f.emit(op.F64_ADD)
+    builder.export_function("f", f.index)
+    assert engine.instantiate(builder.build()).invoke("f") == 4.0
+
+
 def test_data_segment_initialises_memory(engine):
     builder = ModuleBuilder()
     builder.add_memory(1)
