@@ -13,13 +13,12 @@ including every check the paper specifies in §IV:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.crypto import ec, ecdh, ecdsa
 from repro.crypto.cmac import AesCmac
 from repro.crypto.gcm import AesGcm
-from repro.crypto.hashing import constant_time_equal
 from repro.crypto.kdf import SessionKeys, derive_session_keys
 from repro.core import protocol
 from repro.core.evidence import Evidence, SignedEvidence
@@ -57,32 +56,25 @@ class Attester:
     hard-coded in its measured application, so one key suffices.
     """
 
-    def __init__(self, random_source: Callable[[int], bytes],
-                 recorder: Optional[protocol.CostRecorder] = None) -> None:
+    def __init__(self, random_source: Callable[[int], bytes]) -> None:
         self._random = random_source
-        self.recorder = recorder or protocol.NullRecorder()
         self.resumption_key: Optional[bytes] = None
 
     # -- msg0 ------------------------------------------------------------------
 
     def start_session(self, expected_verifier_key: bytes) -> AttesterSession:
         """Generate the ephemeral session key pair (freshness, §IV)."""
-        with self.recorder.phase("msg0", protocol.KEYGEN):
-            keypair = ecdh.generate(self._random)
-        return AttesterSession(keypair, expected_verifier_key)
+        return AttesterSession(ecdh.generate(self._random),
+                               expected_verifier_key)
 
     def make_msg0(self, session: AttesterSession) -> bytes:
-        with self.recorder.phase("msg0", protocol.MEMORY):
-            message = protocol.encode_msg0(session.g_a)
-        return message
+        return protocol.encode_msg0(session.g_a)
 
     def make_msg0_multi(self, session: AttesterSession,
                         tee_type: int) -> bytes:
         """Open a multi-TEE handshake, declaring the evidence backend."""
         session.tee_type = tee_type
-        with self.recorder.phase("msg0", protocol.MEMORY):
-            message = protocol.encode_msg0_multi(tee_type, session.g_a)
-        return message
+        return protocol.encode_msg0_multi(tee_type, session.g_a)
 
     # -- msg1 ------------------------------------------------------------------
 
@@ -95,14 +87,12 @@ class Attester:
         checked the negotiation is tamper-proof).
         """
         if data and data[0] == protocol.MSG1_MULTI:
-            with self.recorder.phase("msg1", protocol.MEMORY):
-                message = protocol.decode_msg1_multi(data)
+            message = protocol.decode_msg1_multi(data)
             if message.tee_type != session.tee_type:
                 raise ProtocolError(
                     "msg1 echoes a tee_type this session did not declare")
         else:
-            with self.recorder.phase("msg1", protocol.MEMORY):
-                message = protocol.decode_msg1(data)
+            message = protocol.decode_msg1(data)
 
         # The verifier identity must match the key hard-coded in the Wasm
         # application; because that key is part of the code measurement, an
@@ -112,22 +102,14 @@ class Attester:
                 "verifier identity does not match the hard-coded key"
             )
 
-        with self.recorder.phase("msg1", protocol.KEYGEN):
-            shared = ecdh.shared_secret(
-                session.session_keypair.private,
-                ec.decode_point(message.g_v),
-            )
-            session.keys = derive_session_keys(shared)
-
-        with self.recorder.phase("msg1", protocol.SYMMETRIC):
-            AesCmac(session.keys.mac_key).verify(message.content, message.mac)
-
-        with self.recorder.phase("msg1", protocol.ASYMMETRIC):
-            verifier_public = ec.decode_point(message.verifier_key)
-            # Different session keys in the signature reveal masquerading
-            # or replay.
-            ecdsa.verify(verifier_public, message.g_v + session.g_a,
-                         message.signature)
+        shared = ecdh.shared_secret(session.session_keypair.private,
+                                    ec.decode_point(message.g_v))
+        session.keys = derive_session_keys(shared)
+        AesCmac(session.keys.mac_key).verify(message.content, message.mac)
+        # Different session keys in the signature reveal masquerading or
+        # replay.
+        ecdsa.verify(ec.decode_point(message.verifier_key),
+                     message.g_v + session.g_a, message.signature)
 
         session.g_v = message.g_v
         session.anchor = protocol.compute_anchor(session.g_a, message.g_v)
@@ -146,22 +128,18 @@ class Attester:
         ``sign_evidence`` is the kernel attestation service entry point;
         the private key never appears here.
         """
-        with self.recorder.phase("msg2", protocol.MEMORY):
-            kwargs = {}
-            if version:
-                kwargs["version"] = version
-            if boot_claim is not None:
-                kwargs["boot_claim"] = boot_claim
-            evidence = Evidence(
-                anchor=anchor,
-                claim=claim,
-                attestation_public_key=attestation_public_key,
-                **kwargs,
-            )
-            body = evidence.encode()
-        with self.recorder.phase("msg2", protocol.ASYMMETRIC):
-            signature = sign_evidence(body)
-        return SignedEvidence(evidence, signature)
+        kwargs = {}
+        if version:
+            kwargs["version"] = version
+        if boot_claim is not None:
+            kwargs["boot_claim"] = boot_claim
+        evidence = Evidence(
+            anchor=anchor,
+            claim=claim,
+            attestation_public_key=attestation_public_key,
+            **kwargs,
+        )
+        return SignedEvidence(evidence, sign_evidence(evidence.encode()))
 
     def make_msg2(self, session: AttesterSession,
                   signed_evidence: SignedEvidence,
@@ -177,26 +155,22 @@ class Attester:
         if signed_evidence.evidence.anchor != session.anchor:
             raise ProtocolError("evidence anchor does not match this session")
         if encrypt_evidence:
-            with self.recorder.phase("msg2", protocol.SYMMETRIC):
-                iv = self._random(12)
-                sealed = AesGcm(session.keys.enc_key).seal(
-                    iv, signed_evidence.encode())
-                content = session.g_a + iv + sealed
-                mac = AesCmac(session.keys.mac_key).mac(content)
+            iv = self._random(12)
+            sealed = AesGcm(session.keys.enc_key).seal(
+                iv, signed_evidence.encode())
+            mac = AesCmac(session.keys.mac_key).mac(session.g_a + iv + sealed)
             return protocol.encode_msg2_encrypted(session.g_a, iv, sealed,
                                                   mac)
-        with self.recorder.phase("msg2", protocol.SYMMETRIC):
-            ticket = b""
-            if self.resumption_key is not None:
-                # Prove continuity with the prior fully verified
-                # handshake: CMAC the *fresh* evidence body (which
-                # contains this session's anchor) under the resumption
-                # key, so a captured ticket cannot be transplanted into
-                # another session.
-                ticket = AesCmac(self.resumption_key).mac(
-                    signed_evidence.evidence.encode())
-            content = session.g_a + signed_evidence.encode() + ticket
-            mac = AesCmac(session.keys.mac_key).mac(content)
+        ticket = b""
+        if self.resumption_key is not None:
+            # Prove continuity with the prior fully verified handshake:
+            # CMAC the *fresh* evidence body (which contains this
+            # session's anchor) under the resumption key, so a captured
+            # ticket cannot be transplanted into another session.
+            ticket = AesCmac(self.resumption_key).mac(
+                signed_evidence.evidence.encode())
+        content = session.g_a + signed_evidence.encode() + ticket
+        mac = AesCmac(session.keys.mac_key).mac(content)
         return protocol.encode_msg2(session.g_a, signed_evidence, mac,
                                     ticket)
 
@@ -217,15 +191,13 @@ class Attester:
         if session.tee_type is not None and view.tee_type != session.tee_type:
             raise ProtocolError(
                 "evidence backend differs from the negotiated one")
-        with self.recorder.phase("msg2", protocol.MEMORY):
-            envelope = view.envelope()
-        with self.recorder.phase("msg2", protocol.SYMMETRIC):
-            ticket = b""
-            if self.resumption_key is not None:
-                ticket = AesCmac(self.resumption_key).mac(envelope)
-            content = (session.g_a + len(envelope).to_bytes(4, "little")
-                       + envelope + ticket)
-            mac = AesCmac(session.keys.mac_key).mac(content)
+        envelope = view.envelope()
+        ticket = b""
+        if self.resumption_key is not None:
+            ticket = AesCmac(self.resumption_key).mac(envelope)
+        content = (session.g_a + len(envelope).to_bytes(4, "little")
+                   + envelope + ticket)
+        mac = AesCmac(session.keys.mac_key).mac(content)
         return protocol.encode_msg2_multi(session.g_a, envelope, mac, ticket)
 
     def attest(self, session: AttesterSession, claim: bytes,
@@ -250,8 +222,7 @@ class Attester:
         """
         if session.keys is None:
             raise ProtocolError("session keys are not established")
-        with self.recorder.phase("msg3", protocol.SYMMETRIC):
-            plaintext = protocol.open_msg3(AesGcm(session.keys.enc_key), data)
+        plaintext = protocol.open_msg3(AesGcm(session.keys.enc_key), data)
         if data[0] == protocol.MSG3_RESUME:
             if len(plaintext) < protocol.RESUMPTION_KEY_SIZE:
                 raise ProtocolError("resume msg3 too short for a key")

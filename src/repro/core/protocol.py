@@ -11,20 +11,17 @@
     msg3 := iv || AES-GCM_Ke(data)
 
 Each message carries a one-byte type tag so misordered messages are
-detected explicitly rather than by parse failure. The instrumentation
-hooks (:class:`CostRecorder`) reproduce Table III's per-message cost
-breakdown into memory management / key generation / symmetric / asymmetric
-categories.
+detected explicitly rather than by parse failure. Nothing here is
+instrumented: Table III's per-message cost breakdown is read off spans
+that ``repro.obs`` wraps around these codecs and the crypto primitives
+from outside (``TraceAnalyzer.protocol_costs``).
 """
 
 from __future__ import annotations
 
 import struct
-import time
-from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.crypto import ecdsa
 from repro.crypto.cmac import MAC_SIZE
@@ -359,45 +356,3 @@ def open_msg3(gcm: AesGcm, data: bytes,
         stream.update(view[offset : offset + chunk_size])
     return stream.final()
 
-
-# --- instrumentation -------------------------------------------------------------
-
-MEMORY = "memory"
-KEYGEN = "keygen"
-SYMMETRIC = "symmetric"
-ASYMMETRIC = "asymmetric"
-
-CATEGORIES = (MEMORY, KEYGEN, SYMMETRIC, ASYMMETRIC)
-
-
-class CostRecorder:
-    """Accumulates real execution time per (message, category).
-
-    Reproduces Table III: attester/verifier both carry one recorder and
-    wrap each cryptographic phase, so the bench can print the same rows.
-    """
-
-    def __init__(self) -> None:
-        self.seconds: Dict[Tuple[str, str], float] = defaultdict(float)
-
-    @contextmanager
-    def phase(self, message: str, category: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.seconds[(message, category)] += time.perf_counter() - start
-
-    def get(self, message: str, category: str) -> float:
-        return self.seconds.get((message, category), 0.0)
-
-    def reset(self) -> None:
-        self.seconds.clear()
-
-
-class NullRecorder(CostRecorder):
-    """A recorder that skips the clock reads (production path)."""
-
-    @contextmanager
-    def phase(self, message: str, category: str) -> Iterator[None]:
-        yield

@@ -97,8 +97,9 @@ class LoadedApp:
 class WatzRuntime(TrustedApplication):
     """The WaTZ trusted application (the attester of Fig. 2)."""
 
-    #: Execution engine; "aot" is the paper's choice, "interpreter" the
-    #: ablation baseline.
+    #: Execution engine, fixed per TA image as the paper builds one TA
+    #: per configuration (``Device.open_watz(engine=...)``); "aot" is the
+    #: paper's choice, "interpreter" the ablation baseline.
     engine_name = "aot"
 
     def open_session(self, api) -> None:
@@ -150,9 +151,6 @@ class WatzRuntime(TrustedApplication):
         size = params.get("size", shared_buffer.size)
         if not isinstance(size, int) or not 0 <= size <= shared_buffer.size:
             raise TeeBadParameters("bytecode size outside its shared buffer")
-        engine_name = params.get("engine", self.engine_name)
-        if not isinstance(engine_name, str) or engine_name not in _ENGINES:
-            raise TeeBadParameters(f"unknown engine {engine_name!r}")
         args = params.get("args")
         if args is not None and not _is_str_sequence(args):
             raise TeeBadParameters("args must be a list of strings")
@@ -179,7 +177,7 @@ class WatzRuntime(TrustedApplication):
             # Phase 2: runtime initialisation — engine construction and
             # native symbol registration (the WASI and WASI-RA bindings).
             started = time.perf_counter()
-            engine = _ENGINES[engine_name]()
+            engine = _ENGINES[self.engine_name]()
             filesystem = None
             if params.get("filesystem"):
                 # The WASI-FS extension (paper future work): files live in the
@@ -231,8 +229,7 @@ class WatzRuntime(TrustedApplication):
 
             # WASI-RA needs the finished measurement as its claim.
             wasi_ra = WasiRa(api, measurement.digest,
-                             Attester(api.generate_random,
-                                      params.get("recorder")))
+                             Attester(api.generate_random))
             imports.update(build_wasi_ra_imports(wasi_ra))
 
             # Optional host-call recording (repro.obs): the log replays the

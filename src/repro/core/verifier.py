@@ -100,12 +100,10 @@ class Verifier:
 
     def __init__(self, identity: ecdsa.KeyPair, policy: VerifierPolicy,
                  random_source: Callable[[int], bytes],
-                 recorder: Optional[protocol.CostRecorder] = None,
                  appraisal_cache=None, engine=None) -> None:
         self.identity = identity
         self.policy = policy
         self._random = random_source
-        self.recorder = recorder or protocol.NullRecorder()
         # Optional repro.fleet.cache.AppraisalCache: memoises successful
         # appraisals so re-attestations by a known-genuine device skip the
         # expensive ECDSA verify (the asymmetric-crypto dominance of
@@ -147,38 +145,37 @@ class Verifier:
         tee_type = None
         if data and data[0] == protocol.MSG0_MULTI:
             engine = self._require_engine()
-            with self.recorder.phase("msg0", protocol.MEMORY):
-                tee_type, g_a = protocol.decode_msg0_multi(data)
+            tee_type, g_a = protocol.decode_msg0_multi(data)
             if tee_type not in engine.registry:
                 detail = f"no codec registered for tee_type {tee_type:#04x}"
                 engine.record(tee_type, False, Reason.TEE_NOT_ACCEPTED,
                               detail)
                 raise EnvelopeError(detail)
         else:
-            with self.recorder.phase("msg0", protocol.MEMORY):
-                g_a = protocol.decode_msg0(data)
-        with self.recorder.phase("msg0", protocol.KEYGEN):
-            keypair = ecdh.generate(self._random)
-            shared = ecdh.shared_secret(keypair.private, ec.decode_point(g_a))
-            keys = derive_session_keys(shared)
-        session = VerifierSession(keypair, g_a, keys, tee_type)
+            g_a = protocol.decode_msg0(data)
+        keypair = ecdh.generate(self._random)
+        shared = ecdh.shared_secret(keypair.private, ec.decode_point(g_a))
+        session = VerifierSession(keypair, g_a, derive_session_keys(shared),
+                                  tee_type)
+        return session, self._make_msg1(session)
 
-        with self.recorder.phase("msg1", protocol.ASYMMETRIC):
-            signature = ecdsa.sign(self.identity.private,
-                                   session.g_v + g_a)
-        with self.recorder.phase("msg1", protocol.SYMMETRIC):
-            tag = b"" if tee_type is None else bytes([tee_type])
-            content = tag + session.g_v + self.identity_bytes + signature
-            mac = AesCmac(keys.mac_key).mac(content)
-        with self.recorder.phase("msg1", protocol.MEMORY):
-            if tee_type is None:
-                message = protocol.encode_msg1(
-                    session.g_v, self.identity_bytes, signature, mac)
-            else:
-                message = protocol.encode_msg1_multi(
-                    tee_type, session.g_v, self.identity_bytes, signature,
-                    mac)
-        return session, message
+    def _make_msg1(self, session: VerifierSession) -> bytes:
+        """Sign both session keys, MAC the content and encode msg1.
+
+        A method of its own, so that an observer can tell msg1's work
+        from msg0's (Table III's verifier columns).
+        """
+        signature = ecdsa.sign(self.identity.private,
+                               session.g_v + session.g_a)
+        tee_type = session.tee_type
+        tag = b"" if tee_type is None else bytes([tee_type])
+        content = tag + session.g_v + self.identity_bytes + signature
+        mac = AesCmac(session.keys.mac_key).mac(content)
+        if tee_type is None:
+            return protocol.encode_msg1(session.g_v, self.identity_bytes,
+                                        signature, mac)
+        return protocol.encode_msg1_multi(tee_type, session.g_v,
+                                          self.identity_bytes, signature, mac)
 
     # -- msg2 -> msg3 --------------------------------------------------------------
 
@@ -221,12 +218,10 @@ class Verifier:
             # signature check. Every other check still runs.
             if cache is not None:
                 scope = self._cache_scope(fingerprint)
-                with self.recorder.phase("msg2", protocol.SYMMETRIC):
-                    resumption_key = cache.redeem(scope, view, ticket_body,
-                                                  ticket)
+                resumption_key = cache.redeem(scope, view, ticket_body,
+                                              ticket)
             if resumption_key is None:
-                with self.recorder.phase("msg2", protocol.ASYMMETRIC):
-                    view.verify_signature()
+                view.verify_signature()
             post_signature(view, fingerprint)
         except Exception as exc:
             # Appraisal steps tag what they raise with a reason code; an
@@ -257,20 +252,14 @@ class Verifier:
         from repro.appraisal.codecs import trustzone
 
         if data and data[0] == protocol.MSG2_ENC:
-            with self.recorder.phase("msg2", protocol.MEMORY):
-                sealed = protocol.decode_msg2_encrypted(data)
-            with self.recorder.phase("msg2", protocol.SYMMETRIC):
-                AesCmac(session.keys.mac_key).verify(sealed.content,
-                                                     sealed.mac)
-                body = AesGcm(session.keys.enc_key).open(
-                    sealed.iv, sealed.sealed_evidence)
+            sealed = protocol.decode_msg2_encrypted(data)
+            AesCmac(session.keys.mac_key).verify(sealed.content, sealed.mac)
+            body = AesGcm(session.keys.enc_key).open(sealed.iv,
+                                                     sealed.sealed_evidence)
             g_a, signed, ticket = sealed.g_a, SignedEvidence.decode(body), b""
         else:
-            with self.recorder.phase("msg2", protocol.MEMORY):
-                message = protocol.decode_msg2(data)
-            with self.recorder.phase("msg2", protocol.SYMMETRIC):
-                AesCmac(session.keys.mac_key).verify(message.content,
-                                                     message.mac)
+            message = protocol.decode_msg2(data)
+            AesCmac(session.keys.mac_key).verify(message.content, message.mac)
             g_a, signed, ticket = (message.g_a, message.signed_evidence,
                                    message.ticket)
         _check_session_key(session, g_a)
@@ -292,10 +281,8 @@ class Verifier:
     def _open_envelope_msg2(self, session: VerifierSession, data: bytes):
         """The multi-TEE msg2: an envelope decoded by the engine's codecs."""
         engine = self._require_engine()
-        with self.recorder.phase("msg2", protocol.MEMORY):
-            message = protocol.decode_msg2_multi(data)
-        with self.recorder.phase("msg2", protocol.SYMMETRIC):
-            AesCmac(session.keys.mac_key).verify(message.content, message.mac)
+        message = protocol.decode_msg2_multi(data)
+        AesCmac(session.keys.mac_key).verify(message.content, message.mac)
         _check_session_key(session, message.g_a)
         if session.tee_type is None:
             raise ProtocolError(
@@ -336,15 +323,11 @@ class Verifier:
 
     def _seal_msg3(self, session: VerifierSession, secret_blob: bytes,
                    resumption_key: Optional[bytes]) -> bytes:
-        with self.recorder.phase("msg3", protocol.MEMORY):
-            iv = self._random(12)
-        with self.recorder.phase("msg3", protocol.SYMMETRIC):
-            chunks = (secret_blob,) if resumption_key is None \
-                else (resumption_key, secret_blob)
-            message = protocol.seal_msg3(AesGcm(session.keys.enc_key), iv,
-                                         chunks,
-                                         resume=resumption_key is not None)
-        return message
+        iv = self._random(12)
+        chunks = (secret_blob,) if resumption_key is None \
+            else (resumption_key, secret_blob)
+        return protocol.seal_msg3(AesGcm(session.keys.enc_key), iv, chunks,
+                                  resume=resumption_key is not None)
 
     def _require_engine(self):
         if self.engine is None:

@@ -211,30 +211,3 @@ class FleetOverloaded(FleetError):
     def __init__(self, message: str = "", reason: str = "queue") -> None:
         super().__init__(message or f"gateway overloaded ({reason})")
         self.reason = reason
-
-
-# --- Formal verification --------------------------------------------------
-
-
-class FormalError(ReproError):
-    """Base class for protocol-model errors."""
-
-
-class AttackFound(FormalError):
-    """The checker found a concrete attack trace on a claimed property."""
-
-    def __init__(self, claim: str, trace: list) -> None:
-        super().__init__(f"attack found on claim {claim!r}")
-        self.claim = claim
-        self.trace = trace
-
-
-# --- Workloads ------------------------------------------------------------
-
-
-class WorkloadError(ReproError):
-    """Base class for workload/benchmark errors."""
-
-
-class SqlError(WorkloadError):
-    """SQL parse or execution error in the mini database."""

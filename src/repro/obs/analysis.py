@@ -1,8 +1,9 @@
 """Derive latency decompositions from recorded spans — and nothing else.
 
 The repo's rule is that derived quantities are never hardcoded: Fig. 3's
-world-transition split and Table IV's per-phase breakdown must *emerge*
-from what actually ran. :class:`TraceAnalyzer` therefore consumes only
+world-transition split, Table III's per-message cost matrix and Table
+IV's per-phase breakdown must *emerge* from what actually ran.
+:class:`TraceAnalyzer` therefore consumes only
 :class:`~repro.obs.tracer.Span` records; no constant from
 ``repro.hw.costs`` appears here. If an instrumentation hook is missing,
 the gap shows up honestly as ``(unattributed)`` instead of being papered
@@ -17,11 +18,55 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.tracer import Span
 
 UNATTRIBUTED = "(unattributed)"
+
+#: Table III's cost categories, in the paper's order.
+COST_CATEGORIES = ("memory", "keygen", "symmetric", "asymmetric")
+
+#: The category of each primitive span (``repro.obs.observe`` names a
+#: span after the function that ran); every wire codec is memory
+#: management.
+_PRIMITIVES = {
+    "crypto.ecdh.generate": "keygen",
+    "crypto.ecdh.shared_secret": "keygen",
+    "crypto.kdf.derive_session_keys": "keygen",
+    "crypto.cmac.AesCmac.mac": "symmetric",
+    "crypto.cmac.AesCmac.verify": "symmetric",
+    "crypto.gcm.AesGcm.seal": "symmetric",
+    "crypto.gcm.AesGcm.open": "symmetric",
+    "core.protocol.seal_msg3": "symmetric",
+    "core.protocol.open_msg3": "symmetric",
+    "crypto.ecdsa.sign": "asymmetric",
+    "crypto.ecdsa.verify": "asymmetric",
+    "core.evidence.Evidence.encode": "memory",
+}
+_CODEC_PREFIXES = ("core.protocol.encode_", "core.protocol.decode_")
+
+#: The ``(role, message)`` of each protocol step span.
+_STEPS = {
+    "core.attester.Attester.start_session": ("attester", "msg0"),
+    "core.attester.Attester.make_msg0": ("attester", "msg0"),
+    "core.attester.Attester.make_msg0_multi": ("attester", "msg0"),
+    "core.attester.Attester.handle_msg1": ("attester", "msg1"),
+    "core.attester.Attester.collect_evidence": ("attester", "msg2"),
+    "core.attester.Attester.make_msg2": ("attester", "msg2"),
+    "core.attester.Attester.make_msg2_multi": ("attester", "msg2"),
+    "core.attester.Attester.handle_msg3": ("attester", "msg3"),
+    "core.verifier.Verifier.handle_msg0": ("verifier", "msg0"),
+    "core.verifier.Verifier._make_msg1": ("verifier", "msg1"),
+    "core.verifier.Verifier.handle_msg2": ("verifier", "msg2"),
+    "core.verifier.Verifier._seal_msg3": ("verifier", "msg3"),
+}
+
+
+def _category(name: str) -> Optional[str]:
+    if name.startswith(_CODEC_PREFIXES):
+        return "memory"
+    return _PRIMITIVES.get(name)
 
 
 @dataclass(frozen=True)
@@ -129,6 +174,28 @@ class TraceAnalyzer:
         rows.sort(key=lambda row: (row.name == UNATTRIBUTED,
                                    -row.sim_ns, -row.wall_s, row.name))
         return rows
+
+    def protocol_costs(self) -> Dict[Tuple[str, str, str], float]:
+        """Table III: wall seconds per ``(role, message, category)``.
+
+        A primitive counts toward the message of the innermost protocol
+        step around it; one called inside another primitive (the CMAC a
+        key derivation runs, the evidence body a codec encodes) counts
+        once, inside the outer one's time, and one outside every step
+        not at all. The keys are exactly the cells some primitive ran in.
+        """
+        cells: Dict[Tuple[str, str, str], float] = defaultdict(float)
+        for span in self.spans:
+            category = _category(span.name)
+            if category is None:
+                continue
+            parent = self._by_id.get(span.parent_id)
+            while parent is not None and parent.name not in _STEPS \
+                    and _category(parent.name) is None:
+                parent = self._by_id.get(parent.parent_id)
+            if parent is not None and parent.name in _STEPS:
+                cells[_STEPS[parent.name] + (category,)] += span.wall_s
+        return dict(cells)
 
     def wasi_indirection(self) -> PhaseRow:
         """Cost of crossing the WASI shim (Table IV's indirection column)."""

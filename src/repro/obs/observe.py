@@ -25,7 +25,7 @@ from typing import Iterator, List, Tuple
 
 from repro.obs.tracer import NORMAL, SECURE, Tracer
 
-CALL, CONTEXT, INSTANT, IMPORTS = "call", "context", "instant", "imports"
+CALL, INSTANT, IMPORTS = "call", "instant", "imports"
 
 
 def _request_attrs(args) -> dict:
@@ -39,9 +39,19 @@ def _evaluate_attrs(args) -> dict:
     return {"tee": tee_name(args[1].tee_type)}
 
 
-def _phase(args) -> str:
-    return f"crypto.{args[2]}"
+def _named_after_the_function(*modules) -> Tuple[tuple, ...]:
+    """Board-less ``call`` entries, each span named after the function
+    that ran: its module under ``repro`` and its qualified name
+    (``crypto.ecdsa.sign``, ``core.attester.Attester.handle_msg1``)."""
+    return tuple((module, path, CALL, None,
+                  f"{module.partition('.')[2]}.{path}", "", None)
+                 for module, paths in modules for path in paths)
 
+
+#: The wire codecs of :mod:`repro.core.protocol` (Table II).
+_CODECS = tuple(f"{verb}_msg{kind}" for kind in (
+    "0", "1", "2", "3", "2_encrypted", "0_multi", "1_multi", "2_multi")
+    for verb in ("encode", "decode"))
 
 _HW_STEPS = (("_optee_driver", "hw.optee_driver", NORMAL),
              ("_smc_enter", "hw.smc.enter", NORMAL),
@@ -56,9 +66,9 @@ _HW_STEPS = (("_optee_driver", "hw.optee_driver", NORMAL),
 #: the SoC itself, ``None`` when board-less. ``name`` is a string or a
 #: function of the args; ``attrs`` maps the args (args and result, for an
 #: instant) to span attrs.
-#: ``call`` times the call, ``context`` the ``with`` block of the context
-#: manager it returns, ``instant`` marks its return, and ``imports`` wraps
-#: every host function of the namespaces it builds as ``name + function``.
+#: ``call`` times the call, ``instant`` marks its return, and ``imports``
+#: wraps every host function of the namespaces it builds as ``name +
+#: function``.
 TARGETS: Tuple[tuple, ...] = tuple(
     ("repro.hw.soc", f"SoC.{method}", CALL, "", name, world, None)
     for method, name, world in _HW_STEPS) + (
@@ -83,10 +93,6 @@ TARGETS: Tuple[tuple, ...] = tuple(
     ("repro.core.server", "VerifierProtocolState.handle", CALL, None,
      lambda args: f"core.protocol.msg{args[1][0] & 0x0F}" if args[1]
      else "core.protocol.empty", SECURE, None),
-    ("repro.core.protocol", "CostRecorder.phase", CONTEXT, None, _phase, "",
-     lambda args: {"message": args[1]}),
-    ("repro.core.protocol", "NullRecorder.phase", CONTEXT, None, _phase, "",
-     lambda args: {"message": args[1]}),
     ("repro.wasm.aot", "AotCompiler.compile_function", CALL, None,
      "aot.compile", "", lambda args: {"func": args[2]}),
     ("repro.wasm.aot", "AotCompiler._make_compiler", CALL, None,
@@ -108,6 +114,22 @@ TARGETS: Tuple[tuple, ...] = tuple(
     ("repro.fleet.gateway", "AttestationGateway._connection_closed",
      INSTANT, "client.kernel.soc", "fleet.conn.close", "",
      lambda args, result: {"conn": args[1]}),
+) + _named_after_the_function(
+    ("repro.crypto.ecdh", ("generate", "shared_secret")),
+    ("repro.crypto.kdf", ("derive_session_keys",)),
+    ("repro.crypto.ecdsa", ("sign", "verify")),
+    ("repro.crypto.cmac", ("AesCmac.mac", "AesCmac.verify")),
+    ("repro.crypto.gcm", ("AesGcm.seal", "AesGcm.open")),
+    ("repro.core.evidence", ("Evidence.encode",)),
+    ("repro.core.protocol", _CODECS + ("seal_msg3", "open_msg3")),
+    ("repro.core.attester", tuple(
+        f"Attester.{step}" for step in (
+            "start_session", "make_msg0", "make_msg0_multi", "handle_msg1",
+            "collect_evidence", "make_msg2", "make_msg2_multi",
+            "handle_msg3"))),
+    ("repro.core.verifier", tuple(
+        f"Verifier.{step}" for step in (
+            "handle_msg0", "_make_msg1", "handle_msg2", "_seal_msg3"))),
 )
 
 
@@ -149,19 +171,6 @@ class _Observation:
             finally:
                 tracer._close(record)
 
-        @contextmanager
-        def spanned(args, inner):
-            record = start(args, attrs(args) if attrs else {})
-            try:
-                with inner as value:
-                    yield value
-            finally:
-                tracer._close(record)
-
-        def context(*args, **kwargs):
-            inner = original(*args, **kwargs)
-            return spanned(args, inner) if wanted(args) else inner
-
         def instant(*args, **kwargs):
             result = original(*args, **kwargs)
             if wanted(args):
@@ -177,8 +186,7 @@ class _Observation:
                 host.name) for function, host in namespace.items()}
                 for module, namespace in original(*args, **kwargs).items()}
 
-        wrapper = {CALL: call, CONTEXT: context, INSTANT: instant,
-                   IMPORTS: imports}[kind]
+        wrapper = {CALL: call, INSTANT: instant, IMPORTS: imports}[kind]
         return functools.wraps(original)(wrapper)
 
 

@@ -1859,7 +1859,7 @@ class AotCompiler(Engine):
             # produced inside the sandbox are already canonical.
             namespace["_f"].append(compiled)
             entries.append(_wrap_entry(
-                compiled, module.func_type(func_index).params))
+                compiled, module.func_type(func_index).params, instance))
         return entries
 
 
@@ -1937,12 +1937,15 @@ def _faulted_in_wasm(exc: BaseException) -> bool:
     return tb.tb_frame.f_code.co_filename.startswith("<wasm-aot")
 
 
-def _wrap_entry(compiled: Callable, param_types) -> Callable:
+def _wrap_entry(compiled: Callable, param_types,
+                instance: Instance) -> Callable:
     """The public boundary: coerce host-supplied arguments once, and map
     an access fault to the interpreter's trap.
 
     Exports, the start function and a host's re-entry all come through
-    here, so a fault in a re-entered call traps at its own entry.
+    here, so a fault in a re-entered call traps at its own entry. An
+    entry point held past :meth:`Instance.close` finds its generated
+    code's namespace cleared and traps too.
     """
     from repro.wasm.interpreter import _coerce
 
@@ -1959,6 +1962,10 @@ def _wrap_entry(compiled: Callable, param_types) -> Callable:
         except _FAULTS as exc:
             if _faulted_in_wasm(exc):
                 raise TrapError("out-of-bounds memory access") from None
+            raise
+        except NameError:
+            if instance.closed:
+                raise TrapError("instance is closed") from None
             raise
 
     entry.__wasm_source__ = compiled.__wasm_source__

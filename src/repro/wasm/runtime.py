@@ -14,6 +14,7 @@ differ only in what they compile a decoded
 
 from __future__ import annotations
 
+import math
 import struct
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, Union
@@ -185,9 +186,12 @@ class Instance:
 
         Its functions, host bindings and generated code all refer back to
         the instance, so without this it would wait for a full garbage
-        collection. A closed instance's exports trap.
+        collection. A closed instance's exports trap, also one taken
+        before the close: every later call fails the depth check each
+        call already makes (the AOT entry maps its cleared namespace).
         """
         self.closed = True
+        self.call_depth = math.inf
         self.funcs.clear()
         self._export_cache.clear()
         self.namespace.clear()
@@ -199,7 +203,8 @@ class Instance:
             # Undo only this frame's increment: every frame that did enter
             # runs exit_call while the trap unwinds it.
             self.call_depth -= 1
-            raise TrapError("call stack exhausted")
+            raise TrapError("instance is closed" if self.closed
+                            else "call stack exhausted")
 
     def exit_call(self) -> None:
         self.call_depth -= 1

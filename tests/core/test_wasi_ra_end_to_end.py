@@ -48,6 +48,16 @@ def test_stepwise_wasi_ra_flow(deployment):
     assert device.run_wasm(session, app, "secret_length") == len(SECRET)
 
 
+def test_load_params_never_reach_the_attester(deployment):
+    """CMD_LOAD takes no recorder: a normal-world value under that name
+    is ignored, and the app's handshake runs to completion."""
+    _, device, session, _, _, identity = deployment
+    app = build_attested_app(identity.public_bytes(), HOST, PORT,
+                             secret_capacity=1 << 16)
+    loaded = device.load_wasm(session, app, recorder=5)
+    assert device.run_wasm(session, loaded["app"], "attest") == len(SECRET)
+
+
 def test_secret_bytes_accessible(deployment):
     _, device, session, loaded, _, _ = deployment
     device.run_wasm(session, loaded["app"], "attest")

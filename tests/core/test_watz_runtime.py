@@ -1,5 +1,6 @@
 """The WaTZ runtime TA: loading, measuring, executing Wasm on the platform."""
 
+import dataclasses
 import gc
 import math
 import weakref
@@ -14,6 +15,7 @@ from repro.core.runtime import (
     CMD_UNLOAD,
     NormalWorldRuntime,
     RELOCATION_OVERHEAD_FACTOR,
+    StartupBreakdown,
 )
 from repro.core.measurement import measure_bytes
 from repro.errors import (
@@ -98,9 +100,20 @@ def test_stdout_captured(watz):
     assert device.read_stdout(session, loaded["app"]) == "ok"
 
 
-def test_startup_breakdown_phases_positive(watz):
-    _, _, loaded, _ = watz
-    breakdown = loaded["breakdown"]
+def test_startup_breakdown_phases_positive(device):
+    # Each phase's minimum over five cold loads (code_cache=False: every
+    # load decodes, validates and compiles), so one pause in a
+    # millisecond-long phase cannot decide which phase is largest.
+    session = device.open_watz(heap_size=4 * 1024 * 1024)
+    binary = compile_source(_APP)
+    loads = []
+    for _ in range(5):
+        loaded = device.load_wasm(session, binary, code_cache=False)
+        session.invoke(CMD_UNLOAD, {"app": loaded["app"]})
+        loads.append(loaded["breakdown"])
+    breakdown = StartupBreakdown(**{
+        phase.name: min(getattr(load, phase.name) for load in loads)
+        for phase in dataclasses.fields(StartupBreakdown)})
     assert breakdown.transition_ns > 0
     assert breakdown.load_s > 0
     assert breakdown.hash_s > 0
@@ -152,7 +165,7 @@ def test_interpreter_engine_selectable(device):
     session = device.open_watz(heap_size=4 * 1024 * 1024,
                                engine="interpreter")
     binary = compile_source(_APP)
-    loaded = device.load_wasm(session, binary, engine="interpreter")
+    loaded = device.load_wasm(session, binary)
     assert device.run_wasm(session, loaded["app"], "add", 1, 2) == 3
 
 
@@ -211,13 +224,19 @@ def test_unload_frees_the_app_without_gc(device, engine_name):
 
 def test_closed_instance_traps_typed(engine):
     instance = engine.instantiate(compile_source(
-        "memory 1;\nexport fn f() -> i32 { return load_i32(0); }"))
+        "memory 1;\nexport fn f() -> i32 { return load_i32(0); }\n"
+        "export fn k() -> i32 { return 7; }"))
     assert instance.invoke("f") == 0
+    # Entry points taken before the close, as an embedder may hold them.
+    held = [instance.exported_function(name) for name in ("f", "k")]
     instance.close()
     instance.close()
     assert instance.memory is None
     with pytest.raises(TrapError):
         instance.invoke("f")
+    for entry in held:
+        with pytest.raises(TrapError, match="closed"):
+            entry()
 
 
 def test_unknown_app_handle_rejected(watz):
@@ -257,12 +276,6 @@ _HOSTILE_PARAMS = [
      lambda app, binary, buf: {"bytecode": binary}, TeeBadParameters),
     ("size past the buffer", CMD_LOAD,
      lambda app, binary, buf: {"bytecode": buf, "size": buf.size + 1},
-     TeeBadParameters),
-    ("unknown engine", CMD_LOAD,
-     lambda app, binary, buf: {"bytecode": buf, "engine": "jit"},
-     TeeBadParameters),
-    ("list as engine", CMD_LOAD,
-     lambda app, binary, buf: {"bytecode": buf, "engine": ["aot"]},
      TeeBadParameters),
     ("list as unload handle", CMD_UNLOAD,
      lambda app, binary, buf: {"app": [app]}, TeeBadParameters),

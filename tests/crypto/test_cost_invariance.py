@@ -2,21 +2,20 @@
 
 The wNAF/comb/Shamir EC fast paths and the vectorised GCM pipeline change
 *wall-clock* time only. Everything the simulation observes — the protocol
-transcript, the CostRecorder phase sequence (Table III), the ``crypto.*``
-span stream an observing tracer records, and the SimClock totals of a full
-on-device attestation — must be byte-for-byte identical between the fast
-paths and the retained scalar references.
+transcript, the sequence of spans an observing tracer records around the
+protocol steps, crypto primitives and codecs (the spans Table III is read
+from), and the SimClock totals of a full on-device attestation — must be
+byte-for-byte identical between the fast paths and the retained scalar
+references.
 """
 
 import hashlib
-from contextlib import contextmanager
 
 from repro.core import VerifierPolicy, measure_bytes, start_verifier
-from repro.core import protocol
 from repro.core.attester import Attester
 from repro.core.verifier import Verifier
 from repro.crypto import ec, ecdsa, gcm
-from repro.obs import Tracer
+from repro.obs import TraceAnalyzer, Tracer
 from repro.testbed import Testbed
 from repro.workloads.attested import build_attested_app
 
@@ -42,22 +41,9 @@ def _deterministic_random(label: str):
     return random_bytes
 
 
-class _SequenceRecorder(protocol.CostRecorder):
-    """Records the exact order of phases, not just their accumulated time."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.sequence = []
-
-    @contextmanager
-    def phase(self, message, category):
-        self.sequence.append((message, category))
-        with super().phase(message, category):
-            yield
-
-
-def _run_handshake(recorder_a, recorder_v, secret=_SECRET):
-    """Full msg0..msg3 exchange; returns the transcript and the secret."""
+def _run_handshake(secret=_SECRET):
+    """Full msg0..msg3 exchange under an observing tracer; returns the
+    transcript, the secret and the recorded spans."""
     attestation_pair = ecdsa.keypair_from_private(_ATTESTATION_PRIVATE)
     identity = ecdsa.keypair_from_private(_VERIFIER_PRIVATE)
     claim = hashlib.sha256(b"trusted module").digest()
@@ -66,63 +52,61 @@ def _run_handshake(recorder_a, recorder_v, secret=_SECRET):
     policy.endorse(attestation_pair.public_bytes())
     policy.trust_measurement(claim)
 
-    attester = Attester(_deterministic_random("attester"), recorder_a)
-    verifier = Verifier(identity, policy,
-                        _deterministic_random("verifier"), recorder_v)
+    attester = Attester(_deterministic_random("attester"))
+    verifier = Verifier(identity, policy, _deterministic_random("verifier"))
 
-    session = attester.start_session(identity.public_bytes())
-    msg0 = attester.make_msg0(session)
-    vsession, msg1 = verifier.handle_msg0(msg0)
-    attester.handle_msg1(session, msg1)
-    signed = attester.collect_evidence(
-        session.anchor, claim, attestation_pair.public_bytes(),
-        lambda body: ecdsa.sign(attestation_pair.private, body))
-    msg2 = attester.make_msg2(session, signed)
-    msg3 = verifier.handle_msg2(vsession, msg2, secret)
-    received = attester.handle_msg3(session, msg3)
-    return (msg0, msg1, msg2, msg3), received
+    tracer = Tracer()
+    with tracer.observe():
+        session = attester.start_session(identity.public_bytes())
+        msg0 = attester.make_msg0(session)
+        vsession, msg1 = verifier.handle_msg0(msg0)
+        attester.handle_msg1(session, msg1)
+        signed = attester.collect_evidence(
+            session.anchor, claim, attestation_pair.public_bytes(),
+            lambda body: ecdsa.sign(attestation_pair.private, body))
+        msg2 = attester.make_msg2(session, signed)
+        msg3 = verifier.handle_msg2(vsession, msg2, secret)
+        received = attester.handle_msg3(session, msg3)
+    return (msg0, msg1, msg2, msg3), received, tracer.spans()
+
+
+def _names(spans):
+    """The outside-in span names, in the order the calls started."""
+    return [span.name for span in sorted(spans, key=lambda s: s.span_id)]
+
+
+def _tree(spans):
+    """Each span's name with its parent's: the nesting, not the order."""
+    by_id = {span.span_id: span for span in spans}
+    return sorted((span.name, by_id[span.parent_id].name
+                   if span.parent_id in by_id else None) for span in spans)
 
 
 def test_transcript_and_phase_sequence_identical_on_both_paths():
-    recorder_fast_a, recorder_fast_v = _SequenceRecorder(), _SequenceRecorder()
-    transcript_fast, secret_fast = _run_handshake(recorder_fast_a,
-                                                  recorder_fast_v)
-
+    transcript_fast, secret_fast, spans_fast = _run_handshake()
     with ec.reference_paths():
-        recorder_ref_a, recorder_ref_v = (_SequenceRecorder(),
-                                          _SequenceRecorder())
-        transcript_ref, secret_ref = _run_handshake(recorder_ref_a,
-                                                    recorder_ref_v)
+        transcript_ref, secret_ref, spans_ref = _run_handshake()
 
     assert secret_fast == secret_ref == _SECRET
     # Deterministic randomness + RFC 6979 signing: the wire bytes must not
     # depend on which scalar-multiplication algorithm produced them.
     assert transcript_fast == transcript_ref
-    # The recorders saw the same phases in the same order on both sides.
-    assert recorder_fast_a.sequence == recorder_ref_a.sequence
-    assert recorder_fast_v.sequence == recorder_ref_v.sequence
-    assert set(recorder_fast_a.seconds) == set(recorder_ref_a.seconds)
-    assert set(recorder_fast_v.seconds) == set(recorder_ref_v.seconds)
-    # Every Table III (message, category) cell the bench prints is present.
-    assert ("msg1", protocol.ASYMMETRIC) in recorder_fast_a.sequence
-    assert ("msg2", protocol.ASYMMETRIC) in recorder_fast_v.sequence
+    # The same steps, primitives and codecs ran in the same order.
+    assert _names(spans_fast) == _names(spans_ref)
+    assert "crypto.ecdsa.verify" in _names(spans_fast)
 
 
 def test_tracing_recorder_spans_identical_on_both_paths():
-    tracer_fast = Tracer()
-    with tracer_fast.observe():
-        _run_handshake(None, None)
+    _, _, spans_fast = _run_handshake()
+    with ec.reference_paths():
+        _, _, spans_ref = _run_handshake()
 
-    tracer_ref = Tracer()
-    with ec.reference_paths(), tracer_ref.observe():
-        _run_handshake(None, None)
-
-    def shape(tracer):
-        return [(s.name, s.attrs.get("message")) for s in tracer.spans()]
-
-    fast_shape = shape(tracer_fast)
-    assert fast_shape == shape(tracer_ref)
-    assert ("crypto.asymmetric", "msg2") in fast_shape
+    assert _tree(spans_fast) == _tree(spans_ref)
+    cells = set(TraceAnalyzer(spans_fast).protocol_costs())
+    assert cells == set(TraceAnalyzer(spans_ref).protocol_costs())
+    # Every Table III cell the bench prints for these two is filled in.
+    assert ("attester", "msg1", "asymmetric") in cells
+    assert ("verifier", "msg2", "asymmetric") in cells
 
 
 def _attested_device_clock_ns(secret=_SECRET,
@@ -157,39 +141,27 @@ def test_simclock_totals_identical_on_both_paths():
 
 def test_msg3_wire_bytes_identical_on_gcm_paths():
     """A bulk msg3 is byte-identical whichever GCM path sealed it."""
-    recorder_fast_a, recorder_fast_v = _SequenceRecorder(), _SequenceRecorder()
-    transcript_fast, secret_fast = _run_handshake(
-        recorder_fast_a, recorder_fast_v, secret=_BULK_SECRET)
-
+    transcript_fast, secret_fast, spans_fast = _run_handshake(_BULK_SECRET)
     with gcm.reference_paths():
-        recorder_ref_a, recorder_ref_v = (_SequenceRecorder(),
-                                          _SequenceRecorder())
-        transcript_ref, secret_ref = _run_handshake(
-            recorder_ref_a, recorder_ref_v, secret=_BULK_SECRET)
+        transcript_ref, secret_ref, spans_ref = _run_handshake(_BULK_SECRET)
 
     assert secret_fast == secret_ref == _BULK_SECRET
     assert transcript_fast == transcript_ref
-    assert recorder_fast_a.sequence == recorder_ref_a.sequence
-    assert recorder_fast_v.sequence == recorder_ref_v.sequence
-    assert ("msg3", protocol.SYMMETRIC) in recorder_fast_a.sequence
-    assert ("msg3", protocol.SYMMETRIC) in recorder_fast_v.sequence
+    assert _names(spans_fast) == _names(spans_ref)
+    assert "core.protocol.seal_msg3" in _names(spans_fast)
+    assert "core.protocol.open_msg3" in _names(spans_fast)
 
 
 def test_tracing_recorder_spans_identical_on_gcm_paths():
-    tracer_fast = Tracer()
-    with tracer_fast.observe():
-        _run_handshake(None, None, secret=_BULK_SECRET)
+    _, _, spans_fast = _run_handshake(_BULK_SECRET)
+    with gcm.reference_paths():
+        _, _, spans_ref = _run_handshake(_BULK_SECRET)
 
-    tracer_ref = Tracer()
-    with gcm.reference_paths(), tracer_ref.observe():
-        _run_handshake(None, None, secret=_BULK_SECRET)
-
-    def shape(tracer):
-        return [(s.name, s.attrs.get("message")) for s in tracer.spans()]
-
-    fast_shape = shape(tracer_fast)
-    assert fast_shape == shape(tracer_ref)
-    assert ("crypto.symmetric", "msg3") in fast_shape
+    assert _tree(spans_fast) == _tree(spans_ref)
+    cells = set(TraceAnalyzer(spans_fast).protocol_costs())
+    assert cells == set(TraceAnalyzer(spans_ref).protocol_costs())
+    assert ("attester", "msg3", "symmetric") in cells
+    assert ("verifier", "msg3", "symmetric") in cells
 
 
 def test_simclock_totals_identical_on_gcm_paths():

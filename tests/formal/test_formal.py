@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import FormalError
 from repro.formal import (
     MUTATION_EXPECTATIONS,
     Atom,

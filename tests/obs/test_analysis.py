@@ -6,6 +6,7 @@ import inspect
 import repro.obs.analysis as analysis_module
 from repro.hw import SimClock
 from repro.obs import Tracer, TraceAnalyzer, UNATTRIBUTED
+from repro.obs.observe import TARGETS
 
 
 def _trace():
@@ -110,3 +111,29 @@ def test_empty_trace_yields_empty_rows():
     assert analyzer.breakdown("anything") == []
     assert analyzer.total_sim_ns() == 0
     assert analyzer.wasi_indirection().count == 0
+
+
+# -- Table III: protocol cost by (role, message, category) --------------------
+
+def test_protocol_costs_count_a_nested_primitive_once():
+    tracer = Tracer()
+    with tracer.span("core.verifier.Verifier.handle_msg0"):
+        with tracer.span("crypto.kdf.derive_session_keys") as derive:
+            with tracer.span("crypto.cmac.AesCmac.mac"):
+                pass
+        with tracer.span("unobserved.helper"):
+            with tracer.span("core.protocol.decode_msg0") as decode:
+                pass
+    with tracer.span("crypto.ecdsa.verify"):  # outside every step
+        pass
+    costs = TraceAnalyzer(tracer.spans()).protocol_costs()
+    assert costs == {("verifier", "msg0", "keygen"): derive.wall_s,
+                     ("verifier", "msg0", "memory"): decode.wall_s}
+
+
+def test_protocol_costs_read_only_names_the_tracer_emits():
+    observed = {name for *_, name, _, _ in TARGETS if isinstance(name, str)}
+    named = set(analysis_module._PRIMITIVES) | set(analysis_module._STEPS)
+    assert named <= observed
+    assert any(name.startswith(analysis_module._CODEC_PREFIXES)
+               for name in observed)

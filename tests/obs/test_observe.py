@@ -4,7 +4,8 @@ The program holds no tracer. These tests pin what that design promises:
 every patched attribute is the identical original object again after the
 block (normal or raising exit), a namespace built while observing stops
 emitting once the block ends, a board-scoped observation ignores other
-boards, and no module outside ``repro.obs`` names a tracer at all.
+boards, and no module outside ``repro.obs`` names a tracer or a
+recorder at all.
 """
 
 import ast
@@ -84,25 +85,23 @@ def test_namespace_built_while_observing_is_silent_afterwards():
 
 
 def test_board_scope_ignores_other_boards_and_unnested_callees():
-    from repro.core.protocol import CostRecorder
+    from repro.core import protocol
 
     testbed = Testbed(deterministic_rng=True)
     observed, other = testbed.create_device(), testbed.create_device()
     tracer = Tracer(sim_now=observed.soc.clock.now_ns)
-    recorder = CostRecorder()
+    g_a = b"\x04" * (protocol.POINT_SIZE - 1)
     with tracer.observe(observed.soc):
         with other.soc.enter_secure_world():
             pass
-        with recorder.phase("msg0", "keygen"):  # board-less, not nested
-            pass
+        protocol.encode_msg0(g_a)  # board-less, not nested
         assert tracer.spans() == []
         with tracer.span("root"):
-            with recorder.phase("msg0", "keygen"):
-                pass
+            protocol.encode_msg0(g_a)
         with observed.soc.enter_secure_world():
             pass
     names = [span.name for span in tracer.spans()]
-    assert names == ["crypto.keygen", "root", "hw.optee_driver",
+    assert names == ["core.protocol.encode_msg0", "root", "hw.optee_driver",
                      "hw.smc.enter", "hw.session_dispatch", "hw.smc.exit",
                      "hw.return_path"]
 
@@ -126,5 +125,6 @@ def test_serving_path_names_no_tracer():
                 names.append(node.name)
             offenders += [f"{source.relative_to(SRC)}:{node.lineno} "
                           f"{name}" for name in names
-                          if "tracer" in name.lower()]
+                          if "tracer" in name.lower()
+                          or "recorder" in name.lower()]
     assert offenders == []

@@ -5,7 +5,6 @@ import threading
 import pytest
 
 from repro.hw import SimClock
-from repro.core.protocol import CostRecorder
 from repro.obs import Span, Tracer
 
 
@@ -115,20 +114,6 @@ def test_exception_still_closes_the_span():
             raise RuntimeError("x")
     (span,) = tracer.spans()
     assert span.sim_ns == 7
-
-
-def test_tracing_recorder_mirrors_phases_as_spans():
-    _, tracer = _tracer()
-    recorder = CostRecorder()
-    with tracer.observe():
-        with recorder.phase("msg2", "ecdsa-verify"):
-            pass
-    (span,) = tracer.spans()
-    assert span.name == "crypto.ecdsa-verify"
-    assert span.attrs["message"] == "msg2"
-    # The CostRecorder contract (Table III accumulation) still holds.
-    assert recorder.get("msg2", "ecdsa-verify") >= 0.0
-    assert ("msg2", "ecdsa-verify") in recorder.seconds
 
 
 def test_span_dataclass_duration_properties():

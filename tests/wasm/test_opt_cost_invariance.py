@@ -22,7 +22,7 @@ _VERIFIER_PRIVATE = 0x5EC2E7 + 7
 _HOST, _PORT = "opt-invariance.local", 7190
 
 
-def _attested_run(**load_params):
+def _attested_run(engine="aot"):
     """Full on-device attestation; returns (SimClock ns, RA transcript)."""
     DEFAULT_CACHE.clear()  # identical cold-cache conditions for both runs
     testbed = Testbed(deterministic_rng=True)
@@ -57,15 +57,15 @@ def _attested_run(**load_params):
     policy.trust_measurement(measure_bytes(app).digest)
     start_verifier(testbed.network, _HOST, _PORT, device.client,
                    testbed.vendor_key, identity, policy, lambda: _SECRET)
-    session = device.open_watz(heap_size=17 * 1024 * 1024)
-    loaded = device.load_wasm(session, app, **load_params)
+    session = device.open_watz(heap_size=17 * 1024 * 1024, engine=engine)
+    loaded = device.load_wasm(session, app)
     assert device.run_wasm(session, loaded["app"], "attest") == len(_SECRET)
     return device.soc.clock.now_ns(), transcript
 
 
 def test_simclock_and_ra_transcript_identical_on_both_engines():
     aot_ns, aot_transcript = _attested_run()
-    interp_ns, interp_transcript = _attested_run(engine="interpreter")
+    interp_ns, interp_transcript = _attested_run("interpreter")
 
     # The wire bytes of msg0..msg3 must not depend on which engine ran
     # the Wasm that drove the exchange.
