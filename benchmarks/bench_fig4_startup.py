@@ -7,6 +7,11 @@ execution each under 1%. The pure-Python AOT engine is much slower than
 WAMR's loader, so the binaries are scaled down 8x (0.125-1.125 MB); the
 *fractions* are what Fig. 4 reports and what we compare.
 
+The phases are read from outside: each load runs under
+``Tracer.observe`` and ``TraceAnalyzer.startup_phases`` splits it from
+the spans of the runtime TA's ``CMD_LOAD`` steps. A cold load is forced
+by dropping the binary's code-cache entry first.
+
 Each test records its gates (threshold, value, ``asserted`` and a reason)
 in its own ``bench_results/BENCH_fig4_*.json`` before asserting them.
 """
@@ -14,6 +19,9 @@ in its own ``bench_results/BENCH_fig4_*.json`` before asserting them.
 from __future__ import annotations
 
 from repro.bench import format_table, save_json, save_report
+from repro.obs import Tracer, TraceAnalyzer
+from repro.obs.analysis import STARTUP_PHASES
+from repro.wasm.codecache import CodeCache, DEFAULT_CACHE
 from repro.workloads.startup import build_startup_app
 
 #: 8x scale-down of the paper's 1..9 MB sweep.
@@ -31,14 +39,30 @@ _FRACTION_REASON = ("fractions of one load's own phase times: host speed "
                     "of magnitude")
 
 
+def _observed_load(device, session, binary, cold=True, **params):
+    """Fig. 4's phases of one ``CMD_LOAD`` of ``binary``, in seconds."""
+    if cold:
+        DEFAULT_CACHE.invalidate(CodeCache.module_key(binary))
+    tracer = Tracer(sim_now=device.soc.clock.now_ns)
+    with tracer.observe(device.soc):
+        device.load_wasm(session, binary, **params)
+    (phases,) = TraceAnalyzer(tracer.spans()).startup_phases()
+    return phases
+
+
+def _fractions(phases):
+    total = sum(phases.values())
+    return {phase: seconds / total for phase, seconds in phases.items()}
+
+
 def _load_all(device):
     results = []
     for size in SIZES_BYTES:
         binary = build_startup_app(size)
         session = device.open_watz(
             heap_size=min(23 * 1024 * 1024, 4 * len(binary) + (4 << 20)))
-        loaded = device.load_wasm(session, binary, entry="entry")
-        results.append((len(binary), loaded["breakdown"]))
+        results.append((len(binary), _observed_load(device, session, binary,
+                                                    entry="entry")))
         session.close()
     return results
 
@@ -46,30 +70,28 @@ def _load_all(device):
 def test_fig4_startup_breakdown(benchmark, device):
     results = benchmark.pedantic(lambda: _load_all(device),
                                  rounds=1, iterations=1)
-    phases = ["transition", "alloc", "runtime_init", "load", "hash",
-              "instantiate", "execute"]
     rows = []
-    for size, breakdown in results:
-        fractions = breakdown.fractions()
+    for size, load in results:
+        fractions = _fractions(load)
         rows.append(
-            [f"{size / 1048576:.2f} MB", f"{breakdown.total_s:.2f} s"]
-            + [f"{fractions[p] * 100:.1f}%" for p in phases]
+            [f"{size / 1048576:.2f} MB", f"{sum(load.values()):.2f} s"]
+            + [f"{fractions[p] * 100:.1f}%" for p in STARTUP_PHASES]
         )
     rows.append(["paper (any size)", "-"]
-                + [f"{_PAPER_FRACTIONS[p] * 100:.0f}%" for p in phases])
+                + [f"{_PAPER_FRACTIONS[p] * 100:.0f}%" for p in STARTUP_PHASES])
     save_report("fig4_startup", format_table(
         "Fig. 4 — startup breakdown (fraction of total per phase)",
-        ["binary", "total"] + phases, rows,
+        ["binary", "total", *STARTUP_PHASES], rows,
     ))
 
     # Shape gates across all sizes: loading dominates, as in the paper;
     # transition and execution are minor phases; startup grows with
     # binary size (roughly linearly).
-    all_fractions = [breakdown.fractions() for _size, breakdown in results]
+    all_fractions = [_fractions(load) for _size, load in results]
     load_min = min(fractions["load"] for fractions in all_fractions)
     transition_max = max(f["transition"] for f in all_fractions)
     execute_max = max(f["execute"] for f in all_fractions)
-    totals = [b.total_s for _s, b in results]
+    totals = [sum(load.values()) for _size, load in results]
     gates = {
         "load_dominates": {
             "metric": "smallest load fraction over the nine sizes (must "
@@ -98,8 +120,8 @@ def test_fig4_startup_breakdown(benchmark, device):
     }
     save_json("BENCH_fig4_startup", {
         "gates": gates,
-        "sizes": [{"bytes": size, "total_s": round(breakdown.total_s, 4)}
-                  for size, breakdown in results],
+        "sizes": [{"bytes": size, "total_s": round(total, 4)}
+                  for (size, _load), total in zip(results, totals)],
     })
     assert load_min > 0.5, gates
     assert transition_max < 0.1, gates
@@ -111,18 +133,16 @@ def test_fig4_hash_overhead_is_small(device):
     """Paper: hashing for attestation adds ~4-5% over plain WAMR loading."""
     binary = build_startup_app(SIZES_BYTES[2])
     session = device.open_watz(heap_size=8 * 1024 * 1024)
-    # Bypass the code cache: the breakdown sweep above already loaded this
-    # binary, and a warm hit would collapse load_s and skew the fraction.
-    loaded = device.load_wasm(session, binary, code_cache=False)
-    breakdown = loaded["breakdown"]
-    watz_extras = (breakdown.hash_s
-                   + breakdown.transition_ns * 1e-9)
+    # Cold: the breakdown sweep above already loaded this binary, and a
+    # warm hit would collapse the load phase and skew the fraction.
+    phases = _observed_load(device, session, binary)
     session.close()
+    overhead = (phases["hash"] + phases["transition"]) / sum(phases.values())
     gates = {
         "hash_overhead_small": {
             "metric": "hash + transition time over total startup",
             "threshold": 0.15,
-            "value": round(watz_extras / breakdown.total_s, 6),
+            "value": round(overhead, 6),
             "asserted": True,
             "reason": "a fraction of one load's own phase times; hashing "
                       "is a linear pass, cheaper than decode and compile "
@@ -130,63 +150,48 @@ def test_fig4_hash_overhead_is_small(device):
         },
     }
     save_json("BENCH_fig4_hash_overhead", {"gates": gates})
-    assert watz_extras / breakdown.total_s < 0.15, gates
+    assert overhead < 0.15, gates
 
 
 def test_fig4_code_cache_cold_vs_warm(device):
     """Fleet steady state: the content-addressed code cache collapses the
     load phase (Fig. 4's dominant bar) on every repeat instantiation."""
-    from repro.wasm.codecache import CodeCache, DEFAULT_CACHE
-
     binary = build_startup_app(SIZES_BYTES[1])
     session = device.open_watz(heap_size=8 * 1024 * 1024)
-    DEFAULT_CACHE.invalidate(CodeCache.module_key(binary))
-
-    cold = device.load_wasm(session, binary)["breakdown"]
-    warm = device.load_wasm(session, binary)["breakdown"]
-    bypass = device.load_wasm(session, binary,
-                              code_cache=False)["breakdown"]
+    cold = _observed_load(device, session, binary)
+    warm = _observed_load(device, session, binary, cold=False)
     session.close()
+    cold_total, warm_total = sum(cold.values()), sum(warm.values())
 
-    def row(label, b):
-        return [label, f"{b.total_s * 1e3:.2f} ms",
-                f"{b.load_s * 1e3:.2f} ms",
-                f"{b.load_s / (cold.load_s or 1.0) * 100:.0f}%"]
+    def row(label, phases):
+        return [label, f"{sum(phases.values()) * 1e3:.2f} ms",
+                f"{phases['load'] * 1e3:.2f} ms",
+                f"{phases['load'] / (cold['load'] or 1.0) * 100:.0f}%"]
 
     save_report("fig4_code_cache", format_table(
         "Fig. 4 extension — startup with the content-addressed code cache",
         ["load", "total", "load phase", "load vs cold"],
-        [row("cache-cold", cold), row("cache-warm", warm),
-         row("cache-bypass", bypass)],
+        [row("cache-cold", cold), row("cache-warm", warm)],
     ))
 
-    # Warm loads skip decode/validate/compile entirely; the bypass knob
-    # restores cold-path behaviour on a warm cache.
-    reason = ("three loads of one binary in one process: a warm hit skips "
+    # Warm loads skip decode/validate/compile entirely.
+    reason = ("two loads of one binary in one process: a warm hit skips "
               "decode, validate and compile, hundreds of times the host "
               "noise between the loads")
     gates = {
         "warm_total_below_cold": {
             "metric": "startup total, warm vs cold (s)",
-            "threshold": round(cold.total_s, 6),
-            "value": round(warm.total_s, 6),
+            "threshold": round(cold_total, 6),
+            "value": round(warm_total, 6),
             "asserted": True, "reason": reason,
         },
         "warm_load_below_cold": {
             "metric": "load phase, warm vs cold (s)",
-            "threshold": round(cold.load_s, 6),
-            "value": round(warm.load_s, 6),
-            "asserted": True, "reason": reason,
-        },
-        "bypass_load_above_warm": {
-            "metric": "load phase, bypass vs warm (s; must exceed the "
-                      "threshold)",
-            "threshold": round(warm.load_s, 6),
-            "value": round(bypass.load_s, 6),
+            "threshold": round(cold["load"], 6),
+            "value": round(warm["load"], 6),
             "asserted": True, "reason": reason,
         },
     }
     save_json("BENCH_fig4_code_cache", {"gates": gates})
-    assert warm.total_s < cold.total_s, gates
-    assert warm.load_s < cold.load_s, gates
-    assert bypass.load_s > warm.load_s, gates
+    assert warm_total < cold_total, gates
+    assert warm["load"] < cold["load"], gates

@@ -5,10 +5,13 @@ Walks the minimal path through the public API:
 
 1. manufacture and securely boot a simulated TrustZone device;
 2. compile a small program to WebAssembly with walc;
-3. load it into the WaTZ runtime TA (it is measured on the way in);
+3. load it into the WaTZ runtime TA (it is measured on the way in),
+   observing the load from outside to split its startup into Fig. 4's
+   phases;
 4. invoke its exports and read its WASI stdout.
 """
 
+from repro.obs import Tracer, TraceAnalyzer
 from repro.testbed import Testbed
 from repro.walc import compile_source
 
@@ -45,14 +48,17 @@ def main() -> None:
 
     # The WaTZ TA declares its heap at compile time (paper §VI-A).
     session = device.open_watz(heap_size=4 * 1024 * 1024)
-    loaded = device.load_wasm(session, binary)
+    tracer = Tracer(sim_now=device.soc.clock.now_ns)
+    with tracer.observe(device.soc):
+        loaded = device.load_wasm(session, binary)
     print(f"loaded; code measurement = {loaded['measurement'][:32]}…")
 
-    breakdown = loaded["breakdown"].fractions()
+    (phases,) = TraceAnalyzer(tracer.spans()).startup_phases()
+    total = sum(phases.values())
     print("startup breakdown:",
-          ", ".join(f"{name} {fraction * 100:.1f}%"
-                    for name, fraction in breakdown.items()
-                    if fraction > 0.005))
+          ", ".join(f"{name} {seconds / total * 100:.1f}%"
+                    for name, seconds in phases.items()
+                    if seconds / total > 0.005))
 
     app = loaded["app"]
     device.run_wasm(session, app, "greet")

@@ -16,7 +16,6 @@ from repro.core.runtime import (
     CMD_UNLOAD,
     LoadedApp,
     NormalWorldRuntime,
-    StartupBreakdown,
     WatzRuntime,
     watz_manifest,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "WatzRuntime",
     "NormalWorldRuntime",
     "LoadedApp",
-    "StartupBreakdown",
     "watz_manifest",
     "CMD_LOAD",
     "CMD_INVOKE",

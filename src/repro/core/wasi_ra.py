@@ -93,7 +93,10 @@ class WasiRa:
         self._api.charge_ns(self._api.costs.wasi_dispatch_ns)
         if vkey_len != 65:
             return -errno.EINVAL
-        host = instance.memory.read(host_ptr, host_len).decode("utf-8")
+        try:
+            host = instance.memory.read(host_ptr, host_len).decode("utf-8")
+        except UnicodeDecodeError:
+            return -errno.EINVAL
         expected_key = instance.memory.read(vkey_ptr, vkey_len)
         try:
             session = self._attester.start_session(expected_key)

@@ -1,8 +1,9 @@
 """Derive latency decompositions from recorded spans — and nothing else.
 
 The repo's rule is that derived quantities are never hardcoded: Fig. 3's
-world-transition split, Table III's per-message cost matrix and Table
-IV's per-phase breakdown must *emerge* from what actually ran.
+world-transition split, Table III's per-message cost matrix, Fig. 4's
+startup phases and Table IV's per-phase breakdown must *emerge* from what
+actually ran.
 :class:`TraceAnalyzer` therefore consumes only
 :class:`~repro.obs.tracer.Span` records; no constant from
 ``repro.hw.costs`` appears here. If an instrumentation hook is missing,
@@ -61,6 +62,29 @@ _STEPS = {
     "core.verifier.Verifier.handle_msg2": ("verifier", "msg2"),
     "core.verifier.Verifier._seal_msg3": ("verifier", "msg3"),
 }
+
+
+#: Fig. 4's startup phases, in the paper's order.
+STARTUP_PHASES = ("transition", "alloc", "runtime_init", "load", "hash",
+                  "instantiate", "execute")
+
+_CMD_LOAD = "core.runtime.WatzRuntime._cmd_load"
+
+#: The phase of each step span inside a ``CMD_LOAD``: the copy out of the
+#: shared buffer is loading, the SHA-256 it folds each chunk into hashing.
+_LOAD_PHASES = {
+    "core.runtime.WatzRuntime._alloc": "alloc",
+    "core.runtime.WatzRuntime._copy": "load",
+    "crypto.hashing.IncrementalHash.update": "hash",
+    "crypto.hashing.IncrementalHash.digest": "hash",
+    "wasm.runtime.Engine.load": "load",
+    "core.runtime.WatzRuntime._runtime_init": "runtime_init",
+    "wasm.runtime.Engine.instantiate": "instantiate",
+    "core.runtime.WatzRuntime._run": "execute",
+}
+
+#: The ``hw.*`` steps that carry a TA command into the secure world.
+_WORLD_ENTRY = ("hw.optee_driver", "hw.smc.enter", "hw.session_dispatch")
 
 
 def _category(name: str) -> Optional[str]:
@@ -196,6 +220,34 @@ class TraceAnalyzer:
             if parent is not None and parent.name in _STEPS:
                 cells[_STEPS[parent.name] + (category,)] += span.wall_s
         return dict(cells)
+
+    def startup_phases(self) -> List[Dict[str, float]]:
+        """Fig. 4: the seven startup phases, in seconds, of each observed
+        ``CMD_LOAD`` in the order the loads finished. A phase is the wall
+        time of its step spans less the phase spans nested inside them
+        (the hashing inside the copy); the transition is the SimClock
+        time of the world-entry steps that carried the command in, the
+        ``hw.*`` siblings of the ``CMD_LOAD`` span."""
+        loads = []
+        for root in self.named(_CMD_LOAD):
+            phases = dict.fromkeys(STARTUP_PHASES, 0.0)
+            for span in self._descendants(root):
+                phase = _LOAD_PHASES.get(span.name)
+                if phase is None:
+                    continue
+                phases[phase] += span.wall_s
+                outer = self._by_id.get(span.parent_id)
+                while outer is not root and outer.name not in _LOAD_PHASES:
+                    outer = self._by_id.get(outer.parent_id)
+                if outer is not root:
+                    phases[_LOAD_PHASES[outer.name]] -= span.wall_s
+            invocation = self._by_id.get(root.parent_id)
+            if invocation is not None:
+                phases["transition"] = sum(
+                    step.sim_ns for step in self.children(invocation)
+                    if step.name in _WORLD_ENTRY) * 1e-9
+            loads.append(phases)
+        return loads
 
     def wasi_indirection(self) -> PhaseRow:
         """Cost of crossing the WASI shim (Table IV's indirection column)."""

@@ -53,6 +53,10 @@ _CODECS = tuple(f"{verb}_msg{kind}" for kind in (
     "0", "1", "2", "3", "2_encrypted", "0_multi", "1_multi", "2_multi")
     for verb in ("encode", "decode"))
 
+#: The runtime TA's ``CMD_LOAD`` and its steps: with ``Engine.load``/
+#: ``instantiate`` and the measurement's hashing, one per Fig. 4 phase.
+_LOAD_STEPS = ("_cmd_load", "_alloc", "_copy", "_runtime_init", "_run")
+
 _HW_STEPS = (("_optee_driver", "hw.optee_driver", NORMAL),
              ("_smc_enter", "hw.smc.enter", NORMAL),
              ("_session_dispatch", "hw.session_dispatch", SECURE),
@@ -90,6 +94,9 @@ TARGETS: Tuple[tuple, ...] = tuple(
      SECURE, None),
     ("repro.core.wasi_ra", "build_wasi_ra_imports", IMPORTS, None,
      "wasi.ra.", SECURE, None),
+    *(("repro.core.runtime", f"WatzRuntime.{step}", CALL, "api._kernel.soc",
+       f"core.runtime.WatzRuntime.{step}", SECURE, None)
+      for step in _LOAD_STEPS),
     ("repro.core.server", "VerifierProtocolState.handle", CALL, None,
      lambda args: f"core.protocol.msg{args[1][0] & 0x0F}" if args[1]
      else "core.protocol.empty", SECURE, None),
@@ -120,6 +127,9 @@ TARGETS: Tuple[tuple, ...] = tuple(
     ("repro.crypto.ecdsa", ("sign", "verify")),
     ("repro.crypto.cmac", ("AesCmac.mac", "AesCmac.verify")),
     ("repro.crypto.gcm", ("AesGcm.seal", "AesGcm.open")),
+    ("repro.crypto.hashing", ("IncrementalHash.update",
+                              "IncrementalHash.digest")),
+    ("repro.wasm.runtime", ("Engine.load", "Engine.instantiate")),
     ("repro.core.evidence", ("Evidence.encode",)),
     ("repro.core.protocol", _CODECS + ("seal_msg3", "open_msg3")),
     ("repro.core.attester", tuple(

@@ -5,7 +5,8 @@ via the Trusted Storage API". This module completes it: a WASI preview1
 file system with one preopened root directory, backed either by plain
 memory (normal world) or by the GP Trusted Storage of the hosting TA
 (secure world), so files written by a hosted Wasm application persist
-across WaTZ sessions and stay isolated per TA UUID.
+across WaTZ sessions and stay isolated per TA UUID and, within the TA,
+per application measurement.
 
 The extension is opt-in: without a :class:`WasiFilesystem` on the
 environment, the file-system calls keep the paper's shipped behaviour
@@ -58,32 +59,34 @@ class StorageBacking:
 
 
 class TrustedStorageBacking(StorageBacking):
-    """Files persisted as per-TA trusted-storage objects."""
+    """Files persisted as trusted-storage objects of the hosting TA, sealed
+    to the application that wrote them: every object id starts with that
+    application's measurement, so another binary loaded into the same TA
+    image finds none of them."""
 
-    PREFIX = "wasi-fs/"
-
-    def __init__(self, api) -> None:
+    def __init__(self, api, measurement: str) -> None:
         self._api = api
+        self._prefix = f"wasi-fs/{measurement}/"
 
     def load(self, name: str) -> Optional[bytes]:
         try:
-            return self._api.storage_get(self.PREFIX + name)
+            return self._api.storage_get(self._prefix + name)
         except TeeItemNotFound:
             return None
 
     def save(self, name: str, payload: bytes) -> None:
-        self._api.storage_put(self.PREFIX + name, payload)
+        self._api.storage_put(self._prefix + name, payload)
 
     def remove(self, name: str) -> None:
         try:
-            self._api.storage_delete(self.PREFIX + name)
+            self._api.storage_delete(self._prefix + name)
         except TeeItemNotFound:
             pass
 
     def names(self):
-        return [object_id[len(self.PREFIX):]
+        return [object_id[len(self._prefix):]
                 for object_id in self._api.storage_list()
-                if object_id.startswith(self.PREFIX)]
+                if object_id.startswith(self._prefix)]
 
 
 class _OpenFile:
@@ -245,8 +248,12 @@ def _memory(instance):
     return instance.memory
 
 
-def _read_path(instance, path_ptr: int, path_len: int) -> str:
-    return _memory(instance).read(path_ptr, path_len).decode("utf-8")
+def _read_path(instance, path_ptr: int, path_len: int) -> Optional[str]:
+    """The module's path, or None when its bytes are not UTF-8."""
+    try:
+        return _memory(instance).read(path_ptr, path_len).decode("utf-8")
+    except UnicodeDecodeError:
+        return None
 
 
 def _write_filestat(instance, address: int, filetype: int, size: int) -> None:
@@ -271,6 +278,8 @@ class WasiFsApi:
         if dirfd != PREOPEN_FD:
             return errno.EBADF
         path = _read_path(instance, path_ptr, path_len)
+        if path is None:
+            return errno.EINVAL
         fd = self.fs.open(path, oflags)
         if fd < 0:
             return -fd
@@ -357,6 +366,8 @@ class WasiFsApi:
         if dirfd != PREOPEN_FD:
             return errno.EBADF
         path = _read_path(instance, path_ptr, path_len)
+        if path is None:
+            return errno.EINVAL
         size = self.fs.size_of_path(path)
         if size is None:
             return errno.ENOENT
@@ -368,6 +379,8 @@ class WasiFsApi:
         if dirfd != PREOPEN_FD:
             return errno.EBADF
         path = _read_path(instance, path_ptr, path_len)
+        if path is None:
+            return errno.EINVAL
         return errno.SUCCESS if self.fs.unlink(path) else errno.ENOENT
 
     def fd_prestat_get(self, instance, fd, prestat_ptr):

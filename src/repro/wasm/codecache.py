@@ -21,9 +21,10 @@ memories, tables or globals.
 
 The cache is a bounded LRU (never grows past ``capacity`` modules) with an
 explicit bypass: pass ``code_cache=None`` to
-:meth:`~repro.wasm.runtime.Engine.load` (or ``code_cache=False`` to the
-runtime TA's ``CMD_LOAD``) to force a full recompile, and
-:meth:`CodeCache.invalidate` / :meth:`CodeCache.clear` to drop entries.
+:meth:`~repro.wasm.runtime.Engine.load` to force a full recompile, and
+:meth:`CodeCache.invalidate` / :meth:`CodeCache.clear` to drop entries
+(the runtime TA's ``CMD_LOAD`` always consults the process-wide cache, so
+a cold load is forced by invalidating the binary's entry).
 """
 
 from __future__ import annotations

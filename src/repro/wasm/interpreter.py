@@ -67,13 +67,19 @@ def _bind(module: Module, instance: Instance, func: Function) -> Callable:
 
 
 def _coerce(value, valtype: ValType):
-    if valtype == ValType.I32:
-        return int(value) & _MASK32
-    if valtype == ValType.I64:
-        return int(value) & _MASK64
-    if valtype == ValType.F32:
-        return num.f32_round(float(value))
-    return float(value)
+    """A host-supplied argument as a ``valtype`` value; one that has none
+    (NaN or ±inf for an integer, an integer past the float range) traps."""
+    try:
+        if valtype == ValType.I32:
+            return int(value) & _MASK32
+        if valtype == ValType.I64:
+            return int(value) & _MASK64
+        if valtype == ValType.F32:
+            return num.f32_round(float(value))
+        return float(value)
+    except (ValueError, OverflowError):
+        raise TrapError(
+            f"argument has no {valtype.mnemonic} value") from None
 
 
 def _run(module: Module, instance: Instance, body, locals_list,

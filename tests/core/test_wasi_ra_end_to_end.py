@@ -2,9 +2,19 @@
 
 import pytest
 
-from repro.core import VerifierPolicy, measure_bytes, start_verifier
+from repro.core import (
+    CMD_INVOKE,
+    CMD_MEASUREMENT,
+    CMD_STDOUT,
+    CMD_UNLOAD,
+    VerifierPolicy,
+    measure_bytes,
+    start_verifier,
+)
 from repro.core.transport import Network
-from repro.errors import TeeCommunicationError
+from repro.errors import TeeBadParameters, TeeCommunicationError
+from repro.walc import compile_source
+from repro.wasi import errno
 from repro.workloads.attested import build_attested_app
 
 HOST, PORT = "verifier.local", 7000
@@ -56,6 +66,47 @@ def test_load_params_never_reach_the_attester(deployment):
                              secret_capacity=1 << 16)
     loaded = device.load_wasm(session, app, recorder=5)
     assert device.run_wasm(session, loaded["app"], "attest") == len(SECRET)
+
+
+def test_the_secret_never_leaves_through_the_ta(deployment):
+    """The runtime TA exports no host-call log: a normal-world
+    ``record_hostcalls`` load param is ignored, command 6 is refused,
+    and no command's reply carries the provisioned secret."""
+    _, device, session, _, _, identity = deployment
+    app = build_attested_app(identity.public_bytes(), HOST, PORT,
+                             secret_capacity=1 << 16)
+    replies = [device.load_wasm(session, app, record_hostcalls=True)]
+    handle = replies[0]["app"]
+    replies.append(session.invoke(CMD_INVOKE, {
+        "app": handle, "function": "attest"}))
+    assert replies[-1]["result"] == len(SECRET)
+    with pytest.raises(TeeBadParameters):
+        session.invoke(6, {"app": handle})
+    for command in (CMD_STDOUT, CMD_MEASUREMENT, CMD_UNLOAD):
+        replies.append(session.invoke(command, {"app": handle}))
+    needle = SECRET[:32]
+    for reply in replies:
+        for value in reply.values():
+            blob = value if isinstance(value, bytes) else str(value).encode()
+            assert needle not in blob and needle.hex().encode() not in blob
+
+
+@pytest.mark.parametrize("engine_name", ["interpreter", "aot"])
+def test_handshake_host_name_not_utf8_is_einval(device, engine_name):
+    """A host name that is not UTF-8 is the module's error: the handshake
+    returns -EINVAL instead of escaping the TA."""
+    app = compile_source("""
+memory 1;
+data 64 (255, 254, 253);
+import fn watz.wasi_ra_net_handshake(a: i32, b: i32, c: i32, d: i32, e: i32, f: i32) -> i32;
+export fn handshake() -> i32 {
+  return 0 - wasi_ra_net_handshake(64, 3, 7000, 128, 65, 256);
+}
+""")
+    session = device.open_watz(heap_size=4 * 1024 * 1024, engine=engine_name)
+    loaded = device.load_wasm(session, app)
+    assert device.run_wasm(session, loaded["app"], "handshake") \
+        == errno.EINVAL
 
 
 def test_secret_bytes_accessible(deployment):

@@ -1,6 +1,5 @@
 """The WaTZ runtime TA: loading, measuring, executing Wasm on the platform."""
 
-import dataclasses
 import gc
 import math
 import weakref
@@ -15,7 +14,6 @@ from repro.core.runtime import (
     CMD_UNLOAD,
     NormalWorldRuntime,
     RELOCATION_OVERHEAD_FACTOR,
-    StartupBreakdown,
 )
 from repro.core.measurement import measure_bytes
 from repro.errors import (
@@ -27,7 +25,9 @@ from repro.errors import (
     TrapError,
     WasmError,
 )
+from repro.obs import Tracer, TraceAnalyzer
 from repro.walc import compile_source
+from repro.wasm.codecache import CodeCache, DEFAULT_CACHE
 from tests.wasm.helpers import build_loop_nest
 
 _APP = """
@@ -100,27 +100,40 @@ def test_stdout_captured(watz):
     assert device.read_stdout(session, loaded["app"]) == "ok"
 
 
+def _observed_loads(device, session, binary, loads=1, **params):
+    """Fig. 4's phases of ``loads`` cold loads of ``binary``, read from
+    the spans of an observed run."""
+    tracer = Tracer(sim_now=device.soc.clock.now_ns)
+    with tracer.observe(device.soc):
+        for _ in range(loads):
+            DEFAULT_CACHE.invalidate(CodeCache.module_key(binary))
+            loaded = device.load_wasm(session, binary, **params)
+    return loaded, TraceAnalyzer(tracer.spans()).startup_phases()
+
+
 def test_startup_breakdown_phases_positive(device):
-    # Each phase's minimum over five cold loads (code_cache=False: every
-    # load decodes, validates and compiles), so one pause in a
-    # millisecond-long phase cannot decide which phase is largest.
+    # Each phase's minimum over five cold loads (every load decodes,
+    # validates and compiles), so one pause in a millisecond-long phase
+    # cannot decide which phase is largest.
     session = device.open_watz(heap_size=4 * 1024 * 1024)
-    binary = compile_source(_APP)
-    loads = []
-    for _ in range(5):
-        loaded = device.load_wasm(session, binary, code_cache=False)
-        session.invoke(CMD_UNLOAD, {"app": loaded["app"]})
-        loads.append(loaded["breakdown"])
-    breakdown = StartupBreakdown(**{
-        phase.name: min(getattr(load, phase.name) for load in loads)
-        for phase in dataclasses.fields(StartupBreakdown)})
-    assert breakdown.transition_ns > 0
-    assert breakdown.load_s > 0
-    assert breakdown.hash_s > 0
-    fractions = breakdown.fractions()
-    assert abs(sum(fractions.values()) - 1.0) < 1e-9
+    _, loads = _observed_loads(device, session, compile_source(_APP), 5)
+    assert len(loads) == 5
+    phases = {phase: min(load[phase] for load in loads)
+              for phase in loads[0]}
+    assert phases["transition"] > 0
+    assert phases["load"] > 0
+    assert phases["hash"] > 0
     # Loading dominates (Fig. 4: ~73%).
-    assert fractions["load"] == max(fractions.values())
+    assert phases["load"] == max(phases.values())
+
+
+def test_startup_transition_is_the_world_entry(device):
+    """The transition phase is read from the world-entry steps that ran,
+    and adds up to the cost model's normal-to-secure invocation."""
+    session = device.open_watz(heap_size=4 * 1024 * 1024)
+    _, (phases,) = _observed_loads(device, session, compile_source(_APP))
+    assert round(phases["transition"] * 1e9) \
+        == device.soc.costs.world_enter_ns == 86_000
 
 
 def test_load_accounts_relocation_overhead(device):
@@ -340,6 +353,37 @@ def test_f32_argument_past_the_range_rounds_to_infinity(device, engine_name):
     assert device.run_wasm(session, app, "f", -1e300) == -math.inf
 
 
+#: Host arguments with no value of the parameter's type.
+_UNCONVERTIBLE_ARGS = [("i", math.nan), ("i", math.inf), ("i", -math.inf),
+                       ("l", math.nan), ("l", math.inf), ("l", -math.inf),
+                       ("f", 10 ** 400), ("d", 10 ** 400), ("d", -10 ** 400),
+                       ("d", 10 ** 5000)]
+
+
+@pytest.mark.parametrize("engine_name", ["interpreter", "aot"])
+def test_unconvertible_arguments_trap(device, engine_name):
+    """NaN or ±inf for an integer parameter, and an integer past the
+    float range for a float one, are refused as traps, through CMD_INVOKE
+    and through CMD_LOAD's entry point, leaving nothing charged."""
+    session = device.open_watz(heap_size=4 * 1024 * 1024, engine=engine_name)
+    binary = compile_source(
+        "export fn i(x: i32) -> i32 { return x; }\n"
+        "export fn l(x: i64) -> i64 { return x; }\n"
+        "export fn f(x: f32) -> f32 { return x; }\n"
+        "export fn d(x: f64) -> f64 { return x; }")
+    app = device.load_wasm(session, binary)["app"]
+    heap_used = session.api.heap_used
+    for function, arg in _UNCONVERTIBLE_ARGS:
+        with pytest.raises(TrapError, match="argument"):
+            device.run_wasm(session, app, function, arg)
+        with pytest.raises(TrapError, match="argument"):
+            device.load_wasm(session, binary, entry=function,
+                             entry_args=(arg,))
+    assert session.api.heap_used == heap_used
+    assert list(session.ta._apps) == [app]
+    assert device.run_wasm(session, app, "i", 7) == 7
+
+
 def test_too_deep_nest_fails_load_typed(device):
     """A valid module past the AOT lowering's nesting limit is refused
     with a WasmError, leaving nothing charged."""
@@ -359,8 +403,9 @@ var started: i32 = 0;
 export fn main() { started = 1; }
 export fn check() -> i32 { return started; }
 """
-    loaded = device.load_wasm(session, compile_source(source), entry="main")
-    assert loaded["breakdown"].execute_s >= 0
+    loaded, (phases,) = _observed_loads(device, session,
+                                        compile_source(source), entry="main")
+    assert phases["execute"] > 0
     assert device.run_wasm(session, loaded["app"], "check") == 1
 
 

@@ -3,6 +3,8 @@
 import ast
 import inspect
 
+import pytest
+
 import repro.obs.analysis as analysis_module
 from repro.hw import SimClock
 from repro.obs import Tracer, TraceAnalyzer, UNATTRIBUTED
@@ -137,3 +139,40 @@ def test_protocol_costs_read_only_names_the_tracer_emits():
     assert named <= observed
     assert any(name.startswith(analysis_module._CODEC_PREFIXES)
                for name in observed)
+
+
+# -- Fig. 4: startup phases per CMD_LOAD ------------------------------------------
+
+def test_startup_phases_take_nested_phases_out_of_their_step():
+    clock = SimClock()
+    tracer = Tracer(sim_now=clock.now_ns)
+    with tracer.span("optee.ta.invoke"):
+        with tracer.span("hw.smc.enter"):
+            clock.advance(4000)
+        with tracer.span("hw.session_dispatch"):
+            clock.advance(22000)
+        with tracer.span("core.runtime.WatzRuntime._cmd_load"):
+            with tracer.span("core.runtime.WatzRuntime._copy") as copy:
+                with tracer.span("unobserved.helper"):
+                    with tracer.span(
+                            "crypto.hashing.IncrementalHash.update") as hashed:
+                        pass
+            with tracer.span("wasm.runtime.Engine.load") as load:
+                with tracer.span("aot.compile"):
+                    pass
+        with tracer.span("hw.smc.exit"):
+            clock.advance(4000)
+    (phases,) = TraceAnalyzer(tracer.spans()).startup_phases()
+    assert phases["transition"] == 26000 * 1e-9
+    assert phases["hash"] == hashed.wall_s
+    assert phases["load"] == pytest.approx(
+        copy.wall_s - hashed.wall_s + load.wall_s)
+    assert phases["alloc"] == phases["execute"] == 0.0
+    assert tuple(phases) == analysis_module.STARTUP_PHASES
+
+
+def test_startup_phases_read_only_names_the_tracer_emits():
+    observed = {name for *_, name, _, _ in TARGETS if isinstance(name, str)}
+    named = {analysis_module._CMD_LOAD, *analysis_module._LOAD_PHASES,
+             *analysis_module._WORLD_ENTRY}
+    assert named <= observed

@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.core.runtime import CMD_HOSTCALLS
-from repro.errors import TeeBadParameters
 from repro.obs import (HostCallLog, ReplayMismatch, record_host_calls,
                        replay_imports, replay_run)
 from repro.walc import compile_source
@@ -117,26 +115,6 @@ export fn run() -> i32 { proc_exit(7); return 0; }
         instance.invoke("run")
     assert log.calls[-1].raised == ("ProcExit", 7)
     assert replay_run(binary, log, "run") == 7
-
-
-def test_runtime_ta_records_and_exports_hostcalls(device):
-    """CMD_HOSTCALLS: the WaTZ TA hands out a replayable log."""
-    binary = compile_source(_APP)
-    session = device.open_watz(heap_size=4 * 1024 * 1024)
-    loaded = device.load_wasm(session, binary, record_hostcalls=True)
-    in_tee = device.run_wasm(session, loaded["app"], "run")
-    exported = session.invoke(CMD_HOSTCALLS, {"app": loaded["app"]})["log"]
-    log = HostCallLog.from_json(exported)
-    # Standalone replay — no device, no TEE — reproduces the TEE run.
-    assert replay_run(binary, log, "run") == in_tee
-
-
-def test_runtime_ta_rejects_hostcalls_without_recording(device):
-    binary = compile_source(_APP)
-    session = device.open_watz(heap_size=4 * 1024 * 1024)
-    loaded = device.load_wasm(session, binary)
-    with pytest.raises(TeeBadParameters):
-        session.invoke(CMD_HOSTCALLS, {"app": loaded["app"]})
 
 
 def test_replay_namespace_satisfies_the_declared_surface():

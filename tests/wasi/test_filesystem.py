@@ -3,7 +3,7 @@
 import pytest
 
 from repro.walc import compile_source
-from repro.wasi import WasiEnvironment, WasiFilesystem, build_wasi_imports
+from repro.wasi import WasiEnvironment, WasiFilesystem, build_wasi_imports, errno
 from repro.wasi.filesystem import O_CREAT, O_EXCL, O_TRUNC, PREOPEN_FD
 from repro.wasm import AotCompiler
 
@@ -168,6 +168,44 @@ def test_files_persist_across_watz_sessions(device):
     assert device.run_wasm(session, loaded["app"], "read_file") \
         == 3 * 256 + ord("t")
     session.close()
+
+
+def test_files_are_sealed_to_the_app_that_wrote_them(device):
+    """Another binary loaded into the same WaTZ image opens none of the
+    files: they are stored under the writer's measurement."""
+    binary = compile_source(_FS_APP)
+    other = compile_source(_FS_APP + "export fn other() -> i32 { return 1; }")
+    session = device.open_watz(heap_size=4 * 1024 * 1024)
+    writer = device.load_wasm(session, binary, filesystem=True)
+    assert device.run_wasm(session, writer["app"], "write_file") == 6
+    reader = device.load_wasm(session, other, filesystem=True)
+    assert device.run_wasm(session, reader["app"], "read_file") \
+        == (-errno.ENOENT) & 0xFFFFFFFF
+    assert device.run_wasm(session, writer["app"], "read_file") \
+        == 3 * 256 + ord("t")
+    session.close()
+
+
+@pytest.mark.parametrize("engine_name", ["interpreter", "aot"])
+def test_path_not_utf8_is_einval(device, engine_name):
+    """A path that is not UTF-8 is the module's error: every path call
+    returns EINVAL instead of escaping the TA."""
+    app = compile_source("""
+memory 1;
+data 512 (255, 254, 253);
+import fn wasi_snapshot_preview1.path_open(a: i32, b: i32, c: i32, d: i32,
+                                           e: i32, f: i64, g: i64, h: i32,
+                                           i: i32) -> i32;
+import fn wasi_snapshot_preview1.path_filestat_get(a: i32, b: i32, c: i32, d: i32, e: i32) -> i32;
+import fn wasi_snapshot_preview1.path_unlink_file(a: i32, b: i32, c: i32) -> i32;
+export fn open() -> i32 { return path_open(3, 0, 512, 3, 1, 0L, 0L, 0, 64); }
+export fn stat() -> i32 { return path_filestat_get(3, 0, 512, 3, 128); }
+export fn unlink() -> i32 { return path_unlink_file(3, 512, 3); }
+""")
+    session = device.open_watz(heap_size=4 * 1024 * 1024, engine=engine_name)
+    loaded = device.load_wasm(session, app, filesystem=True)
+    for call in ("open", "stat", "unlink"):
+        assert device.run_wasm(session, loaded["app"], call) == errno.EINVAL
 
 
 def test_storage_is_isolated_per_ta_uuid(device):

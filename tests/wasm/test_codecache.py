@@ -234,7 +234,7 @@ def test_failed_compile_is_not_cached():
     assert len(cache) == 0
 
 
-# -- CMD_LOAD: warm loads, bypass knob, SimClock invariance -------------------
+# -- CMD_LOAD: warm and cold loads, SimClock invariance ------------------------
 
 
 def _load_counter(device, session, **params):
@@ -255,20 +255,11 @@ def test_cmd_load_warm_hits_default_cache(device):
     assert device.run_wasm(session, loaded["app"], "f") == 1
 
 
-def test_cmd_load_bypass_knob_skips_cache(device):
-    from repro.wasm.codecache import DEFAULT_CACHE
-
-    session = device.open_watz(heap_size=1 << 20)
-    _load_counter(device, session, code_cache=False)
-    _load_counter(device, session, code_cache=False)
-    stats = DEFAULT_CACHE.stats()
-    assert stats["hits"] == 0 and stats["misses"] == 0
-
-
 def test_cmd_load_bypass_validates_once(device, monkeypatch):
-    """The load that decodes the module validates it; instantiating the
-    loaded module does not validate it again."""
+    """The cold load that decodes the module validates it; instantiating
+    the loaded module does not validate it again."""
     import repro.wasm.runtime as wasm_runtime
+    from repro.wasm.codecache import DEFAULT_CACHE
     from repro.wasm.validation import validate_module
 
     validated = []
@@ -279,27 +270,33 @@ def test_cmd_load_bypass_validates_once(device, monkeypatch):
 
     monkeypatch.setattr(wasm_runtime, "validate_module", counting_validate)
     session = device.open_watz(heap_size=1 << 20)
-    loaded = _load_counter(device, session, code_cache=False)
+    DEFAULT_CACHE.invalidate(CodeCache.module_key(_counter_module()))
+    misses = DEFAULT_CACHE.stats()["misses"]
+    loaded = _load_counter(device, session)
+    assert DEFAULT_CACHE.stats()["misses"] == misses + 1
     assert len(validated) == 1
     assert device.run_wasm(session, loaded["app"], "f") == 1
 
 
 def test_cmd_load_simclock_charges_identical_cached_vs_uncached(testbed):
     """The cache saves wall-clock work, never simulated cost: every load
-    pays the same SimClock charges (shared-memory copy) whether it hits,
-    misses, or bypasses the cache."""
+    pays the same SimClock charges (shared-memory copy) whether it hits
+    or misses the cache."""
+    from repro.wasm.codecache import DEFAULT_CACHE
+
     device = testbed.create_device()
     session = device.open_watz(heap_size=1 << 20)
 
-    def charge(**params):
+    def charge():
         before = device.soc.clock.now_ns()
-        _load_counter(device, session, **params)
+        _load_counter(device, session)
         return device.soc.clock.now_ns() - before
 
     cold = charge()
     warm = charge()
-    bypass = charge(code_cache=False)
-    assert cold == warm == bypass
+    DEFAULT_CACHE.invalidate(CodeCache.module_key(_counter_module()))
+    missed = charge()
+    assert cold == warm == missed
 
 
 def test_cmd_load_hashes_once(device, monkeypatch):
